@@ -16,7 +16,7 @@ flow = FlowSpec(FlowId(src, 0), src, dst, required_bandwidth=2.0, arrival_time=0
 sim = Simulator(cfg, [flow])
 report = sim.run()
 
-record = sim._records[flow.flow]
+record = sim.records[flow.flow]
 print(f"flow {flow.flow}: {src} -> {dst}, demand {flow.required_bandwidth}")
 print(f"outcome: {record.phase.value}, setup latency {record.setup_latency} cycles, "
       f"path length {record.path_length} (manhattan {sim.mesh.manhattan(src, dst)})")

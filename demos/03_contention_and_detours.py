@@ -5,7 +5,7 @@ the flooding discovery can only find longer ways around; the established
 circuit is still feasible but stretched beyond the manhattan distance.
 """
 
-from beenoc import FlowId, FlowSpec, Mesh, NodeId, PortDir, RunConfig, Simulator, enumerate_feasible, walk
+from beenoc import FlowId, FlowSpec, NodeId, PortDir, RunConfig, Simulator, enumerate_feasible, walk
 
 cfg = RunConfig(mesh_width=4, mesh_height=4, seed=3, wire_count=4)
 src, dst = NodeId(0, 0), NodeId(3, 0)
@@ -14,20 +14,20 @@ flow = FlowSpec(FlowId(src, 0), src, dst, required_bandwidth=2.0, arrival_time=0
 sim = Simulator(cfg, [flow])
 # soak up the direct row: (1,0)->E and (2,0)->E keep less than 2 units free
 for node in (NodeId(1, 0), NodeId(2, 0)):
-    sim.network.link(node, PortDir.EAST).reservations[("background", node.x)] = 3
-    sim.network.held_by_class[PortDir.EAST] += 3
+    if not sim.network.reserve(node, PortDir.EAST, ("background", node.x), 3.0):
+        raise RuntimeError(f"background load does not fit on {node}->EAST")
 
-snapshot = sim.network.residual_snapshot()
+# the exhaustive check runs on the pre-setup network, before the flow claims any wires
+feasible = enumerate_feasible(sim.network, src, dst, 2.0, sim.mesh.hop_limit(src, dst))
 sim.run()
 
-record = sim._records[flow.flow]
+record = sim.records[flow.flow]
 print(f"{src} -> {dst} with the bottom row congested: {record.phase.value}")
 forward_path = record.winner_route.reverse_complement()
 print(f"circuit: {' -> '.join(str(n) for n in walk(forward_path, src, sim.mesh))}")
 print(f"path length {record.path_length} vs manhattan {sim.mesh.manhattan(src, dst)} (stretch "
       f"{record.path_length / sim.mesh.manhattan(src, dst):.2f})")
 
-feasible = enumerate_feasible(snapshot, Mesh(4, 4), src, dst, 2.0, sim.mesh.hop_limit(src, dst))
-print(f"\nexhaustive check against the pre-setup snapshot: {len(feasible)} feasible routes, "
+print(f"\nexhaustive check against the pre-setup network: {len(feasible)} feasible routes, "
       f"shortest {feasible.min_length()} hops")
 print(f"established circuit is one of them: {forward_path in feasible}")

@@ -54,7 +54,7 @@ from .router import (
     handle_forward_bee,
     release_for_backward_bee,
 )
-from .topology import NON_LOCAL_PORTS, LinkState, Mesh, Network, NodeId, PortDir
+from .topology import NON_LOCAL_PORTS, Mesh, Network, NodeId, PortDir
 from .traffic import TrafficParams, generate_traffic, make_rng, traffic_params_from_config
 
 __version__ = "0.1.0"

@@ -114,9 +114,10 @@ def _packet_kind(packet) -> str:
 class Simulator:
     """Single-threaded deterministic event loop over one mesh network.
 
-    The network may be pre-loaded with background reservations before run()
-    to model frozen contention; the end-of-run conservation check accounts
-    for wires held before the first event.
+    The network may be pre-loaded with background reservations (through
+    `network.reserve`) before run() to model frozen contention; the end-of-run
+    conservation check accounts for wires held before the first event.
+    `records` maps each flow to its lifecycle record.
     """
 
     def __init__(self, config: RunConfig, workload: Sequence[FlowSpec]):
@@ -127,7 +128,7 @@ class Simulator:
         self.clock = 0
         self._seq = itertools.count()
         self._queue: list[tuple[int, int, Event]] = []
-        self._records: dict[FlowId, FlowRecord] = {}
+        self.records: dict[FlowId, FlowRecord] = {}
         self._trace: list[str] | None = [] if config.trace else None
         self._forward_cap = 4 * self.mesh.node_count
         self._events_processed = 0
@@ -145,10 +146,10 @@ class Simulator:
         for node in (spec.source, spec.destination):
             if not self.mesh.contains(node):
                 raise ConfigError(f"flow {spec.flow}: node {node} is outside the mesh")
-        if spec.flow in self._records:
+        if spec.flow in self.records:
             raise ConfigError(f"duplicate flow id {spec.flow}")
         hop_limit = self.mesh.hop_limit(spec.source, spec.destination, self.config.hop_limit_metric)
-        self._records[spec.flow] = FlowRecord(spec=spec, hop_limit=hop_limit)
+        self.records[spec.flow] = FlowRecord(spec=spec, hop_limit=hop_limit)
         self._schedule(spec.arrival_time, EventKind.FLOW_ARRIVAL, flow=spec.flow, node=spec.source)
 
     # -- scheduling -------------------------------------------------------
@@ -188,20 +189,21 @@ class Simulator:
             self._advance_clock(ev.time)
             try:
                 self._process(ev)
-                self._check_dirty_links()
+                self.network.drain_dirty()
             except InvariantViolationError as exc:
                 raise type(exc)(f"event {self._events_processed}: {exc}") from exc
+            self._track_peak_util()
             self._events_processed += 1
             if self._trace is not None:
                 self._trace.append(self._trace_line(ev))
         if truncated:
-            for rec in self._records.values():
+            for rec in self.records.values():
                 if rec.phase in (FlowPhase.DISCOVERING, FlowPhase.RESERVING):
                     self._set_phase(rec, FlowPhase.FAILED)
         final_held = self.network.total_held() - initial_held
         expected = sum(
             rec.path_length * self.network.wires_for(rec.spec.required_bandwidth)
-            for rec in self._records.values()
+            for rec in self.records.values()
             if rec.phase is FlowPhase.ESTABLISHED
         )
         if not truncated and final_held != expected:
@@ -217,16 +219,7 @@ class Simulator:
                 self._util_acc[port] += self.network.held_by_class[port] * dt
         self.clock = time
 
-    def _check_dirty_links(self) -> None:
-        # Only links mutated during this event can have broken the wire
-        # invariant; untouched links are unchanged by construction.
-        for key in self.network.drain_dirty():
-            link = self.network.links[key]
-            held = link.held_wires
-            if not 0 <= held <= link.wire_count:
-                raise InvariantViolationError(
-                    f"link {key[0]}->{key[1].name} holds {held} of {link.wire_count} wires"
-                )
+    def _track_peak_util(self) -> None:
         for port in NON_LOCAL_PORTS:
             wires = self.network.wires_by_class[port]
             if wires:
@@ -253,7 +246,7 @@ class Simulator:
     # -- event handlers ---------------------------------------------------
 
     def _on_flow_arrival(self, ev: Event) -> None:
-        rec = self._records[ev.flow]
+        rec = self.records[ev.flow]
         spec = rec.spec
         timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self.config.t_hop)
         self._schedule(self.clock + timeout, EventKind.SETUP_TIMEOUT, flow=spec.flow, node=spec.source)
@@ -278,7 +271,7 @@ class Simulator:
 
     def _on_forward(self, ev: Event) -> None:
         self._forward_deliveries += 1
-        rec = self._records[ev.packet.flow]
+        rec = self.records[ev.packet.flow]
         rec.forward_deliveries += 1
         if rec.forward_deliveries > self._forward_cap:
             raise InvariantViolationError(
@@ -301,7 +294,7 @@ class Simulator:
 
     def _on_backward(self, ev: Event) -> None:
         self._backward_deliveries += 1
-        rec = self._records[ev.packet.flow]
+        rec = self.records[ev.packet.flow]
         if rec.phase in (FlowPhase.FAILED, FlowPhase.TORN_DOWN):
             # Flow is already settled; drop the bee and free its prefix.
             emission = router.release_for_backward_bee(ev.packet, ev.arrival_port)
@@ -334,7 +327,7 @@ class Simulator:
         )
 
     def _on_flow_complete(self, ev: Event) -> None:
-        rec = self._records[ev.flow]
+        rec = self.records[ev.flow]
         if rec.phase is not FlowPhase.ESTABLISHED:
             raise InvariantViolationError(f"flow {ev.flow} completed while {rec.phase.value}")
         self._set_phase(rec, FlowPhase.TORN_DOWN)
@@ -352,7 +345,7 @@ class Simulator:
             self.transit(rec.spec.source, emission[0], emission[1])
 
     def _on_setup_timeout(self, ev: Event) -> None:
-        rec = self._records[ev.flow]
+        rec = self.records[ev.flow]
         if rec.phase in (FlowPhase.DISCOVERING, FlowPhase.RESERVING):
             self._set_phase(rec, FlowPhase.FAILED)
 
@@ -377,7 +370,7 @@ class Simulator:
 
     def _build_report(self, final_held: int, drained: bool) -> metrics.MetricsReport:
         rows = []
-        for rec in self._records.values():
+        for rec in self.records.values():
             spec = rec.spec
             rows.append(
                 metrics.FlowRow(
@@ -400,7 +393,7 @@ class Simulator:
             backward_deliveries=self._backward_deliveries,
             control_deliveries=self._control_deliveries,
             max_forward_deliveries_per_flow=max(
-                (rec.forward_deliveries for rec in self._records.values()), default=0
+                (rec.forward_deliveries for rec in self.records.values()), default=0
             ),
             final_wires_held=final_held,
             drained=drained,

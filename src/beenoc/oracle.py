@@ -1,10 +1,11 @@
 """Brute-force feasibility ground truth for small meshes.
 
 Exhaustively enumerates the simple paths between two nodes that stay within
-a hop budget and whose every directed link has enough residual bandwidth,
-evaluated against a frozen snapshot. Used to validate protocol soundness and
-idle-network optimality; the live protocol races against time, so equivalence
-claims are restricted to single-flow or frozen-background scenarios.
+a hop budget and whose every directed link fits the demand under the
+network's own admission rule, evaluated on the network as it stands (before
+the run starts). Used to validate protocol soundness and idle-network
+optimality; the live protocol races against time, so equivalence claims are
+restricted to single-flow or frozen-background scenarios.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import numpy as np
 
 from .config import RunConfig
 from .engine import FlowSpec, Simulator
-from .errors import DegenerateFlowError, OracleSizeError
+from .errors import DegenerateFlowError, InvariantViolationError, OracleSizeError
 from .protocol import FlowId, PortList
-from .topology import NON_LOCAL_PORTS, Mesh, NodeId, PortDir
+from .topology import NON_LOCAL_PORTS, Mesh, Network, NodeId
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,20 +39,21 @@ class FeasibleSet:
 
 
 def enumerate_feasible(
-    residuals: dict[tuple[NodeId, PortDir], float],
-    mesh: Mesh,
+    net: Network,
     src: NodeId,
     dst: NodeId,
     required_bandwidth: float,
     bound: int,
 ) -> FeasibleSet:
-    """Exhaustive feasibility check over simple paths of length <= bound.
+    """Exhaustive feasibility check over simple paths of length <= bound,
+    admitting each link with Network.fits on the network's current state.
 
     Tractability guard: accepts meshes up to 5x5, or any mesh when the bound
     is at most 12; anything larger is refused.
     """
     if src == dst:
         raise DegenerateFlowError("feasibility enumeration needs distinct endpoints")
+    mesh = net.mesh
     small_mesh = mesh.width <= 5 and mesh.height <= 5
     if not small_mesh and bound > 12:
         raise OracleSizeError(
@@ -71,7 +73,7 @@ def enumerate_feasible(
             nxt = mesh.neighbor(current, port)
             if nxt is None or nxt in visited:
                 continue
-            if residuals[(current, port)] < required_bandwidth:
+            if not net.fits(current, port, required_bandwidth):
                 continue
             visited.add(nxt)
             explore(nxt, path.push(port))
@@ -108,7 +110,7 @@ def single_flow_scenario(
     """Run one randomized single-flow setup race against the oracle.
 
     With `saturate` a random subset of directed links is pre-loaded with
-    background reservations; the oracle evaluates the pre-setup snapshot.
+    background reservations; the oracle evaluates the network before the run.
     """
     mesh = Mesh(cfg.mesh_width, cfg.mesh_height)
     nodes = list(mesh.nodes())
@@ -124,19 +126,17 @@ def single_flow_scenario(
     spec = FlowSpec(flow, src, dst, bandwidth, arrival_time=0, hold_time=5)
     sim = Simulator(cfg, [spec])
     if saturate:
-        for index, (node, port) in enumerate(sorted(sim.network.links, key=lambda k: (k[0].y, k[0].x, k[1].value))):
+        for index, (node, port) in enumerate(sim.network.links):
             if rng.random() < 0.35:
                 held = int(rng.integers(1, cfg.wire_count + 1))
                 background = (FlowId(NodeId(0, 0), -(index + 1)), 0)
-                sim.network.link(node, port).reservations[background] = held
-                sim.network.held_by_class[port] += held
-    snapshot = sim.network.residual_snapshot()
-    hop_limit = mesh.hop_limit(src, dst, cfg.hop_limit_metric)
+                if not sim.network.reserve(node, port, background, held * cfg.wire_bandwidth):
+                    raise InvariantViolationError(f"background load of {held} wires refused on {node}->{port.name}")
+    feasible = enumerate_feasible(sim.network, src, dst, bandwidth, mesh.hop_limit(src, dst, cfg.hop_limit_metric))
     sim.run()
-    record = sim._records[flow]
+    record = sim.records[flow]
     established = record.winner_route is not None
     forward_path = record.winner_route.reverse_complement() if established else None
-    feasible = enumerate_feasible(snapshot, mesh, src, dst, bandwidth, hop_limit)
     return ScenarioOutcome(
         source=src,
         destination=dst,

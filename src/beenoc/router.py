@@ -70,7 +70,7 @@ def handle_forward_bee(
     bees; the destination is exempt from duplicate suppression. Elsewhere a
     flow is admitted once, killed at the hop budget, and otherwise re-broadcast
     on every non-local port except the arrival port whose outgoing link still
-    has enough residual bandwidth. Forward bees reserve nothing.
+    fits the demand (Network.fits). Forward bees reserve nothing.
     """
     if bee.hop_counter != bee.ports.length:
         raise ProtocolCorruptionError(
@@ -102,7 +102,7 @@ def handle_forward_bee(
             continue
         if net.mesh.neighbor(state.id, port) is None:
             continue
-        if net.residual(state.id, port) < bee.required_bandwidth:
+        if not net.fits(state.id, port, bee.required_bandwidth):
             continue
         emissions.append((port, bee.advanced(port, hop_limit)))
     return emissions

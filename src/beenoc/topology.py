@@ -4,7 +4,7 @@ with spatial-division-multiplexed wire pools."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -126,40 +126,15 @@ class Mesh:
         raise ValueError(f"unknown hop-limit metric {metric!r}")
 
 
-@dataclass(slots=True)
-class LinkState:
-    """One directed link: a pool of identical wires plus per-owner reservations.
-
-    `reservations` maps (flow, bee index) to the wires that owner holds.
-    The sum of held wires never exceeds wire_count.
-    """
-
-    node: NodeId
-    direction: PortDir
-    wire_count: int
-    wire_bandwidth: float
-    reservations: dict = field(default_factory=dict)
-
-    @property
-    def held_wires(self) -> int:
-        return sum(self.reservations.values())
-
-    @property
-    def free_wires(self) -> int:
-        return self.wire_count - self.held_wires
-
-    @property
-    def residual_bandwidth(self) -> float:
-        return self.free_wires * self.wire_bandwidth
-
-
 class Network:
-    """Mesh plus one LinkState per directed link, with reservation accounting.
+    """Mesh plus the wire pool of every directed link, with reservation accounting.
 
     Each physical channel between neighbors is modeled as two independent
-    directed links, each with its own wire pool. All mutation goes through
-    reserve()/release() so that per-direction totals and the wire-count
-    invariant are maintained in one place.
+    directed links, each with its own pool of `wire_count` wires. A link's
+    state is a dict mapping each owner, a (flow, bee index) key, to the wires
+    it holds; only this class reads or writes it. Admission goes through
+    fits() and mutation through reserve()/release(), so the wire arithmetic,
+    the per-direction totals and the wire-count bound live in one place.
     """
 
     def __init__(self, mesh: Mesh, wire_count: int, wire_bandwidth: float) -> None:
@@ -170,25 +145,38 @@ class Network:
         self.mesh = mesh
         self.wire_count = wire_count
         self.wire_bandwidth = wire_bandwidth
-        self.links: dict[tuple[NodeId, PortDir], LinkState] = {}
+        self._links: dict[tuple[NodeId, PortDir], dict] = {}
         for node in mesh.nodes():
             for port in NON_LOCAL_PORTS:
                 if mesh.neighbor(node, port) is not None:
-                    self.links[(node, port)] = LinkState(node, port, wire_count, wire_bandwidth)
+                    self._links[(node, port)] = {}
         self.held_by_class: dict[PortDir, int] = {p: 0 for p in NON_LOCAL_PORTS}
         self.wires_by_class: dict[PortDir, int] = {p: 0 for p in NON_LOCAL_PORTS}
-        for (_, port) in self.links:
+        for (_, port) in self._links:
             self.wires_by_class[port] += wire_count
         self._dirty: set[tuple[NodeId, PortDir]] = set()
 
-    def link(self, node: NodeId, port: PortDir) -> LinkState:
+    @property
+    def links(self):
+        """(node, port) of every directed link, nodes in row-major order and
+        each node's ports in code order."""
+        return self._links.keys()
+
+    def _reservations(self, node: NodeId, port: PortDir) -> dict:
         try:
-            return self.links[(node, port)]
+            return self._links[(node, port)]
         except KeyError:
             raise InvalidPathError(f"no link leaving {node} toward {port.name}") from None
 
+    def holders(self, node: NodeId, port: PortDir) -> dict:
+        """A copy of the link's reservations: owner key -> wires held."""
+        return dict(self._reservations(node, port))
+
+    def free_wires(self, node: NodeId, port: PortDir) -> int:
+        return self.wire_count - sum(self._reservations(node, port).values())
+
     def residual(self, node: NodeId, port: PortDir) -> float:
-        return self.link(node, port).residual_bandwidth
+        return self.free_wires(node, port) * self.wire_bandwidth
 
     def wires_for(self, bandwidth: float) -> int:
         """Wires needed to carry `bandwidth`: ceil(bandwidth / wire_bandwidth).
@@ -200,28 +188,32 @@ class Network:
             raise ValueError("bandwidth must be positive")
         return max(1, math.ceil(bandwidth / self.wire_bandwidth - 1e-9))
 
+    def fits(self, node: NodeId, port: PortDir, bandwidth: float) -> bool:
+        """The admission rule: the link has wires_for(bandwidth) wires free.
+
+        Flooding, reservation and the feasibility oracle all decide with it.
+        """
+        return self.free_wires(node, port) >= self.wires_for(bandwidth)
+
     def reserve(self, node: NodeId, port: PortDir, key, bandwidth: float) -> bool:
         """Try to reserve wires for `key` on the link leaving `node` via `port`.
 
-        Returns False (link unchanged) when the residual is insufficient.
+        Returns False (link unchanged) when the link does not fit `bandwidth`.
         """
-        link = self.link(node, port)
-        need = self.wires_for(bandwidth)
-        if link.free_wires < need:
+        if not self.fits(node, port, bandwidth):
             return False
-        if key in link.reservations:
+        reservations = self._links[(node, port)]
+        if key in reservations:
             raise InvariantViolationError(f"duplicate reservation by {key} on {node}->{port.name}")
-        link.reservations[key] = need
+        need = self.wires_for(bandwidth)
+        reservations[key] = need
         self.held_by_class[port] += need
         self._dirty.add((node, port))
-        if link.held_wires > link.wire_count:
-            raise InvariantViolationError(f"wire over-subscription on {node}->{port.name}")
         return True
 
     def release(self, node: NodeId, port: PortDir, key) -> int:
         """Free `key`'s wires on the given link; returns the wires freed (0 if none)."""
-        link = self.link(node, port)
-        wires = link.reservations.pop(key, 0)
+        wires = self._reservations(node, port).pop(key, 0)
         self.held_by_class[port] -= wires
         self._dirty.add((node, port))
         return wires
@@ -229,12 +221,21 @@ class Network:
     def total_held(self) -> int:
         return sum(self.held_by_class.values())
 
-    def drain_dirty(self) -> set[tuple[NodeId, PortDir]]:
-        """Links touched since the last call; used for per-event invariant checks."""
-        dirty = self._dirty
+    def drain_dirty(self) -> None:
+        """Check the wire-count bound on every link touched since the last
+        call, then forget them.
+
+        Only a touched link can have broken the bound, so calling this after
+        every event checks the whole network at the cost of the event's links.
+        """
+        for key in self._dirty:
+            held = sum(self._links[key].values())
+            if not 0 <= held <= self.wire_count:
+                raise InvariantViolationError(
+                    f"link {key[0]}->{key[1].name} holds {held} of {self.wire_count} wires"
+                )
         self._dirty = set()
-        return dirty
 
     def residual_snapshot(self) -> dict[tuple[NodeId, PortDir], float]:
         """Frozen residual bandwidth of every directed link."""
-        return {k: ls.residual_bandwidth for k, ls in self.links.items()}
+        return {(node, port): self.residual(node, port) for node, port in self._links}

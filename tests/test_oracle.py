@@ -19,51 +19,51 @@ from beenoc.traffic import make_rng
 S, W, E, N = PortDir.SOUTH, PortDir.WEST, PortDir.EAST, PortDir.NORTH
 
 
-def idle_snapshot(mesh, wire_count=8, wire_bandwidth=1.0):
-    return Network(mesh, wire_count, wire_bandwidth).residual_snapshot()
+def idle_network(mesh, wire_count=8, wire_bandwidth=1.0):
+    return Network(mesh, wire_count, wire_bandwidth)
 
 
 class TestEnumerateFeasible:
     def test_two_by_two_has_exactly_two_paths(self):
         mesh = Mesh(2, 2)
-        feasible = enumerate_feasible(idle_snapshot(mesh), mesh, NodeId(0, 0), NodeId(1, 1), 1.0, 4)
+        feasible = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(1, 1), 1.0, 4)
         assert [list(p) for p in feasible.paths] == [[E, N], [N, E]]
         assert feasible.min_length() == 2
 
     def test_degenerate_endpoints(self):
         mesh = Mesh(2, 2)
         with pytest.raises(DegenerateFlowError):
-            enumerate_feasible(idle_snapshot(mesh), mesh, NodeId(0, 0), NodeId(0, 0), 1.0, 4)
+            enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(0, 0), 1.0, 4)
 
     def test_saturated_source_cut_empty(self):
         mesh = Mesh(2, 2)
         net = Network(mesh, 4, 1.0)
         net.reserve(NodeId(0, 0), E, ("bg", 0), 4.0)
         net.reserve(NodeId(0, 0), N, ("bg", 1), 4.0)
-        feasible = enumerate_feasible(net.residual_snapshot(), mesh, NodeId(0, 0), NodeId(1, 1), 1.0, 4)
+        feasible = enumerate_feasible(net, NodeId(0, 0), NodeId(1, 1), 1.0, 4)
         assert len(feasible) == 0
 
     def test_residual_equal_to_demand_passes(self):
         mesh = Mesh(2, 2)
         net = Network(mesh, 4, 1.0)
         net.reserve(NodeId(0, 0), E, ("bg", 0), 3.0)
-        feasible = enumerate_feasible(net.residual_snapshot(), mesh, NodeId(0, 0), NodeId(1, 1), 1.0, 4)
+        feasible = enumerate_feasible(net, NodeId(0, 0), NodeId(1, 1), 1.0, 4)
         assert PortList.from_ports([E, N]) in feasible
 
     def test_size_guard(self):
         mesh = Mesh(6, 6)
         with pytest.raises(OracleSizeError):
-            enumerate_feasible(idle_snapshot(mesh), mesh, NodeId(0, 0), NodeId(5, 5), 1.0, 13)
+            enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(5, 5), 1.0, 13)
         # small bound keeps a big mesh tractable, small mesh allows big bounds
-        enumerate_feasible(idle_snapshot(mesh), mesh, NodeId(0, 0), NodeId(1, 1), 1.0, 3)
+        enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(1, 1), 1.0, 3)
         small = Mesh(5, 5)
-        enumerate_feasible(idle_snapshot(small), small, NodeId(0, 0), NodeId(4, 4), 1.0, 14)
+        enumerate_feasible(idle_network(small), NodeId(0, 0), NodeId(4, 4), 1.0, 14)
 
     def test_paths_respect_bound_and_walk(self):
         mesh = Mesh(3, 3)
         src, dst = NodeId(0, 0), NodeId(2, 1)
         bound = mesh.hop_limit(src, dst)
-        feasible = enumerate_feasible(idle_snapshot(mesh), mesh, src, dst, 1.0, bound)
+        feasible = enumerate_feasible(idle_network(mesh), src, dst, 1.0, bound)
         assert len(feasible) > 0
         for path in feasible.paths:
             assert path.length <= bound
@@ -73,8 +73,8 @@ class TestEnumerateFeasible:
 
     def test_deterministic_lexicographic_order(self):
         mesh = Mesh(3, 3)
-        first = enumerate_feasible(idle_snapshot(mesh), mesh, NodeId(0, 0), NodeId(2, 2), 1.0, 6)
-        second = enumerate_feasible(idle_snapshot(mesh), mesh, NodeId(0, 0), NodeId(2, 2), 1.0, 6)
+        first = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(2, 2), 1.0, 6)
+        second = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(2, 2), 1.0, 6)
         assert first.paths == second.paths
         codes = [tuple(p.entry(i).code for i in range(p.length)) for p in first.paths]
         assert codes == sorted(codes)

@@ -196,8 +196,8 @@ class TestBackwardBee:
         node, outcome = deliver_backward_until_done(mesh, net, states, NodeId(1, 1), bee)
         assert outcome.kind == "accepted"
         # exactly the links a source->destination walk would use
-        assert net.link(NodeId(0, 0), E).reservations == {(flow, 0): 1}
-        assert net.link(NodeId(1, 0), N).reservations == {(flow, 0): 1}
+        assert net.holders(NodeId(0, 0), E) == {(flow, 0): 1}
+        assert net.holders(NodeId(1, 0), N) == {(flow, 0): 1}
         assert net.total_held() == 2
 
     def test_reservation_failure_releases_prefix(self):
@@ -213,7 +213,7 @@ class TestBackwardBee:
         deliver_control_chain(mesh, net, states, node, outcome.emissions[0])
         # only the background reservation survives
         assert net.total_held() == 4
-        assert net.link(NodeId(1, 0), E).reservations == {}
+        assert net.holders(NodeId(1, 0), E) == {}
         assert all((flow, 0) not in st.flow_table for st in states.values())
 
     def test_failure_with_empty_prefix_emits_nothing(self):
@@ -237,16 +237,15 @@ class TestBackwardBee:
         bee2 = BackwardBee(flow, 1, route2, 1, 2.0, 0)
         _, first = deliver_backward_until_done(mesh, net, states, NodeId(3, 1), bee1)
         assert first.kind == "accepted"
-        shared = net.link(NodeId(1, 0), E)
         node, second = deliver_backward_until_done(mesh, net, states, NodeId(3, 1), bee2)
         assert second.kind == "aborted"
-        assert shared.reservations == {(flow, 0): 2, (flow, 1): 2}  # both held pre-release
+        assert net.holders(NodeId(1, 0), E) == {(flow, 0): 2, (flow, 1): 2}  # both held pre-release
         deliver_control_chain(mesh, net, states, node, second.emissions[0])
-        assert shared.reservations == {(flow, 0): 2}
+        assert net.holders(NodeId(1, 0), E) == {(flow, 0): 2}
         # the winner's four-link circuit is intact, nothing else is held
         assert net.total_held() == 8
         for spot, port in [(NodeId(0, 0), E), (NodeId(1, 0), E), (NodeId(2, 0), E), (NodeId(3, 0), N)]:
-            assert net.link(spot, port).reservations == {(flow, 0): 2}
+            assert net.holders(spot, port) == {(flow, 0): 2}
 
     def test_corrupt_index_rejected(self):
         mesh, net, states = make_net()

@@ -4,7 +4,6 @@ from beenoc import (
     DegenerateFlowError,
     InvalidPortError,
     InvariantViolationError,
-    LinkState,
     Mesh,
     Network,
     NodeId,
@@ -89,16 +88,18 @@ class TestHopLimit:
 
 class TestResidualBandwidth:
     def test_partial(self):
-        link = LinkState(NodeId(0, 0), PortDir.EAST, 8, 1.0, {("f1", 0): 3})
-        assert link.residual_bandwidth == 5.0
+        net = Network(Mesh(2, 2), 8, 1.0)
+        assert net.reserve(NodeId(0, 0), PortDir.EAST, ("f1", 0), 3.0)
+        assert net.residual(NodeId(0, 0), PortDir.EAST) == 5.0
 
     def test_empty(self):
-        link = LinkState(NodeId(0, 0), PortDir.EAST, 8, 1.0)
-        assert link.residual_bandwidth == 8.0
+        net = Network(Mesh(2, 2), 8, 1.0)
+        assert net.residual(NodeId(0, 0), PortDir.EAST) == 8.0
 
     def test_saturated(self):
-        link = LinkState(NodeId(0, 0), PortDir.EAST, 4, 0.5, {("f1", 0): 4})
-        assert link.residual_bandwidth == 0.0
+        net = Network(Mesh(2, 2), 4, 0.5)
+        assert net.reserve(NodeId(0, 0), PortDir.EAST, ("f1", 0), 2.0)
+        assert net.residual(NodeId(0, 0), PortDir.EAST) == 0.0
 
 
 class TestNetworkReservations:
@@ -122,21 +123,31 @@ class TestNetworkReservations:
         net = Network(Mesh(3, 3), 8, 1.0)
         node, port = NodeId(0, 0), PortDir.EAST
         assert net.reserve(node, port, ("bg", 0), 6.0)
-        before = dict(net.link(node, port).reservations)
+        before = net.holders(node, port)
         assert not net.reserve(node, port, ("f", 0), 2.5)
-        assert net.link(node, port).reservations == before
+        assert net.holders(node, port) == before
         assert net.residual(node, port) == 2.0
 
     def test_exact_fit_single_wire(self):
         net = Network(Mesh(3, 3), 8, 1.0)
         assert net.reserve(NodeId(1, 1), PortDir.NORTH, ("f", 0), 1.0)
-        assert net.link(NodeId(1, 1), PortDir.NORTH).reservations == {("f", 0): 1}
+        assert net.holders(NodeId(1, 1), PortDir.NORTH) == {("f", 0): 1}
 
     def test_duplicate_key_rejected(self):
         net = Network(Mesh(3, 3), 8, 1.0)
         assert net.reserve(NodeId(0, 0), PortDir.EAST, ("f", 0), 1.0)
         with pytest.raises(InvariantViolationError):
             net.reserve(NodeId(0, 0), PortDir.EAST, ("f", 0), 1.0)
+
+    def test_drain_dirty_checks_touched_links(self):
+        net = Network(Mesh(3, 3), 8, 1.0)
+        net.reserve(NodeId(0, 0), PortDir.EAST, ("f", 0), 1.0)
+        net.drain_dirty()
+        net._links[(NodeId(0, 0), PortDir.EAST)][("f", 0)] = 9  # corrupt past the 8-wire bound
+        net.drain_dirty()  # the corrupted link was not touched since the last drain
+        net.release(NodeId(0, 0), PortDir.EAST, ("ghost", 0))
+        with pytest.raises(InvariantViolationError, match="holds 9 of 8 wires"):
+            net.drain_dirty()
 
     def test_release_absent_returns_zero(self):
         net = Network(Mesh(3, 3), 8, 1.0)
