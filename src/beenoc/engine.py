@@ -1,7 +1,7 @@
 """Deterministic discrete-event core.
 
-One global clock in integer cycles, a (time, seq) priority queue with
-scheduling-order tie-breaks, uniform per-hop transit latency for every
+One global clock in integer cycles, a calendar queue that hands out events
+in (time, scheduling order), uniform per-hop transit latency for every
 packet, and the flow lifecycle: arrival, discovery, reservation, circuit
 hold, teardown, with a setup timeout for flows that never establish.
 """
@@ -9,7 +9,6 @@ hold, teardown, with a setup timeout for flows that never establish.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -19,10 +18,10 @@ from typing import Sequence
 
 from . import metrics, router
 from .config import RunConfig
-from .errors import ConfigError, DegenerateFlowError, InvariantViolationError
+from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee, PortList
 from .router import NodeState
-from .topology import NON_LOCAL_PORTS, Mesh, Network, NodeId, PortDir
+from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir
 
 
 class FlowPhase(Enum):
@@ -73,11 +72,8 @@ class EventKind(Enum):
 
 @dataclass(slots=True)
 class Event:
-    """Timestamped simulator occurrence. Events are processed in (time, seq)
-    order; seq is assigned at scheduling time and strictly increases."""
+    """Simulator occurrence; the queue keeps the cycle it is due at."""
 
-    time: int
-    seq: int
     kind: EventKind
     flow: FlowId | None = None
     node: NodeId | None = None
@@ -103,6 +99,51 @@ class FlowRecord:
         return self.phase in (FlowPhase.ESTABLISHED, FlowPhase.TORN_DOWN)
 
 
+# Members read once per event. Reading a member off its Enum class costs about
+# ten times a module-global lookup.
+_DELIVERY = EventKind.PACKET_DELIVERY
+_SETTLED = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
+
+
+class CalendarQueue:
+    """Pending events bucketed by cycle (Brown, "Calendar queues", CACM 1988).
+
+    A dict maps each pending cycle to a FIFO list of its events, and a heap
+    holds the distinct pending cycles. Events come out in (cycle, push
+    order), the order of a heap keyed by (time, sequence number).
+    """
+
+    __slots__ = ("_buckets", "_cycles")
+
+    def __init__(self) -> None:
+        self._buckets: dict[int, list] = {}
+        self._cycles: list[int] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._cycles)
+
+    def push(self, time: int, item) -> None:
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [item]
+            heapq.heappush(self._cycles, time)
+        else:
+            bucket.append(item)
+
+    def next_time(self) -> int:
+        """The earliest pending cycle."""
+        return self._cycles[0]
+
+    def pop_cycle(self) -> tuple[int, list]:
+        """Remove and return the earliest cycle with its events in push order.
+
+        Items pushed for that cycle afterwards form a new bucket, which comes
+        out next.
+        """
+        time = heapq.heappop(self._cycles)
+        return time, self._buckets.pop(time)
+
+
 def _packet_kind(packet) -> str:
     if isinstance(packet, ForwardBee):
         return "forward"
@@ -126,8 +167,7 @@ class Simulator:
         self.network = Network(self.mesh, config.wire_count, config.wire_bandwidth)
         self.nodes = {n: NodeState(n) for n in self.mesh.nodes()}
         self.clock = 0
-        self._seq = itertools.count()
-        self._queue: list[tuple[int, int, Event]] = []
+        self.queue = CalendarQueue()
         self.records: dict[FlowId, FlowRecord] = {}
         self._trace: list[str] | None = [] if config.trace else None
         self._forward_cap = 4 * self.mesh.node_count
@@ -135,8 +175,8 @@ class Simulator:
         self._forward_deliveries = 0
         self._backward_deliveries = 0
         self._control_deliveries = 0
-        self._util_acc = {p: 0 for p in NON_LOCAL_PORTS}
-        self._util_peak = {p: 0.0 for p in NON_LOCAL_PORTS}
+        self._util_acc = [0, 0, 0, 0]
+        self._util_peak = [0.0, 0.0, 0.0, 0.0]
         for spec in workload:
             self._admit(spec)
 
@@ -154,23 +194,19 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
-    def _schedule(self, time: int, kind: EventKind, **kw) -> None:
-        ev = Event(time=time, seq=next(self._seq), kind=kind, **kw)
-        heapq.heappush(self._queue, (ev.time, ev.seq, ev))
+    def _schedule(self, time: int, kind: EventKind, flow: FlowId, node: NodeId) -> None:
+        self.queue.push(time, Event(kind, flow, node))
 
     def transit(self, origin: NodeId, port: PortDir, packet) -> None:
         """Schedule delivery of `packet` at the neighbor through `port`, one
         t_hop later, arriving on the neighbor's opposite port."""
-        destination = self.mesh.neighbor(origin, port)
-        if destination is None:
-            raise InvariantViolationError(f"transit from {origin} through {port.name} leaves the mesh")
-        self._schedule(
+        try:
+            destination = self.network.far_end(origin, port)
+        except InvalidPathError:
+            raise InvariantViolationError(f"transit from {origin} through {port.name} leaves the mesh") from None
+        self.queue.push(
             self.clock + self.config.t_hop,
-            EventKind.PACKET_DELIVERY,
-            flow=packet.flow,
-            node=destination,
-            packet=packet,
-            arrival_port=port.opposite(),
+            Event(_DELIVERY, packet.flow, destination, packet, OPPOSITE[port]),
         )
 
     # -- main loop --------------------------------------------------------
@@ -178,24 +214,30 @@ class Simulator:
     def run(self) -> metrics.MetricsReport:
         initial_held = self.network.total_held()
         self.network.drain_dirty()
+        queue = self.queue
+        max_cycles = self.config.max_cycles
         truncated = False
-        while self._queue:
-            if self._queue[0][0] > self.config.max_cycles:
+        if queue and queue.next_time() <= max_cycles:
+            # Background load placed before run(); after this only backward
+            # bees reserve, and _on_backward samples after each of them.
+            self._track_peak_util()
+        while queue:
+            if queue.next_time() > max_cycles:
                 truncated = True
                 break
-            _, _, ev = heapq.heappop(self._queue)
-            if ev.time < self.clock:
+            time, events = queue.pop_cycle()
+            if time < self.clock:
                 raise InvariantViolationError(f"event {self._events_processed}: clock would move backward")
-            self._advance_clock(ev.time)
-            try:
-                self._process(ev)
-                self.network.drain_dirty()
-            except InvariantViolationError as exc:
-                raise type(exc)(f"event {self._events_processed}: {exc}") from exc
-            self._track_peak_util()
-            self._events_processed += 1
-            if self._trace is not None:
-                self._trace.append(self._trace_line(ev))
+            self._advance_clock(time)
+            for ev in events:
+                try:
+                    self._process(ev)
+                    self.network.drain_dirty()
+                except InvariantViolationError as exc:
+                    raise type(exc)(f"event {self._events_processed}: {exc}") from exc
+                self._events_processed += 1
+                if self._trace is not None:
+                    self._trace.append(self._trace_line(ev))
         if truncated:
             for rec in self.records.values():
                 if rec.phase in (FlowPhase.DISCOVERING, FlowPhase.RESERVING):
@@ -215,20 +257,24 @@ class Simulator:
     def _advance_clock(self, time: int) -> None:
         dt = time - self.clock
         if dt:
-            for port in NON_LOCAL_PORTS:
-                self._util_acc[port] += self.network.held_by_class[port] * dt
+            for port, held in enumerate(self.network.held_by_class):
+                self._util_acc[port] += held * dt
         self.clock = time
 
     def _track_peak_util(self) -> None:
-        for port in NON_LOCAL_PORTS:
-            wires = self.network.wires_by_class[port]
+        """Raise each direction's peak utilisation to its current value.
+
+        Utilisation rises only when wires are reserved, so sampling after
+        each reservation finds the same peaks as sampling after every event.
+        """
+        for port, (held, wires) in enumerate(zip(self.network.held_by_class, self.network.wires_by_class)):
             if wires:
-                util = self.network.held_by_class[port] / wires
+                util = held / wires
                 if util > self._util_peak[port]:
                     self._util_peak[port] = util
 
     def _process(self, ev: Event) -> None:
-        if ev.kind is EventKind.PACKET_DELIVERY:
+        if ev.kind is _DELIVERY:
             packet = ev.packet
             if isinstance(packet, ForwardBee):
                 self._on_forward(ev)
@@ -277,7 +323,7 @@ class Simulator:
             raise InvariantViolationError(
                 f"flow {rec.spec.flow} exceeded the forward-bee event cap ({self._forward_cap})"
             )
-        if rec.phase in (FlowPhase.FAILED, FlowPhase.TORN_DOWN):
+        if rec.phase in _SETTLED:
             return
         emissions = router.handle_forward_bee(
             self.nodes[ev.node],
@@ -295,13 +341,14 @@ class Simulator:
     def _on_backward(self, ev: Event) -> None:
         self._backward_deliveries += 1
         rec = self.records[ev.packet.flow]
-        if rec.phase in (FlowPhase.FAILED, FlowPhase.TORN_DOWN):
+        if rec.phase in _SETTLED:
             # Flow is already settled; drop the bee and free its prefix.
             emission = router.release_for_backward_bee(ev.packet, ev.arrival_port)
             if emission is not None:
                 self.transit(ev.node, emission[0], emission[1])
             return
         outcome = router.handle_backward_bee(self.nodes[ev.node], ev.packet, ev.arrival_port, self.network)
+        self._track_peak_util()
         if outcome.kind == "accepted":
             self._establish(rec, ev.packet)
         for port, packet in outcome.emissions:
@@ -399,12 +446,14 @@ class Simulator:
             drained=drained,
             final_cycle=self.clock,
         )
+        util_peak = {}
         util_mean = {}
         for port in NON_LOCAL_PORTS:
             denom = self.network.wires_by_class[port] * self.clock
+            util_peak[port] = self._util_peak[port]
             util_mean[port] = (self._util_acc[port] / denom) if denom else 0.0
         trace = tuple(self._trace) if self._trace is not None else None
-        return metrics.build_report(self.config, tuple(rows), stats, dict(self._util_peak), util_mean, trace)
+        return metrics.build_report(self.config, tuple(rows), stats, util_peak, util_mean, trace)
 
 
 # -- workload I/O ---------------------------------------------------------

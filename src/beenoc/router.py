@@ -17,7 +17,7 @@ from typing import Union
 
 from .errors import ProtocolCorruptionError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee
-from .topology import NON_LOCAL_PORTS, Network, NodeId, PortDir
+from .topology import Network, NodeId, PortDir
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +70,7 @@ def handle_forward_bee(
     bees; the destination is exempt from duplicate suppression. Elsewhere a
     flow is admitted once, killed at the hop budget, and otherwise re-broadcast
     on every non-local port except the arrival port whose outgoing link still
-    fits the demand (Network.fits). Forward bees reserve nothing.
+    fits the demand (Network.fitting_ports). Forward bees reserve nothing.
     """
     if bee.hop_counter != bee.ports.length:
         raise ProtocolCorruptionError(
@@ -96,16 +96,11 @@ def handle_forward_bee(
     state.seen.add(bee.flow)
     if bee.hop_counter >= hop_limit:
         return []
-    emissions = []
-    for port in NON_LOCAL_PORTS:
-        if port is arrival_port:
-            continue
-        if net.mesh.neighbor(state.id, port) is None:
-            continue
-        if not net.fits(state.id, port, bee.required_bandwidth):
-            continue
-        emissions.append((port, bee.advanced(port, hop_limit)))
-    return emissions
+    return [
+        (port, bee.advanced(port, hop_limit))
+        for port in net.fitting_ports(state.id, bee.required_bandwidth)
+        if port is not arrival_port
+    ]
 
 
 def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import Iterator
 
 from .errors import (
@@ -16,12 +16,13 @@ from .errors import (
 )
 
 
-class PortDir(Enum):
+class PortDir(IntEnum):
     """Router ports of a mesh node.
 
     Non-local ports carry a 2-bit wire code (south 00, west 01, east 10,
     north 11) chosen so that complementing both bits yields the code of the
-    opposite port. The local port has no code and never appears in a route.
+    opposite port. A port's value is its code, so ports index per-direction
+    lists directly. The local port has no code and never appears in a route.
     """
 
     SOUTH = 0b00
@@ -30,32 +31,31 @@ class PortDir(Enum):
     NORTH = 0b11
     LOCAL = 4
 
+    # Print as an Enum member ("PortDir.EAST"), not as the integer code.
+    __str__ = Enum.__str__
+    __format__ = Enum.__format__
+
     @property
     def code(self) -> int:
-        if self is PortDir.LOCAL:
+        if self._value_ > 0b11:
             raise InvalidPortError("the local port has no wire code")
-        return self.value
+        return self._value_
 
     def opposite(self) -> "PortDir":
         if self is PortDir.LOCAL:
             raise InvalidPortError("the local port has no opposite")
-        return PortDir(self.value ^ 0b11)
+        return OPPOSITE[self]
 
     def delta(self) -> tuple[int, int]:
         return _DELTAS[self]
 
 
-# Axis convention: east increases x, north increases y.
-_DELTAS = {
-    PortDir.SOUTH: (0, -1),
-    PortDir.WEST: (-1, 0),
-    PortDir.EAST: (1, 0),
-    PortDir.NORTH: (0, 1),
-    PortDir.LOCAL: (0, 0),
-}
-
 # Canonical iteration order for broadcasts and enumeration: by wire code.
 NON_LOCAL_PORTS = (PortDir.SOUTH, PortDir.WEST, PortDir.EAST, PortDir.NORTH)
+# OPPOSITE[port] is port.opposite() for every non-local port.
+OPPOSITE = tuple(PortDir(code ^ 0b11) for code in range(4))
+# Indexed by port value. Axis convention: east increases x, north increases y.
+_DELTAS = ((0, -1), (-1, 0), (1, 0), (0, 1), (0, 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,9 +132,15 @@ class Network:
     Each physical channel between neighbors is modeled as two independent
     directed links, each with its own pool of `wire_count` wires. A link's
     state is a dict mapping each owner, a (flow, bee index) key, to the wires
-    it holds; only this class reads or writes it. Admission goes through
-    fits() and mutation through reserve()/release(), so the wire arithmetic,
-    the per-direction totals and the wire-count bound live in one place.
+    it holds, plus a count of its free wires; only this class reads or writes
+    them. Admission goes through fits()/fitting_ports() and mutation through
+    reserve()/release(), so the wire arithmetic, the per-direction totals and
+    the wire-count bound live in one place.
+
+    Internally the link leaving node (x, y) through a port is numbered
+    (y * width + x) * 4 + port code, and every per-link table is a flat list
+    in that order. Slots of links that leave the mesh hold no reservation
+    dict and -1 free wires, so no demand fits them.
     """
 
     def __init__(self, mesh: Mesh, wire_count: int, wire_bandwidth: float) -> None:
@@ -145,35 +151,55 @@ class Network:
         self.mesh = mesh
         self.wire_count = wire_count
         self.wire_bandwidth = wire_bandwidth
-        self._links: dict[tuple[NodeId, PortDir], dict] = {}
+        slots = 4 * mesh.node_count
+        self._reservations: list[dict | None] = [None] * slots
+        self._free: list[int] = [-1] * slots
+        self._far_end: list[NodeId | None] = [None] * slots
+        links = []
         for node in mesh.nodes():
             for port in NON_LOCAL_PORTS:
-                if mesh.neighbor(node, port) is not None:
-                    self._links[(node, port)] = {}
-        self.held_by_class: dict[PortDir, int] = {p: 0 for p in NON_LOCAL_PORTS}
-        self.wires_by_class: dict[PortDir, int] = {p: 0 for p in NON_LOCAL_PORTS}
-        for (_, port) in self._links:
+                far = mesh.neighbor(node, port)
+                if far is not None:
+                    index = (node.y * mesh.width + node.x) * 4 + port
+                    self._reservations[index] = {}
+                    self._free[index] = wire_count
+                    self._far_end[index] = far
+                    links.append((node, port))
+        self._links = tuple(links)
+        self.held_by_class = [0, 0, 0, 0]
+        self.wires_by_class = [0, 0, 0, 0]
+        for (_, port) in links:
             self.wires_by_class[port] += wire_count
-        self._dirty: set[tuple[NodeId, PortDir]] = set()
+        self._dirty: list[int] = []
 
     @property
-    def links(self):
+    def links(self) -> tuple[tuple[NodeId, PortDir], ...]:
         """(node, port) of every directed link, nodes in row-major order and
         each node's ports in code order."""
-        return self._links.keys()
+        return self._links
 
-    def _reservations(self, node: NodeId, port: PortDir) -> dict:
-        try:
-            return self._links[(node, port)]
-        except KeyError:
-            raise InvalidPathError(f"no link leaving {node} toward {port.name}") from None
+    def _index(self, node: NodeId, port: PortDir) -> int:
+        """Index of an existing link; raises for the local port or a missing link."""
+        x, y = node.x, node.y
+        width = self.mesh.width
+        # Checked before the arithmetic: x past the width or the local port
+        # (value 4) would otherwise alias another node's link.
+        if 0 <= x < width and 0 <= y < self.mesh.height and port < 4:
+            index = (y * width + x) * 4 + port
+            if self._reservations[index] is not None:
+                return index
+        raise InvalidPathError(f"no link leaving {node} toward {port.name}")
 
     def holders(self, node: NodeId, port: PortDir) -> dict:
         """A copy of the link's reservations: owner key -> wires held."""
-        return dict(self._reservations(node, port))
+        return dict(self._reservations[self._index(node, port)])
+
+    def far_end(self, node: NodeId, port: PortDir) -> NodeId:
+        """The node the link leaving `node` through `port` leads to."""
+        return self._far_end[self._index(node, port)]
 
     def free_wires(self, node: NodeId, port: PortDir) -> int:
-        return self.wire_count - sum(self._reservations(node, port).values())
+        return self._free[self._index(node, port)]
 
     def residual(self, node: NodeId, port: PortDir) -> float:
         return self.free_wires(node, port) * self.wire_bandwidth
@@ -195,46 +221,75 @@ class Network:
         """
         return self.free_wires(node, port) >= self.wires_for(bandwidth)
 
+    def fitting_ports(self, node: NodeId, bandwidth: float) -> list[PortDir]:
+        """Ports of `node`, in code order, whose outgoing link exists and fits
+        `bandwidth` by the admission rule of fits()."""
+        x, y = node.x, node.y
+        width = self.mesh.width
+        if not (0 <= x < width and 0 <= y < self.mesh.height):
+            raise InvalidPathError(f"node {node} is outside the {width}x{self.mesh.height} mesh")
+        base = (y * width + x) * 4
+        need = self.wires_for(bandwidth)
+        free = self._free
+        return [port for port in NON_LOCAL_PORTS if free[base + port] >= need]
+
     def reserve(self, node: NodeId, port: PortDir, key, bandwidth: float) -> bool:
         """Try to reserve wires for `key` on the link leaving `node` via `port`.
 
         Returns False (link unchanged) when the link does not fit `bandwidth`.
         """
-        if not self.fits(node, port, bandwidth):
+        index = self._index(node, port)
+        need = self.wires_for(bandwidth)
+        if self._free[index] < need:
             return False
-        reservations = self._links[(node, port)]
+        reservations = self._reservations[index]
         if key in reservations:
             raise InvariantViolationError(f"duplicate reservation by {key} on {node}->{port.name}")
-        need = self.wires_for(bandwidth)
         reservations[key] = need
+        self._free[index] -= need
         self.held_by_class[port] += need
-        self._dirty.add((node, port))
+        self._dirty.append(index)
         return True
 
     def release(self, node: NodeId, port: PortDir, key) -> int:
         """Free `key`'s wires on the given link; returns the wires freed (0 if none)."""
-        wires = self._reservations(node, port).pop(key, 0)
+        index = self._index(node, port)
+        wires = self._reservations[index].pop(key, 0)
+        self._free[index] += wires
         self.held_by_class[port] -= wires
-        self._dirty.add((node, port))
+        self._dirty.append(index)
         return wires
 
     def total_held(self) -> int:
-        return sum(self.held_by_class.values())
+        return sum(self.held_by_class)
 
     def drain_dirty(self) -> None:
-        """Check the wire-count bound on every link touched since the last
-        call, then forget them.
+        """Check every link touched since the last call, then forget them.
 
-        Only a touched link can have broken the bound, so calling this after
-        every event checks the whole network at the cost of the event's links.
+        A touched link must hold between 0 and wire_count wires, summed from
+        its reservations, and that sum plus its free-wire count must be
+        wire_count. Only a touched link can have broken either, so calling
+        this after every event checks the whole network at the cost of the
+        event's links.
         """
-        for key in self._dirty:
-            held = sum(self._links[key].values())
-            if not 0 <= held <= self.wire_count:
-                raise InvariantViolationError(
-                    f"link {key[0]}->{key[1].name} holds {held} of {self.wire_count} wires"
-                )
-        self._dirty = set()
+        if not self._dirty:
+            return
+        wire_count = self.wire_count
+        for index in self._dirty:
+            held = sum(self._reservations[index].values())
+            if 0 <= held <= wire_count and held + self._free[index] == wire_count:
+                continue
+            node, port = self._link_at(index)
+            if not 0 <= held <= wire_count:
+                raise InvariantViolationError(f"link {node}->{port.name} holds {held} of {wire_count} wires")
+            raise InvariantViolationError(
+                f"link {node}->{port.name} holds {held} wires but counts {self._free[index]} free of {wire_count}"
+            )
+        self._dirty = []
+
+    def _link_at(self, index: int) -> tuple[NodeId, PortDir]:
+        node = index // 4
+        return NodeId(node % self.mesh.width, node // self.mesh.width), PortDir(index % 4)
 
     def residual_snapshot(self) -> dict[tuple[NodeId, PortDir], float]:
         """Frozen residual bandwidth of every directed link."""

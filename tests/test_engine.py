@@ -1,6 +1,10 @@
 import dataclasses
+import heapq
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beenoc import (
     ConfigError,
@@ -17,6 +21,8 @@ from beenoc import (
     parse_workload,
     run_simulation,
 )
+from beenoc.engine import CalendarQueue
+from beenoc.metrics import SUMMARY_HEADER, summary_line
 from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
 
 
@@ -29,6 +35,21 @@ def base_config(**overrides):
 def one_flow(src=(0, 0), dst=(3, 3), bandwidth=2.0, arrival=0, hold=50, seq=0):
     source, destination = NodeId(*src), NodeId(*dst)
     return FlowSpec(FlowId(source, seq), source, destination, bandwidth, arrival, hold)
+
+
+def contended_run(seed):
+    """Config and generated workload of a contended 4x4 run with mixed demands."""
+    cfg = base_config(
+        seed=seed,
+        wire_count=4,
+        traffic_rate=0.0095,
+        traffic_duration=1500,
+        bandwidth_values=(1.0, 2.0, 3.0),
+        bandwidth_weights=(0.5, 0.3, 0.2),
+        hold_time_dist="geometric",
+        hold_time_mean=80.0,
+    )
+    return cfg, generate_traffic(Mesh(4, 4), traffic_params_from_config(cfg), make_rng(seed))
 
 
 class TestFlowSpec:
@@ -88,22 +109,100 @@ class TestTransit:
         sim = Simulator(base_config(t_hop=1), [])
         sim.clock = 5
         sim.transit(NodeId(1, 1), PortDir.EAST, self.packet())
-        _, _, ev = sim._queue[0]
-        assert ev.time == 6
+        time, (ev,) = sim.queue.pop_cycle()
+        assert time == 6
         assert ev.node == NodeId(2, 1)
         assert ev.arrival_port is PortDir.WEST
 
     def test_same_cycle_fifo_by_seq(self):
-        import heapq
-
         sim = Simulator(base_config(), [])
         sim.transit(NodeId(1, 1), PortDir.EAST, self.packet())
         sim.transit(NodeId(1, 1), PortDir.NORTH, self.packet())
-        first = heapq.heappop(sim._queue)[2]
-        second = heapq.heappop(sim._queue)[2]
-        assert first.seq < second.seq
+        _, (first, second) = sim.queue.pop_cycle()
         assert first.node == NodeId(2, 1)
         assert second.node == NodeId(1, 2)
+        assert not sim.queue
+
+
+class TestCalendarQueue:
+    # Each step pushes at `delays` cycles from the current one, then, if
+    # `drain`, pops the earliest cycle and, after its i-th event, pushes at
+    # during[i] cycles from it (0: the cycle being drained).
+    steps = st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 4), max_size=5),
+            st.booleans(),
+            st.lists(st.integers(0, 2), max_size=4),
+        ),
+        max_size=30,
+    )
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(steps)
+    def test_matches_time_seq_heap(self, steps):
+        queue, reference, seq = CalendarQueue(), [], itertools.count()
+        now = 0
+
+        def push(time):
+            item = next(seq)
+            queue.push(time, item)
+            heapq.heappush(reference, (time, item))
+
+        def drain(during):
+            nonlocal now
+            now, items = queue.pop_cycle()
+            for i, item in enumerate(items):
+                assert heapq.heappop(reference) == (now, item)
+                if i < len(during):
+                    push(now + during[i])
+
+        for delays, pop, during in steps:
+            for delay in delays:
+                push(now + delay)
+            if pop and queue:
+                drain(during)
+            assert bool(queue) == bool(reference)
+        while queue:
+            drain(())
+        assert reference == []
+
+
+class TestUtilisationPeak:
+    def summary_fields(self, report):
+        return dict(zip(SUMMARY_HEADER.split(","), summary_line(report.summary).split(",")))
+
+    def background_sim(self, workload):
+        sim = Simulator(base_config(), workload)
+        # 4 of the 12 * 8 = 96 east-bound wires of a 4x4 mesh
+        assert sim.network.reserve(NodeId(1, 2), PortDir.EAST, ("background", 0), 4.0)
+        return sim
+
+    def test_background_load_with_no_backward_bee(self):
+        report = self.background_sim([one_flow(bandwidth=99.0)]).run()
+        assert report.stats.backward_deliveries == 0
+        fields = self.summary_fields(report)
+        assert fields["util_peak_east"] == "0.041667"
+        assert fields["util_peak_north"] == "0.000000"
+
+    def test_empty_workload_over_background_load(self):
+        report = self.background_sim([]).run()
+        assert self.summary_fields(report)["util_peak_east"] == "0.000000"
+
+    def test_peaks_match_sampling_after_every_event(self):
+        sim = Simulator(*contended_run(3))
+        net = sim.network
+        peaks = [0.0] * 4
+        drain = net.drain_dirty
+
+        def drain_and_sample():  # the engine drains once after every event
+            drain()
+            for port in range(4):
+                peaks[port] = max(peaks[port], net.held_by_class[port] / net.wires_by_class[port])
+
+        net.drain_dirty = drain_and_sample
+        summary = sim.run().summary
+        assert min(peaks) > 0
+        assert [summary.util_peak_south, summary.util_peak_west, summary.util_peak_east, summary.util_peak_north] == peaks
 
 
 class TestSetupTimeout:
@@ -133,17 +232,7 @@ class TestSetupTimeout:
 
 class TestRandomizedRun:
     def run_once(self, seed):
-        cfg = base_config(
-            seed=seed,
-            wire_count=4,
-            traffic_rate=0.0095,
-            traffic_duration=1500,
-            bandwidth_values=(1.0, 2.0, 3.0),
-            bandwidth_weights=(0.5, 0.3, 0.2),
-            hold_time_dist="geometric",
-            hold_time_mean=80.0,
-        )
-        workload = generate_traffic(Mesh(4, 4), traffic_params_from_config(cfg), make_rng(seed))
+        cfg, workload = contended_run(seed)
         return run_simulation(cfg, workload), workload
 
     def test_drains_and_conserves(self):

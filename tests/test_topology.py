@@ -2,6 +2,7 @@ import pytest
 
 from beenoc import (
     DegenerateFlowError,
+    InvalidPathError,
     InvalidPortError,
     InvariantViolationError,
     Mesh,
@@ -140,13 +141,23 @@ class TestNetworkReservations:
             net.reserve(NodeId(0, 0), PortDir.EAST, ("f", 0), 1.0)
 
     def test_drain_dirty_checks_touched_links(self):
-        net = Network(Mesh(3, 3), 8, 1.0)
-        net.reserve(NodeId(0, 0), PortDir.EAST, ("f", 0), 1.0)
+        net = Network(Mesh(3, 3), 9, 1.0)
+        net.reserve(NodeId(0, 0), PortDir.EAST, ("f", 0), 9.0)
         net.drain_dirty()
-        net._links[(NodeId(0, 0), PortDir.EAST)][("f", 0)] = 9  # corrupt past the 8-wire bound
+        net.wire_count = 8  # corrupt: the link now holds past its 8-wire bound
         net.drain_dirty()  # the corrupted link was not touched since the last drain
         net.release(NodeId(0, 0), PortDir.EAST, ("ghost", 0))
-        with pytest.raises(InvariantViolationError, match="holds 9 of 8 wires"):
+        with pytest.raises(InvariantViolationError, match="link 0,0->EAST holds 9 of 8 wires"):
+            net.drain_dirty()
+
+    def test_drain_dirty_checks_free_count(self):
+        net = Network(Mesh(3, 3), 8, 1.0)
+        net.reserve(NodeId(1, 1), PortDir.NORTH, ("f", 0), 3.0)
+        net.drain_dirty()
+        net.wire_count = 9  # corrupt: 3 held plus 5 free no longer make up the pool
+        net.drain_dirty()
+        net.release(NodeId(1, 1), PortDir.NORTH, ("ghost", 0))
+        with pytest.raises(InvariantViolationError, match="link 1,1->NORTH holds 3 wires but counts 5 free of 9"):
             net.drain_dirty()
 
     def test_release_absent_returns_zero(self):
@@ -168,3 +179,46 @@ class TestNetworkReservations:
         # binary-float quotient artifacts must not add a phantom wire
         net_q = Network(Mesh(2, 2), 8, 0.15)
         assert net_q.wires_for(0.3) == 2
+
+
+class TestLinkAddressing:
+    # Links are numbered (y * width + x) * 4 + port code; none of these may
+    # reach a real link of a 3x3 mesh through that arithmetic.
+    BAD_LINKS = [
+        pytest.param(NodeId(3, 0), PortDir.EAST, id="x-past-width-aliases-(0,1)"),
+        pytest.param(NodeId(0, 1), PortDir.LOCAL, id="local-aliases-next-node-south"),
+        pytest.param(NodeId(0, 0), PortDir.WEST, id="missing-boundary-link"),
+    ]
+    QUERIES = {
+        "fits": lambda net, node, port: net.fits(node, port, 1.0),
+        "reserve": lambda net, node, port: net.reserve(node, port, ("f", 0), 1.0),
+        "release": lambda net, node, port: net.release(node, port, ("f", 0)),
+        "free_wires": lambda net, node, port: net.free_wires(node, port),
+        "holders": lambda net, node, port: net.holders(node, port),
+        "far_end": lambda net, node, port: net.far_end(node, port),
+    }
+
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    @pytest.mark.parametrize("node,port", BAD_LINKS)
+    def test_rejected(self, query, node, port):
+        net = Network(Mesh(3, 3), 8, 1.0)
+        with pytest.raises(InvalidPathError):
+            self.QUERIES[query](net, node, port)
+        assert net.total_held() == 0
+
+    def test_fitting_ports_rejects_node_outside_mesh(self):
+        net = Network(Mesh(3, 3), 8, 1.0)
+        with pytest.raises(InvalidPathError):
+            net.fitting_ports(NodeId(3, 0), 1.0)
+
+    def test_fitting_ports_skips_missing_and_full_links(self):
+        net = Network(Mesh(3, 3), 8, 1.0)
+        assert net.fitting_ports(NodeId(0, 0), 1.0) == [PortDir.EAST, PortDir.NORTH]
+        assert net.reserve(NodeId(1, 1), PortDir.WEST, ("bg", 0), 6.0)
+        assert net.fitting_ports(NodeId(1, 1), 2.0) == list(NON_LOCAL_PORTS)
+        assert net.fitting_ports(NodeId(1, 1), 3.0) == [PortDir.SOUTH, PortDir.EAST, PortDir.NORTH]
+
+    def test_far_end_matches_mesh_neighbor(self):
+        net = Network(Mesh(4, 3), 8, 1.0)
+        for node, port in net.links:
+            assert net.far_end(node, port) == net.mesh.neighbor(node, port)
