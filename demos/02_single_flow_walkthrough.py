@@ -11,7 +11,7 @@ from beenoc import FlowId, FlowSpec, NodeId, RunConfig, Simulator, write_report
 
 cfg = RunConfig(mesh_width=4, mesh_height=4, seed=1, wire_count=4, trace=True)
 src, dst = NodeId(0, 0), NodeId(3, 2)
-flow = FlowSpec(FlowId(src, 0), src, dst, required_bandwidth=2.0, arrival_time=0, hold_time=25)
+flow = FlowSpec(FlowId(src, 0), dst, required_bandwidth=2.0, arrival_time=0, hold_time=25)
 
 sim = Simulator(cfg, [flow])
 report = sim.run()

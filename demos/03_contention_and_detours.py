@@ -9,7 +9,7 @@ from beenoc import FlowId, FlowSpec, NodeId, PortDir, RunConfig, Simulator, enum
 
 cfg = RunConfig(mesh_width=4, mesh_height=4, seed=3, wire_count=4)
 src, dst = NodeId(0, 0), NodeId(3, 0)
-flow = FlowSpec(FlowId(src, 0), src, dst, required_bandwidth=2.0, arrival_time=0, hold_time=10)
+flow = FlowSpec(FlowId(src, 0), dst, required_bandwidth=2.0, arrival_time=0, hold_time=10)
 
 sim = Simulator(cfg, [flow])
 # soak up the direct row: (1,0)->E and (2,0)->E keep less than 2 units free

@@ -2,7 +2,7 @@
 
 Long-lived circuits gradually fill the mesh; as blocking grows, racing three
 reservations per flow hedges against links that congest between discovery
-and reservation. Takes around half a minute.
+and reservation. Takes about 16 s on a 2-vCPU VM.
 """
 
 import dataclasses

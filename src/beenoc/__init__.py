@@ -10,8 +10,6 @@ reproducible traffic generator, and a metrics pipeline.
 
 from .config import RunConfig, echo_lines, parse_config, validate_config
 from .engine import (
-    Event,
-    EventKind,
     FlowPhase,
     FlowRecord,
     FlowSpec,

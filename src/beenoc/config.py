@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -53,8 +54,15 @@ def _parse_node(value: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
+def _parse_float(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def _parse_floats(value: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in value.split(","))
+    return tuple(_parse_float(p) for p in value.split(","))
 
 
 _PARSERS = {
@@ -62,23 +70,23 @@ _PARSERS = {
     "mesh_height": int,
     "seed": int,
     "wire_count": int,
-    "wire_bandwidth": float,
+    "wire_bandwidth": _parse_float,
     "t_hop": int,
-    "setup_timeout_factor": float,
+    "setup_timeout_factor": _parse_float,
     "hop_limit_metric": str,
     "backward_bee_count": int,
     "max_cycles": int,
     "trace": _parse_bool,
     "workload_file": str,
-    "traffic_rate": float,
+    "traffic_rate": _parse_float,
     "traffic_duration": int,
     "traffic_pattern": str,
     "hotspot_node": _parse_node,
-    "hotspot_fraction": float,
+    "hotspot_fraction": _parse_float,
     "bandwidth_values": _parse_floats,
     "bandwidth_weights": _parse_floats,
     "hold_time_dist": str,
-    "hold_time_mean": float,
+    "hold_time_mean": _parse_float,
 }
 
 _TRAFFIC_KEYS = {

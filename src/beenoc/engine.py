@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import metrics, router
 from .config import RunConfig
@@ -46,7 +46,6 @@ class FlowSpec:
     """One offered traffic demand."""
 
     flow: FlowId
-    source: NodeId
     destination: NodeId
     required_bandwidth: float
     arrival_time: int
@@ -55,29 +54,30 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if self.source == self.destination:
             raise DegenerateFlowError(f"flow {self.flow}: source equals destination")
-        if self.required_bandwidth <= 0:
-            raise ValueError(f"flow {self.flow}: required_bandwidth must be positive")
+        if not 0 < self.required_bandwidth < math.inf:
+            raise ValueError(f"flow {self.flow}: required_bandwidth must be positive and finite")
         if self.arrival_time < 0:
             raise ValueError(f"flow {self.flow}: arrival_time must be >= 0")
         if self.hold_time < 1:
             raise ValueError(f"flow {self.flow}: hold_time must be >= 1")
 
-
-class EventKind(Enum):
-    FLOW_ARRIVAL = "arrival"
-    PACKET_DELIVERY = "deliver"
-    FLOW_COMPLETE = "complete"
-    SETUP_TIMEOUT = "timeout"
+    @property
+    def source(self) -> NodeId:
+        return self.flow.source
 
 
-@dataclass(slots=True)
-class Event:
-    """Simulator occurrence; the queue keeps the cycle it is due at."""
+class Event(NamedTuple):
+    """Simulator occurrence; the queue keeps the cycle it is due at.
 
-    kind: EventKind
-    flow: FlowId | None = None
-    node: NodeId | None = None
-    packet: object = None
+    `handler` is chosen when the event is scheduled and is called with the
+    simulator and the other three fields. A packet delivery carries the
+    packet and the port it arrives on; a flow's arrival, completion and
+    setup timeout carry its `FlowRecord` and no port.
+    """
+
+    handler: Callable[["Simulator", NodeId, object, PortDir | None], None]
+    node: NodeId
+    payload: object
     arrival_port: PortDir | None = None
 
 
@@ -99,9 +99,8 @@ class FlowRecord:
         return self.phase in (FlowPhase.ESTABLISHED, FlowPhase.TORN_DOWN)
 
 
-# Members read once per event. Reading a member off its Enum class costs about
-# ten times a module-global lookup.
-_DELIVERY = EventKind.PACKET_DELIVERY
+# Read once per event. Reading a member off its Enum class costs about ten
+# times a module-global lookup.
 _SETTLED = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
 
 
@@ -144,14 +143,6 @@ class CalendarQueue:
         return time, self._buckets.pop(time)
 
 
-def _packet_kind(packet) -> str:
-    if isinstance(packet, ForwardBee):
-        return "forward"
-    if isinstance(packet, BackwardBee):
-        return "backward"
-    return packet.kind.value
-
-
 class Simulator:
     """Single-threaded deterministic event loop over one mesh network.
 
@@ -189,13 +180,11 @@ class Simulator:
         if spec.flow in self.records:
             raise ConfigError(f"duplicate flow id {spec.flow}")
         hop_limit = self.mesh.hop_limit(spec.source, spec.destination, self.config.hop_limit_metric)
-        self.records[spec.flow] = FlowRecord(spec=spec, hop_limit=hop_limit)
-        self._schedule(spec.arrival_time, EventKind.FLOW_ARRIVAL, flow=spec.flow, node=spec.source)
+        rec = FlowRecord(spec=spec, hop_limit=hop_limit)
+        self.records[spec.flow] = rec
+        self.queue.push(spec.arrival_time, Event(Simulator._on_flow_arrival, spec.source, rec))
 
     # -- scheduling -------------------------------------------------------
-
-    def _schedule(self, time: int, kind: EventKind, flow: FlowId, node: NodeId) -> None:
-        self.queue.push(time, Event(kind, flow, node))
 
     def transit(self, origin: NodeId, port: PortDir, packet) -> None:
         """Schedule delivery of `packet` at the neighbor through `port`, one
@@ -206,7 +195,7 @@ class Simulator:
             raise InvariantViolationError(f"transit from {origin} through {port.name} leaves the mesh") from None
         self.queue.push(
             self.clock + self.config.t_hop,
-            Event(_DELIVERY, packet.flow, destination, packet, OPPOSITE[port]),
+            Event(_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port]),
         )
 
     # -- main loop --------------------------------------------------------
@@ -230,8 +219,9 @@ class Simulator:
                 raise InvariantViolationError(f"event {self._events_processed}: clock would move backward")
             self._advance_clock(time)
             for ev in events:
+                handler, node, payload, port = ev
                 try:
-                    self._process(ev)
+                    handler(self, node, payload, port)
                     self.network.drain_dirty()
                 except InvariantViolationError as exc:
                     raise type(exc)(f"event {self._events_processed}: {exc}") from exc
@@ -273,39 +263,21 @@ class Simulator:
                 if util > self._util_peak[port]:
                     self._util_peak[port] = util
 
-    def _process(self, ev: Event) -> None:
-        if ev.kind is _DELIVERY:
-            packet = ev.packet
-            if isinstance(packet, ForwardBee):
-                self._on_forward(ev)
-            elif isinstance(packet, BackwardBee):
-                self._on_backward(ev)
-            else:
-                self._on_control(ev)
-        elif ev.kind is EventKind.FLOW_ARRIVAL:
-            self._on_flow_arrival(ev)
-        elif ev.kind is EventKind.FLOW_COMPLETE:
-            self._on_flow_complete(ev)
-        else:
-            self._on_setup_timeout(ev)
-
     # -- event handlers ---------------------------------------------------
 
-    def _on_flow_arrival(self, ev: Event) -> None:
-        rec = self.records[ev.flow]
+    def _on_flow_arrival(self, source: NodeId, rec: FlowRecord, _port: None) -> None:
         spec = rec.spec
         timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self.config.t_hop)
-        self._schedule(self.clock + timeout, EventKind.SETUP_TIMEOUT, flow=spec.flow, node=spec.source)
+        self.queue.push(self.clock + timeout, Event(Simulator._on_setup_timeout, source, rec))
         bee = ForwardBee(
             flow=spec.flow,
-            source=spec.source,
             destination=spec.destination,
             hop_counter=0,
             required_bandwidth=spec.required_bandwidth,
             ports=PortList(),
         )
         emissions = router.handle_forward_bee(
-            self.nodes[spec.source],
+            self.nodes[source],
             bee,
             PortDir.LOCAL,
             self.network,
@@ -313,11 +285,11 @@ class Simulator:
             self.config.backward_bee_count,
         )
         for port, packet in emissions:
-            self.transit(spec.source, port, packet)
+            self.transit(source, port, packet)
 
-    def _on_forward(self, ev: Event) -> None:
+    def _on_forward(self, node: NodeId, bee: ForwardBee, arrival_port: PortDir) -> None:
         self._forward_deliveries += 1
-        rec = self.records[ev.packet.flow]
+        rec = self.records[bee.flow]
         rec.forward_deliveries += 1
         if rec.forward_deliveries > self._forward_cap:
             raise InvariantViolationError(
@@ -326,9 +298,9 @@ class Simulator:
         if rec.phase in _SETTLED:
             return
         emissions = router.handle_forward_bee(
-            self.nodes[ev.node],
-            ev.packet,
-            ev.arrival_port,
+            self.nodes[node],
+            bee,
+            arrival_port,
             self.network,
             rec.hop_limit,
             self.config.backward_bee_count,
@@ -336,29 +308,29 @@ class Simulator:
         for port, packet in emissions:
             if isinstance(packet, BackwardBee) and rec.phase is FlowPhase.DISCOVERING:
                 self._set_phase(rec, FlowPhase.RESERVING)
-            self.transit(ev.node, port, packet)
+            self.transit(node, port, packet)
 
-    def _on_backward(self, ev: Event) -> None:
+    def _on_backward(self, node: NodeId, bee: BackwardBee, arrival_port: PortDir) -> None:
         self._backward_deliveries += 1
-        rec = self.records[ev.packet.flow]
+        rec = self.records[bee.flow]
         if rec.phase in _SETTLED:
             # Flow is already settled; drop the bee and free its prefix.
-            emission = router.release_for_backward_bee(ev.packet, ev.arrival_port)
+            emission = router.release_for_backward_bee(bee, arrival_port)
             if emission is not None:
-                self.transit(ev.node, emission[0], emission[1])
+                self.transit(node, emission[0], emission[1])
             return
-        outcome = router.handle_backward_bee(self.nodes[ev.node], ev.packet, ev.arrival_port, self.network)
+        outcome = router.handle_backward_bee(self.nodes[node], bee, arrival_port, self.network)
         self._track_peak_util()
         if outcome.kind == "accepted":
-            self._establish(rec, ev.packet)
+            self._establish(rec, bee)
         for port, packet in outcome.emissions:
-            self.transit(ev.node, port, packet)
+            self.transit(node, port, packet)
 
-    def _on_control(self, ev: Event) -> None:
+    def _on_control(self, node: NodeId, pkt: ControlPacket, arrival_port: PortDir) -> None:
         self._control_deliveries += 1
-        emission = router.handle_control(self.nodes[ev.node], ev.packet, ev.arrival_port, self.network)
+        emission = router.handle_control(self.nodes[node], pkt, arrival_port, self.network)
         if emission is not None:
-            self.transit(ev.node, emission[0], emission[1])
+            self.transit(node, emission[0], emission[1])
 
     def _establish(self, rec: FlowRecord, bee: BackwardBee) -> None:
         self._set_phase(rec, FlowPhase.ESTABLISHED)
@@ -366,17 +338,11 @@ class Simulator:
         rec.path_length = bee.route.length
         rec.winner_route = bee.route
         rec.winner_index = bee.bee_index
-        self._schedule(
-            self.clock + rec.spec.hold_time,
-            EventKind.FLOW_COMPLETE,
-            flow=rec.spec.flow,
-            node=rec.spec.source,
-        )
+        self.queue.push(self.clock + rec.spec.hold_time, Event(Simulator._on_flow_complete, rec.spec.source, rec))
 
-    def _on_flow_complete(self, ev: Event) -> None:
-        rec = self.records[ev.flow]
+    def _on_flow_complete(self, source: NodeId, rec: FlowRecord, _port: None) -> None:
         if rec.phase is not FlowPhase.ESTABLISHED:
-            raise InvariantViolationError(f"flow {ev.flow} completed while {rec.phase.value}")
+            raise InvariantViolationError(f"flow {rec.spec.flow} completed while {rec.phase.value}")
         self._set_phase(rec, FlowPhase.TORN_DOWN)
         teardown = ControlPacket(
             kind=ControlKind.TEARDOWN,
@@ -387,12 +353,11 @@ class Simulator:
         )
         # The source frees its own hop first, then the packet travels the
         # forward path releasing every circuit link.
-        emission = router.handle_control(self.nodes[rec.spec.source], teardown, PortDir.LOCAL, self.network)
+        emission = router.handle_control(self.nodes[source], teardown, PortDir.LOCAL, self.network)
         if emission is not None:
-            self.transit(rec.spec.source, emission[0], emission[1])
+            self.transit(source, emission[0], emission[1])
 
-    def _on_setup_timeout(self, ev: Event) -> None:
-        rec = self.records[ev.flow]
+    def _on_setup_timeout(self, _source: NodeId, rec: FlowRecord, _port: None) -> None:
         if rec.phase in (FlowPhase.DISCOVERING, FlowPhase.RESERVING):
             self._set_phase(rec, FlowPhase.FAILED)
 
@@ -406,14 +371,16 @@ class Simulator:
     # -- reporting --------------------------------------------------------
 
     def _trace_line(self, ev: Event) -> str:
-        if ev.kind is EventKind.PACKET_DELIVERY:
-            packet = ev.packet
-            hop = packet.hop_counter if isinstance(packet, ForwardBee) else packet.next_index
-            fields = (ev.node, packet.flow, _packet_kind(packet), ev.arrival_port.name.lower(), hop)
+        handler, node, payload, port = ev
+        if port is None:
+            return f"{self.clock}\t{_LIFECYCLE_NAMES[handler]}\t{node}\t{payload.spec.flow}\t-\t-\t-"
+        if type(payload) is ForwardBee:
+            pkt, hop = "forward", payload.hop_counter
+        elif type(payload) is BackwardBee:
+            pkt, hop = "backward", payload.next_index
         else:
-            fields = (ev.node, ev.flow, "-", "-", "-")
-        node, flow, pkt, port, hop = fields
-        return f"{self.clock}\t{ev.kind.value}\t{node}\t{flow}\t{pkt}\t{port}\t{hop}"
+            pkt, hop = payload.kind.value, payload.next_index
+        return f"{self.clock}\tdeliver\t{node}\t{payload.flow}\t{pkt}\t{port.name.lower()}\t{hop}"
 
     def _build_report(self, final_held: int, drained: bool) -> metrics.MetricsReport:
         rows = []
@@ -456,6 +423,20 @@ class Simulator:
         return metrics.build_report(self.config, tuple(rows), stats, util_peak, util_mean, trace)
 
 
+# The handler of a packet delivery, by packet type; transit picks it.
+_DELIVERY_HANDLERS = {
+    ForwardBee: Simulator._on_forward,
+    BackwardBee: Simulator._on_backward,
+    ControlPacket: Simulator._on_control,
+}
+# Trace names of the flow lifecycle events.
+_LIFECYCLE_NAMES = {
+    Simulator._on_flow_arrival: "arrival",
+    Simulator._on_flow_complete: "complete",
+    Simulator._on_setup_timeout: "timeout",
+}
+
+
 # -- workload I/O ---------------------------------------------------------
 
 def parse_workload(text: str, mesh: Mesh) -> list[FlowSpec]:
@@ -485,7 +466,7 @@ def parse_workload(text: str, mesh: Mesh) -> list[FlowSpec]:
         flow = FlowId(src, counters[src])
         counters[src] += 1
         try:
-            flows.append(FlowSpec(flow, src, dst, bandwidth, arrival, hold))
+            flows.append(FlowSpec(flow, dst, bandwidth, arrival, hold))
         except (DegenerateFlowError, ValueError) as exc:
             raise ConfigError(f"workload line {lineno}: {exc}") from None
     return flows

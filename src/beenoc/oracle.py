@@ -123,7 +123,7 @@ def single_flow_scenario(
     wires_wanted = int(rng.integers(1, cfg.wire_count + 2))
     bandwidth = wires_wanted * cfg.wire_bandwidth
     flow = FlowId(src, 0)
-    spec = FlowSpec(flow, src, dst, bandwidth, arrival_time=0, hold_time=5)
+    spec = FlowSpec(flow, dst, bandwidth, arrival_time=0, hold_time=5)
     sim = Simulator(cfg, [spec])
     if saturate:
         for index, (node, port) in enumerate(sim.network.links):

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterator
 
 from .errors import InvalidPathError, InvalidPortError, PortListOverflowError
-from .topology import Mesh, NodeId, PortDir
+from .topology import NON_LOCAL_PORTS, Mesh, NodeId, PortDir
 
 
 def encode_port(port: PortDir) -> int:
@@ -49,7 +49,7 @@ class PortList:
     def entry(self, index: int) -> PortDir:
         if not 0 <= index < self.length:
             raise IndexError(f"entry {index} out of range for length {self.length}")
-        return decode_port((self.bits >> (2 * (self.length - 1 - index))) & 0b11)
+        return NON_LOCAL_PORTS[(self.bits >> (2 * (self.length - 1 - index))) & 0b11]
 
     def prefix(self, count: int) -> "PortList":
         """The first `count` entries."""
@@ -135,7 +135,6 @@ class ForwardBee:
     reserves anything; hop_counter always equals the recorded path length."""
 
     flow: FlowId
-    source: NodeId
     destination: NodeId
     hop_counter: int
     required_bandwidth: float
@@ -145,7 +144,6 @@ class ForwardBee:
         """Copy of this bee one hop further through `port`."""
         return ForwardBee(
             flow=self.flow,
-            source=self.source,
             destination=self.destination,
             hop_counter=self.hop_counter + 1,
             required_bandwidth=self.required_bandwidth,

@@ -13,17 +13,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Union
 
 from .errors import ProtocolCorruptionError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee
 from .topology import Network, NodeId, PortDir
 
 logger = logging.getLogger(__name__)
-
-Packet = Union[ForwardBee, BackwardBee, ControlPacket]
-# Handlers hand (output port, packet) pairs back to the engine for transit.
-Emission = tuple[PortDir, Packet]
 
 
 @dataclass(slots=True)

@@ -86,9 +86,9 @@ def _draw_hold(params: TrafficParams, rng: np.random.Generator) -> int:
 
 def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator) -> list[FlowSpec]:
     """Deterministic flow list sorted by arrival time. A rate of zero yields
-    an empty list; a negative rate is a configuration error."""
-    if params.rate < 0:
-        raise ConfigError("traffic rate must not be negative")
+    an empty list; a negative or non-finite rate is a configuration error."""
+    if not 0 <= params.rate < math.inf:
+        raise ConfigError("traffic rate must be finite and not negative")
     if not params.bandwidth_values:
         raise ConfigError("bandwidth value set must not be empty")
     if params.pattern not in ("uniform", "hotspot", "transpose"):
@@ -118,7 +118,6 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
             flows.append(
                 FlowSpec(
                     flow=FlowId(src, sequence),
-                    source=src,
                     destination=destination,
                     required_bandwidth=float(bandwidth),
                     arrival_time=math.ceil(clock),

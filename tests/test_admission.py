@@ -23,7 +23,7 @@ def test_fractional_wire_bandwidth_exact_fit_establishes():
     # floating point: a float residual check would refuse every link.
     cfg = RunConfig(mesh_width=4, mesh_height=4, seed=0, wire_count=11, wire_bandwidth=0.03)
     src, dst = NodeId(0, 0), NodeId(3, 3)
-    spec = FlowSpec(FlowId(src, 0), src, dst, 0.33, arrival_time=0, hold_time=10)
+    spec = FlowSpec(FlowId(src, 0), dst, 0.33, arrival_time=0, hold_time=10)
     sim = Simulator(cfg, [spec])
     feasible = enumerate_feasible(sim.network, src, dst, 0.33, sim.mesh.hop_limit(src, dst))
     sim.run()
@@ -50,7 +50,7 @@ def test_flood_reserve_and_oracle_agree_on_two_decimal_grid():
                 if wires < 1:
                     continue
                 net = Network(mesh, wires, wire_bandwidth)
-                bee = ForwardBee(FlowId(src, 0), src, dst, 0, demand, PortList())
+                bee = ForwardBee(FlowId(src, 0), dst, 0, demand, PortList())
                 flooded = bool(handle_forward_bee(NodeState(src), bee, PortDir.LOCAL, net, hop_limit=2))
                 feasible = len(enumerate_feasible(net, src, dst, demand, 2)) > 0
                 reserved = net.reserve(src, PortDir.EAST, ("f", 0), demand)

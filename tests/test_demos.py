@@ -1,5 +1,6 @@
-"""The narrative demos run end to end. Demo 05 (a load sweep of about 35 s)
-is left out to keep the suite fast."""
+"""The narrative demos run end to end. Demo 05 (a load sweep of about 16 s
+on a 2-vCPU VM) is left out to keep the suite fast; the CI workflow runs it
+as its own step, "Demo 05 load sweep"."""
 
 import os
 import subprocess

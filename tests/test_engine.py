@@ -34,7 +34,7 @@ def base_config(**overrides):
 
 def one_flow(src=(0, 0), dst=(3, 3), bandwidth=2.0, arrival=0, hold=50, seq=0):
     source, destination = NodeId(*src), NodeId(*dst)
-    return FlowSpec(FlowId(source, seq), source, destination, bandwidth, arrival, hold)
+    return FlowSpec(FlowId(source, seq), destination, bandwidth, arrival, hold)
 
 
 def contended_run(seed):
@@ -103,7 +103,7 @@ class TestIdleSingleFlow:
 class TestTransit:
     def packet(self):
         flow = FlowId(NodeId(0, 0), 0)
-        return ForwardBee(flow, NodeId(0, 0), NodeId(3, 3), 0, 1.0, PortList())
+        return ForwardBee(flow, NodeId(3, 3), 0, 1.0, PortList())
 
     def test_delivery_one_hop_later(self):
         sim = Simulator(base_config(t_hop=1), [])
@@ -286,7 +286,7 @@ class TestDiagnostics:
 
         sim = Simulator(base_config(), [one_flow(arrival=100)])
         flow = FlowId(NodeId(0, 0), 0)
-        bad = ForwardBee(flow, NodeId(0, 0), NodeId(3, 3), 3, 1.0, PortList.from_ports([PortDir.EAST]))
+        bad = ForwardBee(flow, NodeId(3, 3), 3, 1.0, PortList.from_ports([PortDir.EAST]))
         sim.transit(NodeId(0, 0), PortDir.EAST, bad)
         with pytest.raises(ProtocolCorruptionError, match="event 0:"):
             sim.run()
@@ -310,6 +310,8 @@ class TestWorkloadParsing:
             ("0,0,1,1,x,0,10", "line 1"),
             ("0,0,0,0,1.0,0,10", "source equals destination"),
             ("0,0,1,1,1.0,0,0", "hold_time"),
+            ("0,0,1,1,nan,0,10", "line 1: .* positive and finite"),
+            ("0,0,1,1,inf,0,10", "line 1: .* positive and finite"),
         ],
     )
     def test_bad_lines(self, line, fragment):

@@ -53,6 +53,11 @@ class TestParseConfig:
             ("hotspot_node = 9,9\n", "hotspot_node"),
             ("traffic_rate = 0\n", "traffic_rate"),
             ("bandwidth_values = 1.0,2.0\nbandwidth_weights = 1.0\n", "bandwidth_weights"),
+            ("traffic_rate = inf\n", "key 'traffic_rate': 'inf' is not a finite number"),
+            ("setup_timeout_factor = inf\n", "key 'setup_timeout_factor': 'inf' is not a finite number"),
+            ("wire_bandwidth = nan\n", "key 'wire_bandwidth': 'nan' is not a finite number"),
+            ("hold_time_mean = nan\n", "key 'hold_time_mean': 'nan' is not a finite number"),
+            ("bandwidth_values = 1,2\nbandwidth_weights = 1,nan\n", "key 'bandwidth_weights': 'nan' is not"),
         ],
     )
     def test_bad_values(self, extra, fragment):
@@ -84,8 +89,8 @@ def tiny_run(tmp_path, seed=7, **overrides):
     cfg = RunConfig(mesh_width=4, mesh_height=4, seed=seed, **overrides)
     source, dest = NodeId(0, 0), NodeId(2, 3)
     flows = [
-        FlowSpec(FlowId(source, 0), source, dest, 2.0, 0, 30),
-        FlowSpec(FlowId(dest, 0), dest, NodeId(1, 0), 99.0, 5, 30),  # infeasible
+        FlowSpec(FlowId(source, 0), dest, 2.0, 0, 30),
+        FlowSpec(FlowId(dest, 0), NodeId(1, 0), 99.0, 5, 30),  # infeasible
     ]
     report = Simulator(cfg, flows).run()
     write_report(report, tmp_path)
@@ -179,6 +184,13 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--workload", str(workload), "--out", str(out)]) == 0
         lines = (out / "flows.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    def test_run_non_finite_workload_bandwidth_exit_2(self, tmp_path, capsys):
+        workload = tmp_path / "wl.txt"
+        workload.write_text("0,0,3,3,nan,0,30\n", encoding="ascii")
+        cfg = write_config(tmp_path, MINIMAL)
+        assert cli_main(["run", "--config", cfg, "--workload", str(workload), "--out", str(tmp_path / "o")]) == 2
+        assert "workload line 1" in capsys.readouterr().err
 
     def test_verify_good_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)

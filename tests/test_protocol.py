@@ -172,7 +172,6 @@ class TestSerialization:
             ports = [rng.choice(NON_LOCAL_PORTS) for _ in range(length)]
             bee = ForwardBee(
                 flow=FlowId(NodeId(0, 0), 0),
-                source=NodeId(0, 0),
                 destination=NodeId(1, 1),
                 hop_counter=length,
                 required_bandwidth=1.0,
@@ -183,7 +182,6 @@ class TestSerialization:
     def test_blue_path_packed_bytes(self):
         bee = ForwardBee(
             flow=FlowId(NodeId(0, 7), 3),
-            source=NodeId(0, 7),
             destination=NodeId(7, 0),
             hop_counter=14,
             required_bandwidth=2.0,

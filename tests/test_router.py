@@ -30,9 +30,9 @@ def make_net(width=3, height=3, wire_count=8, wire_bandwidth=1.0):
     return mesh, net, states
 
 
-def make_bee(flow, src, dst, ports=(), bandwidth=1.0):
+def make_bee(flow, dst, ports=(), bandwidth=1.0):
     lst = PortList.from_ports(ports)
-    return ForwardBee(flow, src, dst, lst.length, bandwidth, lst)
+    return ForwardBee(flow, dst, lst.length, bandwidth, lst)
 
 
 def deliver_backward_until_done(mesh, net, states, dest, bee):
@@ -68,15 +68,15 @@ class TestForwardBee:
     def test_duplicate_killed_at_intermediate(self):
         mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 0)
-        first = make_bee(flow, NodeId(0, 0), NodeId(2, 2), [E])
+        first = make_bee(flow, NodeId(2, 2), [E])
         assert handle_forward_bee(states[NodeId(1, 0)], first, W, net, hop_limit=8)
-        second = make_bee(flow, NodeId(0, 0), NodeId(2, 2), [N, E, S])
+        second = make_bee(flow, NodeId(2, 2), [N, E, S])
         assert handle_forward_bee(states[NodeId(1, 0)], second, N, net, hop_limit=8) == []
 
     def test_killed_at_hop_limit(self):
         mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 1)
-        bee = make_bee(flow, NodeId(0, 0), NodeId(2, 2), [E, N, E, N])
+        bee = make_bee(flow, NodeId(2, 2), [E, N, E, N])
         assert handle_forward_bee(states[NodeId(1, 1)], bee, W, net, hop_limit=4) == []
 
     def test_broadcast_excludes_arrival_port(self):
@@ -84,7 +84,7 @@ class TestForwardBee:
         # south are open, the bee never turns back west
         mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 2)
-        bee = make_bee(flow, NodeId(0, 0), NodeId(2, 2), [E])
+        bee = make_bee(flow, NodeId(2, 2), [E])
         emissions = handle_forward_bee(states[NodeId(1, 1)], bee, W, net, hop_limit=8)
         assert {port for port, _ in emissions} == {S, E, N}
         for port, out in emissions:
@@ -95,14 +95,14 @@ class TestForwardBee:
         mesh, net, states = make_net(wire_count=4)
         flow = FlowId(NodeId(0, 0), 3)
         net.reserve(NodeId(1, 1), E, ("bg", 0), 4.0)  # saturate the east link
-        bee = make_bee(flow, NodeId(0, 0), NodeId(2, 2), [E])
+        bee = make_bee(flow, NodeId(2, 2), [E])
         emissions = handle_forward_bee(states[NodeId(1, 1)], bee, W, net, hop_limit=8)
         assert {port for port, _ in emissions} == {S, N}
 
     def test_source_injection_broadcasts_everywhere(self):
         mesh, net, states = make_net()
         flow = FlowId(NodeId(1, 1), 0)
-        bee = make_bee(flow, NodeId(1, 1), NodeId(2, 2))
+        bee = make_bee(flow, NodeId(2, 2))
         emissions = handle_forward_bee(states[NodeId(1, 1)], bee, LOCAL, net, hop_limit=6)
         assert {port for port, _ in emissions} == {S, W, E, N}
         assert all(out.hop_counter == 1 and out.ports.length == 1 for _, out in emissions)
@@ -111,7 +111,7 @@ class TestForwardBee:
     def test_corner_source_two_ports(self):
         mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 1)
-        bee = make_bee(flow, NodeId(0, 0), NodeId(2, 2))
+        bee = make_bee(flow, NodeId(2, 2))
         emissions = handle_forward_bee(states[NodeId(0, 0)], bee, LOCAL, net, hop_limit=6)
         assert {port for port, _ in emissions} == {E, N}
 
@@ -122,7 +122,7 @@ class TestForwardBee:
         paths = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
         backward = []
         for i, path in enumerate(paths):
-            bee = make_bee(flow, NodeId(0, 0), dest, path)
+            bee = make_bee(flow, dest, path)
             emissions = handle_forward_bee(states[dest], bee, path[-1].opposite(), net, hop_limit=9)
             if i < 3:
                 assert len(emissions) == 1
@@ -142,8 +142,8 @@ class TestForwardBee:
         mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 5)
         dest = NodeId(2, 2)
-        first = make_bee(flow, NodeId(0, 0), dest, [E, E, N, N])
-        second = make_bee(flow, NodeId(0, 0), dest, [N, N, E, E])
+        first = make_bee(flow, dest, [E, E, N, N])
+        second = make_bee(flow, dest, [N, N, E, E])
         assert len(handle_forward_bee(states[dest], first, S, net, hop_limit=9, convert_cap=1)) == 1
         assert handle_forward_bee(states[dest], second, W, net, hop_limit=9, convert_cap=1) == []
 
@@ -153,7 +153,7 @@ class TestForwardBee:
         mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 6)
         before = net.residual_snapshot()
-        queue = [(NodeId(0, 0), make_bee(flow, NodeId(0, 0), NodeId(2, 2)), LOCAL)]
+        queue = [(NodeId(0, 0), make_bee(flow, NodeId(2, 2)), LOCAL)]
         deliveries = 0
         while queue:
             node, bee, arrival = queue.pop(0)
@@ -168,7 +168,7 @@ class TestForwardBee:
     def test_malformed_bee_aborts(self):
         mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 7)
-        bee = ForwardBee(flow, NodeId(0, 0), NodeId(2, 2), 3, 1.0, PortList.from_ports([E]))
+        bee = ForwardBee(flow, NodeId(2, 2), 3, 1.0, PortList.from_ports([E]))
         with pytest.raises(ProtocolCorruptionError):
             handle_forward_bee(states[NodeId(1, 0)], bee, W, net, hop_limit=6)
 
