@@ -54,15 +54,8 @@ def _parse_node(value: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
-def _parse_float(value: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not a finite number")
-    return number
-
-
 def _parse_floats(value: str) -> tuple[float, ...]:
-    return tuple(_parse_float(p) for p in value.split(","))
+    return tuple(float(p) for p in value.split(","))
 
 
 _PARSERS = {
@@ -70,24 +63,27 @@ _PARSERS = {
     "mesh_height": int,
     "seed": int,
     "wire_count": int,
-    "wire_bandwidth": _parse_float,
+    "wire_bandwidth": float,
     "t_hop": int,
-    "setup_timeout_factor": _parse_float,
+    "setup_timeout_factor": float,
     "hop_limit_metric": str,
     "backward_bee_count": int,
     "max_cycles": int,
     "trace": _parse_bool,
     "workload_file": str,
-    "traffic_rate": _parse_float,
+    "traffic_rate": float,
     "traffic_duration": int,
     "traffic_pattern": str,
     "hotspot_node": _parse_node,
-    "hotspot_fraction": _parse_float,
+    "hotspot_fraction": float,
     "bandwidth_values": _parse_floats,
     "bandwidth_weights": _parse_floats,
     "hold_time_dist": str,
-    "hold_time_mean": _parse_float,
+    "hold_time_mean": float,
 }
+
+# Every float-valued key, scalar or tuple; all must be finite.
+_FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "tuple[float, ...]"))
 
 _TRAFFIC_KEYS = {
     "traffic_rate",
@@ -107,6 +103,11 @@ def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
 
     def fail(key: str, why: str) -> None:
         raise ConfigError(f"key '{key}': {why}")
+
+    for key in _FLOAT_KEYS:
+        value = getattr(cfg, key)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+            fail(key, "must be finite")
 
     if cfg.mesh_width < 2:
         fail("mesh_width", "all mesh dimensions must be >= 2")

@@ -2,8 +2,11 @@
 
 One global clock in integer cycles, a calendar queue that hands out events
 in (time, scheduling order), uniform per-hop transit latency for every
-packet, and the flow lifecycle: arrival, discovery, reservation, circuit
-hold, teardown, with a setup timeout for flows that never establish.
+packet, and the flow lifecycle. A flow is SettingUp from its arrival through
+discovery and reservation until its first backward bee reaches the source
+(Established) or its setup timeout fires (Failed); an established flow is
+TornDown when its hold time ends. Every router handler returns a list of
+(port, packet) emissions, which the engine transits in order.
 """
 
 from __future__ import annotations
@@ -25,19 +28,16 @@ from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir
 
 
 class FlowPhase(Enum):
-    DISCOVERING = "Discovering"
-    RESERVING = "Reserving"
+    SETTING_UP = "SettingUp"
     ESTABLISHED = "Established"
     TORN_DOWN = "TornDown"
     FAILED = "Failed"
 
 
 _LEGAL_TRANSITIONS = {
-    (FlowPhase.DISCOVERING, FlowPhase.RESERVING),
-    (FlowPhase.RESERVING, FlowPhase.ESTABLISHED),
+    (FlowPhase.SETTING_UP, FlowPhase.ESTABLISHED),
     (FlowPhase.ESTABLISHED, FlowPhase.TORN_DOWN),
-    (FlowPhase.DISCOVERING, FlowPhase.FAILED),
-    (FlowPhase.RESERVING, FlowPhase.FAILED),
+    (FlowPhase.SETTING_UP, FlowPhase.FAILED),
 }
 
 
@@ -87,12 +87,16 @@ class FlowRecord:
 
     spec: FlowSpec
     hop_limit: int
-    phase: FlowPhase = FlowPhase.DISCOVERING
+    phase: FlowPhase = FlowPhase.SETTING_UP
     setup_latency: int | None = None
-    path_length: int | None = None
     winner_route: PortList | None = None
     winner_index: int | None = None
     forward_deliveries: int = 0
+
+    @property
+    def path_length(self) -> int | None:
+        """Hops of the winning circuit; None until one is established."""
+        return None if self.winner_route is None else self.winner_route.length
 
     @property
     def ever_established(self) -> bool:
@@ -230,7 +234,7 @@ class Simulator:
                     self._trace.append(self._trace_line(ev))
         if truncated:
             for rec in self.records.values():
-                if rec.phase in (FlowPhase.DISCOVERING, FlowPhase.RESERVING):
+                if rec.phase is FlowPhase.SETTING_UP:
                     self._set_phase(rec, FlowPhase.FAILED)
         final_held = self.network.total_held() - initial_held
         expected = sum(
@@ -272,7 +276,6 @@ class Simulator:
         bee = ForwardBee(
             flow=spec.flow,
             destination=spec.destination,
-            hop_counter=0,
             required_bandwidth=spec.required_bandwidth,
             ports=PortList(),
         )
@@ -306,8 +309,6 @@ class Simulator:
             self.config.backward_bee_count,
         )
         for port, packet in emissions:
-            if isinstance(packet, BackwardBee) and rec.phase is FlowPhase.DISCOVERING:
-                self._set_phase(rec, FlowPhase.RESERVING)
             self.transit(node, port, packet)
 
     def _on_backward(self, node: NodeId, bee: BackwardBee, arrival_port: PortDir) -> None:
@@ -315,9 +316,8 @@ class Simulator:
         rec = self.records[bee.flow]
         if rec.phase in _SETTLED:
             # Flow is already settled; drop the bee and free its prefix.
-            emission = router.release_for_backward_bee(bee, arrival_port)
-            if emission is not None:
-                self.transit(node, emission[0], emission[1])
+            for port, packet in router.release_for_backward_bee(bee, arrival_port):
+                self.transit(node, port, packet)
             return
         outcome = router.handle_backward_bee(self.nodes[node], bee, arrival_port, self.network)
         self._track_peak_util()
@@ -328,14 +328,12 @@ class Simulator:
 
     def _on_control(self, node: NodeId, pkt: ControlPacket, arrival_port: PortDir) -> None:
         self._control_deliveries += 1
-        emission = router.handle_control(self.nodes[node], pkt, arrival_port, self.network)
-        if emission is not None:
-            self.transit(node, emission[0], emission[1])
+        for port, packet in router.handle_control(self.nodes[node], pkt, arrival_port, self.network):
+            self.transit(node, port, packet)
 
     def _establish(self, rec: FlowRecord, bee: BackwardBee) -> None:
         self._set_phase(rec, FlowPhase.ESTABLISHED)
         rec.setup_latency = self.clock - rec.spec.arrival_time
-        rec.path_length = bee.route.length
         rec.winner_route = bee.route
         rec.winner_index = bee.bee_index
         self.queue.push(self.clock + rec.spec.hold_time, Event(Simulator._on_flow_complete, rec.spec.source, rec))
@@ -353,12 +351,11 @@ class Simulator:
         )
         # The source frees its own hop first, then the packet travels the
         # forward path releasing every circuit link.
-        emission = router.handle_control(self.nodes[source], teardown, PortDir.LOCAL, self.network)
-        if emission is not None:
-            self.transit(source, emission[0], emission[1])
+        for port, packet in router.handle_control(self.nodes[source], teardown, PortDir.LOCAL, self.network):
+            self.transit(source, port, packet)
 
     def _on_setup_timeout(self, _source: NodeId, rec: FlowRecord, _port: None) -> None:
-        if rec.phase in (FlowPhase.DISCOVERING, FlowPhase.RESERVING):
+        if rec.phase is FlowPhase.SETTING_UP:
             self._set_phase(rec, FlowPhase.FAILED)
 
     def _set_phase(self, rec: FlowRecord, phase: FlowPhase) -> None:
@@ -375,7 +372,7 @@ class Simulator:
         if port is None:
             return f"{self.clock}\t{_LIFECYCLE_NAMES[handler]}\t{node}\t{payload.spec.flow}\t-\t-\t-"
         if type(payload) is ForwardBee:
-            pkt, hop = "forward", payload.hop_counter
+            pkt, hop = "forward", payload.ports.length
         elif type(payload) is BackwardBee:
             pkt, hop = "backward", payload.next_index
         else:

@@ -132,11 +132,10 @@ class FlowId:
 @dataclass(frozen=True, slots=True)
 class ForwardBee:
     """Flooding discovery packet. Records its path as port codes and never
-    reserves anything; hop_counter always equals the recorded path length."""
+    reserves anything; its hop count is the recorded path length."""
 
     flow: FlowId
     destination: NodeId
-    hop_counter: int
     required_bandwidth: float
     ports: PortList
 
@@ -145,7 +144,6 @@ class ForwardBee:
         return ForwardBee(
             flow=self.flow,
             destination=self.destination,
-            hop_counter=self.hop_counter + 1,
             required_bandwidth=self.required_bandwidth,
             ports=self.ports.push(port, limit),
         )
@@ -156,9 +154,8 @@ class BackwardBee:
     """Reservation packet retracing a discovered path from the destination.
 
     `route` is the forward path already reversed and complemented.
-    `next_index` counts the route entries traversed so far; `reserved_prefix`
-    counts the links successfully reserved, which equals next_index while the
-    bee sits at a node and next_index - 1 while it is in flight.
+    `next_index` counts the route entries traversed so far; a bee in flight
+    has reserved the first next_index - 1 links of its route.
     `bee_index` (0..2) distinguishes sibling bees of the same flow so their
     reservations never get confused on shared links.
     """
@@ -168,7 +165,6 @@ class BackwardBee:
     route: PortList
     next_index: int
     required_bandwidth: float
-    reserved_prefix: int
 
 
 class ControlKind(Enum):
@@ -181,8 +177,8 @@ class ControlPacket:
     """Small packet that frees wires and flow-table entries along `route`.
 
     A teardown travels the forward path from the source after data transfer;
-    a release retraces the reserved prefix of a failed or losing backward
-    bee. `bee_index` selects whose reservations are freed.
+    a release retraces the links a failed or losing backward bee had
+    reserved. `bee_index` selects whose reservations are freed.
     """
 
     kind: ControlKind
@@ -193,8 +189,9 @@ class ControlPacket:
 
 
 # Serialized forward-bee layout (all fields big-endian): source (x u16,
-# y u16), flow sequence u32, destination (x u16, y u16), hop counter u16,
-# required bandwidth f64, port-list length u16, then the packed port bits.
+# y u16), flow sequence u32, destination (x u16, y u16), hop count u16
+# (the port-list length), required bandwidth f64, port-list length u16, then
+# the packed port bits.
 _FORWARD_HEADER = struct.Struct(">HHIHHHdH")
 
 
@@ -205,7 +202,7 @@ def serialize_forward_bee(bee: ForwardBee) -> bytes:
         bee.flow.sequence,
         bee.destination.x,
         bee.destination.y,
-        bee.hop_counter,
+        bee.ports.length,
         bee.required_bandwidth,
         bee.ports.length,
     )

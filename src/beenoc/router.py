@@ -7,6 +7,9 @@ the link back toward the node it came from, i.e. the source-to-destination
 direction); the earliest backward bee to reach the source wins the circuit.
 Failed and losing bees free their reservations with release packets, and a
 teardown from the source dismantles the winning circuit after data transfer.
+
+Every handler reports what it sends as a list of (port, packet) emissions,
+empty when nothing leaves the node; the engine transits each in list order.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ def handle_forward_bee(
     hop_limit: int,
     convert_cap: int = 3,
 ) -> list:
-    """Process one forward-bee delivery; returns the packets to emit.
+    """Process one forward-bee delivery; returns its (port, packet) emissions.
 
     At the destination the earliest `convert_cap` bees (cap 3) become backward
     bees; the destination is exempt from duplicate suppression. Elsewhere a
@@ -67,10 +70,6 @@ def handle_forward_bee(
     on every non-local port except the arrival port whose outgoing link still
     fits the demand (Network.fitting_ports). Forward bees reserve nothing.
     """
-    if bee.hop_counter != bee.ports.length:
-        raise ProtocolCorruptionError(
-            f"forward bee of {bee.flow}: hop counter {bee.hop_counter} != path length {bee.ports.length}"
-        )
     if state.id == bee.destination:
         count = state.dest_arrivals.get(bee.flow, 0)
         if count >= convert_cap:
@@ -83,13 +82,12 @@ def handle_forward_bee(
             route=route,
             next_index=1,
             required_bandwidth=bee.required_bandwidth,
-            reserved_prefix=0,
         )
         return [(route.entry(0), back)]
     if bee.flow in state.seen:
         return []
     state.seen.add(bee.flow)
-    if bee.hop_counter >= hop_limit:
+    if bee.ports.length >= hop_limit:
         return []
     return [
         (port, bee.advanced(port, hop_limit))
@@ -98,16 +96,16 @@ def handle_forward_bee(
     ]
 
 
-def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir):
+def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir) -> list:
     """Release packet freeing the reserved prefix of a dead backward bee.
 
     The bee delivered here had reserved `next_index - 1` links at the nodes
     behind it; the release retraces them toward the destination. Returns the
-    (port, packet) emission, or None when nothing was reserved yet.
+    (port, packet) emission in a list, empty when nothing was reserved yet.
     """
     reserved = bee.next_index - 1
     if reserved <= 0:
-        return None
+        return []
     pkt = ControlPacket(
         kind=ControlKind.RELEASE,
         flow=bee.flow,
@@ -115,7 +113,7 @@ def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir):
         route=bee.route.prefix(reserved).reverse_complement(),
         next_index=0,
     )
-    return (arrival_port, pkt)
+    return [(arrival_port, pkt)]
 
 
 def handle_backward_bee(
@@ -136,19 +134,13 @@ def handle_backward_bee(
     route = bee.route
     if not 1 <= bee.next_index <= route.length:
         raise ProtocolCorruptionError(f"backward bee of {bee.flow}: next_index {bee.next_index} out of range")
-    if bee.reserved_prefix != bee.next_index - 1:
-        raise ProtocolCorruptionError(
-            f"backward bee of {bee.flow}: reserved prefix {bee.reserved_prefix} != hops done {bee.next_index - 1}"
-        )
     at_source = bee.next_index == route.length
     if at_source and bee.flow in state.source_accepted:
         # Lost the race; nothing was reserved at the source for this bee.
-        emission = release_for_backward_bee(bee, arrival_port)
-        return BackwardOutcome("aborted", [emission] if emission else [])
+        return BackwardOutcome("aborted", release_for_backward_bee(bee, arrival_port))
     key = (bee.flow, bee.bee_index)
     if not net.reserve(state.id, arrival_port, key, bee.required_bandwidth):
-        emission = release_for_backward_bee(bee, arrival_port)
-        return BackwardOutcome("aborted", [emission] if emission else [])
+        return BackwardOutcome("aborted", release_for_backward_bee(bee, arrival_port))
     if at_source:
         state.source_accepted.add(bee.flow)
         state.flow_table[key] = FlowTableEntry(
@@ -159,10 +151,7 @@ def handle_backward_bee(
     state.flow_table[key] = FlowTableEntry(
         bee.flow, bee.bee_index, arrival_port, out_port, net.wires_for(bee.required_bandwidth)
     )
-    forwarded = replace(
-        bee, next_index=bee.next_index + 1, reserved_prefix=bee.reserved_prefix + 1
-    )
-    return BackwardOutcome("forwarded", [(out_port, forwarded)])
+    return BackwardOutcome("forwarded", [(out_port, replace(bee, next_index=bee.next_index + 1))])
 
 
 def handle_control(
@@ -170,19 +159,19 @@ def handle_control(
     pkt: ControlPacket,
     arrival_port: PortDir,
     net: Network,
-):
-    """Process one teardown/release delivery; returns the forwarding emission.
+) -> list:
+    """Process one teardown/release delivery; returns its forwarding emission.
 
     At each node with route entries left the packet frees its owner's wires
     on the link named by the next route entry, deletes the matching
     flow-table entry, and travels on through that port. Releasing wires that
     are not held is a protocol warning, not an error, so repeated teardowns
-    are harmless.
+    are harmless. A packet at the end of its route emits nothing.
     """
     if pkt.next_index > pkt.route.length:
         raise ProtocolCorruptionError(f"control packet of {pkt.flow}: next_index {pkt.next_index} out of range")
     if pkt.next_index == pkt.route.length:
-        return None
+        return []
     port = pkt.route.entry(pkt.next_index)
     if net.mesh.neighbor(state.id, port) is None:
         raise ProtocolCorruptionError(f"control route of {pkt.flow} leaves the mesh at {state.id}")
@@ -198,4 +187,4 @@ def handle_control(
             port.name,
         )
     state.flow_table.pop(key, None)
-    return (port, replace(pkt, next_index=pkt.next_index + 1))
+    return [(port, replace(pkt, next_index=pkt.next_index + 1))]

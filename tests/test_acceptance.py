@@ -73,7 +73,7 @@ def test_criterion_3_state_machine_traces():
 
     def bee(ports):
         lst = PortList.from_ports(ports)
-        return ForwardBee(flow, dst, lst.length, 1.0, lst)
+        return ForwardBee(flow, dst, 1.0, lst)
 
     # (a) duplicate kill at an intermediate node
     assert handle_forward_bee(states[NodeId(1, 0)], bee([E]), W, net, hop_limit=6)
@@ -97,7 +97,7 @@ def test_criterion_3_state_machine_traces():
     # (d) forward bees never mutate link reservations
     flood_states = {n: NodeState(n) for n in mesh.nodes()}
     before = net.residual_snapshot()
-    queue = [(src, ForwardBee(FlowId(src, 9), dst, 0, 1.0, PortList()), LOCAL)]
+    queue = [(src, ForwardBee(FlowId(src, 9), dst, 1.0, PortList()), LOCAL)]
     while queue:
         node, packet, arrival = queue.pop(0)
         for port, out in handle_forward_bee(flood_states[node], packet, arrival, net, hop_limit=6):

@@ -50,7 +50,7 @@ def test_flood_reserve_and_oracle_agree_on_two_decimal_grid():
                 if wires < 1:
                     continue
                 net = Network(mesh, wires, wire_bandwidth)
-                bee = ForwardBee(FlowId(src, 0), dst, 0, demand, PortList())
+                bee = ForwardBee(FlowId(src, 0), dst, demand, PortList())
                 flooded = bool(handle_forward_bee(NodeState(src), bee, PortDir.LOCAL, net, hop_limit=2))
                 feasible = len(enumerate_feasible(net, src, dst, demand, 2)) > 0
                 reserved = net.reserve(src, PortDir.EAST, ("f", 0), demand)

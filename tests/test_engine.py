@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beenoc import (
+    BackwardBee,
     ConfigError,
     DegenerateFlowError,
     FlowId,
@@ -103,7 +104,7 @@ class TestIdleSingleFlow:
 class TestTransit:
     def packet(self):
         flow = FlowId(NodeId(0, 0), 0)
-        return ForwardBee(flow, NodeId(3, 3), 0, 1.0, PortList())
+        return ForwardBee(flow, NodeId(3, 3), 1.0, PortList())
 
     def test_delivery_one_hop_later(self):
         sim = Simulator(base_config(t_hop=1), [])
@@ -286,7 +287,7 @@ class TestDiagnostics:
 
         sim = Simulator(base_config(), [one_flow(arrival=100)])
         flow = FlowId(NodeId(0, 0), 0)
-        bad = ForwardBee(flow, NodeId(3, 3), 3, 1.0, PortList.from_ports([PortDir.EAST]))
+        bad = BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST]), 5, 1.0)  # next_index out of range
         sim.transit(NodeId(0, 0), PortDir.EAST, bad)
         with pytest.raises(ProtocolCorruptionError, match="event 0:"):
             sim.run()

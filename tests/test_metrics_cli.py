@@ -9,6 +9,7 @@ from beenoc import (
     Simulator,
     echo_lines,
     parse_config,
+    validate_config,
     write_report,
 )
 from beenoc.cli import cli_main
@@ -53,16 +54,37 @@ class TestParseConfig:
             ("hotspot_node = 9,9\n", "hotspot_node"),
             ("traffic_rate = 0\n", "traffic_rate"),
             ("bandwidth_values = 1.0,2.0\nbandwidth_weights = 1.0\n", "bandwidth_weights"),
-            ("traffic_rate = inf\n", "key 'traffic_rate': 'inf' is not a finite number"),
-            ("setup_timeout_factor = inf\n", "key 'setup_timeout_factor': 'inf' is not a finite number"),
-            ("wire_bandwidth = nan\n", "key 'wire_bandwidth': 'nan' is not a finite number"),
-            ("hold_time_mean = nan\n", "key 'hold_time_mean': 'nan' is not a finite number"),
-            ("bandwidth_values = 1,2\nbandwidth_weights = 1,nan\n", "key 'bandwidth_weights': 'nan' is not"),
+            ("traffic_rate = inf\n", "key 'traffic_rate': must be finite"),
+            ("setup_timeout_factor = inf\n", "key 'setup_timeout_factor': must be finite"),
+            ("wire_bandwidth = nan\n", "key 'wire_bandwidth': must be finite"),
+            ("hold_time_mean = nan\n", "key 'hold_time_mean': must be finite"),
+            ("bandwidth_values = 1,2\nbandwidth_weights = 1,nan\n", "key 'bandwidth_weights': must be finite"),
         ],
     )
     def test_bad_values(self, extra, fragment):
         with pytest.raises(ConfigError, match=fragment):
             parse_config(MINIMAL + extra)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "wire_bandwidth",
+            "setup_timeout_factor",
+            "traffic_rate",
+            "hotspot_fraction",
+            "hold_time_mean",
+            "bandwidth_values",
+            "bandwidth_weights",
+        ],
+    )
+    def test_code_built_non_finite_rejected(self, key, bad):
+        # library callers build RunConfig directly and never go through parse_config
+        overrides = dict(bandwidth_values=(1.0, 2.0), bandwidth_weights=(1.0, 1.0))
+        overrides[key] = (1.0, bad) if key.startswith("bandwidth_") else bad
+        cfg = RunConfig(mesh_width=4, mesh_height=4, seed=1, **overrides)
+        with pytest.raises(ConfigError, match=f"key '{key}': must be finite"):
+            validate_config(cfg)
 
     def test_duplicate_key_names_line(self):
         with pytest.raises(ConfigError, match="line 4: duplicate key 'seed'"):

@@ -173,7 +173,6 @@ class TestSerialization:
             bee = ForwardBee(
                 flow=FlowId(NodeId(0, 0), 0),
                 destination=NodeId(1, 1),
-                hop_counter=length,
                 required_bandwidth=1.0,
                 ports=PortList.from_ports(ports),
             )
@@ -183,7 +182,6 @@ class TestSerialization:
         bee = ForwardBee(
             flow=FlowId(NodeId(0, 7), 3),
             destination=NodeId(7, 0),
-            hop_counter=14,
             required_bandwidth=2.0,
             ports=blue_path(),
         )

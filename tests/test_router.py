@@ -32,7 +32,7 @@ def make_net(width=3, height=3, wire_count=8, wire_bandwidth=1.0):
 
 def make_bee(flow, dst, ports=(), bandwidth=1.0):
     lst = PortList.from_ports(ports)
-    return ForwardBee(flow, dst, lst.length, bandwidth, lst)
+    return ForwardBee(flow, dst, bandwidth, lst)
 
 
 def deliver_backward_until_done(mesh, net, states, dest, bee):
@@ -50,18 +50,13 @@ def deliver_backward_until_done(mesh, net, states, dest, bee):
         arrival = port.opposite()
 
 
-def deliver_control_chain(mesh, net, states, origin, emission):
-    """Deliver a control packet emitted at `origin` until its route runs out."""
-    port, pkt = emission
-    node = mesh.neighbor(origin, port)
-    arrival = port.opposite()
-    while True:
-        forwarded = handle_control(states[node], pkt, arrival, net)
-        if forwarded is None:
-            return
-        port, pkt = forwarded
+def deliver_control_chain(mesh, net, states, origin, emissions):
+    """Deliver the control packet emitted at `origin` until its route runs out."""
+    node = origin
+    while emissions:
+        ((port, pkt),) = emissions
         node = mesh.neighbor(node, port)
-        arrival = port.opposite()
+        emissions = handle_control(states[node], pkt, port.opposite(), net)
 
 
 class TestForwardBee:
@@ -88,7 +83,7 @@ class TestForwardBee:
         emissions = handle_forward_bee(states[NodeId(1, 1)], bee, W, net, hop_limit=8)
         assert {port for port, _ in emissions} == {S, E, N}
         for port, out in emissions:
-            assert out.hop_counter == 2
+            assert out.ports.length == 2
             assert list(out.ports) == [E, port]
 
     def test_broadcast_respects_residual(self):
@@ -105,7 +100,7 @@ class TestForwardBee:
         bee = make_bee(flow, NodeId(2, 2))
         emissions = handle_forward_bee(states[NodeId(1, 1)], bee, LOCAL, net, hop_limit=6)
         assert {port for port, _ in emissions} == {S, W, E, N}
-        assert all(out.hop_counter == 1 and out.ports.length == 1 for _, out in emissions)
+        assert all(out.ports.length == 1 for _, out in emissions)
         assert flow in states[NodeId(1, 1)].seen
 
     def test_corner_source_two_ports(self):
@@ -131,7 +126,7 @@ class TestForwardBee:
                 assert back.bee_index == i
                 assert back.route == PortList.from_ports(path).reverse_complement()
                 assert port is back.route.entry(0)
-                assert back.next_index == 1 and back.reserved_prefix == 0
+                assert back.next_index == 1
                 backward.append(back)
             else:
                 assert emissions == []
@@ -165,20 +160,13 @@ class TestForwardBee:
         assert net.total_held() == 0
         assert net.residual_snapshot() == before
 
-    def test_malformed_bee_aborts(self):
-        mesh, net, states = make_net()
-        flow = FlowId(NodeId(0, 0), 7)
-        bee = ForwardBee(flow, NodeId(2, 2), 3, 1.0, PortList.from_ports([E]))
-        with pytest.raises(ProtocolCorruptionError):
-            handle_forward_bee(states[NodeId(1, 0)], bee, W, net, hop_limit=6)
-
 
 class TestBackwardBee:
     def test_single_hop_accepted(self):
         mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 0)
         route = PortList.from_ports([E]).reverse_complement()  # forward east -> route west
-        bee = BackwardBee(flow, 0, route, 1, 2.5, 0)
+        bee = BackwardBee(flow, 0, route, 1, 2.5)
         node, outcome = deliver_backward_until_done(mesh, net, states, NodeId(1, 0), bee)
         assert node == NodeId(0, 0)
         assert outcome.kind == "accepted"
@@ -192,7 +180,7 @@ class TestBackwardBee:
         mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 1)
         forward = PortList.from_ports([E, N])
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, 1.0, 0)
+        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, 1.0)
         node, outcome = deliver_backward_until_done(mesh, net, states, NodeId(1, 1), bee)
         assert outcome.kind == "accepted"
         # exactly the links a source->destination walk would use
@@ -205,12 +193,12 @@ class TestBackwardBee:
         flow = FlowId(NodeId(0, 0), 2)
         forward = PortList.from_ports([E, E])
         net.reserve(NodeId(0, 0), E, ("bg", 0), 4.0)  # the final reservation will fail
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, 2.0, 0)
+        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, 2.0)
         node, outcome = deliver_backward_until_done(mesh, net, states, NodeId(2, 0), bee)
         assert node == NodeId(0, 0)
         assert outcome.kind == "aborted"
         assert len(outcome.emissions) == 1
-        deliver_control_chain(mesh, net, states, node, outcome.emissions[0])
+        deliver_control_chain(mesh, net, states, node, outcome.emissions)
         # only the background reservation survives
         assert net.total_held() == 4
         assert net.holders(NodeId(1, 0), E) == {}
@@ -220,7 +208,7 @@ class TestBackwardBee:
         mesh, net, states = make_net(wire_count=4)
         flow = FlowId(NodeId(0, 0), 3)
         net.reserve(NodeId(1, 0), E, ("bg", 0), 4.0)
-        bee = BackwardBee(flow, 0, PortList.from_ports([E, E]).reverse_complement(), 1, 2.0, 0)
+        bee = BackwardBee(flow, 0, PortList.from_ports([E, E]).reverse_complement(), 1, 2.0)
         outcome = handle_backward_bee(states[NodeId(1, 0)], bee, E, net)
         assert outcome.kind == "aborted"
         assert outcome.emissions == []
@@ -233,14 +221,14 @@ class TestBackwardBee:
         flow = FlowId(NodeId(0, 0), 0)
         route1 = PortList.from_ports([E, E, E, N]).reverse_complement()  # S W W W
         route2 = PortList.from_ports([E, E, N, E]).reverse_complement()  # W S W W
-        bee1 = BackwardBee(flow, 0, route1, 1, 2.0, 0)
-        bee2 = BackwardBee(flow, 1, route2, 1, 2.0, 0)
+        bee1 = BackwardBee(flow, 0, route1, 1, 2.0)
+        bee2 = BackwardBee(flow, 1, route2, 1, 2.0)
         _, first = deliver_backward_until_done(mesh, net, states, NodeId(3, 1), bee1)
         assert first.kind == "accepted"
         node, second = deliver_backward_until_done(mesh, net, states, NodeId(3, 1), bee2)
         assert second.kind == "aborted"
         assert net.holders(NodeId(1, 0), E) == {(flow, 0): 2, (flow, 1): 2}  # both held pre-release
-        deliver_control_chain(mesh, net, states, node, second.emissions[0])
+        deliver_control_chain(mesh, net, states, node, second.emissions)
         assert net.holders(NodeId(1, 0), E) == {(flow, 0): 2}
         # the winner's four-link circuit is intact, nothing else is held
         assert net.total_held() == 8
@@ -249,7 +237,7 @@ class TestBackwardBee:
 
     def test_corrupt_index_rejected(self):
         mesh, net, states = make_net()
-        bee = BackwardBee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([W]), 5, 1.0, 4)
+        bee = BackwardBee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([W]), 5, 1.0)
         with pytest.raises(ProtocolCorruptionError):
             handle_backward_bee(states[NodeId(0, 0)], bee, E, net)
 
@@ -260,7 +248,7 @@ class TestControl:
         dest = NodeId(0, 0)
         for port in forward:
             dest = mesh.neighbor(dest, port)
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, bandwidth, 0)
+        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, bandwidth)
         node, outcome = deliver_backward_until_done(mesh, net, states, dest, bee)
         assert outcome.kind == "accepted"
         return forward
@@ -271,8 +259,8 @@ class TestControl:
         forward = self.build_circuit(mesh, net, states, flow, [E, E, N], bandwidth=2.0)
         assert net.total_held() == 6
         teardown = ControlPacket(ControlKind.TEARDOWN, flow, 0, forward, 0)
-        emission = handle_control(states[NodeId(0, 0)], teardown, LOCAL, net)
-        deliver_control_chain(mesh, net, states, NodeId(0, 0), emission)
+        emissions = handle_control(states[NodeId(0, 0)], teardown, LOCAL, net)
+        deliver_control_chain(mesh, net, states, NodeId(0, 0), emissions)
         assert net.total_held() == 0
         assert all(not st.flow_table for st in states.values())
 
@@ -280,7 +268,7 @@ class TestControl:
         mesh, net, states = make_net()
         pkt = ControlPacket(ControlKind.RELEASE, FlowId(NodeId(0, 0), 1), 0, PortList(), 0)
         before = net.residual_snapshot()
-        assert handle_control(states[NodeId(1, 1)], pkt, E, net) is None
+        assert handle_control(states[NodeId(1, 1)], pkt, E, net) == []
         assert net.residual_snapshot() == before
 
     def test_double_teardown_warns_but_survives(self, caplog):
@@ -290,8 +278,8 @@ class TestControl:
         for round_no in range(2):
             teardown = ControlPacket(ControlKind.TEARDOWN, flow, 0, forward, 0)
             with caplog.at_level(logging.WARNING, logger="beenoc.router"):
-                emission = handle_control(states[NodeId(0, 0)], teardown, LOCAL, net)
-                deliver_control_chain(mesh, net, states, NodeId(0, 0), emission)
+                emissions = handle_control(states[NodeId(0, 0)], teardown, LOCAL, net)
+                deliver_control_chain(mesh, net, states, NodeId(0, 0), emissions)
             if round_no == 1:
                 assert any("no reservation" in rec.message for rec in caplog.records)
         assert net.total_held() == 0
