@@ -84,6 +84,8 @@ _PARSERS = {
 
 # Every float-valued key, scalar or tuple; all must be finite.
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "tuple[float, ...]"))
+# Every integer key; a float or bool in a config built in code is refused.
+_INT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "int")
 
 _TRAFFIC_KEYS = {
     "traffic_rate",
@@ -108,6 +110,12 @@ def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
         value = getattr(cfg, key)
         if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
             fail(key, "must be finite")
+    for key in _INT_KEYS:
+        if type(getattr(cfg, key)) is not int:  # bool is an int subclass
+            fail(key, "must be an integer")
+    hotspot = cfg.hotspot_node
+    if not (isinstance(hotspot, tuple) and len(hotspot) == 2 and all(type(v) is int for v in hotspot)):
+        fail("hotspot_node", "must be a pair of integers")
 
     if cfg.mesh_width < 2:
         fail("mesh_width", "all mesh dimensions must be >= 2")

@@ -273,12 +273,7 @@ class Simulator:
         spec = rec.spec
         timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self.config.t_hop)
         self.queue.push(self.clock + timeout, Event(Simulator._on_setup_timeout, source, rec))
-        bee = ForwardBee(
-            flow=spec.flow,
-            destination=spec.destination,
-            required_bandwidth=spec.required_bandwidth,
-            ports=PortList(),
-        )
+        bee = ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, PortList())
         emissions = router.handle_forward_bee(
             self.nodes[source],
             bee,
@@ -342,13 +337,8 @@ class Simulator:
         if rec.phase is not FlowPhase.ESTABLISHED:
             raise InvariantViolationError(f"flow {rec.spec.flow} completed while {rec.phase.value}")
         self._set_phase(rec, FlowPhase.TORN_DOWN)
-        teardown = ControlPacket(
-            kind=ControlKind.TEARDOWN,
-            flow=rec.spec.flow,
-            bee_index=rec.winner_index,
-            route=rec.winner_route.reverse_complement(),
-            next_index=0,
-        )
+        route = rec.winner_route.reverse_complement()
+        teardown = ControlPacket(ControlKind.TEARDOWN, rec.spec.flow, rec.winner_index, route, 0)
         # The source frees its own hop first, then the packet travels the
         # forward path releasing every circuit link.
         for port, packet in router.handle_control(self.nodes[source], teardown, PortDir.LOCAL, self.network):

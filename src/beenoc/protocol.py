@@ -4,6 +4,9 @@ A route is recorded as a sequence of 2-bit output-port codes instead of node
 addresses, so its size is independent of the mesh's address width. Reversing
 the entry order and complementing both bits of every entry turns a discovered
 path into the route that retraces it from the far end.
+
+Flow ids and packets are immutable NamedTuples, so the per-event dict and set
+lookups keyed by them hash and compare in C.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidPathError, InvalidPortError, PortListOverflowError
 from .topology import NON_LOCAL_PORTS, Mesh, NodeId, PortDir
@@ -118,8 +121,7 @@ def walk(path: PortList, start: NodeId, mesh: Mesh) -> list[NodeId]:
     return nodes
 
 
-@dataclass(frozen=True, slots=True)
-class FlowId:
+class FlowId(NamedTuple):
     """Globally unique flow identity: source node plus a per-source counter."""
 
     source: NodeId
@@ -129,8 +131,7 @@ class FlowId:
         return f"{self.source}:{self.sequence}"
 
 
-@dataclass(frozen=True, slots=True)
-class ForwardBee:
+class ForwardBee(NamedTuple):
     """Flooding discovery packet. Records its path as port codes and never
     reserves anything; its hop count is the recorded path length."""
 
@@ -140,17 +141,17 @@ class ForwardBee:
     ports: PortList
 
     def advanced(self, port: PortDir, limit: int | None = None) -> "ForwardBee":
-        """Copy of this bee one hop further through `port`."""
-        return ForwardBee(
-            flow=self.flow,
-            destination=self.destination,
-            required_bandwidth=self.required_bandwidth,
-            ports=self.ports.push(port, limit),
-        )
+        """Copy of this bee one hop further through `port`: PortList.push inlined."""
+        ports = self.ports
+        if limit is not None and ports.length >= limit:
+            raise PortListOverflowError(f"port list already holds {ports.length} entries (limit {limit})")
+        if port > 0b11:
+            raise InvalidPortError("the local port has no wire code")
+        pushed = PortList((ports.bits << 2) | port, ports.length + 1)
+        return ForwardBee(self.flow, self.destination, self.required_bandwidth, pushed)
 
 
-@dataclass(frozen=True, slots=True)
-class BackwardBee:
+class BackwardBee(NamedTuple):
     """Reservation packet retracing a discovered path from the destination.
 
     `route` is the forward path already reversed and complemented.
@@ -172,8 +173,7 @@ class ControlKind(Enum):
     RELEASE = "release"
 
 
-@dataclass(frozen=True, slots=True)
-class ControlPacket:
+class ControlPacket(NamedTuple):
     """Small packet that frees wires and flow-table entries along `route`.
 
     A teardown travels the forward path from the source after data transfer;

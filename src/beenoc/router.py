@@ -15,7 +15,7 @@ empty when nothing leaves the node; the engine transits each in list order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import ProtocolCorruptionError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee
@@ -76,14 +76,7 @@ def handle_forward_bee(
             return []
         state.dest_arrivals[bee.flow] = count + 1
         route = bee.ports.reverse_complement()
-        back = BackwardBee(
-            flow=bee.flow,
-            bee_index=count,
-            route=route,
-            next_index=1,
-            required_bandwidth=bee.required_bandwidth,
-        )
-        return [(route.entry(0), back)]
+        return [(route.entry(0), BackwardBee(bee.flow, count, route, 1, bee.required_bandwidth))]
     if bee.flow in state.seen:
         return []
     state.seen.add(bee.flow)
@@ -106,14 +99,8 @@ def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir) -> list:
     reserved = bee.next_index - 1
     if reserved <= 0:
         return []
-    pkt = ControlPacket(
-        kind=ControlKind.RELEASE,
-        flow=bee.flow,
-        bee_index=bee.bee_index,
-        route=bee.route.prefix(reserved).reverse_complement(),
-        next_index=0,
-    )
-    return [(arrival_port, pkt)]
+    route = bee.route.prefix(reserved).reverse_complement()
+    return [(arrival_port, ControlPacket(ControlKind.RELEASE, bee.flow, bee.bee_index, route, 0))]
 
 
 def handle_backward_bee(
@@ -151,7 +138,8 @@ def handle_backward_bee(
     state.flow_table[key] = FlowTableEntry(
         bee.flow, bee.bee_index, arrival_port, out_port, net.wires_for(bee.required_bandwidth)
     )
-    return BackwardOutcome("forwarded", [(out_port, replace(bee, next_index=bee.next_index + 1))])
+    forwarded = BackwardBee(bee.flow, bee.bee_index, route, bee.next_index + 1, bee.required_bandwidth)
+    return BackwardOutcome("forwarded", [(out_port, forwarded)])
 
 
 def handle_control(
@@ -187,4 +175,4 @@ def handle_control(
             port.name,
         )
     state.flow_table.pop(key, None)
-    return [(port, replace(pkt, next_index=pkt.next_index + 1))]
+    return [(port, ControlPacket(pkt.kind, pkt.flow, pkt.bee_index, pkt.route, pkt.next_index + 1))]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DegenerateFlowError,
@@ -58,9 +58,12 @@ OPPOSITE = tuple(PortDir(code ^ 0b11) for code in range(4))
 _DELTAS = ((0, -1), (-1, 0), (1, 0), (0, 1), (0, 0))
 
 
-@dataclass(frozen=True, slots=True)
-class NodeId:
-    """Grid coordinates of a mesh node (x: column, y: row, both 0-based)."""
+class NodeId(NamedTuple):
+    """Grid coordinates of a mesh node (x: column, y: row, both 0-based).
+
+    An immutable tuple, so it hashes and compares in C and equals the plain
+    tuple (x, y).
+    """
 
     x: int
     y: int
@@ -140,7 +143,9 @@ class Network:
     Internally the link leaving node (x, y) through a port is numbered
     (y * width + x) * 4 + port code, and every per-link table is a flat list
     in that order. Slots of links that leave the mesh hold no reservation
-    dict and -1 free wires, so no demand fits them.
+    dict and -1 free wires, so no demand fits them. A per-node table maps
+    each node of the mesh to its first slot, so nodes outside the mesh have
+    no links.
     """
 
     def __init__(self, mesh: Mesh, wire_count: int, wire_bandwidth: float) -> None:
@@ -155,12 +160,14 @@ class Network:
         self._reservations: list[dict | None] = [None] * slots
         self._free: list[int] = [-1] * slots
         self._far_end: list[NodeId | None] = [None] * slots
+        self._base: dict[NodeId, int] = {}
         links = []
-        for node in mesh.nodes():
+        for number, node in enumerate(mesh.nodes()):
+            self._base[node] = 4 * number
             for port in NON_LOCAL_PORTS:
                 far = mesh.neighbor(node, port)
                 if far is not None:
-                    index = (node.y * mesh.width + node.x) * 4 + port
+                    index = 4 * number + port
                     self._reservations[index] = {}
                     self._free[index] = wire_count
                     self._far_end[index] = far
@@ -180,12 +187,10 @@ class Network:
 
     def _index(self, node: NodeId, port: PortDir) -> int:
         """Index of an existing link; raises for the local port or a missing link."""
-        x, y = node.x, node.y
-        width = self.mesh.width
-        # Checked before the arithmetic: x past the width or the local port
-        # (value 4) would otherwise alias another node's link.
-        if 0 <= x < width and 0 <= y < self.mesh.height and port < 4:
-            index = (y * width + x) * 4 + port
+        base = self._base.get(node)
+        # The local port (value 4) would otherwise alias the next node's link.
+        if base is not None and port < 4:
+            index = base + port
             if self._reservations[index] is not None:
                 return index
         raise InvalidPathError(f"no link leaving {node} toward {port.name}")
@@ -224,11 +229,9 @@ class Network:
     def fitting_ports(self, node: NodeId, bandwidth: float) -> list[PortDir]:
         """Ports of `node`, in code order, whose outgoing link exists and fits
         `bandwidth` by the admission rule of fits()."""
-        x, y = node.x, node.y
-        width = self.mesh.width
-        if not (0 <= x < width and 0 <= y < self.mesh.height):
-            raise InvalidPathError(f"node {node} is outside the {width}x{self.mesh.height} mesh")
-        base = (y * width + x) * 4
+        base = self._base.get(node)
+        if base is None:
+            raise InvalidPathError(f"node {node} is outside the {self.mesh.width}x{self.mesh.height} mesh")
         need = self.wires_for(bandwidth)
         free = self._free
         return [port for port in NON_LOCAL_PORTS if free[base + port] >= need]

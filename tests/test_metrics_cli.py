@@ -86,6 +86,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"key '{key}': must be finite"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize(
+        "key,bad,message",
+        [
+            ("mesh_width", 4.5, "must be an integer"),
+            ("mesh_height", 4.0, "must be an integer"),
+            ("seed", True, "must be an integer"),
+            ("wire_count", 2.5, "must be an integer"),
+            ("t_hop", 1.5, "must be an integer"),
+            ("backward_bee_count", 2.0, "must be an integer"),
+            ("max_cycles", 1e6, "must be an integer"),
+            ("traffic_duration", 100.0, "must be an integer"),
+            ("hotspot_node", (0, 0, 0), "must be a pair of integers"),
+            ("hotspot_node", (0.0, 1), "must be a pair of integers"),
+            ("hotspot_node", (False, 1), "must be a pair of integers"),
+        ],
+    )
+    def test_code_built_non_integer_rejected(self, key, bad, message):
+        # parse_config only ever produces ints; RunConfig built in code can hold anything
+        fields = dict(mesh_width=4, mesh_height=4, seed=1)
+        fields[key] = bad
+        with pytest.raises(ConfigError, match=f"key '{key}': {message}"):
+            validate_config(RunConfig(**fields))
+
     def test_duplicate_key_names_line(self):
         with pytest.raises(ConfigError, match="line 4: duplicate key 'seed'"):
             parse_config(MINIMAL + "seed = 9\n")

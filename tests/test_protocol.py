@@ -3,6 +3,9 @@ import random
 import pytest
 
 from beenoc import (
+    BackwardBee,
+    ControlKind,
+    ControlPacket,
     FlowId,
     ForwardBee,
     InvalidPathError,
@@ -87,6 +90,72 @@ class TestPortListPush:
         assert lst.prefix(7).bitstring() == "10" * 7
         assert lst.prefix(0).length == 0
         assert lst.prefix(14) == lst
+
+
+def seed_bee(ports: PortList = PortList()) -> ForwardBee:
+    return ForwardBee(FlowId(NodeId(2, 1), 5), NodeId(0, 3), 0.5, ports)
+
+
+class TestForwardBeeAdvanced:
+    def test_matches_push(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            length = rng.randrange(0, 40)
+            bee = seed_bee(PortList.from_ports(rng.choice(NON_LOCAL_PORTS) for _ in range(length)))
+            port = rng.choice(NON_LOCAL_PORTS)
+            limit = rng.choice([None, length + 1, length + 5])
+            moved = bee.advanced(port, limit)
+            assert moved.ports == bee.ports.push(port, limit)
+            assert (moved.flow, moved.destination, moved.required_bandwidth) == (
+                bee.flow,
+                bee.destination,
+                bee.required_bandwidth,
+            )
+
+    def test_local_port_rejected(self):
+        with pytest.raises(InvalidPortError):
+            seed_bee().advanced(PortDir.LOCAL)
+
+    def test_limit_reached(self):
+        bee = seed_bee().advanced(PortDir.EAST, 2).advanced(PortDir.NORTH, 2)
+        assert bee.ports.bitstring() == "1011"
+        with pytest.raises(PortListOverflowError, match="holds 2 entries"):
+            bee.advanced(PortDir.EAST, 2)
+
+    @pytest.mark.parametrize(
+        "packet,field",
+        [
+            (seed_bee(), "ports"),
+            (BackwardBee(FlowId(NodeId(0, 0), 0), 1, PortList(), 1, 1.0), "next_index"),
+            (ControlPacket(ControlKind.RELEASE, FlowId(NodeId(0, 0), 0), 1, PortList(), 0), "next_index"),
+        ],
+        ids=["forward", "backward", "control"],
+    )
+    def test_packets_are_immutable(self, packet, field):
+        with pytest.raises(AttributeError):
+            setattr(packet, field, getattr(packet, field))
+
+
+class TestIdFormats:
+    # Trace lines, log lines and error messages embed these strings.
+    def test_node_id(self):
+        node = NodeId(3, 12)
+        assert str(node) == "3,12"
+        assert f"{node}" == "3,12"
+        assert repr(node) == "NodeId(x=3, y=12)"
+
+    def test_flow_id(self):
+        flow = FlowId(NodeId(3, 12), 7)
+        assert str(flow) == "3,12:7"
+        assert f"flow {flow}" == "flow 3,12:7"
+        assert repr(flow) == "FlowId(source=NodeId(x=3, y=12), sequence=7)"
+
+    def test_equal_ids_hash_equal(self):
+        assert NodeId(1, 2) == NodeId(1, 2) and hash(NodeId(1, 2)) == hash(NodeId(1, 2))
+        flow = FlowId(NodeId(1, 2), 9)
+        twin = FlowId(NodeId(1, 2), 9)
+        assert flow == twin and hash(flow) == hash(twin)
+        assert len({flow, twin, FlowId(NodeId(2, 1), 9)}) == 2
 
 
 def entrywise_reverse_complement(ports):

@@ -186,6 +186,8 @@ class TestLinkAddressing:
     # reach a real link of a 3x3 mesh through that arithmetic.
     BAD_LINKS = [
         pytest.param(NodeId(3, 0), PortDir.EAST, id="x-past-width-aliases-(0,1)"),
+        pytest.param(NodeId(-1, 0), PortDir.EAST, id="negative-x-wraps-to-last-node"),
+        pytest.param(NodeId(0, 3), PortDir.SOUTH, id="y-past-height"),
         pytest.param(NodeId(0, 1), PortDir.LOCAL, id="local-aliases-next-node-south"),
         pytest.param(NodeId(0, 0), PortDir.WEST, id="missing-boundary-link"),
     ]
@@ -208,8 +210,9 @@ class TestLinkAddressing:
 
     def test_fitting_ports_rejects_node_outside_mesh(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        with pytest.raises(InvalidPathError):
-            net.fitting_ports(NodeId(3, 0), 1.0)
+        for node in (NodeId(3, 0), NodeId(-1, 0), NodeId(0, -1)):
+            with pytest.raises(InvalidPathError):
+                net.fitting_ports(node, 1.0)
 
     def test_fitting_ports_skips_missing_and_full_links(self):
         net = Network(Mesh(3, 3), 8, 1.0)
