@@ -273,7 +273,9 @@ class Simulator:
         spec = rec.spec
         timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self.config.t_hop)
         self.queue.push(self.clock + timeout, Event(Simulator._on_setup_timeout, source, rec))
-        bee = ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, PortList())
+        bee = ForwardBee(
+            flow=spec.flow, destination=spec.destination, required_bandwidth=spec.required_bandwidth, ports=PortList()
+        )
         emissions = router.handle_forward_bee(
             self.nodes[source],
             bee,
@@ -338,7 +340,9 @@ class Simulator:
             raise InvariantViolationError(f"flow {rec.spec.flow} completed while {rec.phase.value}")
         self._set_phase(rec, FlowPhase.TORN_DOWN)
         route = rec.winner_route.reverse_complement()
-        teardown = ControlPacket(ControlKind.TEARDOWN, rec.spec.flow, rec.winner_index, route, 0)
+        teardown = ControlPacket(
+            kind=ControlKind.TEARDOWN, flow=rec.spec.flow, bee_index=rec.winner_index, route=route, next_index=0
+        )
         # The source frees its own hop first, then the packet travels the
         # forward path releasing every circuit link.
         for port, packet in router.handle_control(self.nodes[source], teardown, PortDir.LOCAL, self.network):

@@ -45,9 +45,13 @@ class PortList:
 
     def push(self, port: PortDir, limit: int | None = None) -> "PortList":
         """New list with `port` appended; raises when a length limit is hit."""
-        if limit is not None and self.length >= limit:
-            raise PortListOverflowError(f"port list already holds {self.length} entries (limit {limit})")
-        return PortList((self.bits << 2) | encode_port(port), self.length + 1)
+        length = self.length
+        if limit is not None and length >= limit:
+            raise PortListOverflowError(f"port list already holds {length} entries (limit {limit})")
+        # A port's value is its wire code; the comparison stands in for encode_port on this per-hop path.
+        if port > 0b11:
+            raise InvalidPortError("the local port has no wire code")
+        return PortList((self.bits << 2) | port, length + 1)
 
     def entry(self, index: int) -> PortDir:
         if not 0 <= index < self.length:
@@ -141,14 +145,8 @@ class ForwardBee(NamedTuple):
     ports: PortList
 
     def advanced(self, port: PortDir, limit: int | None = None) -> "ForwardBee":
-        """Copy of this bee one hop further through `port`: PortList.push inlined."""
-        ports = self.ports
-        if limit is not None and ports.length >= limit:
-            raise PortListOverflowError(f"port list already holds {ports.length} entries (limit {limit})")
-        if port > 0b11:
-            raise InvalidPortError("the local port has no wire code")
-        pushed = PortList((ports.bits << 2) | port, ports.length + 1)
-        return ForwardBee(self.flow, self.destination, self.required_bandwidth, pushed)
+        """Copy of this bee one hop further through `port`."""
+        return ForwardBee(self.flow, self.destination, self.required_bandwidth, self.ports.push(port, limit))
 
 
 class BackwardBee(NamedTuple):

@@ -76,7 +76,10 @@ def handle_forward_bee(
             return []
         state.dest_arrivals[bee.flow] = count + 1
         route = bee.ports.reverse_complement()
-        return [(route.entry(0), BackwardBee(bee.flow, count, route, 1, bee.required_bandwidth))]
+        back = BackwardBee(
+            flow=bee.flow, bee_index=count, route=route, next_index=1, required_bandwidth=bee.required_bandwidth
+        )
+        return [(route.entry(0), back)]
     if bee.flow in state.seen:
         return []
     state.seen.add(bee.flow)
@@ -100,7 +103,8 @@ def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir) -> list:
     if reserved <= 0:
         return []
     route = bee.route.prefix(reserved).reverse_complement()
-    return [(arrival_port, ControlPacket(ControlKind.RELEASE, bee.flow, bee.bee_index, route, 0))]
+    pkt = ControlPacket(kind=ControlKind.RELEASE, flow=bee.flow, bee_index=bee.bee_index, route=route, next_index=0)
+    return [(arrival_port, pkt)]
 
 
 def handle_backward_bee(

@@ -85,6 +85,10 @@ class TestPortListPush:
         with pytest.raises(PortListOverflowError):
             lst.push(PortDir.EAST, limit=2)
 
+    def test_local_port_rejected(self):
+        with pytest.raises(InvalidPortError):
+            PortList().push(PortDir.LOCAL)
+
     def test_prefix(self):
         lst = blue_path()
         assert lst.prefix(7).bitstring() == "10" * 7
@@ -97,30 +101,18 @@ def seed_bee(ports: PortList = PortList()) -> ForwardBee:
 
 
 class TestForwardBeeAdvanced:
-    def test_matches_push(self):
+    def test_appends_one_hop(self):
         rng = random.Random(23)
-        for _ in range(300):
-            length = rng.randrange(0, 40)
-            bee = seed_bee(PortList.from_ports(rng.choice(NON_LOCAL_PORTS) for _ in range(length)))
+        bee = seed_bee()
+        history = []
+        for _ in range(40):
             port = rng.choice(NON_LOCAL_PORTS)
-            limit = rng.choice([None, length + 1, length + 5])
-            moved = bee.advanced(port, limit)
-            assert moved.ports == bee.ports.push(port, limit)
-            assert (moved.flow, moved.destination, moved.required_bandwidth) == (
-                bee.flow,
-                bee.destination,
-                bee.required_bandwidth,
-            )
-
-    def test_local_port_rejected(self):
-        with pytest.raises(InvalidPortError):
-            seed_bee().advanced(PortDir.LOCAL)
-
-    def test_limit_reached(self):
-        bee = seed_bee().advanced(PortDir.EAST, 2).advanced(PortDir.NORTH, 2)
-        assert bee.ports.bitstring() == "1011"
-        with pytest.raises(PortListOverflowError, match="holds 2 entries"):
-            bee.advanced(PortDir.EAST, 2)
+            history.append(port)
+            bee = bee.advanced(port, limit=40)
+            assert list(bee.ports) == history
+            assert bee[:3] == seed_bee()[:3]
+        with pytest.raises(PortListOverflowError):
+            bee.advanced(PortDir.EAST, limit=40)
 
     @pytest.mark.parametrize(
         "packet,field",
