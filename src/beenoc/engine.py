@@ -7,6 +7,19 @@ discovery and reservation until its first backward bee reaches the source
 (Established) or its setup timeout fires (Failed); an established flow is
 TornDown when its hold time ends. Every router handler returns a list of
 (port, packet) emissions, which the engine transits in order.
+
+Untraced runs do not schedule the forward-bee deliveries the receiver would
+drop as duplicates. Every hop takes the same t_hop and each cycle's events
+come out in scheduling order, so a flow's bees reach a node in the order
+they were sent: once a bee of the flow has been sent to a node, a later copy
+bound there (the destination aside) finds the flow seen or settled and does
+nothing. The router reports such a copy as a `(port, None)` emission, and
+the engine counts its delivery (events_processed, forward_deliveries, the
+flow's count and its 4|V| cap) when it is emitted. A delivery that would
+fall after max_cycles is scheduled as usual, and at the end of the run the
+clock moves on to the last counted delivery, so `RunStats` and both CSVs are
+those of the full schedule. Traced runs schedule every delivery, so that
+trace.tsv lists each of them.
 """
 
 from __future__ import annotations
@@ -92,6 +105,9 @@ class FlowRecord:
     winner_route: PortList | None = None
     winner_index: int | None = None
     forward_deliveries: int = 0
+    # Nodes the flow's forward bees have been sent to, its source included;
+    # set when the flow arrives and dropped when it settles.
+    reached: set | None = None
 
     @property
     def path_length(self) -> int | None:
@@ -166,6 +182,11 @@ class Simulator:
         self.records: dict[FlowId, FlowRecord] = {}
         self._trace: list[str] | None = [] if config.trace else None
         self._forward_cap = 4 * self.mesh.node_count
+        # Duplicate forward bees are elided while the clock is at most this,
+        # so that their delivery would still fall within max_cycles.
+        self._elide_through = -1 if config.trace else config.max_cycles - config.t_hop
+        # Cycle of the last elided delivery.
+        self._elided_until = 0
         self._events_processed = 0
         self._forward_deliveries = 0
         self._backward_deliveries = 0
@@ -232,6 +253,8 @@ class Simulator:
                 self._events_processed += 1
                 if self._trace is not None:
                     self._trace.append(self._trace_line(ev))
+        if self._elided_until > self.clock:
+            self._advance_clock(self._elided_until)
         if truncated:
             for rec in self.records.values():
                 if rec.phase is FlowPhase.SETTING_UP:
@@ -273,30 +296,23 @@ class Simulator:
         spec = rec.spec
         timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self.config.t_hop)
         self.queue.push(self.clock + timeout, Event(Simulator._on_setup_timeout, source, rec))
+        rec.reached = {source}
         bee = ForwardBee(
             flow=spec.flow, destination=spec.destination, required_bandwidth=spec.required_bandwidth, ports=PortList()
         )
-        emissions = router.handle_forward_bee(
-            self.nodes[source],
-            bee,
-            PortDir.LOCAL,
-            self.network,
-            rec.hop_limit,
-            self.config.backward_bee_count,
-        )
-        for port, packet in emissions:
-            self.transit(source, port, packet)
+        self._flood(source, rec, bee, PortDir.LOCAL)
 
     def _on_forward(self, node: NodeId, bee: ForwardBee, arrival_port: PortDir) -> None:
-        self._forward_deliveries += 1
         rec = self.records[bee.flow]
-        rec.forward_deliveries += 1
-        if rec.forward_deliveries > self._forward_cap:
-            raise InvariantViolationError(
-                f"flow {rec.spec.flow} exceeded the forward-bee event cap ({self._forward_cap})"
-            )
-        if rec.phase in _SETTLED:
-            return
+        self._count_forward(rec, 1)
+        if rec.phase not in _SETTLED:
+            self._flood(node, rec, bee, arrival_port)
+
+    def _flood(self, node: NodeId, rec: FlowRecord, bee: ForwardBee, arrival_port: PortDir) -> None:
+        """Hand a forward bee to `node`'s router and transit what it sends.
+
+        Copies the router elided are counted as delivered one t_hop from now.
+        """
         emissions = router.handle_forward_bee(
             self.nodes[node],
             bee,
@@ -304,9 +320,26 @@ class Simulator:
             self.network,
             rec.hop_limit,
             self.config.backward_bee_count,
+            rec.reached if self.clock <= self._elide_through else None,
         )
+        elided = 0
         for port, packet in emissions:
-            self.transit(node, port, packet)
+            if packet is None:
+                elided += 1
+            else:
+                self.transit(node, port, packet)
+        if elided:
+            self._events_processed += elided
+            self._elided_until = self.clock + self.config.t_hop
+            self._count_forward(rec, elided)
+
+    def _count_forward(self, rec: FlowRecord, deliveries: int) -> None:
+        self._forward_deliveries += deliveries
+        rec.forward_deliveries += deliveries
+        if rec.forward_deliveries > self._forward_cap:
+            raise InvariantViolationError(
+                f"flow {rec.spec.flow} exceeded the forward-bee event cap ({self._forward_cap})"
+            )
 
     def _on_backward(self, node: NodeId, bee: BackwardBee, arrival_port: PortDir) -> None:
         self._backward_deliveries += 1
@@ -358,6 +391,9 @@ class Simulator:
                 f"flow {rec.spec.flow}: illegal phase transition {rec.phase.value} -> {phase.value}"
             )
         rec.phase = phase
+        if phase in _SETTLED:
+            # A settled flow sends no more forward bees.
+            rec.reached = None
 
     # -- reporting --------------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .errors import ProtocolCorruptionError
+from .errors import InvalidPathError, ProtocolCorruptionError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee
 from .topology import Network, NodeId, PortDir
 
@@ -61,6 +61,7 @@ def handle_forward_bee(
     net: Network,
     hop_limit: int,
     convert_cap: int = 3,
+    reached: set | None = None,
 ) -> list:
     """Process one forward-bee delivery; returns its (port, packet) emissions.
 
@@ -69,6 +70,12 @@ def handle_forward_bee(
     flow is admitted once, killed at the hop budget, and otherwise re-broadcast
     on every non-local port except the arrival port whose outgoing link still
     fits the demand (Network.fitting_ports). Forward bees reserve nothing.
+
+    `reached`, when given, is the set of nodes the flow's bees have already
+    been sent to, its source included. A copy bound for such a node other
+    than the destination would arrive after the earlier one and be dropped
+    there, so it is not built: its emission is `(port, None)`. Every other
+    copy adds its far end to the set.
     """
     if state.id == bee.destination:
         count = state.dest_arrivals.get(bee.flow, 0)
@@ -85,11 +92,21 @@ def handle_forward_bee(
     state.seen.add(bee.flow)
     if bee.ports.length >= hop_limit:
         return []
-    return [
-        (port, bee.advanced(port, hop_limit))
-        for port in net.fitting_ports(state.id, bee.required_bandwidth)
-        if port is not arrival_port
-    ]
+    ports = net.fitting_ports(state.id, bee.required_bandwidth)
+    if reached is None:
+        return [(port, bee.advanced(port, hop_limit)) for port in ports if port is not arrival_port]
+    far_ends = net.far_ends(state.id)
+    emissions = []
+    for port in ports:
+        if port is arrival_port:
+            continue
+        far = far_ends[port]
+        if far in reached and far != bee.destination:
+            emissions.append((port, None))
+        else:
+            reached.add(far)
+            emissions.append((port, bee.advanced(port, hop_limit)))
+    return emissions
 
 
 def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir) -> list:
@@ -165,10 +182,11 @@ def handle_control(
     if pkt.next_index == pkt.route.length:
         return []
     port = pkt.route.entry(pkt.next_index)
-    if net.mesh.neighbor(state.id, port) is None:
-        raise ProtocolCorruptionError(f"control route of {pkt.flow} leaves the mesh at {state.id}")
     key = (pkt.flow, pkt.bee_index)
-    freed = net.release(state.id, port, key)
+    try:
+        freed = net.release(state.id, port, key)
+    except InvalidPathError:
+        raise ProtocolCorruptionError(f"control route of {pkt.flow} leaves the mesh at {state.id}") from None
     if freed == 0:
         logger.warning(
             "%s at %s found no reservation for %s bee %d on %s",

@@ -203,6 +203,14 @@ class Network:
         """The node the link leaving `node` through `port` leads to."""
         return self._far_end[self._index(node, port)]
 
+    def far_ends(self, node: NodeId) -> list[NodeId | None]:
+        """Far end of each link leaving `node`, indexed by port code; None
+        where the link would leave the mesh."""
+        base = self._base.get(node)
+        if base is None:
+            raise InvalidPathError(f"node {node} is outside the {self.mesh.width}x{self.mesh.height} mesh")
+        return self._far_end[base : base + 4]
+
     def free_wires(self, node: NodeId, port: PortDir) -> int:
         return self._free[self._index(node, port)]
 

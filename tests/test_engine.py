@@ -13,6 +13,7 @@ from beenoc import (
     FlowId,
     FlowSpec,
     ForwardBee,
+    InvariantViolationError,
     Mesh,
     NodeId,
     PortDir,
@@ -279,6 +280,47 @@ class TestMaxCycles:
         report = Simulator(cfg, [one_flow()]).run()
         assert report.flows[0].phase == "Failed"
         assert not report.stats.drained
+
+
+class TestElidedDuplicates:
+    """Untraced runs count duplicate forward-bee deliveries without scheduling them."""
+
+    def test_elided_tail_keeps_final_cycle_and_mean_utilisation(self):
+        # Flow a floods a 3x3 whose links into its destination are full, so
+        # its last wave, cut at max_cycles, brings only duplicates. Flow b
+        # holds a circuit from cycle 2, so mean utilisation depends on the
+        # final cycle.
+        a = one_flow(src=(0, 0), dst=(2, 2), bandwidth=1.0)
+        b = one_flow(src=(1, 0), dst=(2, 0), bandwidth=1.0)
+        reports = {}
+        for trace in (True, False):
+            sim = Simulator(base_config(mesh_width=3, mesh_height=3, max_cycles=4, trace=trace), [a, b])
+            for node, port in ((NodeId(1, 2), PortDir.EAST), (NodeId(2, 1), PortDir.NORTH)):
+                assert sim.network.reserve(node, port, ("background", 0), 8.0)
+            reports[trace] = sim.run()
+        traced, plain = reports[True], reports[False]
+        fields = [line.split("\t") for line in traced.trace]
+        earlier = {(f[2], f[3]) for f in fields if int(f[0]) < 4 and f[4] == "forward"}
+        last = [f for f in fields if int(f[0]) == 4]
+        assert last and all(f[4] == "forward" and (f[2], f[3]) in earlier for f in last)
+        assert plain.stats.final_cycle == traced.stats.final_cycle == 4
+        assert plain.stats == traced.stats
+        assert plain.summary == traced.summary
+        assert plain.summary.util_mean_east > 0
+
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_forward_cap_enforced_in_both_modes(self, trace):
+        sim = Simulator(base_config(trace=trace), [one_flow()])
+        sim._forward_cap = 5
+        with pytest.raises(InvariantViolationError, match="forward-bee event cap"):
+            sim.run()
+
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_settled_flows_drop_reached_nodes(self, trace):
+        cfg, workload = contended_run(3)
+        sim = Simulator(dataclasses.replace(cfg, trace=trace), workload)
+        sim.run()
+        assert all(rec.reached is None for rec in sim.records.values())
 
 
 class TestDiagnostics:

@@ -160,6 +160,33 @@ class TestForwardBee:
         assert net.total_held() == 0
         assert net.residual_snapshot() == before
 
+    def test_copies_to_reached_nodes_are_elided(self):
+        # center of an idle 3x3, bee from the west; (1,0) and (1,2) were
+        # already sent a bee of the flow, (2,1) is its destination
+        mesh, net, states = make_net()
+        flow = FlowId(NodeId(0, 1), 0)
+        reached = {NodeId(0, 1), NodeId(1, 0), NodeId(1, 2), NodeId(2, 1)}
+        bee = make_bee(flow, NodeId(2, 1), [E])
+        emissions = handle_forward_bee(states[NodeId(1, 1)], bee, W, net, hop_limit=8, reached=reached)
+        assert [port for port, _ in emissions] == [S, E, N]
+        assert emissions[0][1] is None and emissions[2][1] is None
+        assert list(emissions[1][1].ports) == [E, E]  # the destination always gets its copy
+        assert flow in states[NodeId(1, 1)].seen
+
+    def test_new_far_ends_join_reached(self):
+        mesh, net, states = make_net()
+        flow = FlowId(NodeId(0, 0), 0)
+        reached = {NodeId(0, 0)}
+        bee = make_bee(flow, NodeId(2, 2))
+        emissions = handle_forward_bee(states[NodeId(0, 0)], bee, LOCAL, net, hop_limit=6, reached=reached)
+        assert all(packet is not None for _, packet in emissions)
+        assert reached == {NodeId(0, 0), NodeId(1, 0), NodeId(0, 1)}
+        # (1,1) is reached through (1,0) first; the copy from (0,1) is elided
+        from_east = handle_forward_bee(states[NodeId(1, 0)], emissions[0][1], W, net, hop_limit=6, reached=reached)
+        from_north = handle_forward_bee(states[NodeId(0, 1)], emissions[1][1], S, net, hop_limit=6, reached=reached)
+        assert [(port, packet is None) for port, packet in from_east] == [(E, False), (N, False)]
+        assert [(port, packet is None) for port, packet in from_north] == [(E, True), (N, False)]
+
 
 class TestBackwardBee:
     def test_single_hop_accepted(self):
@@ -270,6 +297,13 @@ class TestControl:
         before = net.residual_snapshot()
         assert handle_control(states[NodeId(1, 1)], pkt, E, net) == []
         assert net.residual_snapshot() == before
+
+    def test_route_leaving_the_mesh_is_corruption(self):
+        mesh, net, states = make_net()
+        flow = FlowId(NodeId(0, 0), 3)
+        pkt = ControlPacket(ControlKind.RELEASE, flow, 0, PortList.from_ports([W]), 0)
+        with pytest.raises(ProtocolCorruptionError, match="control route of 0,0:3 leaves the mesh at 0,0"):
+            handle_control(states[NodeId(0, 0)], pkt, E, net)
 
     def test_double_teardown_warns_but_survives(self, caplog):
         mesh, net, states = make_net()

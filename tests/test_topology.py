@@ -213,6 +213,8 @@ class TestLinkAddressing:
         for node in (NodeId(3, 0), NodeId(-1, 0), NodeId(0, -1)):
             with pytest.raises(InvalidPathError):
                 net.fitting_ports(node, 1.0)
+            with pytest.raises(InvalidPathError):
+                net.far_ends(node)
 
     def test_fitting_ports_skips_missing_and_full_links(self):
         net = Network(Mesh(3, 3), 8, 1.0)
@@ -225,3 +227,5 @@ class TestLinkAddressing:
         net = Network(Mesh(4, 3), 8, 1.0)
         for node, port in net.links:
             assert net.far_end(node, port) == net.mesh.neighbor(node, port)
+        for node in net.mesh.nodes():
+            assert net.far_ends(node) == [net.mesh.neighbor(node, port) for port in NON_LOCAL_PORTS]
