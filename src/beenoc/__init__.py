@@ -47,6 +47,7 @@ from .router import (
     BackwardOutcome,
     FlowTableEntry,
     NodeState,
+    flood_links,
     handle_backward_bee,
     handle_control,
     handle_forward_bee,

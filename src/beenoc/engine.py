@@ -6,14 +6,16 @@ packet, and the flow lifecycle. A flow is SettingUp from its arrival through
 discovery and reservation until its first backward bee reaches the source
 (Established) or its setup timeout fires (Failed); an established flow is
 TornDown when its hold time ends. Every router handler returns a list of
-(port, packet) emissions, which the engine transits in order.
+(port, packet) emissions, which the engine transits in order, except that
+away from its destination a forward bee's links come from `router.flood_links`
+and the engine appends each copy straight to the bucket of cycle clock + t_hop.
 
 Untraced runs do not schedule the forward-bee deliveries the receiver would
 drop as duplicates. Every hop takes the same t_hop and each cycle's events
 come out in scheduling order, so a flow's bees reach a node in the order
 they were sent: once a bee of the flow has been sent to a node, a later copy
 bound there (the destination aside) finds the flow seen or settled and does
-nothing. The router reports such a copy as a `(port, None)` emission, and
+nothing. The router reports such a copy as a `(port, None)` link, and
 the engine counts its delivery (events_processed, forward_deliveries, the
 flow's count and its 4|V| cap) when it is emitted. A delivery that would
 fall after max_cycles is scheduled as usual, and at the end of the run the
@@ -30,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 from . import metrics, router
 from .config import RunConfig
@@ -79,27 +81,14 @@ class FlowSpec:
         return self.flow.source
 
 
-class Event(NamedTuple):
-    """Simulator occurrence; the queue keeps the cycle it is due at.
-
-    `handler` is chosen when the event is scheduled and is called with the
-    simulator and the other three fields. A packet delivery carries the
-    packet and the port it arrives on; a flow's arrival, completion and
-    setup timeout carry its `FlowRecord` and no port.
-    """
-
-    handler: Callable[["Simulator", NodeId, object, PortDir | None], None]
-    node: NodeId
-    payload: object
-    arrival_port: PortDir | None = None
-
-
 @dataclass(slots=True)
 class FlowRecord:
     """Mutable per-flow lifecycle state kept by the engine."""
 
     spec: FlowSpec
     hop_limit: int
+    # Wires the flow's demand takes on each link, Network.wires_for of it.
+    wires: int
     phase: FlowPhase = FlowPhase.SETTING_UP
     setup_latency: int | None = None
     winner_route: PortList | None = None
@@ -129,7 +118,9 @@ class CalendarQueue:
 
     A dict maps each pending cycle to a FIFO list of its events, and a heap
     holds the distinct pending cycles. Events come out in (cycle, push
-    order), the order of a heap keyed by (time, sequence number).
+    order), the order of a heap keyed by (time, sequence number). The
+    simulator queues (handler, node, payload, arrival_port) tuples; a flow's
+    arrival, completion and setup timeout carry its `FlowRecord` and no port.
     """
 
     __slots__ = ("_buckets", "_cycles")
@@ -142,12 +133,17 @@ class CalendarQueue:
         return bool(self._cycles)
 
     def push(self, time: int, item) -> None:
+        self.bucket(time).append(item)
+
+    def bucket(self, time: int) -> list:
+        """The list of events pending at `time`; appending to it pushes. A new
+        cycle is scheduled at once, so ask only when an event will be appended:
+        an empty bucket would still move the clock when it comes out."""
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = [item]
+            bucket = self._buckets[time] = []
             heapq.heappush(self._cycles, time)
-        else:
-            bucket.append(item)
+        return bucket
 
     def next_time(self) -> int:
         """The earliest pending cycle."""
@@ -205,9 +201,9 @@ class Simulator:
         if spec.flow in self.records:
             raise ConfigError(f"duplicate flow id {spec.flow}")
         hop_limit = self.mesh.hop_limit(spec.source, spec.destination, self.config.hop_limit_metric)
-        rec = FlowRecord(spec=spec, hop_limit=hop_limit)
+        rec = FlowRecord(spec=spec, hop_limit=hop_limit, wires=self.network.wires_for(spec.required_bandwidth))
         self.records[spec.flow] = rec
-        self.queue.push(spec.arrival_time, Event(Simulator._on_flow_arrival, spec.source, rec))
+        self.queue.push(spec.arrival_time, (Simulator._on_flow_arrival, spec.source, rec, None))
 
     # -- scheduling -------------------------------------------------------
 
@@ -219,8 +215,7 @@ class Simulator:
         except InvalidPathError:
             raise InvariantViolationError(f"transit from {origin} through {port.name} leaves the mesh") from None
         self.queue.push(
-            self.clock + self.config.t_hop,
-            Event(_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port]),
+            self.clock + self.config.t_hop, (_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port])
         )
 
     # -- main loop --------------------------------------------------------
@@ -247,7 +242,6 @@ class Simulator:
                 handler, node, payload, port = ev
                 try:
                     handler(self, node, payload, port)
-                    self.network.drain_dirty()
                 except InvariantViolationError as exc:
                     raise type(exc)(f"event {self._events_processed}: {exc}") from exc
                 self._events_processed += 1
@@ -260,11 +254,8 @@ class Simulator:
                 if rec.phase is FlowPhase.SETTING_UP:
                     self._set_phase(rec, FlowPhase.FAILED)
         final_held = self.network.total_held() - initial_held
-        expected = sum(
-            rec.path_length * self.network.wires_for(rec.spec.required_bandwidth)
-            for rec in self.records.values()
-            if rec.phase is FlowPhase.ESTABLISHED
-        )
+        established = (rec for rec in self.records.values() if rec.phase is FlowPhase.ESTABLISHED)
+        expected = sum(rec.path_length * rec.wires for rec in established)
         if not truncated and final_held != expected:
             raise InvariantViolationError(
                 f"conservation: {final_held} wires still held after drain, expected {expected}"
@@ -295,43 +286,51 @@ class Simulator:
     def _on_flow_arrival(self, source: NodeId, rec: FlowRecord, _port: None) -> None:
         spec = rec.spec
         timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self.config.t_hop)
-        self.queue.push(self.clock + timeout, Event(Simulator._on_setup_timeout, source, rec))
+        self.queue.push(self.clock + timeout, (Simulator._on_setup_timeout, source, rec, None))
         rec.reached = {source}
         bee = ForwardBee(
             flow=spec.flow, destination=spec.destination, required_bandwidth=spec.required_bandwidth, ports=PortList()
         )
-        self._flood(source, rec, bee, PortDir.LOCAL)
+        self._flood(source, rec, bee, PortDir.LOCAL, 0)
 
     def _on_forward(self, node: NodeId, bee: ForwardBee, arrival_port: PortDir) -> None:
         rec = self.records[bee.flow]
-        self._count_forward(rec, 1)
-        if rec.phase not in _SETTLED:
-            self._flood(node, rec, bee, arrival_port)
+        if rec.phase in _SETTLED:
+            self._count_forward(rec, 1)
+        else:
+            self._flood(node, rec, bee, arrival_port, 1)
 
-    def _flood(self, node: NodeId, rec: FlowRecord, bee: ForwardBee, arrival_port: PortDir) -> None:
-        """Hand a forward bee to `node`'s router and transit what it sends.
+    def _flood(self, node: NodeId, rec: FlowRecord, bee: ForwardBee, arrival_port: PortDir, delivered: int) -> None:
+        """Send a forward bee on from `node`, where it was `delivered` (1) or
+        its flow arrived (0); that delivery is counted with the elided copies.
 
-        Copies the router elided are counted as delivered one t_hop from now.
+        At the destination the engine transits what the router emits.
+        Elsewhere each link `router.flood_links` picks gets a copy in the
+        bucket of cycle clock + t_hop, or is elided and counted as delivered.
         """
-        emissions = router.handle_forward_bee(
-            self.nodes[node],
-            bee,
-            arrival_port,
-            self.network,
-            rec.hop_limit,
-            self.config.backward_bee_count,
-            rec.reached if self.clock <= self._elide_through else None,
-        )
-        elided = 0
-        for port, packet in emissions:
-            if packet is None:
-                elided += 1
-            else:
+        if node == bee.destination:
+            self._count_forward(rec, delivered)
+            emissions = router.handle_forward_bee(
+                self.nodes[node], bee, arrival_port, self.network, rec.hop_limit, self.config.backward_bee_count
+            )
+            for port, packet in emissions:
                 self.transit(node, port, packet)
+            return
+        reached = rec.reached if self.clock <= self._elide_through else None
+        links = router.flood_links(self.nodes[node], bee, arrival_port, self.network, rec.hop_limit, rec.wires, reached)
+        bucket = None
+        elided = 0
+        for port, far in links:
+            if far is None:
+                elided += 1
+                continue
+            if bucket is None:
+                bucket = self.queue.bucket(self.clock + self.config.t_hop)
+            bucket.append((Simulator._on_forward, far, bee.advanced(port, rec.hop_limit), OPPOSITE[port]))
         if elided:
             self._events_processed += elided
             self._elided_until = self.clock + self.config.t_hop
-            self._count_forward(rec, elided)
+        self._count_forward(rec, delivered + elided)
 
     def _count_forward(self, rec: FlowRecord, deliveries: int) -> None:
         self._forward_deliveries += deliveries
@@ -350,6 +349,7 @@ class Simulator:
                 self.transit(node, port, packet)
             return
         outcome = router.handle_backward_bee(self.nodes[node], bee, arrival_port, self.network)
+        self.network.drain_dirty()
         self._track_peak_util()
         if outcome.kind == "accepted":
             self._establish(rec, bee)
@@ -360,13 +360,14 @@ class Simulator:
         self._control_deliveries += 1
         for port, packet in router.handle_control(self.nodes[node], pkt, arrival_port, self.network):
             self.transit(node, port, packet)
+        self.network.drain_dirty()
 
     def _establish(self, rec: FlowRecord, bee: BackwardBee) -> None:
         self._set_phase(rec, FlowPhase.ESTABLISHED)
         rec.setup_latency = self.clock - rec.spec.arrival_time
         rec.winner_route = bee.route
         rec.winner_index = bee.bee_index
-        self.queue.push(self.clock + rec.spec.hold_time, Event(Simulator._on_flow_complete, rec.spec.source, rec))
+        self.queue.push(self.clock + rec.spec.hold_time, (Simulator._on_flow_complete, rec.spec.source, rec, None))
 
     def _on_flow_complete(self, source: NodeId, rec: FlowRecord, _port: None) -> None:
         if rec.phase is not FlowPhase.ESTABLISHED:
@@ -380,6 +381,7 @@ class Simulator:
         # forward path releasing every circuit link.
         for port, packet in router.handle_control(self.nodes[source], teardown, PortDir.LOCAL, self.network):
             self.transit(source, port, packet)
+        self.network.drain_dirty()
 
     def _on_setup_timeout(self, _source: NodeId, rec: FlowRecord, _port: None) -> None:
         if rec.phase is FlowPhase.SETTING_UP:
@@ -397,7 +399,7 @@ class Simulator:
 
     # -- reporting --------------------------------------------------------
 
-    def _trace_line(self, ev: Event) -> str:
+    def _trace_line(self, ev: tuple) -> str:
         handler, node, payload, port = ev
         if port is None:
             return f"{self.clock}\t{_LIFECYCLE_NAMES[handler]}\t{node}\t{payload.spec.flow}\t-\t-\t-"

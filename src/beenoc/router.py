@@ -66,16 +66,9 @@ def handle_forward_bee(
     """Process one forward-bee delivery; returns its (port, packet) emissions.
 
     At the destination the earliest `convert_cap` bees (cap 3) become backward
-    bees; the destination is exempt from duplicate suppression. Elsewhere a
-    flow is admitted once, killed at the hop budget, and otherwise re-broadcast
-    on every non-local port except the arrival port whose outgoing link still
-    fits the demand (Network.fitting_ports). Forward bees reserve nothing.
-
-    `reached`, when given, is the set of nodes the flow's bees have already
-    been sent to, its source included. A copy bound for such a node other
-    than the destination would arrive after the earlier one and be dropped
-    there, so it is not built: its emission is `(port, None)`. Every other
-    copy adds its far end to the set.
+    bees; the destination is exempt from duplicate suppression. Elsewhere the
+    bee is re-broadcast on the links flood_links() picks, and a copy it elides
+    is the emission `(port, None)`. Forward bees reserve nothing.
     """
     if state.id == bee.destination:
         count = state.dest_arrivals.get(bee.flow, 0)
@@ -87,26 +80,51 @@ def handle_forward_bee(
             flow=bee.flow, bee_index=count, route=route, next_index=1, required_bandwidth=bee.required_bandwidth
         )
         return [(route.entry(0), back)]
+    wires = net.wires_for(bee.required_bandwidth)
+    return [
+        (port, None if far is None else bee.advanced(port, hop_limit))
+        for port, far in flood_links(state, bee, arrival_port, net, hop_limit, wires, reached)
+    ]
+
+
+def flood_links(
+    state: NodeState,
+    bee: ForwardBee,
+    arrival_port: PortDir,
+    net: Network,
+    hop_limit: int,
+    wires: int,
+    reached: set | None = None,
+) -> list:
+    """The flood rule away from the bee's destination: the (port, far end)
+    links the bee is copied onto. None if the node has seen the flow or the
+    bee has used its hop budget; else, in port-code order, every link but the
+    arrival port's with `wires` wires free (Network.fitting_links).
+
+    `reached`, when given, is the set of nodes the flow's bees have already
+    been sent to, its source included. A copy bound for such a node other
+    than the destination would arrive after the earlier one and be dropped
+    there, so it is elided: its pair is `(port, None)`. Every other copy
+    adds its far end to the set.
+    """
     if bee.flow in state.seen:
         return []
     state.seen.add(bee.flow)
     if bee.ports.length >= hop_limit:
         return []
-    ports = net.fitting_ports(state.id, bee.required_bandwidth)
+    links = net.fitting_links(state.id, wires)
     if reached is None:
-        return [(port, bee.advanced(port, hop_limit)) for port in ports if port is not arrival_port]
-    far_ends = net.far_ends(state.id)
-    emissions = []
-    for port in ports:
+        return [link for link in links if link[0] is not arrival_port]
+    out = []
+    for port, far in links:
         if port is arrival_port:
             continue
-        far = far_ends[port]
         if far in reached and far != bee.destination:
-            emissions.append((port, None))
+            out.append((port, None))
         else:
             reached.add(far)
-            emissions.append((port, bee.advanced(port, hop_limit)))
-    return emissions
+            out.append((port, far))
+    return out
 
 
 def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir) -> list:

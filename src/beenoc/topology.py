@@ -136,7 +136,7 @@ class Network:
     directed links, each with its own pool of `wire_count` wires. A link's
     state is a dict mapping each owner, a (flow, bee index) key, to the wires
     it holds, plus a count of its free wires; only this class reads or writes
-    them. Admission goes through fits()/fitting_ports() and mutation through
+    them. Admission goes through fits()/fitting_links() and mutation through
     reserve()/release(), so the wire arithmetic, the per-direction totals and
     the wire-count bound live in one place.
 
@@ -203,14 +203,6 @@ class Network:
         """The node the link leaving `node` through `port` leads to."""
         return self._far_end[self._index(node, port)]
 
-    def far_ends(self, node: NodeId) -> list[NodeId | None]:
-        """Far end of each link leaving `node`, indexed by port code; None
-        where the link would leave the mesh."""
-        base = self._base.get(node)
-        if base is None:
-            raise InvalidPathError(f"node {node} is outside the {self.mesh.width}x{self.mesh.height} mesh")
-        return self._far_end[base : base + 4]
-
     def free_wires(self, node: NodeId, port: PortDir) -> int:
         return self._free[self._index(node, port)]
 
@@ -234,15 +226,16 @@ class Network:
         """
         return self.free_wires(node, port) >= self.wires_for(bandwidth)
 
-    def fitting_ports(self, node: NodeId, bandwidth: float) -> list[PortDir]:
-        """Ports of `node`, in code order, whose outgoing link exists and fits
-        `bandwidth` by the admission rule of fits()."""
+    def fitting_links(self, node: NodeId, wires: int) -> list[tuple[PortDir, NodeId]]:
+        """(port, far end) of each link leaving `node`, in port-code order,
+        that has at least `wires` wires free: the admission rule of fits()
+        for a demand of `wires` wires, applied to all of a node's links."""
         base = self._base.get(node)
         if base is None:
             raise InvalidPathError(f"node {node} is outside the {self.mesh.width}x{self.mesh.height} mesh")
-        need = self.wires_for(bandwidth)
         free = self._free
-        return [port for port in NON_LOCAL_PORTS if free[base + port] >= need]
+        far_end = self._far_end
+        return [(port, far_end[base + port]) for port in NON_LOCAL_PORTS if free[base + port] >= wires]
 
     def reserve(self, node: NodeId, port: PortDir, key, bandwidth: float) -> bool:
         """Try to reserve wires for `key` on the link leaving `node` via `port`.
@@ -280,8 +273,8 @@ class Network:
         A touched link must hold between 0 and wire_count wires, summed from
         its reservations, and that sum plus its free-wire count must be
         wire_count. Only a touched link can have broken either, so calling
-        this after every event checks the whole network at the cost of the
-        event's links.
+        this after every reserve() or release() checks the whole network at
+        the cost of the links they touched.
         """
         if not self._dirty:
             return

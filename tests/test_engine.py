@@ -111,19 +111,57 @@ class TestTransit:
         sim = Simulator(base_config(t_hop=1), [])
         sim.clock = 5
         sim.transit(NodeId(1, 1), PortDir.EAST, self.packet())
-        time, (ev,) = sim.queue.pop_cycle()
+        time, ((_, node, _, arrival_port),) = sim.queue.pop_cycle()
         assert time == 6
-        assert ev.node == NodeId(2, 1)
-        assert ev.arrival_port is PortDir.WEST
+        assert node == NodeId(2, 1)
+        assert arrival_port is PortDir.WEST
 
     def test_same_cycle_fifo_by_seq(self):
         sim = Simulator(base_config(), [])
         sim.transit(NodeId(1, 1), PortDir.EAST, self.packet())
         sim.transit(NodeId(1, 1), PortDir.NORTH, self.packet())
-        _, (first, second) = sim.queue.pop_cycle()
-        assert first.node == NodeId(2, 1)
-        assert second.node == NodeId(1, 2)
+        _, ((_, first, _, _), (_, second, _, _)) = sim.queue.pop_cycle()
+        assert first == NodeId(2, 1)
+        assert second == NodeId(1, 2)
         assert not sim.queue
+
+
+def deliver(sim, event):
+    """Run one queued (handler, node, payload, arrival_port) event."""
+    handler, node, payload, arrival_port = event
+    handler(sim, node, payload, arrival_port)
+
+
+class TestFloodScheduling:
+    def test_copies_queued_one_hop_later_in_port_order(self):
+        # traced, so no copy is elided; the source (0,1) sends to (0,0),
+        # (1,1) and (0,2), and the bee at (1,1) goes on to every other link
+        sim = Simulator(base_config(t_hop=2, trace=True), [one_flow(src=(0, 1), dst=(3, 3))])
+        _, (arrival,) = sim.queue.pop_cycle()
+        deliver(sim, arrival)
+        sim.clock, (_, center, _) = sim.queue.pop_cycle()
+        deliver(sim, center)
+        time, copies = sim.queue.pop_cycle()
+        assert time == 4
+        assert [(node, port, list(bee.ports)) for _, node, bee, port in copies] == [
+            (NodeId(1, 0), PortDir.NORTH, [PortDir.EAST, PortDir.SOUTH]),
+            (NodeId(2, 1), PortDir.WEST, [PortDir.EAST, PortDir.EAST]),
+            (NodeId(1, 2), PortDir.SOUTH, [PortDir.EAST, PortDir.NORTH]),
+        ]
+
+    def test_all_elided_fanout_queues_nothing(self):
+        # 3x2 mesh, flow (0,0) -> (2,1): the bee at (1,0) is sent on to
+        # (1,1), so the one copy the bee at (0,1) could send, also to (1,1),
+        # is elided and must not leave an empty cycle behind
+        sim = Simulator(base_config(mesh_width=3, mesh_height=2, t_hop=2), [one_flow(src=(0, 0), dst=(2, 1))])
+        _, (arrival,) = sim.queue.pop_cycle()
+        deliver(sim, arrival)
+        sim.clock, (east, north) = sim.queue.pop_cycle()
+        deliver(sim, east)
+        assert sim.queue.pop_cycle()[0] == 4  # the copies sent from (1,0)
+        deliver(sim, north)
+        assert sim.queue.next_time() > 4
+        assert sim.records[FlowId(NodeId(0, 0), 0)].forward_deliveries == 3
 
 
 class TestCalendarQueue:
@@ -196,7 +234,7 @@ class TestUtilisationPeak:
         peaks = [0.0] * 4
         drain = net.drain_dirty
 
-        def drain_and_sample():  # the engine drains once after every event
+        def drain_and_sample():  # the engine drains after every event that writes links
             drain()
             for port in range(4):
                 peaks[port] = max(peaks[port], net.held_by_class[port] / net.wires_by_class[port])

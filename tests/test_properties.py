@@ -4,7 +4,8 @@ Each drawn config is run twice from scratch. The outputs must be
 byte-identical, every flow must end settled, and every established circuit
 must be a real source-to-destination path within the flow's hop budget.
 An untraced run, which does not schedule duplicate forward-bee deliveries,
-must report what the traced run of the same config reports.
+must report what the traced run of the same config reports, on generated
+traffic as well as on a few flows drawn one by one.
 """
 
 import dataclasses
@@ -40,8 +41,10 @@ configs = st.builds(
     hop_limit_metric=st.sampled_from(["euclidean", "manhattan"]),
     backward_bee_count=st.integers(1, 3),
     trace=st.just(True),
-    traffic_rate=st.sampled_from([0.01, 0.05, 0.1]),
-    traffic_duration=st.integers(1, 40),
+    # Drawn from short lists rather than ranges, whose small end hypothesis
+    # favours: most runs then offer several flows that overlap in time.
+    traffic_rate=st.sampled_from([0.05, 0.1, 0.2]),
+    traffic_duration=st.sampled_from([10, 20, 30]),
     bandwidth_values=st.just((0.5, 1.0, 2.0)),
     bandwidth_weights=st.just((1.0, 1.0, 1.0)),
     hold_time_dist=st.sampled_from(["fixed", "geometric"]),
@@ -83,10 +86,12 @@ def test_random_configs_are_deterministic_and_settle(cfg):
 
 @st.composite
 def walled_runs(draw):
-    """A config cut at a drawn max_cycles, a few flows, and a set of their
-    destinations whose incoming links are full before the run. A flood that
-    cannot reach its destination ends in a wave of duplicates, which an
-    untraced run does not schedule."""
+    """A config cut at a drawn max_cycles, its flows, and a set of their
+    destinations whose incoming links are full before the run. The flows are
+    either the config's generated traffic, which contends for wires in most
+    draws, or up to four drawn one by one. A flood that cannot reach its
+    destination ends in a wave of duplicates, which an untraced run does not
+    schedule."""
     cfg = draw(configs)
     cfg = dataclasses.replace(
         cfg,
@@ -94,17 +99,25 @@ def walled_runs(draw):
         mesh_height=draw(st.integers(3, 5)),
         max_cycles=draw(st.one_of(st.integers(1, 60), st.just(RunConfig.max_cycles))),
     )
-    nodes = list(Mesh(cfg.mesh_width, cfg.mesh_height).nodes())
-    ends = st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True)
-    workload = []
-    for seq, (source, destination) in enumerate(draw(st.lists(ends, min_size=1, max_size=4))):
-        flow = FlowId(source, seq)
-        workload.append(
-            FlowSpec(
-                flow, destination, draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.integers(0, 20)), draw(st.integers(1, 20))
+    mesh = Mesh(cfg.mesh_width, cfg.mesh_height)
+    if draw(st.booleans()):
+        workload = generate_traffic(mesh, traffic_params_from_config(cfg), make_rng(cfg.seed))
+    else:
+        ends = st.lists(st.sampled_from(list(mesh.nodes())), min_size=2, max_size=2, unique=True)
+        workload = []
+        for seq, (source, destination) in enumerate(draw(st.lists(ends, min_size=1, max_size=4))):
+            flow = FlowId(source, seq)
+            workload.append(
+                FlowSpec(
+                    flow,
+                    destination,
+                    draw(st.sampled_from([0.5, 1.0, 2.0])),
+                    draw(st.integers(0, 20)),
+                    draw(st.integers(1, 20)),
+                )
             )
-        )
-    walled = draw(st.sets(st.sampled_from([spec.destination for spec in workload]), min_size=1))
+    destinations = sorted({spec.destination for spec in workload})
+    walled = draw(st.sets(st.sampled_from(destinations), min_size=1, max_size=3)) if destinations else set()
     return cfg, workload, walled
 
 

@@ -15,6 +15,7 @@ from beenoc import (
     PortDir,
     PortList,
     ProtocolCorruptionError,
+    flood_links,
     handle_backward_bee,
     handle_control,
     handle_forward_bee,
@@ -186,6 +187,22 @@ class TestForwardBee:
         from_north = handle_forward_bee(states[NodeId(0, 1)], emissions[1][1], S, net, hop_limit=6, reached=reached)
         assert [(port, packet is None) for port, packet in from_east] == [(E, False), (N, False)]
         assert [(port, packet is None) for port, packet in from_north] == [(E, True), (N, False)]
+
+
+    def test_flood_links_pair_ports_with_far_ends(self):
+        # center of a 3x3 whose north link is full for a 2-wire demand
+        mesh, net, states = make_net(wire_count=4)
+        assert net.reserve(NodeId(1, 1), N, ("bg", 0), 3.0)
+        flow = FlowId(NodeId(0, 1), 0)
+        bee = make_bee(flow, NodeId(2, 2), [E], bandwidth=2.0)
+        links = flood_links(states[NodeId(1, 1)], bee, W, net, hop_limit=8, wires=2)
+        assert links == [(S, NodeId(1, 0)), (E, NodeId(2, 1))]
+        assert flood_links(states[NodeId(1, 1)], bee, S, net, hop_limit=8, wires=2) == []  # already seen
+        # the router's packets are these links mapped through ForwardBee.advanced
+        emissions = handle_forward_bee(states[NodeId(1, 0)], bee, N, net, hop_limit=8)
+        fresh = NodeState(NodeId(1, 0))
+        assert emissions == [(port, bee.advanced(port, 8)) for port, _ in flood_links(fresh, bee, N, net, 8, 2)]
+        assert [port for port, _ in emissions] == [W, E]
 
 
 class TestBackwardBee:

@@ -208,24 +208,24 @@ class TestLinkAddressing:
             self.QUERIES[query](net, node, port)
         assert net.total_held() == 0
 
-    def test_fitting_ports_rejects_node_outside_mesh(self):
+    def test_fitting_links_rejects_node_outside_mesh(self):
         net = Network(Mesh(3, 3), 8, 1.0)
         for node in (NodeId(3, 0), NodeId(-1, 0), NodeId(0, -1)):
             with pytest.raises(InvalidPathError):
-                net.fitting_ports(node, 1.0)
-            with pytest.raises(InvalidPathError):
-                net.far_ends(node)
+                net.fitting_links(node, 1)
 
-    def test_fitting_ports_skips_missing_and_full_links(self):
+    def test_fitting_links_skips_missing_and_full_links(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        assert net.fitting_ports(NodeId(0, 0), 1.0) == [PortDir.EAST, PortDir.NORTH]
+        assert [port for port, _ in net.fitting_links(NodeId(0, 0), 1)] == [PortDir.EAST, PortDir.NORTH]
         assert net.reserve(NodeId(1, 1), PortDir.WEST, ("bg", 0), 6.0)
-        assert net.fitting_ports(NodeId(1, 1), 2.0) == list(NON_LOCAL_PORTS)
-        assert net.fitting_ports(NodeId(1, 1), 3.0) == [PortDir.SOUTH, PortDir.EAST, PortDir.NORTH]
+        assert [port for port, _ in net.fitting_links(NodeId(1, 1), 2)] == list(NON_LOCAL_PORTS)
+        assert [port for port, _ in net.fitting_links(NodeId(1, 1), 3)] == [PortDir.SOUTH, PortDir.EAST, PortDir.NORTH]
+        assert net.fitting_links(NodeId(1, 1), 9) == []
 
     def test_far_end_matches_mesh_neighbor(self):
         net = Network(Mesh(4, 3), 8, 1.0)
         for node, port in net.links:
             assert net.far_end(node, port) == net.mesh.neighbor(node, port)
         for node in net.mesh.nodes():
-            assert net.far_ends(node) == [net.mesh.neighbor(node, port) for port in NON_LOCAL_PORTS]
+            expected = [(port, net.mesh.neighbor(node, port)) for port in NON_LOCAL_PORTS]
+            assert net.fitting_links(node, 8) == [(port, far) for port, far in expected if far is not None]
