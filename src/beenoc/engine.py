@@ -6,15 +6,20 @@ packet, and the flow lifecycle. A flow is SettingUp from its arrival through
 discovery and reservation until its first backward bee reaches the source
 (Established) or its setup timeout fires (Failed); an established flow is
 TornDown when its hold time ends. Every router handler returns a list of
-(port, packet) emissions, which the engine transits in order, except that
-away from its destination a forward bee's links come from `router.flood_links`
-and the engine appends each copy straight to the bucket of cycle clock + t_hop.
+(port, packet) emissions, which the engine transits in order.
 
-Untraced runs do not schedule the forward-bee deliveries the receiver would
-drop as duplicates. Every hop takes the same t_hop and each cycle's events
-come out in scheduling order, so a flow's bees reach a node in the order
-they were sent: once a bee of the flow has been sent to a node, a later copy
-bound there (the destination aside) finds the flow seen or settled and does
+The flood builds no packet per hop. Every hop takes the same t_hop and each
+cycle's events come out in scheduling order, so a flow's forward copies
+reach a node in the order they were sent, and a copy's hop count is
+(clock - arrival_time) // t_hop. A queued copy carries only its flow's
+record, over whose first-copy tree `router.flood_links` applies the flood
+rule; each copy goes straight into the bucket of cycle clock + t_hop. At the
+destination the engine rebuilds the bee's port list from the tree for
+`router.handle_forward_bee`.
+
+Untraced runs do not schedule the forward copies the receiver would drop as
+duplicates: once a copy has been sent to a node, a later one bound there
+(the destination aside) finds it a duplicate or the flow settled and does
 nothing. The router reports such a copy as a `(port, None)` link, and
 the engine counts its delivery (events_processed, forward_deliveries, the
 flow's count and its 4|V| cap) when it is emitted. A delivery that would
@@ -35,7 +40,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import metrics, router
-from .config import RunConfig
+from .config import RunConfig, validate_config
 from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee, PortList
 from .router import NodeState
@@ -94,9 +99,10 @@ class FlowRecord:
     winner_route: PortList | None = None
     winner_index: int | None = None
     forward_deliveries: int = 0
-    # Nodes the flow's forward bees have been sent to, its source included;
+    # First-copy tree: each node a forward copy was sent to, the destination
+    # aside, to the port the first copy arrives on, and the source to LOCAL;
     # set when the flow arrives and dropped when it settles.
-    reached: set | None = None
+    tree: dict | None = None
 
     @property
     def path_length(self) -> int | None:
@@ -119,8 +125,9 @@ class CalendarQueue:
     A dict maps each pending cycle to a FIFO list of its events, and a heap
     holds the distinct pending cycles. Events come out in (cycle, push
     order), the order of a heap keyed by (time, sequence number). The
-    simulator queues (handler, node, payload, arrival_port) tuples; a flow's
-    arrival, completion and setup timeout carry its `FlowRecord` and no port.
+    simulator queues (handler, node, payload, arrival_port) tuples; a forward
+    copy carries its flow's `FlowRecord`, and so do a flow's arrival,
+    completion and setup timeout, with no port.
     """
 
     __slots__ = ("_buckets", "_cycles")
@@ -169,6 +176,7 @@ class Simulator:
     """
 
     def __init__(self, config: RunConfig, workload: Sequence[FlowSpec]):
+        validate_config(config)
         self.config = config
         self.mesh = Mesh(config.mesh_width, config.mesh_height)
         self.network = Network(self.mesh, config.wire_count, config.wire_bandwidth)
@@ -284,40 +292,33 @@ class Simulator:
     # -- event handlers ---------------------------------------------------
 
     def _on_flow_arrival(self, source: NodeId, rec: FlowRecord, _port: None) -> None:
-        spec = rec.spec
         timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self.config.t_hop)
         self.queue.push(self.clock + timeout, (Simulator._on_setup_timeout, source, rec, None))
-        rec.reached = {source}
-        bee = ForwardBee(
-            flow=spec.flow, destination=spec.destination, required_bandwidth=spec.required_bandwidth, ports=PortList()
-        )
-        self._flood(source, rec, bee, PortDir.LOCAL, 0)
+        rec.tree = {source: PortDir.LOCAL}
+        self._flood(source, rec, PortDir.LOCAL, 0)
 
-    def _on_forward(self, node: NodeId, bee: ForwardBee, arrival_port: PortDir) -> None:
-        rec = self.records[bee.flow]
+    def _on_forward(self, node: NodeId, rec: FlowRecord, arrival_port: PortDir) -> None:
         if rec.phase in _SETTLED:
             self._count_forward(rec, 1)
-        else:
-            self._flood(node, rec, bee, arrival_port, 1)
-
-    def _flood(self, node: NodeId, rec: FlowRecord, bee: ForwardBee, arrival_port: PortDir, delivered: int) -> None:
-        """Send a forward bee on from `node`, where it was `delivered` (1) or
-        its flow arrived (0); that delivery is counted with the elided copies.
-
-        At the destination the engine transits what the router emits.
-        Elsewhere each link `router.flood_links` picks gets a copy in the
-        bucket of cycle clock + t_hop, or is elided and counted as delivered.
-        """
-        if node == bee.destination:
-            self._count_forward(rec, delivered)
-            emissions = router.handle_forward_bee(
-                self.nodes[node], bee, arrival_port, self.network, rec.hop_limit, self.config.backward_bee_count
-            )
-            for port, packet in emissions:
+        elif node == rec.spec.destination:
+            self._count_forward(rec, 1)
+            for port, packet in router.handle_forward_bee(
+                self.nodes[node], self._arrived_bee(node, rec, arrival_port), self.config.backward_bee_count
+            ):
                 self.transit(node, port, packet)
-            return
-        reached = rec.reached if self.clock <= self._elide_through else None
-        links = router.flood_links(self.nodes[node], bee, arrival_port, self.network, rec.hop_limit, rec.wires, reached)
+        else:
+            self._flood(node, rec, arrival_port, 1)
+
+    def _flood(self, node: NodeId, rec: FlowRecord, arrival_port: PortDir, delivered: int) -> None:
+        """Send a forward copy on from `node`, where it was `delivered` (1) or
+        its flow arrived (0), counting that delivery with the elided copies:
+        each link `router.flood_links` picks gets a copy at clock + t_hop."""
+        clock = self.clock
+        t_hop = self.config.t_hop
+        links = router.flood_links(
+            rec.tree, node, arrival_port, self._hops(rec), self.network, rec.hop_limit, rec.wires,
+            rec.spec.destination, clock <= self._elide_through,
+        )
         bucket = None
         elided = 0
         for port, far in links:
@@ -325,12 +326,34 @@ class Simulator:
                 elided += 1
                 continue
             if bucket is None:
-                bucket = self.queue.bucket(self.clock + self.config.t_hop)
-            bucket.append((Simulator._on_forward, far, bee.advanced(port, rec.hop_limit), OPPOSITE[port]))
+                bucket = self.queue.bucket(clock + t_hop)
+            bucket.append((Simulator._on_forward, far, rec, OPPOSITE[port]))
         if elided:
             self._events_processed += elided
-            self._elided_until = self.clock + self.config.t_hop
+            self._elided_until = clock + t_hop
         self._count_forward(rec, delivered + elided)
+
+    def _arrived_bee(self, node: NodeId, rec: FlowRecord, arrival_port: PortDir) -> ForwardBee:
+        """The forward bee a copy delivered at its destination `node` carries:
+        its port list is the tree path to the sender, far_end(node,
+        arrival_port), plus the last hop, and its length is the hop count."""
+        backward = []
+        port = arrival_port
+        while port is not PortDir.LOCAL:
+            node = self.network.far_end(node, port)
+            backward.append(OPPOSITE[port])
+            port = rec.tree[node]
+        ports = PortList()
+        for port in reversed(backward):
+            ports = ports.push(port, rec.hop_limit)
+        spec, hops = rec.spec, self._hops(rec)
+        if ports.length != hops:
+            raise InvariantViolationError(f"flow {spec.flow}: tree path of {ports.length} hops after {hops}")
+        return ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, ports)
+
+    def _hops(self, rec: FlowRecord) -> int:
+        """Hops taken by a forward copy of `rec`'s flow delivered now."""
+        return (self.clock - rec.spec.arrival_time) // self.config.t_hop
 
     def _count_forward(self, rec: FlowRecord, deliveries: int) -> None:
         self._forward_deliveries += deliveries
@@ -394,8 +417,8 @@ class Simulator:
             )
         rec.phase = phase
         if phase in _SETTLED:
-            # A settled flow sends no more forward bees.
-            rec.reached = None
+            # A settled flow sends no more forward copies.
+            rec.tree = None
 
     # -- reporting --------------------------------------------------------
 
@@ -403,13 +426,13 @@ class Simulator:
         handler, node, payload, port = ev
         if port is None:
             return f"{self.clock}\t{_LIFECYCLE_NAMES[handler]}\t{node}\t{payload.spec.flow}\t-\t-\t-"
-        if type(payload) is ForwardBee:
-            pkt, hop = "forward", payload.ports.length
+        if type(payload) is FlowRecord:
+            flow, pkt, hop = payload.spec.flow, "forward", self._hops(payload)
         elif type(payload) is BackwardBee:
-            pkt, hop = "backward", payload.next_index
+            flow, pkt, hop = payload.flow, "backward", payload.next_index
         else:
-            pkt, hop = payload.kind.value, payload.next_index
-        return f"{self.clock}\tdeliver\t{node}\t{payload.flow}\t{pkt}\t{port.name.lower()}\t{hop}"
+            flow, pkt, hop = payload.flow, payload.kind.value, payload.next_index
+        return f"{self.clock}\tdeliver\t{node}\t{flow}\t{pkt}\t{port.name.lower()}\t{hop}"
 
     def _build_report(self, final_held: int, drained: bool) -> metrics.MetricsReport:
         rows = []
@@ -454,7 +477,6 @@ class Simulator:
 
 # The handler of a packet delivery, by packet type; transit picks it.
 _DELIVERY_HANDLERS = {
-    ForwardBee: Simulator._on_forward,
     BackwardBee: Simulator._on_backward,
     ControlPacket: Simulator._on_control,
 }

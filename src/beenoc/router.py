@@ -1,15 +1,18 @@
 """Per-node protocol state machine.
 
-Forward bees flood toward the destination and only record ports; the
-destination turns the earliest arrivals into backward bees; backward bees
-reserve wires hop by hop on the links the data will use (each arrival claims
-the link back toward the node it came from, i.e. the source-to-destination
-direction); the earliest backward bee to reach the source wins the circuit.
-Failed and losing bees free their reservations with release packets, and a
-teardown from the source dismantles the winning circuit after data transfer.
+Forward copies flood toward the destination and reserve nothing; a flow's
+first-copy tree (flood_links) records where they went. The destination turns
+the earliest arrivals, rebuilt as forward bees carrying their port lists,
+into backward bees; backward bees reserve wires hop by hop on the links the
+data will use (each arrival claims the link back toward the node it came
+from, i.e. the source-to-destination direction); the earliest backward bee
+to reach the source wins the circuit. Failed and losing bees free their
+reservations with release packets, and a teardown from the source dismantles
+the winning circuit after data transfer.
 
 Every handler reports what it sends as a list of (port, packet) emissions,
-empty when nothing leaves the node; the engine transits each in list order.
+empty when nothing leaves the node, which the engine transits in list order;
+flood_links returns the (port, far end) links the engine queues copies on.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidPathError, ProtocolCorruptionError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee
-from .topology import Network, NodeId, PortDir
+from .topology import OPPOSITE, Network, NodeId, PortDir
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +43,8 @@ class NodeState:
     """Mutable per-node protocol state, touched only by the engine loop."""
 
     id: NodeId
+    # Always empty: a flow's visited nodes live in its first-copy tree. Kept
+    # because the benchmark's state count still reads it.
     seen: set = field(default_factory=set)
     flow_table: dict = field(default_factory=dict)
     dest_arrivals: dict = field(default_factory=dict)
@@ -54,76 +59,49 @@ class BackwardOutcome:
     emissions: list
 
 
-def handle_forward_bee(
-    state: NodeState,
-    bee: ForwardBee,
-    arrival_port: PortDir,
-    net: Network,
-    hop_limit: int,
-    convert_cap: int = 3,
-    reached: set | None = None,
-) -> list:
-    """Process one forward-bee delivery; returns its (port, packet) emissions.
-
-    At the destination the earliest `convert_cap` bees (cap 3) become backward
-    bees; the destination is exempt from duplicate suppression. Elsewhere the
-    bee is re-broadcast on the links flood_links() picks, and a copy it elides
-    is the emission `(port, None)`. Forward bees reserve nothing.
+def handle_forward_bee(state: NodeState, bee: ForwardBee, convert_cap: int = 3) -> list:
+    """Convert a forward bee delivered at its destination; returns its
+    (port, BackwardBee) emission, or nothing once the earliest `convert_cap`
+    bees of the flow (cap 3) have been converted. The destination is exempt
+    from duplicate suppression. Forward bees reserve nothing.
     """
-    if state.id == bee.destination:
-        count = state.dest_arrivals.get(bee.flow, 0)
-        if count >= convert_cap:
-            return []
-        state.dest_arrivals[bee.flow] = count + 1
-        route = bee.ports.reverse_complement()
-        back = BackwardBee(
-            flow=bee.flow, bee_index=count, route=route, next_index=1, required_bandwidth=bee.required_bandwidth
-        )
-        return [(route.entry(0), back)]
-    wires = net.wires_for(bee.required_bandwidth)
-    return [
-        (port, None if far is None else bee.advanced(port, hop_limit))
-        for port, far in flood_links(state, bee, arrival_port, net, hop_limit, wires, reached)
-    ]
+    count = state.dest_arrivals.get(bee.flow, 0)
+    if count >= convert_cap:
+        return []
+    state.dest_arrivals[bee.flow] = count + 1
+    route = bee.ports.reverse_complement()
+    return [(route.entry(0), BackwardBee(bee.flow, count, route, 1, bee.required_bandwidth))]
 
 
 def flood_links(
-    state: NodeState,
-    bee: ForwardBee,
-    arrival_port: PortDir,
-    net: Network,
-    hop_limit: int,
-    wires: int,
-    reached: set | None = None,
+    tree: dict, node: NodeId, arrival_port: PortDir, hops: int, net: Network, hop_limit: int, wires: int,
+    destination: NodeId, elide: bool,
 ) -> list:
-    """The flood rule away from the bee's destination: the (port, far end)
-    links the bee is copied onto. None if the node has seen the flow or the
-    bee has used its hop budget; else, in port-code order, every link but the
-    arrival port's with `wires` wires free (Network.fitting_links).
+    """The flood rule away from a flow's destination: the (port, far end)
+    links a forward copy delivered at `node` after `hops` hops is sent on.
 
-    `reached`, when given, is the set of nodes the flow's bees have already
-    been sent to, its source included. A copy bound for such a node other
-    than the destination would arrive after the earlier one and be dropped
-    there, so it is elided: its pair is `(port, None)`. Every other copy
-    adds its far end to the set.
+    `tree` is the flow's first-copy tree: each node a copy has been sent to,
+    the destination aside, mapped to the port that first copy arrives on,
+    and the source to LOCAL. Copies reach a node in the order they were sent,
+    so a delivery on any other port is a duplicate and sends nothing, as
+    does one that has used the hop budget. Otherwise the copy goes, in
+    port-code order, on every link but the arrival port's with `wires` wires
+    free (Network.fitting_links), and each far end not yet in the tree joins
+    it. With `elide`, a copy bound for a node already in the tree would be
+    dropped there, so it is not sent: its pair is `(port, None)`.
     """
-    if bee.flow in state.seen:
+    if tree[node] is not arrival_port or hops >= hop_limit:
         return []
-    state.seen.add(bee.flow)
-    if bee.ports.length >= hop_limit:
-        return []
-    links = net.fitting_links(state.id, wires)
-    if reached is None:
-        return [link for link in links if link[0] is not arrival_port]
     out = []
-    for port, far in links:
+    for port, far in net.fitting_links(node, wires):
         if port is arrival_port:
             continue
-        if far in reached and far != bee.destination:
-            out.append((port, None))
-        else:
-            reached.add(far)
-            out.append((port, far))
+        if far not in tree:
+            if far != destination:
+                tree[far] = OPPOSITE[port]
+        elif elide:
+            far = None
+        out.append((port, far))
     return out
 
 

@@ -21,6 +21,7 @@ from beenoc import (
     Simulator,
     decode_port,
     encode_port,
+    flood_links,
     handle_forward_bee,
     run_simulation,
     walk,
@@ -75,34 +76,39 @@ def test_criterion_3_state_machine_traces():
         lst = PortList.from_ports(ports)
         return ForwardBee(flow, dst, 1.0, lst)
 
-    # (a) duplicate kill at an intermediate node
-    assert handle_forward_bee(states[NodeId(1, 0)], bee([E]), W, net, hop_limit=6)
-    assert handle_forward_bee(states[NodeId(1, 0)], bee([N, E, S]), N, net, hop_limit=6) == []
+    def flood(tree, node, arrival, hops):
+        return flood_links(tree, node, arrival, hops, net, 6, 1, dst, False)
+
+    # (a) duplicate kill at an intermediate node: only the first copy sent
+    # to (1,0), the one from the source arriving on its west port, floods
+    tree = {src: LOCAL}
+    assert flood(tree, src, LOCAL, 0)
+    assert flood(tree, NodeId(1, 0), W, 1)
+    assert flood(tree, NodeId(1, 0), N, 3) == []
 
     # (b) kill at the hop limit
-    assert handle_forward_bee(states[NodeId(1, 1)], bee([E, N, W, N, E, S]), W, net, hop_limit=6) == []
+    assert flood({NodeId(1, 1): W}, NodeId(1, 1), W, 6) == []
 
     # (c) destination converts exactly the first min(3, arrivals) bees
     arrivals = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
     converted = 0
     for ports in arrivals:
-        emissions = handle_forward_bee(states[dst], bee(ports), ports[-1].opposite(), net, hop_limit=9)
+        emissions = handle_forward_bee(states[dst], bee(ports))
         converted += sum(1 for _, pkt in emissions if isinstance(pkt, BackwardBee))
     assert converted == 3
     assert states[dst].dest_arrivals[flow] == 3
     fresh = {n: NodeState(n) for n in mesh.nodes()}
-    short = [handle_forward_bee(fresh[dst], bee(p), p[-1].opposite(), net, hop_limit=9) for p in arrivals[:2]]
+    short = [handle_forward_bee(fresh[dst], bee(p)) for p in arrivals[:2]]
     assert all(len(e) == 1 for e in short)  # fewer than three arrivals all convert
 
-    # (d) forward bees never mutate link reservations
-    flood_states = {n: NodeState(n) for n in mesh.nodes()}
+    # (d) forward copies never mutate link reservations
     before = net.residual_snapshot()
-    queue = [(src, ForwardBee(FlowId(src, 9), dst, 1.0, PortList()), LOCAL)]
+    tree = {src: LOCAL}
+    queue = [(src, LOCAL, 0)]
     while queue:
-        node, packet, arrival = queue.pop(0)
-        for port, out in handle_forward_bee(flood_states[node], packet, arrival, net, hop_limit=6):
-            if isinstance(out, ForwardBee):
-                queue.append((mesh.neighbor(node, port), out, port.opposite()))
+        node, arrival, hops = queue.pop(0)
+        if node != dst:
+            queue.extend((far, port.opposite(), hops + 1) for port, far in flood(tree, node, arrival, hops))
     assert net.residual_snapshot() == before
     print("PASS criterion 3: duplicate kill, hop-limit kill, 3-bee conversion cap, pure discovery")
 

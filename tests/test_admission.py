@@ -4,17 +4,14 @@ admit a link exactly when its free wires cover ceil(demand / wire_bandwidth)."""
 from beenoc import (
     FlowId,
     FlowSpec,
-    ForwardBee,
     Mesh,
     Network,
     NodeId,
-    NodeState,
     PortDir,
-    PortList,
     RunConfig,
     Simulator,
     enumerate_feasible,
-    handle_forward_bee,
+    flood_links,
 )
 
 
@@ -50,8 +47,8 @@ def test_flood_reserve_and_oracle_agree_on_two_decimal_grid():
                 if wires < 1:
                     continue
                 net = Network(mesh, wires, wire_bandwidth)
-                bee = ForwardBee(FlowId(src, 0), dst, demand, PortList())
-                flooded = bool(handle_forward_bee(NodeState(src), bee, PortDir.LOCAL, net, hop_limit=2))
+                tree = {src: PortDir.LOCAL}
+                flooded = bool(flood_links(tree, src, PortDir.LOCAL, 0, net, 2, net.wires_for(demand), dst, False))
                 feasible = len(enumerate_feasible(net, src, dst, demand, 2)) > 0
                 reserved = net.reserve(src, PortDir.EAST, ("f", 0), demand)
                 expected = wires >= needed

@@ -23,6 +23,7 @@ from beenoc import (
     parse_workload,
     run_simulation,
 )
+from beenoc import router
 from beenoc.engine import CalendarQueue
 from beenoc.metrics import SUMMARY_HEADER, summary_line
 from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
@@ -105,7 +106,7 @@ class TestIdleSingleFlow:
 class TestTransit:
     def packet(self):
         flow = FlowId(NodeId(0, 0), 0)
-        return ForwardBee(flow, NodeId(3, 3), 1.0, PortList())
+        return BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST, PortDir.WEST]), 1, 1.0)
 
     def test_delivery_one_hop_later(self):
         sim = Simulator(base_config(t_hop=1), [])
@@ -143,11 +144,42 @@ class TestFloodScheduling:
         deliver(sim, center)
         time, copies = sim.queue.pop_cycle()
         assert time == 4
-        assert [(node, port, list(bee.ports)) for _, node, bee, port in copies] == [
-            (NodeId(1, 0), PortDir.NORTH, [PortDir.EAST, PortDir.SOUTH]),
-            (NodeId(2, 1), PortDir.WEST, [PortDir.EAST, PortDir.EAST]),
-            (NodeId(1, 2), PortDir.SOUTH, [PortDir.EAST, PortDir.NORTH]),
+        assert [(node, port) for _, node, _, port in copies] == [
+            (NodeId(1, 0), PortDir.NORTH),
+            (NodeId(2, 1), PortDir.WEST),
+            (NodeId(1, 2), PortDir.SOUTH),
         ]
+        # each copy carries its flow's record, whose tree leads every copy's
+        # node back through (1,1) to the source
+        rec = sim.records[FlowId(NodeId(0, 1), 0)]
+        assert all(payload is rec for _, _, payload, _ in copies)
+        expected = {
+            NodeId(0, 1): PortDir.LOCAL,
+            NodeId(1, 1): PortDir.WEST,
+            NodeId(1, 0): PortDir.NORTH,
+            NodeId(2, 1): PortDir.WEST,
+            NodeId(1, 2): PortDir.SOUTH,
+        }
+        assert {node: rec.tree[node] for node in expected} == expected
+
+    def test_destination_bee_is_rebuilt_from_the_tree(self, monkeypatch):
+        # 3x2 mesh, flow (0,0) -> (2,0), t_hop 2: the copy (1,0) sends east
+        # reaches the destination after 2 hops, so its bee carries [E, E]
+        sim = Simulator(base_config(mesh_width=3, mesh_height=2, t_hop=2), [one_flow(src=(0, 0), dst=(2, 0))])
+        _, (arrival,) = sim.queue.pop_cycle()
+        deliver(sim, arrival)
+        sim.clock, (east, _) = sim.queue.pop_cycle()
+        deliver(sim, east)
+        sim.clock, (to_destination, _) = sim.queue.pop_cycle()
+        bees = []
+        monkeypatch.setattr(router, "handle_forward_bee", lambda state, bee, cap: bees.append(bee) or [])
+        deliver(sim, to_destination)
+        flow = FlowId(NodeId(0, 0), 0)
+        assert bees == [ForwardBee(flow, NodeId(2, 0), 2.0, PortList.from_ports([PortDir.EAST, PortDir.EAST]))]
+        # the tree path must be as long as the hops the clock allows
+        sim.clock += 2
+        with pytest.raises(InvariantViolationError, match="tree path of 2 hops after 3"):
+            deliver(sim, to_destination)
 
     def test_all_elided_fanout_queues_nothing(self):
         # 3x2 mesh, flow (0,0) -> (2,1): the bee at (1,0) is sent on to
@@ -294,6 +326,13 @@ class TestRandomizedRun:
                 assert row.setup_latency >= 2 * row.manhattan
 
 
+class TestConfigChecked:
+    @pytest.mark.parametrize("key,value", [("t_hop", 0), ("t_hop", -1), ("backward_bee_count", 0)])
+    def test_simulator_refuses_invalid_config(self, key, value):
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            Simulator(base_config(**{key: value}), [one_flow()])
+
+
 class TestTrace:
     def test_trace_lines_cover_events(self):
         cfg = base_config(trace=True)
@@ -358,7 +397,7 @@ class TestElidedDuplicates:
         cfg, workload = contended_run(3)
         sim = Simulator(dataclasses.replace(cfg, trace=trace), workload)
         sim.run()
-        assert all(rec.reached is None for rec in sim.records.values())
+        assert all(rec.tree is None for rec in sim.records.values())
 
 
 class TestDiagnostics:

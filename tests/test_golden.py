@@ -1,9 +1,12 @@
-"""Byte-for-byte golden outputs of two small traced runs.
+"""Byte-for-byte golden outputs of three small runs.
 
 A behaviour-neutral change must leave flows.csv, summary.csv and trace.tsv
-identical. The digests below were recorded before the event record was
-reworked; the kind checks make sure the goldens exercise every event kind
-and every packet kind, so an identical digest means something.
+identical. The first two digests were recorded before the event record was
+reworked, the third before forward bees stopped carrying a port list per
+hop; the kind checks make sure the goldens exercise every event kind and
+every packet kind, so an identical digest means something. An untraced run
+skips the forward-bee deliveries it can count in advance, so it must still
+write the traced run's flows.csv and summary.csv.
 """
 
 import hashlib
@@ -60,16 +63,51 @@ GOLDEN = {
             "trace.tsv": "b65a82307e99eccc6e137b3174bc087f44d97d644f4cf66ee002295f7e5a9b01",
         },
     ),
+    # 6x6 with t_hop 3 cut off at cycle 250 while flows still flood: pins
+    # hop counts derived from the clock, the last cycle at which an untraced
+    # run elides duplicate forward bees, and truncation.
+    "cutoff6x6": (
+        dict(
+            mesh_width=6,
+            mesh_height=6,
+            seed=3,
+            wire_count=2,
+            t_hop=3,
+            max_cycles=250,
+            traffic_rate=0.02,
+            traffic_duration=240,
+            bandwidth_values=(1.0, 2.0),
+            bandwidth_weights=(0.6, 0.4),
+            hold_time_mean=60.0,
+        ),
+        {
+            "flows.csv": "95018467c454747ab6217fa325956425c61e57ffdc2a6a206396fe7501602ae0",
+            "summary.csv": "8f3c47808a031b5a2cc815e39ae0d640043f41a8d8f69e33adfcb05160409510",
+            "trace.tsv": "7280a4ea5c6700367aed1cd268737f5598dba3c83bbef573d6b373f22454e367",
+        },
+    ),
 }
+
+
+def _digests(tmp_path, names):
+    return {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in names}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_golden(name, tmp_path):
     overrides, digests = GOLDEN[name]
     write_report(run_simulation(RunConfig(**overrides, trace=True)), tmp_path)
-    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
-    assert got == digests
+    assert _digests(tmp_path, digests) == digests
 
     rows = [line.split("\t") for line in (tmp_path / "trace.tsv").read_text().splitlines()]
     assert {row[1] for row in rows} == {"arrival", "deliver", "complete", "timeout"}
     assert {row[4] for row in rows if row[1] == "deliver"} == {"forward", "backward", "teardown", "release"}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_untraced_outputs_match_golden(name, tmp_path):
+    overrides, digests = GOLDEN[name]
+    write_report(run_simulation(RunConfig(**overrides)), tmp_path)
+    csvs = ("flows.csv", "summary.csv")
+    assert _digests(tmp_path, csvs) == {f: digests[f] for f in csvs}
+    assert not (tmp_path / "trace.tsv").exists()

@@ -5,20 +5,29 @@ byte-identical, every flow must end settled, and every established circuit
 must be a real source-to-destination path within the flow's hop budget.
 An untraced run, which does not schedule duplicate forward-bee deliveries,
 must report what the traced run of the same config reports, on generated
-traffic as well as on a few flows drawn one by one.
+traffic as well as on a few flows drawn one by one. The forward bees the
+engine hands its destination, rebuilt from the flow's first-copy tree, must
+be those a plain breadth-first flood finds, each copy carrying its own port
+list and each node keeping the set of flows it has seen.
 """
 
 import dataclasses
 import tempfile
+from collections import deque
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beenoc import (
+    NON_LOCAL_PORTS,
     FlowId,
     FlowSpec,
+    ForwardBee,
     Mesh,
+    PortDir,
+    PortList,
     RunConfig,
     Simulator,
     generate_traffic,
@@ -28,6 +37,7 @@ from beenoc import (
     walk,
     write_report,
 )
+from beenoc import router
 
 
 configs = st.builds(
@@ -141,3 +151,87 @@ def test_untraced_run_reports_what_the_traced_run_does(run):
     del traced_files["trace.tsv"]
     assert plain_files == traced_files
     assert plain.stats == traced.stats
+
+
+@st.composite
+def frozen_single_flows(draw):
+    """A config, one flow, and a frozen background load in wires per link.
+    Each link's load takes all its wires or leaves at least four times the
+    flow's demand free, so the flow's own reservations (at most three
+    backward bees on a link) never change which links fit it."""
+    # Drawn from lists, not ranges, so that larger meshes are not rare.
+    width, height = draw(st.sampled_from([2, 3, 4, 5, 6])), draw(st.sampled_from([2, 3, 4, 5, 6]))
+    mesh = Mesh(width, height)
+    source, destination = draw(st.lists(st.sampled_from(list(mesh.nodes())), min_size=2, max_size=2, unique=True))
+    demand = draw(st.integers(1, 2))
+    cfg = RunConfig(
+        mesh_width=width,
+        mesh_height=height,
+        seed=0,
+        wire_count=4 * demand + draw(st.integers(0, 3)),
+        t_hop=draw(st.integers(1, 3)),
+        hop_limit_metric=draw(st.sampled_from(["euclidean", "manhattan"])),
+        backward_bee_count=draw(st.integers(1, 3)),
+    )
+    spec = FlowSpec(FlowId(source, 0), destination, float(demand), draw(st.integers(0, 5)), 100_000)
+    links = 2 * ((width - 1) * height + width * (height - 1))
+    loads = draw(st.lists(st.integers(0, cfg.wire_count - 4 * demand), min_size=links, max_size=links))
+    blocked, rng = draw(st.sampled_from([0.0, 0.15, 0.3, 0.5])), draw(st.randoms(use_true_random=False))
+    return cfg, spec, [cfg.wire_count if rng.random() < blocked else wires for wires in loads]
+
+
+def reference_arrivals(net, spec, hop_limit):
+    """Forward bees reaching the destination, in the order a breadth-first
+    flood delivers them: every copy carries its port list, a node other than
+    the destination floods only the first copy it sees, and a copy goes on
+    every fitting link but its arrival port until it has used the budget."""
+    queue = deque([(spec.source, ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, PortList()), PortDir.LOCAL)])
+    seen = set()
+    arrivals = []
+    while queue:
+        node, bee, arrival = queue.popleft()
+        if node == spec.destination:
+            arrivals.append(bee)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        if bee.ports.length >= hop_limit:
+            continue
+        for port in NON_LOCAL_PORTS:
+            far = net.mesh.neighbor(node, port)
+            if port is not arrival and far is not None and net.fits(node, port, spec.required_bandwidth):
+                queue.append((far, bee.advanced(port, hop_limit), port.opposite()))
+    return arrivals
+
+
+def run_capturing_destination_bees(cfg, spec, loads):
+    """The reference flood's destination arrivals over the loaded network,
+    the bees the engine hands `router.handle_forward_bee`, and the report."""
+    sim = Simulator(cfg, [spec])
+    net = sim.network
+    for (node, port), wires in zip(net.links, loads):
+        if wires:
+            assert net.reserve(node, port, ("background", 0), float(wires))
+    expected = reference_arrivals(net, spec, sim.records[spec.flow].hop_limit)
+    captured = []
+    convert = router.handle_forward_bee
+
+    def capture(state, bee, *args):
+        captured.append(bee)
+        return convert(state, bee, *args)
+
+    with mock.patch.object(router, "handle_forward_bee", capture):
+        report = sim.run()
+    return expected, captured, report
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(frozen_single_flows())
+def test_destination_bees_match_a_reference_flood(run):
+    cfg, spec, loads = run
+    for trace in (True, False):
+        expected, captured, report = run_capturing_destination_bees(dataclasses.replace(cfg, trace=trace), spec, loads)
+        assert captured == expected
+        # a bee that reaches the destination retraces links that still fit
+        assert report.flows[0].ever_established == bool(expected)

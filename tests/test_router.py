@@ -60,56 +60,65 @@ def deliver_control_chain(mesh, net, states, origin, emissions):
         emissions = handle_control(states[node], pkt, port.opposite(), net)
 
 
+def tree_path(tree, mesh, node):
+    """Ports of the first-copy tree's path from the flow's source to `node`."""
+    ports = []
+    while tree[node] is not LOCAL:
+        ports.append(tree[node].opposite())
+        node = mesh.neighbor(node, tree[node])
+    return ports[::-1]
+
+
+def flood(tree, node, arrival, hops, net, dst=NodeId(2, 2), hop_limit=8, wires=1, elide=False):
+    return flood_links(tree, node, arrival, hops, net, hop_limit, wires, dst, elide)
+
+
 class TestForwardBee:
     def test_duplicate_killed_at_intermediate(self):
+        # the source (0,0) sends its first copy to (1,0), arriving from the
+        # west; a later copy arriving from the north is a duplicate
         mesh, net, states = make_net()
-        flow = FlowId(NodeId(0, 0), 0)
-        first = make_bee(flow, NodeId(2, 2), [E])
-        assert handle_forward_bee(states[NodeId(1, 0)], first, W, net, hop_limit=8)
-        second = make_bee(flow, NodeId(2, 2), [N, E, S])
-        assert handle_forward_bee(states[NodeId(1, 0)], second, N, net, hop_limit=8) == []
+        tree = {NodeId(0, 0): LOCAL}
+        assert flood(tree, NodeId(0, 0), LOCAL, 0, net)
+        assert tree[NodeId(1, 0)] is W
+        assert flood(tree, NodeId(1, 0), W, 1, net)
+        assert flood(tree, NodeId(1, 0), N, 3, net) == []
 
     def test_killed_at_hop_limit(self):
         mesh, net, states = make_net()
-        flow = FlowId(NodeId(0, 0), 1)
-        bee = make_bee(flow, NodeId(2, 2), [E, N, E, N])
-        assert handle_forward_bee(states[NodeId(1, 1)], bee, W, net, hop_limit=4) == []
+        assert flood({NodeId(1, 1): W}, NodeId(1, 1), W, 4, net, hop_limit=4) == []
+        assert flood({NodeId(1, 1): W}, NodeId(1, 1), W, 3, net, hop_limit=4)
 
     def test_broadcast_excludes_arrival_port(self):
-        # center of an idle 3x3, bee arrived from the west: east, north and
-        # south are open, the bee never turns back west
+        # center of an idle 3x3, first copy arrived from the west source:
+        # east, north and south are open, the copy never turns back west
         mesh, net, states = make_net()
-        flow = FlowId(NodeId(0, 0), 2)
-        bee = make_bee(flow, NodeId(2, 2), [E])
-        emissions = handle_forward_bee(states[NodeId(1, 1)], bee, W, net, hop_limit=8)
-        assert {port for port, _ in emissions} == {S, E, N}
-        for port, out in emissions:
-            assert out.ports.length == 2
-            assert list(out.ports) == [E, port]
+        tree = {NodeId(0, 1): LOCAL, NodeId(1, 1): W}
+        links = flood(tree, NodeId(1, 1), W, 1, net)
+        assert {port for port, _ in links} == {S, E, N}
+        for port, far in links:
+            assert far == mesh.neighbor(NodeId(1, 1), port)
+            assert tree[far] is port.opposite()
+            assert tree_path(tree, mesh, far) == [E, port]
 
     def test_broadcast_respects_residual(self):
         mesh, net, states = make_net(wire_count=4)
-        flow = FlowId(NodeId(0, 0), 3)
         net.reserve(NodeId(1, 1), E, ("bg", 0), 4.0)  # saturate the east link
-        bee = make_bee(flow, NodeId(2, 2), [E])
-        emissions = handle_forward_bee(states[NodeId(1, 1)], bee, W, net, hop_limit=8)
-        assert {port for port, _ in emissions} == {S, N}
+        links = flood({NodeId(0, 1): LOCAL, NodeId(1, 1): W}, NodeId(1, 1), W, 1, net)
+        assert {port for port, _ in links} == {S, N}
 
     def test_source_injection_broadcasts_everywhere(self):
         mesh, net, states = make_net()
-        flow = FlowId(NodeId(1, 1), 0)
-        bee = make_bee(flow, NodeId(2, 2))
-        emissions = handle_forward_bee(states[NodeId(1, 1)], bee, LOCAL, net, hop_limit=6)
-        assert {port for port, _ in emissions} == {S, W, E, N}
-        assert all(out.ports.length == 1 for _, out in emissions)
-        assert flow in states[NodeId(1, 1)].seen
+        tree = {NodeId(1, 1): LOCAL}
+        links = flood(tree, NodeId(1, 1), LOCAL, 0, net)
+        assert {port for port, _ in links} == {S, W, E, N}
+        assert len(tree) == 5
+        assert all(tree_path(tree, mesh, far) == [port] for port, far in links)
 
     def test_corner_source_two_ports(self):
         mesh, net, states = make_net()
-        flow = FlowId(NodeId(0, 0), 1)
-        bee = make_bee(flow, NodeId(2, 2))
-        emissions = handle_forward_bee(states[NodeId(0, 0)], bee, LOCAL, net, hop_limit=6)
-        assert {port for port, _ in emissions} == {E, N}
+        links = flood({NodeId(0, 0): LOCAL}, NodeId(0, 0), LOCAL, 0, net)
+        assert {port for port, _ in links} == {E, N}
 
     def test_destination_converts_first_three(self):
         mesh, net, states = make_net()
@@ -118,8 +127,7 @@ class TestForwardBee:
         paths = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
         backward = []
         for i, path in enumerate(paths):
-            bee = make_bee(flow, dest, path)
-            emissions = handle_forward_bee(states[dest], bee, path[-1].opposite(), net, hop_limit=9)
+            emissions = handle_forward_bee(states[dest], make_bee(flow, dest, path))
             if i < 3:
                 assert len(emissions) == 1
                 port, back = emissions[0]
@@ -140,69 +148,69 @@ class TestForwardBee:
         dest = NodeId(2, 2)
         first = make_bee(flow, dest, [E, E, N, N])
         second = make_bee(flow, dest, [N, N, E, E])
-        assert len(handle_forward_bee(states[dest], first, S, net, hop_limit=9, convert_cap=1)) == 1
-        assert handle_forward_bee(states[dest], second, W, net, hop_limit=9, convert_cap=1) == []
+        assert len(handle_forward_bee(states[dest], first, convert_cap=1)) == 1
+        assert handle_forward_bee(states[dest], second, convert_cap=1) == []
 
     def test_forward_bees_never_touch_links(self):
         # flood a whole flow over the mesh: discovery must leave every
         # reservation pool untouched
         mesh, net, states = make_net()
-        flow = FlowId(NodeId(0, 0), 6)
+        src, dst = NodeId(0, 0), NodeId(2, 2)
         before = net.residual_snapshot()
-        queue = [(NodeId(0, 0), make_bee(flow, NodeId(2, 2)), LOCAL)]
+        tree = {src: LOCAL}
+        queue = [(src, LOCAL, 0)]
         deliveries = 0
         while queue:
-            node, bee, arrival = queue.pop(0)
+            node, arrival, hops = queue.pop(0)
             deliveries += 1
-            for port, packet in handle_forward_bee(states[node], bee, arrival, net, hop_limit=6):
-                if isinstance(packet, ForwardBee):
-                    queue.append((mesh.neighbor(node, port), packet, port.opposite()))
+            if node != dst:
+                links = flood(tree, node, arrival, hops, net, dst, hop_limit=6)
+                queue.extend((far, port.opposite(), hops + 1) for port, far in links)
         assert deliveries > 1
         assert net.total_held() == 0
         assert net.residual_snapshot() == before
 
     def test_copies_to_reached_nodes_are_elided(self):
-        # center of an idle 3x3, bee from the west; (1,0) and (1,2) were
-        # already sent a bee of the flow, (2,1) is its destination
+        # center of an idle 3x3, first copy from the west source; (1,0) and
+        # (1,2) were already sent a copy, (2,1) is the destination
         mesh, net, states = make_net()
-        flow = FlowId(NodeId(0, 1), 0)
-        reached = {NodeId(0, 1), NodeId(1, 0), NodeId(1, 2), NodeId(2, 1)}
-        bee = make_bee(flow, NodeId(2, 1), [E])
-        emissions = handle_forward_bee(states[NodeId(1, 1)], bee, W, net, hop_limit=8, reached=reached)
-        assert [port for port, _ in emissions] == [S, E, N]
-        assert emissions[0][1] is None and emissions[2][1] is None
-        assert list(emissions[1][1].ports) == [E, E]  # the destination always gets its copy
-        assert flow in states[NodeId(1, 1)].seen
+        tree = {NodeId(0, 1): LOCAL, NodeId(1, 1): W, NodeId(1, 0): W, NodeId(1, 2): W}
+        links = flood(tree, NodeId(1, 1), W, 1, net, dst=NodeId(2, 1), elide=True)
+        assert links == [(S, None), (E, NodeId(2, 1)), (N, None)]  # the destination always gets its copy
+        assert NodeId(2, 1) not in tree  # nor is it ever in the tree
+        assert tree[NodeId(1, 0)] is W and tree[NodeId(1, 2)] is W
+        # without elision the duplicates are sent, and the tree keeps the first copies
+        tree[NodeId(1, 1)] = S
+        assert flood(tree, NodeId(1, 1), S, 1, net, dst=NodeId(2, 1)) == [
+            (W, NodeId(0, 1)),
+            (E, NodeId(2, 1)),
+            (N, NodeId(1, 2)),
+        ]
+        assert tree[NodeId(0, 1)] is LOCAL and tree[NodeId(1, 2)] is W
 
     def test_new_far_ends_join_reached(self):
         mesh, net, states = make_net()
-        flow = FlowId(NodeId(0, 0), 0)
-        reached = {NodeId(0, 0)}
-        bee = make_bee(flow, NodeId(2, 2))
-        emissions = handle_forward_bee(states[NodeId(0, 0)], bee, LOCAL, net, hop_limit=6, reached=reached)
-        assert all(packet is not None for _, packet in emissions)
-        assert reached == {NodeId(0, 0), NodeId(1, 0), NodeId(0, 1)}
+        tree = {NodeId(0, 0): LOCAL}
+        links = flood(tree, NodeId(0, 0), LOCAL, 0, net, elide=True)
+        assert all(far is not None for _, far in links)
+        assert tree == {NodeId(0, 0): LOCAL, NodeId(1, 0): W, NodeId(0, 1): S}
         # (1,1) is reached through (1,0) first; the copy from (0,1) is elided
-        from_east = handle_forward_bee(states[NodeId(1, 0)], emissions[0][1], W, net, hop_limit=6, reached=reached)
-        from_north = handle_forward_bee(states[NodeId(0, 1)], emissions[1][1], S, net, hop_limit=6, reached=reached)
-        assert [(port, packet is None) for port, packet in from_east] == [(E, False), (N, False)]
-        assert [(port, packet is None) for port, packet in from_north] == [(E, True), (N, False)]
-
+        from_east = flood(tree, NodeId(1, 0), W, 1, net, elide=True)
+        from_north = flood(tree, NodeId(0, 1), S, 1, net, elide=True)
+        assert [(port, far is None) for port, far in from_east] == [(E, False), (N, False)]
+        assert [(port, far is None) for port, far in from_north] == [(E, True), (N, False)]
+        assert tree[NodeId(1, 1)] is S
 
     def test_flood_links_pair_ports_with_far_ends(self):
         # center of a 3x3 whose north link is full for a 2-wire demand
         mesh, net, states = make_net(wire_count=4)
         assert net.reserve(NodeId(1, 1), N, ("bg", 0), 3.0)
-        flow = FlowId(NodeId(0, 1), 0)
-        bee = make_bee(flow, NodeId(2, 2), [E], bandwidth=2.0)
-        links = flood_links(states[NodeId(1, 1)], bee, W, net, hop_limit=8, wires=2)
+        tree = {NodeId(0, 1): LOCAL, NodeId(1, 1): W}
+        links = flood(tree, NodeId(1, 1), W, 1, net, wires=2)
         assert links == [(S, NodeId(1, 0)), (E, NodeId(2, 1))]
-        assert flood_links(states[NodeId(1, 1)], bee, S, net, hop_limit=8, wires=2) == []  # already seen
-        # the router's packets are these links mapped through ForwardBee.advanced
-        emissions = handle_forward_bee(states[NodeId(1, 0)], bee, N, net, hop_limit=8)
-        fresh = NodeState(NodeId(1, 0))
-        assert emissions == [(port, bee.advanced(port, 8)) for port, _ in flood_links(fresh, bee, N, net, 8, 2)]
-        assert [port for port, _ in emissions] == [W, E]
+        assert flood(tree, NodeId(1, 1), S, 1, net, wires=2) == []  # not the first copy
+        # each far end is entered with the port its copy arrives on
+        assert tree[NodeId(1, 0)] is N and tree[NodeId(2, 1)] is W
 
 
 class TestBackwardBee:
