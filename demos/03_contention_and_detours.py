@@ -14,7 +14,8 @@ flow = FlowSpec(FlowId(src, 0), dst, required_bandwidth=2.0, arrival_time=0, hol
 sim = Simulator(cfg, [flow])
 # soak up the direct row: (1,0)->E and (2,0)->E keep less than 2 units free
 for node in (NodeId(1, 0), NodeId(2, 0)):
-    if not sim.network.reserve(node, PortDir.EAST, ("background", node.x), 3.0):
+    wires = sim.network.wires_for(3.0)
+    if not sim.network.reserve(sim.mesh.handle(node), PortDir.EAST, ("background", node.x), wires):
         raise RuntimeError(f"background load does not fit on {node}->EAST")
 
 # the exhaustive check runs on the pre-setup network, before the flow claims any wires

@@ -47,7 +47,6 @@ from .router import (
     BackwardOutcome,
     FlowTableEntry,
     NodeState,
-    flood_links,
     handle_backward_bee,
     handle_control,
     handle_forward_bee,

@@ -6,27 +6,28 @@ packet, and the flow lifecycle. A flow is SettingUp from its arrival through
 discovery and reservation until its first backward bee reaches the source
 (Established) or its setup timeout fires (Failed); an established flow is
 TornDown when its hold time ends. Every router handler returns a list of
-(port, packet) emissions, which the engine transits in order.
+(port, packet) emissions, which the engine transits in order. Nodes are int
+handles (Mesh.handle) here, in the router and in the network; a NodeId is
+made only for output and messages.
 
 The flood builds no packet per hop. Every hop takes the same t_hop and each
 cycle's events come out in scheduling order, so a flow's forward copies
 reach a node in the order they were sent, and a copy's hop count is
 (clock - arrival_time) // t_hop. A queued copy carries only its flow's
-record, over whose first-copy tree `router.flood_links` applies the flood
-rule; each copy goes straight into the bucket of cycle clock + t_hop. At the
-destination the engine rebuilds the bee's port list from the tree for
-`router.handle_forward_bee`.
+record, and one step, `Simulator._on_forward`, applies the whole flood rule
+over the flow's first-copy tree, queuing each copy straight into the bucket
+of cycle clock + t_hop. At the destination the engine rebuilds the bee's
+port list from the tree for `router.handle_forward_bee`.
 
 Untraced runs do not schedule the forward copies the receiver would drop as
 duplicates: once a copy has been sent to a node, a later one bound there
 (the destination aside) finds it a duplicate or the flow settled and does
-nothing. The router reports such a copy as a `(port, None)` link, and
-the engine counts its delivery (events_processed, forward_deliveries, the
-flow's count and its 4|V| cap) when it is emitted. A delivery that would
-fall after max_cycles is scheduled as usual, and at the end of the run the
-clock moves on to the last counted delivery, so `RunStats` and both CSVs are
-those of the full schedule. Traced runs schedule every delivery, so that
-trace.tsv lists each of them.
+nothing. The flood step counts such a copy's delivery (events_processed,
+forward_deliveries, the flow's count and its 4|V| cap) when it would be
+sent. A delivery that would fall after max_cycles is scheduled as usual,
+and at the end of the run the clock moves on to the last counted delivery,
+so `RunStats` and both CSVs are those of the full schedule. Traced runs
+schedule every delivery, so that trace.tsv lists each of them.
 """
 
 from __future__ import annotations
@@ -94,15 +95,18 @@ class FlowRecord:
     hop_limit: int
     # Wires the flow's demand takes on each link, Network.wires_for of it.
     wires: int
+    source: int  # handles of the flow's ends
+    destination: int
+    flood_until: int  # arrival_time + hop_limit * t_hop: copies delivered from then on used the budget
     phase: FlowPhase = FlowPhase.SETTING_UP
     setup_latency: int | None = None
     winner_route: PortList | None = None
     winner_index: int | None = None
     forward_deliveries: int = 0
-    # First-copy tree: each node a forward copy was sent to, the destination
-    # aside, to the port the first copy arrives on, and the source to LOCAL;
-    # set when the flow arrives and dropped when it settles.
-    tree: dict | None = None
+    # First-copy tree by node handle: the port the first copy sent to a node
+    # arrives on (LOCAL at the source, never set at the destination), else
+    # None. Made when the flow arrives; None again once it settles.
+    tree: list | None = None
 
     @property
     def path_length(self) -> int | None:
@@ -117,6 +121,7 @@ class FlowRecord:
 # Read once per event. Reading a member off its Enum class costs about ten
 # times a module-global lookup.
 _SETTLED = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
+_LOCAL = PortDir.LOCAL
 
 
 class CalendarQueue:
@@ -180,12 +185,16 @@ class Simulator:
         self.config = config
         self.mesh = Mesh(config.mesh_width, config.mesh_height)
         self.network = Network(self.mesh, config.wire_count, config.wire_bandwidth)
-        self.nodes = {n: NodeState(n) for n in self.mesh.nodes()}
+        self.nodes = {node: NodeState(node) for node in range(self.mesh.node_count)}
         self.clock = 0
         self.queue = CalendarQueue()
         self.records: dict[FlowId, FlowRecord] = {}
         self._trace: list[str] | None = [] if config.trace else None
         self._forward_cap = 4 * self.mesh.node_count
+        self._t_hop = config.t_hop
+        # The flood step's bucket of cycle _hop_clock + t_hop, fetched once per cycle.
+        self._hop_clock = -1
+        self._hop_bucket: list = []
         # Duplicate forward bees are elided while the clock is at most this,
         # so that their delivery would still fall within max_cycles.
         self._elide_through = -1 if config.trace else config.max_cycles - config.t_hop
@@ -203,27 +212,32 @@ class Simulator:
     # -- construction -----------------------------------------------------
 
     def _admit(self, spec: FlowSpec) -> None:
-        for node in (spec.source, spec.destination):
-            if not self.mesh.contains(node):
-                raise ConfigError(f"flow {spec.flow}: node {node} is outside the mesh")
+        try:
+            source, destination = self.mesh.handle(spec.source), self.mesh.handle(spec.destination)
+        except InvalidPathError as exc:
+            raise ConfigError(f"flow {spec.flow}: {exc}") from None
         if spec.flow in self.records:
             raise ConfigError(f"duplicate flow id {spec.flow}")
         hop_limit = self.mesh.hop_limit(spec.source, spec.destination, self.config.hop_limit_metric)
-        rec = FlowRecord(spec=spec, hop_limit=hop_limit, wires=self.network.wires_for(spec.required_bandwidth))
+        wires = self.network.wires_for(spec.required_bandwidth)
+        rec = FlowRecord(spec, hop_limit, wires, source, destination, spec.arrival_time + hop_limit * self._t_hop)
         self.records[spec.flow] = rec
-        self.queue.push(spec.arrival_time, (Simulator._on_flow_arrival, spec.source, rec, None))
+        self.queue.push(spec.arrival_time, (Simulator._on_flow_arrival, source, rec, None))
 
     # -- scheduling -------------------------------------------------------
 
-    def transit(self, origin: NodeId, port: PortDir, packet) -> None:
-        """Schedule delivery of `packet` at the neighbor through `port`, one
-        t_hop later, arriving on the neighbor's opposite port."""
+    def transit(self, origin: int, port: PortDir, packet) -> None:
+        """Schedule delivery of `packet` at the neighbor of node `origin`
+        through `port`, one t_hop later, arriving on the neighbor's opposite
+        port."""
         try:
             destination = self.network.far_end(origin, port)
         except InvalidPathError:
-            raise InvariantViolationError(f"transit from {origin} through {port.name} leaves the mesh") from None
+            raise InvariantViolationError(
+                f"transit from {self.mesh.node_at(origin)} through {port.name} leaves the mesh"
+            ) from None
         self.queue.push(
-            self.clock + self.config.t_hop, (_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port])
+            self.clock + self._t_hop, (_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port])
         )
 
     # -- main loop --------------------------------------------------------
@@ -237,7 +251,8 @@ class Simulator:
         if queue and queue.next_time() <= max_cycles:
             # Background load placed before run(); after this only backward
             # bees reserve, and _on_backward samples after each of them.
-            self._track_peak_util()
+            for port in NON_LOCAL_PORTS:
+                self._track_peak_util(port)
         while queue:
             if queue.next_time() > max_cycles:
                 truncated = True
@@ -277,63 +292,66 @@ class Simulator:
                 self._util_acc[port] += held * dt
         self.clock = time
 
-    def _track_peak_util(self) -> None:
-        """Raise each direction's peak utilisation to its current value.
-
-        Utilisation rises only when wires are reserved, so sampling after
-        each reservation finds the same peaks as sampling after every event.
-        """
-        for port, (held, wires) in enumerate(zip(self.network.held_by_class, self.network.wires_by_class)):
-            if wires:
-                util = held / wires
-                if util > self._util_peak[port]:
-                    self._util_peak[port] = util
+    def _track_peak_util(self, port: PortDir) -> None:
+        """Raise direction `port`'s peak utilisation to its current value. It
+        rises only when wires are reserved on a link of that direction, so
+        sampling there after each reservation finds every event's peaks."""
+        wires = self.network.wires_by_class[port]
+        if wires:
+            util = self.network.held_by_class[port] / wires
+            if util > self._util_peak[port]:
+                self._util_peak[port] = util
 
     # -- event handlers ---------------------------------------------------
 
-    def _on_flow_arrival(self, source: NodeId, rec: FlowRecord, _port: None) -> None:
-        timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self.config.t_hop)
+    def _on_flow_arrival(self, source: int, rec: FlowRecord, _port: None) -> None:
+        timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self._t_hop)
         self.queue.push(self.clock + timeout, (Simulator._on_setup_timeout, source, rec, None))
-        rec.tree = {source: PortDir.LOCAL}
-        self._flood(source, rec, PortDir.LOCAL, 0)
+        rec.tree = [None] * self.mesh.node_count
+        rec.tree[source] = PortDir.LOCAL
+        self._on_forward(source, rec, PortDir.LOCAL)
 
-    def _on_forward(self, node: NodeId, rec: FlowRecord, arrival_port: PortDir) -> None:
-        if rec.phase in _SETTLED:
-            self._count_forward(rec, 1)
-        elif node == rec.spec.destination:
-            self._count_forward(rec, 1)
-            for port, packet in router.handle_forward_bee(
-                self.nodes[node], self._arrived_bee(node, rec, arrival_port), self.config.backward_bee_count
-            ):
-                self.transit(node, port, packet)
-        else:
-            self._flood(node, rec, arrival_port, 1)
-
-    def _flood(self, node: NodeId, rec: FlowRecord, arrival_port: PortDir, delivered: int) -> None:
-        """Send a forward copy on from `node`, where it was `delivered` (1) or
-        its flow arrived (0), counting that delivery with the elided copies:
-        each link `router.flood_links` picks gets a copy at clock + t_hop."""
+    def _on_forward(self, node: int, rec: FlowRecord, arrival_port: PortDir) -> None:
+        """The flood rule, for a forward copy delivered at `node` on
+        `arrival_port` or, on LOCAL, a flow starting at its source. A copy of
+        a settled flow, one that is not the first sent to its node, or one
+        that has used the hop budget sends nothing. The first goes on every
+        link but its arrival port with the flow's wires free, and each new far
+        end but the destination enters the tree. When eliding, a copy bound
+        for a node already in the tree is counted now instead of queued."""
+        tree = rec.tree
         clock = self.clock
-        t_hop = self.config.t_hop
-        links = router.flood_links(
-            rec.tree, node, arrival_port, self._hops(rec), self.network, rec.hop_limit, rec.wires,
-            rec.spec.destination, clock <= self._elide_through,
-        )
-        bucket = None
+        if tree is None or tree[node] is not arrival_port or clock >= rec.flood_until:
+            self._count_forward(rec, 1)
+            # The destination is never in the tree, so every copy there lands here.
+            if tree is not None and node == rec.destination:
+                bee = self._arrived_bee(node, rec, arrival_port)
+                for port, packet in router.handle_forward_bee(self.nodes[node], bee, self.config.backward_bee_count):
+                    self.transit(node, port, packet)
+            return
+        elide = clock <= self._elide_through
+        destination = rec.destination
         elided = 0
-        for port, far in links:
-            if far is None:
+        for port, far in self.network.fitting_links(node, rec.wires):
+            if port is arrival_port:
+                continue
+            if tree[far] is None:
+                if far != destination:
+                    tree[far] = OPPOSITE[port]
+            elif elide:
                 elided += 1
                 continue
-            if bucket is None:
-                bucket = self.queue.bucket(clock + t_hop)
-            bucket.append((Simulator._on_forward, far, rec, OPPOSITE[port]))
+            if self._hop_clock != clock:
+                self._hop_clock = clock
+                self._hop_bucket = self.queue.bucket(clock + self._t_hop)
+            self._hop_bucket.append((_FORWARD, far, rec, OPPOSITE[port]))
         if elided:
             self._events_processed += elided
-            self._elided_until = clock + t_hop
-        self._count_forward(rec, delivered + elided)
+            self._elided_until = clock + self._t_hop
+        # A LOCAL arrival is the flow starting at its source, not a delivery.
+        self._count_forward(rec, elided + (arrival_port is not _LOCAL))
 
-    def _arrived_bee(self, node: NodeId, rec: FlowRecord, arrival_port: PortDir) -> ForwardBee:
+    def _arrived_bee(self, node: int, rec: FlowRecord, arrival_port: PortDir) -> ForwardBee:
         """The forward bee a copy delivered at its destination `node` carries:
         its port list is the tree path to the sender, far_end(node,
         arrival_port), plus the last hop, and its length is the hop count."""
@@ -353,7 +371,7 @@ class Simulator:
 
     def _hops(self, rec: FlowRecord) -> int:
         """Hops taken by a forward copy of `rec`'s flow delivered now."""
-        return (self.clock - rec.spec.arrival_time) // self.config.t_hop
+        return (self.clock - rec.spec.arrival_time) // self._t_hop
 
     def _count_forward(self, rec: FlowRecord, deliveries: int) -> None:
         self._forward_deliveries += deliveries
@@ -363,7 +381,7 @@ class Simulator:
                 f"flow {rec.spec.flow} exceeded the forward-bee event cap ({self._forward_cap})"
             )
 
-    def _on_backward(self, node: NodeId, bee: BackwardBee, arrival_port: PortDir) -> None:
+    def _on_backward(self, node: int, bee: BackwardBee, arrival_port: PortDir) -> None:
         self._backward_deliveries += 1
         rec = self.records[bee.flow]
         if rec.phase in _SETTLED:
@@ -371,15 +389,16 @@ class Simulator:
             for port, packet in router.release_for_backward_bee(bee, arrival_port):
                 self.transit(node, port, packet)
             return
-        outcome = router.handle_backward_bee(self.nodes[node], bee, arrival_port, self.network)
+        outcome = router.handle_backward_bee(self.nodes[node], bee, arrival_port, self.network, rec.wires)
         self.network.drain_dirty()
-        self._track_peak_util()
+        if outcome.kind != "aborted":  # the bee reserved on its arrival port's link
+            self._track_peak_util(arrival_port)
         if outcome.kind == "accepted":
             self._establish(rec, bee)
         for port, packet in outcome.emissions:
             self.transit(node, port, packet)
 
-    def _on_control(self, node: NodeId, pkt: ControlPacket, arrival_port: PortDir) -> None:
+    def _on_control(self, node: int, pkt: ControlPacket, arrival_port: PortDir) -> None:
         self._control_deliveries += 1
         for port, packet in router.handle_control(self.nodes[node], pkt, arrival_port, self.network):
             self.transit(node, port, packet)
@@ -390,9 +409,9 @@ class Simulator:
         rec.setup_latency = self.clock - rec.spec.arrival_time
         rec.winner_route = bee.route
         rec.winner_index = bee.bee_index
-        self.queue.push(self.clock + rec.spec.hold_time, (Simulator._on_flow_complete, rec.spec.source, rec, None))
+        self.queue.push(self.clock + rec.spec.hold_time, (Simulator._on_flow_complete, rec.source, rec, None))
 
-    def _on_flow_complete(self, source: NodeId, rec: FlowRecord, _port: None) -> None:
+    def _on_flow_complete(self, source: int, rec: FlowRecord, _port: None) -> None:
         if rec.phase is not FlowPhase.ESTABLISHED:
             raise InvariantViolationError(f"flow {rec.spec.flow} completed while {rec.phase.value}")
         self._set_phase(rec, FlowPhase.TORN_DOWN)
@@ -406,7 +425,7 @@ class Simulator:
             self.transit(source, port, packet)
         self.network.drain_dirty()
 
-    def _on_setup_timeout(self, _source: NodeId, rec: FlowRecord, _port: None) -> None:
+    def _on_setup_timeout(self, _source: int, rec: FlowRecord, _port: None) -> None:
         if rec.phase is FlowPhase.SETTING_UP:
             self._set_phase(rec, FlowPhase.FAILED)
 
@@ -417,13 +436,17 @@ class Simulator:
             )
         rec.phase = phase
         if phase in _SETTLED:
-            # A settled flow sends no more forward copies.
+            # Nothing reads a settled flow's tree or node entries: every
+            # handler stops at the settled check first.
             rec.tree = None
+            self.nodes[rec.destination].dest_arrivals.pop(rec.spec.flow, None)
+            self.nodes[rec.source].source_accepted.discard(rec.spec.flow)
 
     # -- reporting --------------------------------------------------------
 
     def _trace_line(self, ev: tuple) -> str:
         handler, node, payload, port = ev
+        node = self.mesh.node_at(node)
         if port is None:
             return f"{self.clock}\t{_LIFECYCLE_NAMES[handler]}\t{node}\t{payload.spec.flow}\t-\t-\t-"
         if type(payload) is FlowRecord:
@@ -475,6 +498,8 @@ class Simulator:
         return metrics.build_report(self.config, tuple(rows), stats, util_peak, util_mean, trace)
 
 
+# The handler of every queued forward copy, read as a global in the flood step.
+_FORWARD = Simulator._on_forward
 # The handler of a packet delivery, by packet type; transit picks it.
 _DELIVERY_HANDLERS = {
     BackwardBee: Simulator._on_backward,

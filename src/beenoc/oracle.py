@@ -18,7 +18,7 @@ from .config import RunConfig
 from .engine import FlowSpec, Simulator
 from .errors import DegenerateFlowError, InvariantViolationError, OracleSizeError
 from .protocol import FlowId, PortList
-from .topology import NON_LOCAL_PORTS, Mesh, Network, NodeId
+from .topology import Mesh, Network, NodeId
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +46,8 @@ def enumerate_feasible(
     bound: int,
 ) -> FeasibleSet:
     """Exhaustive feasibility check over simple paths of length <= bound,
-    admitting each link with Network.fits on the network's current state.
+    admitting each link with Network.fitting_links on the network's current
+    state.
 
     Tractability guard: accepts meshes up to 5x5, or any mesh when the bound
     is at most 12; anything larger is refused.
@@ -61,25 +62,23 @@ def enumerate_feasible(
             f"and bound {bound} exceeds 12"
         )
     paths: list[PortList] = []
-    visited = {src}
+    wires = net.wires_for(required_bandwidth)
+    start, goal = mesh.handle(src), mesh.handle(dst)
+    visited = {start}
 
-    def explore(current: NodeId, path: PortList) -> None:
-        if current == dst:
+    def explore(current: int, path: PortList) -> None:
+        if current == goal:
             paths.append(path)
             return
         if path.length == bound:
             return
-        for port in NON_LOCAL_PORTS:  # code order makes the output lexicographic
-            nxt = mesh.neighbor(current, port)
-            if nxt is None or nxt in visited:
-                continue
-            if not net.fits(current, port, required_bandwidth):
-                continue
-            visited.add(nxt)
-            explore(nxt, path.push(port))
-            visited.discard(nxt)
+        for port, nxt in net.fitting_links(current, wires):  # code order makes the output lexicographic
+            if nxt not in visited:
+                visited.add(nxt)
+                explore(nxt, path.push(port))
+                visited.discard(nxt)
 
-    explore(src, PortList())
+    explore(start, PortList())
     return FeasibleSet(tuple(paths))
 
 
@@ -130,8 +129,9 @@ def single_flow_scenario(
             if rng.random() < 0.35:
                 held = int(rng.integers(1, cfg.wire_count + 1))
                 background = (FlowId(NodeId(0, 0), -(index + 1)), 0)
-                if not sim.network.reserve(node, port, background, held * cfg.wire_bandwidth):
-                    raise InvariantViolationError(f"background load of {held} wires refused on {node}->{port.name}")
+                if not sim.network.reserve(node, port, background, held):
+                    where = f"{mesh.node_at(node)}->{port.name}"
+                    raise InvariantViolationError(f"background load of {held} wires refused on {where}")
     feasible = enumerate_feasible(sim.network, src, dst, bandwidth, mesh.hop_limit(src, dst, cfg.hop_limit_metric))
     sim.run()
     record = sim.records[flow]

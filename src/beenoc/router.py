@@ -1,18 +1,17 @@
 """Per-node protocol state machine.
 
-Forward copies flood toward the destination and reserve nothing; a flow's
-first-copy tree (flood_links) records where they went. The destination turns
-the earliest arrivals, rebuilt as forward bees carrying their port lists,
-into backward bees; backward bees reserve wires hop by hop on the links the
-data will use (each arrival claims the link back toward the node it came
-from, i.e. the source-to-destination direction); the earliest backward bee
-to reach the source wins the circuit. Failed and losing bees free their
-reservations with release packets, and a teardown from the source dismantles
-the winning circuit after data transfer.
+Forward copies flood toward the destination and reserve nothing; the flood
+rule itself is one engine step over the flow's first-copy tree. The
+destination turns the earliest arrivals, rebuilt as forward bees carrying
+their port lists, into backward bees; backward bees reserve wires hop by
+hop on the links the data will use (each arrival claims the link back toward
+the node it came from, i.e. the source-to-destination direction); the
+earliest backward bee to reach the source wins the circuit. Failed and
+losing bees free their reservations with release packets, and a teardown
+from the source dismantles the winning circuit after data transfer.
 
 Every handler reports what it sends as a list of (port, packet) emissions,
-empty when nothing leaves the node, which the engine transits in list order;
-flood_links returns the (port, far end) links the engine queues copies on.
+empty when nothing leaves the node, which the engine transits in list order.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidPathError, ProtocolCorruptionError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee
-from .topology import OPPOSITE, Network, NodeId, PortDir
+from .topology import Network, PortDir
 
 logger = logging.getLogger(__name__)
 
@@ -40,9 +39,10 @@ class FlowTableEntry:
 
 @dataclass(slots=True)
 class NodeState:
-    """Mutable per-node protocol state, touched only by the engine loop."""
+    """Mutable per-node protocol state, touched only by the engine loop. A
+    flow's dest_arrivals and source_accepted entries go when it settles."""
 
-    id: NodeId
+    id: int  # the node's handle (Mesh.handle); messages print its NodeId
     # Always empty: a flow's visited nodes live in its first-copy tree. Kept
     # because the benchmark's state count still reads it.
     seen: set = field(default_factory=set)
@@ -73,38 +73,6 @@ def handle_forward_bee(state: NodeState, bee: ForwardBee, convert_cap: int = 3) 
     return [(route.entry(0), BackwardBee(bee.flow, count, route, 1, bee.required_bandwidth))]
 
 
-def flood_links(
-    tree: dict, node: NodeId, arrival_port: PortDir, hops: int, net: Network, hop_limit: int, wires: int,
-    destination: NodeId, elide: bool,
-) -> list:
-    """The flood rule away from a flow's destination: the (port, far end)
-    links a forward copy delivered at `node` after `hops` hops is sent on.
-
-    `tree` is the flow's first-copy tree: each node a copy has been sent to,
-    the destination aside, mapped to the port that first copy arrives on,
-    and the source to LOCAL. Copies reach a node in the order they were sent,
-    so a delivery on any other port is a duplicate and sends nothing, as
-    does one that has used the hop budget. Otherwise the copy goes, in
-    port-code order, on every link but the arrival port's with `wires` wires
-    free (Network.fitting_links), and each far end not yet in the tree joins
-    it. With `elide`, a copy bound for a node already in the tree would be
-    dropped there, so it is not sent: its pair is `(port, None)`.
-    """
-    if tree[node] is not arrival_port or hops >= hop_limit:
-        return []
-    out = []
-    for port, far in net.fitting_links(node, wires):
-        if port is arrival_port:
-            continue
-        if far not in tree:
-            if far != destination:
-                tree[far] = OPPOSITE[port]
-        elif elide:
-            far = None
-        out.append((port, far))
-    return out
-
-
 def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir) -> list:
     """Release packet freeing the reserved prefix of a dead backward bee.
 
@@ -125,12 +93,13 @@ def handle_backward_bee(
     bee: BackwardBee,
     arrival_port: PortDir,
     net: Network,
+    wires: int,
 ) -> BackwardOutcome:
     """Process one backward-bee delivery.
 
-    Every arrival first reserves wires on the link back toward the node the
-    bee came from (the link data will use when flowing source to destination)
-    and records a flow-table entry. At the source the first bee of its flow
+    Every arrival first reserves `wires` wires, the flow's demand, on the
+    link back toward the node the bee came from (the link data will use when
+    flowing source to destination) and records a flow-table entry. At the source the first bee of its flow
     is accepted and the circuit is established; later siblings release their
     whole reserved route. A failed reservation releases the reserved prefix
     and kills the bee.
@@ -143,18 +112,14 @@ def handle_backward_bee(
         # Lost the race; nothing was reserved at the source for this bee.
         return BackwardOutcome("aborted", release_for_backward_bee(bee, arrival_port))
     key = (bee.flow, bee.bee_index)
-    if not net.reserve(state.id, arrival_port, key, bee.required_bandwidth):
+    if not net.reserve(state.id, arrival_port, key, wires):
         return BackwardOutcome("aborted", release_for_backward_bee(bee, arrival_port))
     if at_source:
         state.source_accepted.add(bee.flow)
-        state.flow_table[key] = FlowTableEntry(
-            bee.flow, bee.bee_index, arrival_port, PortDir.LOCAL, net.wires_for(bee.required_bandwidth)
-        )
+        state.flow_table[key] = FlowTableEntry(bee.flow, bee.bee_index, arrival_port, PortDir.LOCAL, wires)
         return BackwardOutcome("accepted", [])
     out_port = route.entry(bee.next_index)
-    state.flow_table[key] = FlowTableEntry(
-        bee.flow, bee.bee_index, arrival_port, out_port, net.wires_for(bee.required_bandwidth)
-    )
+    state.flow_table[key] = FlowTableEntry(bee.flow, bee.bee_index, arrival_port, out_port, wires)
     forwarded = BackwardBee(bee.flow, bee.bee_index, route, bee.next_index + 1, bee.required_bandwidth)
     return BackwardOutcome("forwarded", [(out_port, forwarded)])
 
@@ -182,12 +147,14 @@ def handle_control(
     try:
         freed = net.release(state.id, port, key)
     except InvalidPathError:
-        raise ProtocolCorruptionError(f"control route of {pkt.flow} leaves the mesh at {state.id}") from None
+        raise ProtocolCorruptionError(
+            f"control route of {pkt.flow} leaves the mesh at {net.mesh.node_at(state.id)}"
+        ) from None
     if freed == 0:
         logger.warning(
             "%s at %s found no reservation for %s bee %d on %s",
             pkt.kind.value,
-            state.id,
+            net.mesh.node_at(state.id),
             pkt.flow,
             pkt.bee_index,
             port.name,

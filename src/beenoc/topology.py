@@ -90,6 +90,18 @@ class Mesh:
     def contains(self, node: NodeId) -> bool:
         return 0 <= node.x < self.width and 0 <= node.y < self.height
 
+    def handle(self, node: NodeId) -> int:
+        """The node's int handle, y * width + x; raises outside the mesh."""
+        if not self.contains(node):
+            raise InvalidPathError(f"node {node} is outside the {self.width}x{self.height} mesh")
+        return node.y * self.width + node.x
+
+    def node_at(self, handle: int) -> NodeId:
+        """The node whose handle is `handle`; the inverse of handle()."""
+        if not 0 <= handle < self.width * self.height:
+            raise InvalidPathError(f"node handle {handle} is outside the {self.width}x{self.height} mesh")
+        return NodeId(handle % self.width, handle // self.width)
+
     def nodes(self) -> Iterator[NodeId]:
         """All nodes in row-major order (y outer, x inner)."""
         for y in range(self.height):
@@ -104,8 +116,7 @@ class Mesh:
         """Adjacent node in direction `port`, or None at the mesh boundary."""
         if port is PortDir.LOCAL:
             raise InvalidPortError("neighbor lookup needs a non-local port")
-        if not self.contains(node):
-            raise InvalidPathError(f"node {node} is outside the {self.width}x{self.height} mesh")
+        self.handle(node)  # raises for a node outside the mesh
         nxt = node.step(port)
         return nxt if self.contains(nxt) else None
 
@@ -140,12 +151,10 @@ class Network:
     reserve()/release(), so the wire arithmetic, the per-direction totals and
     the wire-count bound live in one place.
 
-    Internally the link leaving node (x, y) through a port is numbered
-    (y * width + x) * 4 + port code, and every per-link table is a flat list
-    in that order. Slots of links that leave the mesh hold no reservation
-    dict and -1 free wires, so no demand fits them. A per-node table maps
-    each node of the mesh to its first slot, so nodes outside the mesh have
-    no links.
+    Nodes are int handles (Mesh.handle). The link leaving node n through a
+    port is numbered 4 * n + port code, and each per-link table is a flat
+    list in that order, with no reservation dict for links leaving the mesh.
+    Each node's links are also listed as (port, slot, far end), by port code.
     """
 
     def __init__(self, mesh: Mesh, wire_count: int, wire_bandwidth: float) -> None:
@@ -156,57 +165,58 @@ class Network:
         self.mesh = mesh
         self.wire_count = wire_count
         self.wire_bandwidth = wire_bandwidth
-        slots = 4 * mesh.node_count
-        self._reservations: list[dict | None] = [None] * slots
-        self._free: list[int] = [-1] * slots
-        self._far_end: list[NodeId | None] = [None] * slots
-        self._base: dict[NodeId, int] = {}
-        links = []
-        for number, node in enumerate(mesh.nodes()):
-            self._base[node] = 4 * number
-            for port in NON_LOCAL_PORTS:
-                far = mesh.neighbor(node, port)
-                if far is not None:
-                    index = 4 * number + port
-                    self._reservations[index] = {}
-                    self._free[index] = wire_count
-                    self._far_end[index] = far
-                    links.append((node, port))
-        self._links = tuple(links)
-        self.held_by_class = [0, 0, 0, 0]
+        width, height = mesh.width, mesh.height
+        self._node_count = width * height
+        # Handle offset of the neighbor through each port, by port code.
+        self._steps = (-width, -1, 1, width)
+        self._reservations: list[dict | None] = [None] * (4 * self._node_count)
+        self._free = [0] * (4 * self._node_count)
+        self._out: list[tuple] = []
         self.wires_by_class = [0, 0, 0, 0]
-        for (_, port) in links:
-            self.wires_by_class[port] += wire_count
+        for y in range(height):
+            for x in range(width):
+                node = y * width + x
+                present = (y > 0, x > 0, x < width - 1, y < height - 1)
+                node_links = []
+                for port in NON_LOCAL_PORTS:
+                    if present[port]:
+                        slot = 4 * node + port
+                        self._reservations[slot] = {}
+                        self._free[slot] = wire_count
+                        node_links.append((port, slot, node + self._steps[port]))
+                        self.wires_by_class[port] += wire_count
+                self._out.append(tuple(node_links))
+        self.held_by_class = [0, 0, 0, 0]
         self._dirty: list[int] = []
 
     @property
-    def links(self) -> tuple[tuple[NodeId, PortDir], ...]:
-        """(node, port) of every directed link, nodes in row-major order and
-        each node's ports in code order."""
-        return self._links
+    def links(self) -> tuple[tuple[int, PortDir], ...]:
+        """(node handle, port) of every directed link, nodes in handle order
+        and each node's ports in code order."""
+        return tuple((node, port) for node, out in enumerate(self._out) for port, _, _ in out)
 
-    def _index(self, node: NodeId, port: PortDir) -> int:
+    def _index(self, node: int, port: PortDir) -> int:
         """Index of an existing link; raises for the local port or a missing link."""
-        base = self._base.get(node)
         # The local port (value 4) would otherwise alias the next node's link.
-        if base is not None and port < 4:
-            index = base + port
+        if 0 <= node < self._node_count and port < 4:
+            index = 4 * node + port
             if self._reservations[index] is not None:
                 return index
-        raise InvalidPathError(f"no link leaving {node} toward {port.name}")
+        raise InvalidPathError(f"no link leaving {self.mesh.node_at(node)} toward {port.name}")
 
-    def holders(self, node: NodeId, port: PortDir) -> dict:
+    def holders(self, node: int, port: PortDir) -> dict:
         """A copy of the link's reservations: owner key -> wires held."""
         return dict(self._reservations[self._index(node, port)])
 
-    def far_end(self, node: NodeId, port: PortDir) -> NodeId:
+    def far_end(self, node: int, port: PortDir) -> int:
         """The node the link leaving `node` through `port` leads to."""
-        return self._far_end[self._index(node, port)]
+        self._index(node, port)
+        return node + self._steps[port]
 
-    def free_wires(self, node: NodeId, port: PortDir) -> int:
+    def free_wires(self, node: int, port: PortDir) -> int:
         return self._free[self._index(node, port)]
 
-    def residual(self, node: NodeId, port: PortDir) -> float:
+    def residual(self, node: int, port: PortDir) -> float:
         return self.free_wires(node, port) * self.wire_bandwidth
 
     def wires_for(self, bandwidth: float) -> int:
@@ -219,43 +229,46 @@ class Network:
             raise ValueError("bandwidth must be positive")
         return max(1, math.ceil(bandwidth / self.wire_bandwidth - 1e-9))
 
-    def fits(self, node: NodeId, port: PortDir, bandwidth: float) -> bool:
-        """The admission rule: the link has wires_for(bandwidth) wires free.
-
-        Flooding, reservation and the feasibility oracle all decide with it.
+    def fits(self, node: int, port: PortDir, wires: int) -> bool:
+        """The admission rule: the link has `wires` wires free, a demand of
+        bandwidth b taking wires_for(b). Flooding (fitting_links), reservation
+        and the feasibility oracle all decide with it.
         """
-        return self.free_wires(node, port) >= self.wires_for(bandwidth)
+        return self.free_wires(node, port) >= wires
 
-    def fitting_links(self, node: NodeId, wires: int) -> list[tuple[PortDir, NodeId]]:
+    def fitting_links(self, node: int, wires: int) -> list[tuple[PortDir, int]]:
         """(port, far end) of each link leaving `node`, in port-code order,
         that has at least `wires` wires free: the admission rule of fits()
-        for a demand of `wires` wires, applied to all of a node's links."""
-        base = self._base.get(node)
-        if base is None:
-            raise InvalidPathError(f"node {node} is outside the {self.mesh.width}x{self.mesh.height} mesh")
-        free = self._free
-        far_end = self._far_end
-        return [(port, far_end[base + port]) for port in NON_LOCAL_PORTS if free[base + port] >= wires]
+        applied to all of a node's links."""
+        if not 0 <= node < self._node_count:
+            raise InvalidPathError(f"node handle {node} is outside the {self.mesh.width}x{self.mesh.height} mesh")
+        # A loop, not a comprehension: this runs once per flood step.
+        links = []
+        for port, slot, far in self._out[node]:
+            if self._free[slot] >= wires:
+                links.append((port, far))
+        return links
 
-    def reserve(self, node: NodeId, port: PortDir, key, bandwidth: float) -> bool:
-        """Try to reserve wires for `key` on the link leaving `node` via `port`.
-
-        Returns False (link unchanged) when the link does not fit `bandwidth`.
-        """
+    def reserve(self, node: int, port: PortDir, key, wires: int) -> bool:
+        """Try to reserve `wires` wires for `key` on the link leaving `node`
+        via `port`. Returns False (link unchanged) when they do not fit."""
         index = self._index(node, port)
-        need = self.wires_for(bandwidth)
-        if self._free[index] < need:
+        if wires < 1:
+            raise ValueError("a reservation needs at least one wire")
+        if self._free[index] < wires:
             return False
         reservations = self._reservations[index]
         if key in reservations:
-            raise InvariantViolationError(f"duplicate reservation by {key} on {node}->{port.name}")
-        reservations[key] = need
-        self._free[index] -= need
-        self.held_by_class[port] += need
+            raise InvariantViolationError(
+                f"duplicate reservation by {key} on {self.mesh.node_at(node)}->{port.name}"
+            )
+        reservations[key] = wires
+        self._free[index] -= wires
+        self.held_by_class[port] += wires
         self._dirty.append(index)
         return True
 
-    def release(self, node: NodeId, port: PortDir, key) -> int:
+    def release(self, node: int, port: PortDir, key) -> int:
         """Free `key`'s wires on the given link; returns the wires freed (0 if none)."""
         index = self._index(node, port)
         wires = self._reservations[index].pop(key, 0)
@@ -283,18 +296,14 @@ class Network:
             held = sum(self._reservations[index].values())
             if 0 <= held <= wire_count and held + self._free[index] == wire_count:
                 continue
-            node, port = self._link_at(index)
+            link = f"{self.mesh.node_at(index // 4)}->{PortDir(index % 4).name}"
             if not 0 <= held <= wire_count:
-                raise InvariantViolationError(f"link {node}->{port.name} holds {held} of {wire_count} wires")
+                raise InvariantViolationError(f"link {link} holds {held} of {wire_count} wires")
             raise InvariantViolationError(
-                f"link {node}->{port.name} holds {held} wires but counts {self._free[index]} free of {wire_count}"
+                f"link {link} holds {held} wires but counts {self._free[index]} free of {wire_count}"
             )
         self._dirty = []
 
-    def _link_at(self, index: int) -> tuple[NodeId, PortDir]:
-        node = index // 4
-        return NodeId(node % self.mesh.width, node // self.mesh.width), PortDir(index % 4)
-
-    def residual_snapshot(self) -> dict[tuple[NodeId, PortDir], float]:
+    def residual_snapshot(self) -> dict[tuple[int, PortDir], float]:
         """Frozen residual bandwidth of every directed link."""
-        return {(node, port): self.residual(node, port) for node, port in self._links}
+        return {(node, port): self.residual(node, port) for node, port in self.links}

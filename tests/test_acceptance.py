@@ -12,7 +12,6 @@ from beenoc import (
     FlowSpec,
     ForwardBee,
     Mesh,
-    Network,
     NodeId,
     NodeState,
     PortDir,
@@ -21,7 +20,6 @@ from beenoc import (
     Simulator,
     decode_port,
     encode_port,
-    flood_links,
     handle_forward_bee,
     run_simulation,
     walk,
@@ -29,6 +27,8 @@ from beenoc import (
 )
 from beenoc.oracle import single_flow_scenario, soundness_violation
 from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
+
+from flood_step import flood, flood_sim
 
 S, W, E, N, LOCAL = PortDir.SOUTH, PortDir.WEST, PortDir.EAST, PortDir.NORTH, PortDir.LOCAL
 
@@ -65,10 +65,10 @@ def test_criterion_2_port_codec():
 
 
 def test_criterion_3_state_machine_traces():
-    # Exact, scripted single-flow scenarios at handler granularity.
+    # Exact, scripted single-flow scenarios at handler granularity: the
+    # flood rule is the engine's flood step, the rest router handlers.
     mesh = Mesh(3, 3)
-    net = Network(mesh, 8, 1.0)
-    states = {n: NodeState(n) for n in mesh.nodes()}
+    states = {n: NodeState(mesh.handle(n)) for n in mesh.nodes()}
     flow = FlowId(NodeId(0, 0), 0)
     src, dst = NodeId(0, 0), NodeId(2, 2)
 
@@ -76,18 +76,16 @@ def test_criterion_3_state_machine_traces():
         lst = PortList.from_ports(ports)
         return ForwardBee(flow, dst, 1.0, lst)
 
-    def flood(tree, node, arrival, hops):
-        return flood_links(tree, node, arrival, hops, net, 6, 1, dst, False)
-
     # (a) duplicate kill at an intermediate node: only the first copy sent
     # to (1,0), the one from the source arriving on its west port, floods
-    tree = {src: LOCAL}
-    assert flood(tree, src, LOCAL, 0)
-    assert flood(tree, NodeId(1, 0), W, 1)
-    assert flood(tree, NodeId(1, 0), N, 3) == []
+    sim, rec = flood_sim(tree={src: LOCAL})
+    assert rec.hop_limit == 6
+    assert flood(sim, src, LOCAL, 0)
+    assert flood(sim, NodeId(1, 0), W, 1)
+    assert flood(sim, NodeId(1, 0), N, 3) == []
 
     # (b) kill at the hop limit
-    assert flood({NodeId(1, 1): W}, NodeId(1, 1), W, 6) == []
+    assert flood(flood_sim(tree={NodeId(1, 1): W})[0], NodeId(1, 1), W, 6) == []
 
     # (c) destination converts exactly the first min(3, arrivals) bees
     arrivals = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
@@ -102,14 +100,14 @@ def test_criterion_3_state_machine_traces():
     assert all(len(e) == 1 for e in short)  # fewer than three arrivals all convert
 
     # (d) forward copies never mutate link reservations
-    before = net.residual_snapshot()
-    tree = {src: LOCAL}
+    sim, rec = flood_sim(tree={src: LOCAL})
+    before = sim.network.residual_snapshot()
     queue = [(src, LOCAL, 0)]
     while queue:
         node, arrival, hops = queue.pop(0)
         if node != dst:
-            queue.extend((far, port.opposite(), hops + 1) for port, far in flood(tree, node, arrival, hops))
-    assert net.residual_snapshot() == before
+            queue.extend((far, port.opposite(), hops + 1) for port, far in flood(sim, node, arrival, hops))
+    assert sim.network.residual_snapshot() == before
     print("PASS criterion 3: duplicate kill, hop-limit kill, 3-bee conversion cap, pure discovery")
 
 

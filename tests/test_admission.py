@@ -4,15 +4,14 @@ admit a link exactly when its free wires cover ceil(demand / wire_bandwidth)."""
 from beenoc import (
     FlowId,
     FlowSpec,
-    Mesh,
-    Network,
     NodeId,
     PortDir,
     RunConfig,
     Simulator,
     enumerate_feasible,
-    flood_links,
 )
+
+from flood_step import flood, flood_sim
 
 
 def test_fractional_wire_bandwidth_exact_fit_establishes():
@@ -37,7 +36,6 @@ def test_flood_reserve_and_oracle_agree_on_two_decimal_grid():
     # three decision points; the needed count is computed in exact integer
     # arithmetic, ceil(j / i) for demand j/100 over wire bandwidth i/100.
     src, dst = NodeId(0, 0), NodeId(1, 1)
-    mesh = Mesh(2, 2)
     for i in range(1, 101):
         wire_bandwidth = i / 100
         for j in range(1, 101):
@@ -46,10 +44,13 @@ def test_flood_reserve_and_oracle_agree_on_two_decimal_grid():
             for wires in (needed - 1, needed):
                 if wires < 1:
                     continue
-                net = Network(mesh, wires, wire_bandwidth)
-                tree = {src: PortDir.LOCAL}
-                flooded = bool(flood_links(tree, src, PortDir.LOCAL, 0, net, 2, net.wires_for(demand), dst, False))
+                sim, _ = flood_sim(
+                    src=(0, 0), dst=(1, 1), bandwidth=demand, tree={src: PortDir.LOCAL},
+                    mesh_width=2, mesh_height=2, wire_count=wires, wire_bandwidth=wire_bandwidth,
+                )
+                net = sim.network
+                flooded = bool(flood(sim, src, PortDir.LOCAL, 0))
                 feasible = len(enumerate_feasible(net, src, dst, demand, 2)) > 0
-                reserved = net.reserve(src, PortDir.EAST, ("f", 0), demand)
+                reserved = net.reserve(net.mesh.handle(src), PortDir.EAST, ("f", 0), net.wires_for(demand))
                 expected = wires >= needed
                 assert (flooded, feasible, reserved) == (expected,) * 3, (wire_bandwidth, demand, wires)

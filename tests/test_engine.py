@@ -11,6 +11,7 @@ from beenoc import (
     ConfigError,
     DegenerateFlowError,
     FlowId,
+    FlowPhase,
     FlowSpec,
     ForwardBee,
     InvariantViolationError,
@@ -111,19 +112,19 @@ class TestTransit:
     def test_delivery_one_hop_later(self):
         sim = Simulator(base_config(t_hop=1), [])
         sim.clock = 5
-        sim.transit(NodeId(1, 1), PortDir.EAST, self.packet())
+        sim.transit(sim.mesh.handle(NodeId(1, 1)), PortDir.EAST, self.packet())
         time, ((_, node, _, arrival_port),) = sim.queue.pop_cycle()
         assert time == 6
-        assert node == NodeId(2, 1)
+        assert sim.mesh.node_at(node) == NodeId(2, 1)
         assert arrival_port is PortDir.WEST
 
     def test_same_cycle_fifo_by_seq(self):
         sim = Simulator(base_config(), [])
-        sim.transit(NodeId(1, 1), PortDir.EAST, self.packet())
-        sim.transit(NodeId(1, 1), PortDir.NORTH, self.packet())
+        sim.transit(sim.mesh.handle(NodeId(1, 1)), PortDir.EAST, self.packet())
+        sim.transit(sim.mesh.handle(NodeId(1, 1)), PortDir.NORTH, self.packet())
         _, ((_, first, _, _), (_, second, _, _)) = sim.queue.pop_cycle()
-        assert first == NodeId(2, 1)
-        assert second == NodeId(1, 2)
+        assert sim.mesh.node_at(first) == NodeId(2, 1)
+        assert sim.mesh.node_at(second) == NodeId(1, 2)
         assert not sim.queue
 
 
@@ -144,7 +145,7 @@ class TestFloodScheduling:
         deliver(sim, center)
         time, copies = sim.queue.pop_cycle()
         assert time == 4
-        assert [(node, port) for _, node, _, port in copies] == [
+        assert [(sim.mesh.node_at(node), port) for _, node, _, port in copies] == [
             (NodeId(1, 0), PortDir.NORTH),
             (NodeId(2, 1), PortDir.WEST),
             (NodeId(1, 2), PortDir.SOUTH),
@@ -160,7 +161,7 @@ class TestFloodScheduling:
             NodeId(2, 1): PortDir.WEST,
             NodeId(1, 2): PortDir.SOUTH,
         }
-        assert {node: rec.tree[node] for node in expected} == expected
+        assert {node: rec.tree[sim.mesh.handle(node)] for node in expected} == expected
 
     def test_destination_bee_is_rebuilt_from_the_tree(self, monkeypatch):
         # 3x2 mesh, flow (0,0) -> (2,0), t_hop 2: the copy (1,0) sends east
@@ -246,7 +247,7 @@ class TestUtilisationPeak:
     def background_sim(self, workload):
         sim = Simulator(base_config(), workload)
         # 4 of the 12 * 8 = 96 east-bound wires of a 4x4 mesh
-        assert sim.network.reserve(NodeId(1, 2), PortDir.EAST, ("background", 0), 4.0)
+        assert sim.network.reserve(sim.mesh.handle(NodeId(1, 2)), PortDir.EAST, ("background", 0), 4)
         return sim
 
     def test_background_load_with_no_backward_bee(self):
@@ -373,7 +374,7 @@ class TestElidedDuplicates:
         for trace in (True, False):
             sim = Simulator(base_config(mesh_width=3, mesh_height=3, max_cycles=4, trace=trace), [a, b])
             for node, port in ((NodeId(1, 2), PortDir.EAST), (NodeId(2, 1), PortDir.NORTH)):
-                assert sim.network.reserve(node, port, ("background", 0), 8.0)
+                assert sim.network.reserve(sim.mesh.handle(node), port, ("background", 0), 8)
             reports[trace] = sim.run()
         traced, plain = reports[True], reports[False]
         fields = [line.split("\t") for line in traced.trace]
@@ -400,6 +401,46 @@ class TestElidedDuplicates:
         assert all(rec.tree is None for rec in sim.records.values())
 
 
+class TestBoundedState:
+    def test_node_entries_belong_to_unsettled_flows(self):
+        # A long churn run: 4x4, 4 wires, over a thousand short flows of 1-3
+        # wires. After every event, each flow with a dest_arrivals or
+        # source_accepted entry at some node is unsettled, so live per-flow
+        # node entries never outnumber the unsettled flows, and the drained
+        # run ends with none.
+        cfg = base_config(
+            seed=11,
+            wire_count=4,
+            traffic_rate=0.05,
+            traffic_duration=1500,
+            bandwidth_values=(1.0, 2.0, 3.0),
+            bandwidth_weights=(0.5, 0.3, 0.2),
+            hold_time_dist="geometric",
+            hold_time_mean=40.0,
+            trace=True,
+        )
+        workload = generate_traffic(Mesh(4, 4), traffic_params_from_config(cfg), make_rng(cfg.seed))
+        settled = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
+        peak = 0
+
+        class Checked(Simulator):
+            def _trace_line(self, ev):  # called after every event of a traced run
+                nonlocal peak
+                flows = set()
+                for state in self.nodes.values():
+                    flows.update(state.dest_arrivals, state.source_accepted)
+                assert not [flow for flow in flows if self.records[flow].phase in settled]
+                peak = max(peak, len(flows))
+                return super()._trace_line(ev)
+
+        sim = Checked(cfg, workload)
+        report = sim.run()
+        assert len(workload) > 1000 and report.stats.drained
+        assert report.summary.established > 100 and report.summary.failed > 100
+        assert peak > 1
+        assert not any(state.dest_arrivals or state.source_accepted for state in sim.nodes.values())
+
+
 class TestDiagnostics:
     def test_violation_names_event_index(self):
         from beenoc import ProtocolCorruptionError
@@ -407,7 +448,7 @@ class TestDiagnostics:
         sim = Simulator(base_config(), [one_flow(arrival=100)])
         flow = FlowId(NodeId(0, 0), 0)
         bad = BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST]), 5, 1.0)  # next_index out of range
-        sim.transit(NodeId(0, 0), PortDir.EAST, bad)
+        sim.transit(sim.mesh.handle(NodeId(0, 0)), PortDir.EAST, bad)
         with pytest.raises(ProtocolCorruptionError, match="event 0:"):
             sim.run()
 

@@ -38,15 +38,15 @@ class TestEnumerateFeasible:
     def test_saturated_source_cut_empty(self):
         mesh = Mesh(2, 2)
         net = Network(mesh, 4, 1.0)
-        net.reserve(NodeId(0, 0), E, ("bg", 0), 4.0)
-        net.reserve(NodeId(0, 0), N, ("bg", 1), 4.0)
+        net.reserve(mesh.handle(NodeId(0, 0)), E, ("bg", 0), 4)
+        net.reserve(mesh.handle(NodeId(0, 0)), N, ("bg", 1), 4)
         feasible = enumerate_feasible(net, NodeId(0, 0), NodeId(1, 1), 1.0, 4)
         assert len(feasible) == 0
 
     def test_residual_equal_to_demand_passes(self):
         mesh = Mesh(2, 2)
         net = Network(mesh, 4, 1.0)
-        net.reserve(NodeId(0, 0), E, ("bg", 0), 3.0)
+        net.reserve(mesh.handle(NodeId(0, 0)), E, ("bg", 0), 3)
         feasible = enumerate_feasible(net, NodeId(0, 0), NodeId(1, 1), 1.0, 4)
         assert PortList.from_ports([E, N]) in feasible
 

@@ -135,8 +135,8 @@ def run_walled(cfg, workload, walled):
     sim = Simulator(cfg, workload)
     net = sim.network
     for node, port in net.links:
-        if net.far_end(node, port) in walled:
-            assert net.reserve(node, port, ("background", 0), cfg.wire_count * cfg.wire_bandwidth)
+        if net.mesh.node_at(net.far_end(node, port)) in walled:
+            assert net.reserve(node, port, ("background", 0), cfg.wire_count)
     report = sim.run()
     return report, written(report)
 
@@ -188,6 +188,7 @@ def reference_arrivals(net, spec, hop_limit):
     queue = deque([(spec.source, ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, PortList()), PortDir.LOCAL)])
     seen = set()
     arrivals = []
+    wires = net.wires_for(spec.required_bandwidth)
     while queue:
         node, bee, arrival = queue.popleft()
         if node == spec.destination:
@@ -200,7 +201,7 @@ def reference_arrivals(net, spec, hop_limit):
             continue
         for port in NON_LOCAL_PORTS:
             far = net.mesh.neighbor(node, port)
-            if port is not arrival and far is not None and net.fits(node, port, spec.required_bandwidth):
+            if port is not arrival and far is not None and net.fits(net.mesh.handle(node), port, wires):
                 queue.append((far, bee.advanced(port, hop_limit), port.opposite()))
     return arrivals
 
@@ -212,7 +213,7 @@ def run_capturing_destination_bees(cfg, spec, loads):
     net = sim.network
     for (node, port), wires in zip(net.links, loads):
         if wires:
-            assert net.reserve(node, port, ("background", 0), float(wires))
+            assert net.reserve(node, port, ("background", 0), wires)
     expected = reference_arrivals(net, spec, sim.records[spec.flow].hop_limit)
     captured = []
     convert = router.handle_forward_bee

@@ -15,11 +15,12 @@ from beenoc import (
     PortDir,
     PortList,
     ProtocolCorruptionError,
-    flood_links,
     handle_backward_bee,
     handle_control,
     handle_forward_bee,
 )
+
+from flood_step import flood, flood_sim, tree_of
 
 S, W, E, N, LOCAL = PortDir.SOUTH, PortDir.WEST, PortDir.EAST, PortDir.NORTH, PortDir.LOCAL
 
@@ -27,13 +28,23 @@ S, W, E, N, LOCAL = PortDir.SOUTH, PortDir.WEST, PortDir.EAST, PortDir.NORTH, Po
 def make_net(width=3, height=3, wire_count=8, wire_bandwidth=1.0):
     mesh = Mesh(width, height)
     net = Network(mesh, wire_count, wire_bandwidth)
-    states = {n: NodeState(n) for n in mesh.nodes()}
+    states = {n: NodeState(mesh.handle(n)) for n in mesh.nodes()}
     return mesh, net, states
+
+
+def at(mesh, x, y):
+    """Handle of node (x, y)."""
+    return mesh.handle(NodeId(x, y))
 
 
 def make_bee(flow, dst, ports=(), bandwidth=1.0):
     lst = PortList.from_ports(ports)
     return ForwardBee(flow, dst, bandwidth, lst)
+
+
+def backward(state, bee, arrival, net):
+    """A backward-bee delivery with the wires of the bee's demand."""
+    return handle_backward_bee(state, bee, arrival, net, net.wires_for(bee.required_bandwidth))
 
 
 def deliver_backward_until_done(mesh, net, states, dest, bee):
@@ -43,7 +54,7 @@ def deliver_backward_until_done(mesh, net, states, dest, bee):
     node = mesh.neighbor(dest, port)
     arrival = port.opposite()
     while True:
-        outcome = handle_backward_bee(states[node], bee, arrival, net)
+        outcome = backward(states[node], bee, arrival, net)
         if outcome.kind != "forwarded":
             return node, outcome
         port, bee = outcome.emissions[0]
@@ -60,6 +71,10 @@ def deliver_control_chain(mesh, net, states, origin, emissions):
         emissions = handle_control(states[node], pkt, port.opposite(), net)
 
 
+# The flood rule is one engine step over a flow's first-copy tree; the
+# TestForwardBee flood tests drive it through flood_step.
+
+
 def tree_path(tree, mesh, node):
     """Ports of the first-copy tree's path from the flow's source to `node`."""
     ports = []
@@ -69,55 +84,51 @@ def tree_path(tree, mesh, node):
     return ports[::-1]
 
 
-def flood(tree, node, arrival, hops, net, dst=NodeId(2, 2), hop_limit=8, wires=1, elide=False):
-    return flood_links(tree, node, arrival, hops, net, hop_limit, wires, dst, elide)
-
-
 class TestForwardBee:
     def test_duplicate_killed_at_intermediate(self):
         # the source (0,0) sends its first copy to (1,0), arriving from the
         # west; a later copy arriving from the north is a duplicate
-        mesh, net, states = make_net()
-        tree = {NodeId(0, 0): LOCAL}
-        assert flood(tree, NodeId(0, 0), LOCAL, 0, net)
-        assert tree[NodeId(1, 0)] is W
-        assert flood(tree, NodeId(1, 0), W, 1, net)
-        assert flood(tree, NodeId(1, 0), N, 3, net) == []
+        sim, rec = flood_sim(tree={NodeId(0, 0): LOCAL})
+        assert flood(sim, NodeId(0, 0), LOCAL, 0)
+        assert tree_of(sim, rec)[NodeId(1, 0)] is W
+        assert flood(sim, NodeId(1, 0), W, 1)
+        assert flood(sim, NodeId(1, 0), N, 3) == []
 
     def test_killed_at_hop_limit(self):
-        mesh, net, states = make_net()
-        assert flood({NodeId(1, 1): W}, NodeId(1, 1), W, 4, net, hop_limit=4) == []
-        assert flood({NodeId(1, 1): W}, NodeId(1, 1), W, 3, net, hop_limit=4)
+        sim, rec = flood_sim(tree={NodeId(1, 1): W})
+        assert flood(sim, NodeId(1, 1), W, rec.hop_limit) == []
+        assert flood(sim, NodeId(1, 1), W, rec.hop_limit - 1)
 
     def test_broadcast_excludes_arrival_port(self):
         # center of an idle 3x3, first copy arrived from the west source:
         # east, north and south are open, the copy never turns back west
-        mesh, net, states = make_net()
-        tree = {NodeId(0, 1): LOCAL, NodeId(1, 1): W}
-        links = flood(tree, NodeId(1, 1), W, 1, net)
+        sim, rec = flood_sim(src=(0, 1), tree={NodeId(0, 1): LOCAL, NodeId(1, 1): W})
+        links = flood(sim, NodeId(1, 1), W, 1)
         assert {port for port, _ in links} == {S, E, N}
+        tree = tree_of(sim, rec)
         for port, far in links:
-            assert far == mesh.neighbor(NodeId(1, 1), port)
+            assert far == sim.mesh.neighbor(NodeId(1, 1), port)
             assert tree[far] is port.opposite()
-            assert tree_path(tree, mesh, far) == [E, port]
+            assert tree_path(tree, sim.mesh, far) == [E, port]
 
     def test_broadcast_respects_residual(self):
-        mesh, net, states = make_net(wire_count=4)
-        net.reserve(NodeId(1, 1), E, ("bg", 0), 4.0)  # saturate the east link
-        links = flood({NodeId(0, 1): LOCAL, NodeId(1, 1): W}, NodeId(1, 1), W, 1, net)
+        sim, rec = flood_sim(src=(0, 1), tree={NodeId(0, 1): LOCAL, NodeId(1, 1): W}, wire_count=4)
+        sim.network.reserve(at(sim.mesh, 1, 1), E, ("bg", 0), 4)  # saturate the east link
+        links = flood(sim, NodeId(1, 1), W, 1)
         assert {port for port, _ in links} == {S, N}
 
     def test_source_injection_broadcasts_everywhere(self):
-        mesh, net, states = make_net()
-        tree = {NodeId(1, 1): LOCAL}
-        links = flood(tree, NodeId(1, 1), LOCAL, 0, net)
+        sim, rec = flood_sim(src=(1, 1), tree={NodeId(1, 1): LOCAL})
+        links = flood(sim, NodeId(1, 1), LOCAL, 0)
         assert {port for port, _ in links} == {S, W, E, N}
+        tree = tree_of(sim, rec)
         assert len(tree) == 5
-        assert all(tree_path(tree, mesh, far) == [port] for port, far in links)
+        assert all(tree_path(tree, sim.mesh, far) == [port] for port, far in links)
+        assert rec.forward_deliveries == 0  # the flow starting is not a delivery
 
     def test_corner_source_two_ports(self):
-        mesh, net, states = make_net()
-        links = flood({NodeId(0, 0): LOCAL}, NodeId(0, 0), LOCAL, 0, net)
+        sim, rec = flood_sim(tree={NodeId(0, 0): LOCAL})
+        links = flood(sim, NodeId(0, 0), LOCAL, 0)
         assert {port for port, _ in links} == {E, N}
 
     def test_destination_converts_first_three(self):
@@ -154,17 +165,17 @@ class TestForwardBee:
     def test_forward_bees_never_touch_links(self):
         # flood a whole flow over the mesh: discovery must leave every
         # reservation pool untouched
-        mesh, net, states = make_net()
+        sim, rec = flood_sim(tree={NodeId(0, 0): LOCAL})
+        net = sim.network
         src, dst = NodeId(0, 0), NodeId(2, 2)
         before = net.residual_snapshot()
-        tree = {src: LOCAL}
         queue = [(src, LOCAL, 0)]
         deliveries = 0
         while queue:
             node, arrival, hops = queue.pop(0)
             deliveries += 1
             if node != dst:
-                links = flood(tree, node, arrival, hops, net, dst, hop_limit=6)
+                links = flood(sim, node, arrival, hops)
                 queue.extend((far, port.opposite(), hops + 1) for port, far in links)
         assert deliveries > 1
         assert net.total_held() == 0
@@ -173,43 +184,47 @@ class TestForwardBee:
     def test_copies_to_reached_nodes_are_elided(self):
         # center of an idle 3x3, first copy from the west source; (1,0) and
         # (1,2) were already sent a copy, (2,1) is the destination
-        mesh, net, states = make_net()
-        tree = {NodeId(0, 1): LOCAL, NodeId(1, 1): W, NodeId(1, 0): W, NodeId(1, 2): W}
-        links = flood(tree, NodeId(1, 1), W, 1, net, dst=NodeId(2, 1), elide=True)
-        assert links == [(S, None), (E, NodeId(2, 1)), (N, None)]  # the destination always gets its copy
+        planted = {NodeId(0, 1): LOCAL, NodeId(1, 1): W, NodeId(1, 0): W, NodeId(1, 2): W}
+        sim, rec = flood_sim(src=(0, 1), dst=(2, 1), trace=False, tree=planted)
+        links = flood(sim, NodeId(1, 1), W, 1)
+        assert links == [(E, NodeId(2, 1))]  # the destination always gets its copy
+        assert rec.forward_deliveries == 3  # this delivery and the two elided copies, counted now
+        tree = tree_of(sim, rec)
         assert NodeId(2, 1) not in tree  # nor is it ever in the tree
         assert tree[NodeId(1, 0)] is W and tree[NodeId(1, 2)] is W
         # without elision the duplicates are sent, and the tree keeps the first copies
-        tree[NodeId(1, 1)] = S
-        assert flood(tree, NodeId(1, 1), S, 1, net, dst=NodeId(2, 1)) == [
+        sim, rec = flood_sim(src=(0, 1), dst=(2, 1), tree={**planted, NodeId(1, 1): S})
+        assert flood(sim, NodeId(1, 1), S, 1) == [
             (W, NodeId(0, 1)),
             (E, NodeId(2, 1)),
             (N, NodeId(1, 2)),
         ]
+        assert rec.forward_deliveries == 1
+        tree = tree_of(sim, rec)
         assert tree[NodeId(0, 1)] is LOCAL and tree[NodeId(1, 2)] is W
 
     def test_new_far_ends_join_reached(self):
-        mesh, net, states = make_net()
-        tree = {NodeId(0, 0): LOCAL}
-        links = flood(tree, NodeId(0, 0), LOCAL, 0, net, elide=True)
-        assert all(far is not None for _, far in links)
-        assert tree == {NodeId(0, 0): LOCAL, NodeId(1, 0): W, NodeId(0, 1): S}
+        sim, rec = flood_sim(trace=False, tree={NodeId(0, 0): LOCAL})
+        links = flood(sim, NodeId(0, 0), LOCAL, 0)
+        assert len(links) == 2 and rec.forward_deliveries == 0  # nothing elided
+        assert tree_of(sim, rec) == {NodeId(0, 0): LOCAL, NodeId(1, 0): W, NodeId(0, 1): S}
         # (1,1) is reached through (1,0) first; the copy from (0,1) is elided
-        from_east = flood(tree, NodeId(1, 0), W, 1, net, elide=True)
-        from_north = flood(tree, NodeId(0, 1), S, 1, net, elide=True)
-        assert [(port, far is None) for port, far in from_east] == [(E, False), (N, False)]
-        assert [(port, far is None) for port, far in from_north] == [(E, True), (N, False)]
-        assert tree[NodeId(1, 1)] is S
+        from_east = flood(sim, NodeId(1, 0), W, 1)
+        assert [port for port, _ in from_east] == [E, N] and rec.forward_deliveries == 1
+        from_north = flood(sim, NodeId(0, 1), S, 1)
+        assert [port for port, _ in from_north] == [N] and rec.forward_deliveries == 3
+        assert tree_of(sim, rec)[NodeId(1, 1)] is S
 
-    def test_flood_links_pair_ports_with_far_ends(self):
+    def test_flood_pairs_ports_with_far_ends(self):
         # center of a 3x3 whose north link is full for a 2-wire demand
-        mesh, net, states = make_net(wire_count=4)
-        assert net.reserve(NodeId(1, 1), N, ("bg", 0), 3.0)
-        tree = {NodeId(0, 1): LOCAL, NodeId(1, 1): W}
-        links = flood(tree, NodeId(1, 1), W, 1, net, wires=2)
+        planted = {NodeId(0, 1): LOCAL, NodeId(1, 1): W}
+        sim, rec = flood_sim(src=(0, 1), bandwidth=2.0, tree=planted, wire_count=4)
+        assert sim.network.reserve(at(sim.mesh, 1, 1), N, ("bg", 0), 3)
+        links = flood(sim, NodeId(1, 1), W, 1)
         assert links == [(S, NodeId(1, 0)), (E, NodeId(2, 1))]
-        assert flood(tree, NodeId(1, 1), S, 1, net, wires=2) == []  # not the first copy
+        assert flood(sim, NodeId(1, 1), S, 1) == []  # not the first copy
         # each far end is entered with the port its copy arrives on
+        tree = tree_of(sim, rec)
         assert tree[NodeId(1, 0)] is N and tree[NodeId(2, 1)] is W
 
 
@@ -223,7 +238,7 @@ class TestBackwardBee:
         assert node == NodeId(0, 0)
         assert outcome.kind == "accepted"
         # the source holds the data-direction first hop: 3 wires of 8
-        assert net.residual(NodeId(0, 0), E) == 5.0
+        assert net.residual(at(mesh, 0, 0), E) == 5.0
         entry = states[NodeId(0, 0)].flow_table[(flow, 0)]
         assert entry.in_port is E and entry.out_port is LOCAL and entry.wires_held == 3
         assert flow in states[NodeId(0, 0)].source_accepted
@@ -236,15 +251,15 @@ class TestBackwardBee:
         node, outcome = deliver_backward_until_done(mesh, net, states, NodeId(1, 1), bee)
         assert outcome.kind == "accepted"
         # exactly the links a source->destination walk would use
-        assert net.holders(NodeId(0, 0), E) == {(flow, 0): 1}
-        assert net.holders(NodeId(1, 0), N) == {(flow, 0): 1}
+        assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 1}
+        assert net.holders(at(mesh, 1, 0), N) == {(flow, 0): 1}
         assert net.total_held() == 2
 
     def test_reservation_failure_releases_prefix(self):
         mesh, net, states = make_net(wire_count=4)
         flow = FlowId(NodeId(0, 0), 2)
         forward = PortList.from_ports([E, E])
-        net.reserve(NodeId(0, 0), E, ("bg", 0), 4.0)  # the final reservation will fail
+        net.reserve(at(mesh, 0, 0), E, ("bg", 0), 4)  # the final reservation will fail
         bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, 2.0)
         node, outcome = deliver_backward_until_done(mesh, net, states, NodeId(2, 0), bee)
         assert node == NodeId(0, 0)
@@ -253,15 +268,15 @@ class TestBackwardBee:
         deliver_control_chain(mesh, net, states, node, outcome.emissions)
         # only the background reservation survives
         assert net.total_held() == 4
-        assert net.holders(NodeId(1, 0), E) == {}
+        assert net.holders(at(mesh, 1, 0), E) == {}
         assert all((flow, 0) not in st.flow_table for st in states.values())
 
     def test_failure_with_empty_prefix_emits_nothing(self):
         mesh, net, states = make_net(wire_count=4)
         flow = FlowId(NodeId(0, 0), 3)
-        net.reserve(NodeId(1, 0), E, ("bg", 0), 4.0)
+        net.reserve(at(mesh, 1, 0), E, ("bg", 0), 4)
         bee = BackwardBee(flow, 0, PortList.from_ports([E, E]).reverse_complement(), 1, 2.0)
-        outcome = handle_backward_bee(states[NodeId(1, 0)], bee, E, net)
+        outcome = backward(states[NodeId(1, 0)], bee, E, net)
         assert outcome.kind == "aborted"
         assert outcome.emissions == []
         assert net.total_held() == 4
@@ -279,19 +294,19 @@ class TestBackwardBee:
         assert first.kind == "accepted"
         node, second = deliver_backward_until_done(mesh, net, states, NodeId(3, 1), bee2)
         assert second.kind == "aborted"
-        assert net.holders(NodeId(1, 0), E) == {(flow, 0): 2, (flow, 1): 2}  # both held pre-release
+        assert net.holders(at(mesh, 1, 0), E) == {(flow, 0): 2, (flow, 1): 2}  # both held pre-release
         deliver_control_chain(mesh, net, states, node, second.emissions)
-        assert net.holders(NodeId(1, 0), E) == {(flow, 0): 2}
+        assert net.holders(at(mesh, 1, 0), E) == {(flow, 0): 2}
         # the winner's four-link circuit is intact, nothing else is held
         assert net.total_held() == 8
-        for spot, port in [(NodeId(0, 0), E), (NodeId(1, 0), E), (NodeId(2, 0), E), (NodeId(3, 0), N)]:
-            assert net.holders(spot, port) == {(flow, 0): 2}
+        for spot, port in [((0, 0), E), ((1, 0), E), ((2, 0), E), ((3, 0), N)]:
+            assert net.holders(at(mesh, *spot), port) == {(flow, 0): 2}
 
     def test_corrupt_index_rejected(self):
         mesh, net, states = make_net()
         bee = BackwardBee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([W]), 5, 1.0)
         with pytest.raises(ProtocolCorruptionError):
-            handle_backward_bee(states[NodeId(0, 0)], bee, E, net)
+            backward(states[NodeId(0, 0)], bee, E, net)
 
 
 class TestControl:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beenoc import (
     DegenerateFlowError,
@@ -11,6 +13,11 @@ from beenoc import (
     PortDir,
 )
 from beenoc.topology import NON_LOCAL_PORTS
+
+
+def at(net, x, y):
+    """Handle of node (x, y) of `net`'s mesh."""
+    return net.mesh.handle(NodeId(x, y))
 
 
 class TestNeighbor:
@@ -46,6 +53,22 @@ class TestNeighbor:
                 nxt = mesh.neighbor(node, port)
                 if nxt is not None:
                     assert mesh.neighbor(nxt, port.opposite()) == node
+
+
+class TestHandles:
+    @pytest.mark.parametrize("width", range(1, 8))
+    @pytest.mark.parametrize("height", range(1, 6))
+    def test_round_trip(self, width, height):
+        mesh = Mesh(width, height)
+        handles = [mesh.handle(node) for node in mesh.nodes()]
+        assert handles == list(range(width * height))  # row-major order is handle order
+        assert [mesh.node_at(h) for h in handles] == list(mesh.nodes())
+        for bad in (-1, width * height):
+            with pytest.raises(InvalidPathError):
+                mesh.node_at(bad)
+        for bad in (NodeId(width, 0), NodeId(-1, 0), NodeId(0, height), NodeId(0, -1)):
+            with pytest.raises(InvalidPathError):
+                mesh.handle(bad)
 
 
 class TestPorts:
@@ -90,26 +113,26 @@ class TestHopLimit:
 class TestResidualBandwidth:
     def test_partial(self):
         net = Network(Mesh(2, 2), 8, 1.0)
-        assert net.reserve(NodeId(0, 0), PortDir.EAST, ("f1", 0), 3.0)
-        assert net.residual(NodeId(0, 0), PortDir.EAST) == 5.0
+        assert net.reserve(at(net, 0, 0), PortDir.EAST, ("f1", 0), 3)
+        assert net.residual(at(net, 0, 0), PortDir.EAST) == 5.0
 
     def test_empty(self):
         net = Network(Mesh(2, 2), 8, 1.0)
-        assert net.residual(NodeId(0, 0), PortDir.EAST) == 8.0
+        assert net.residual(at(net, 0, 0), PortDir.EAST) == 8.0
 
     def test_saturated(self):
         net = Network(Mesh(2, 2), 4, 0.5)
-        assert net.reserve(NodeId(0, 0), PortDir.EAST, ("f1", 0), 2.0)
-        assert net.residual(NodeId(0, 0), PortDir.EAST) == 0.0
+        assert net.reserve(at(net, 0, 0), PortDir.EAST, ("f1", 0), net.wires_for(2.0))
+        assert net.residual(at(net, 0, 0), PortDir.EAST) == 0.0
 
 
 class TestNetworkReservations:
     def test_reserve_monotone(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        node, port = NodeId(1, 1), PortDir.EAST
+        node, port = at(net, 1, 1), PortDir.EAST
         last = net.residual(node, port)
         for i in range(4):
-            assert net.reserve(node, port, ("f", i), 2.0)
+            assert net.reserve(node, port, ("f", i), 2)
             assert net.residual(node, port) <= last
             last = net.residual(node, port)
         assert last == 0.0
@@ -122,47 +145,53 @@ class TestNetworkReservations:
     def test_insufficient_wires_leave_link_unchanged(self):
         # 8 wires, 6 already held: a 2.5-unit demand needs 3 wires and fails
         net = Network(Mesh(3, 3), 8, 1.0)
-        node, port = NodeId(0, 0), PortDir.EAST
-        assert net.reserve(node, port, ("bg", 0), 6.0)
+        node, port = at(net, 0, 0), PortDir.EAST
+        assert net.reserve(node, port, ("bg", 0), 6)
         before = net.holders(node, port)
-        assert not net.reserve(node, port, ("f", 0), 2.5)
+        assert not net.reserve(node, port, ("f", 0), net.wires_for(2.5))
         assert net.holders(node, port) == before
         assert net.residual(node, port) == 2.0
 
     def test_exact_fit_single_wire(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        assert net.reserve(NodeId(1, 1), PortDir.NORTH, ("f", 0), 1.0)
-        assert net.holders(NodeId(1, 1), PortDir.NORTH) == {("f", 0): 1}
+        assert net.reserve(at(net, 1, 1), PortDir.NORTH, ("f", 0), net.wires_for(1.0))
+        assert net.holders(at(net, 1, 1), PortDir.NORTH) == {("f", 0): 1}
 
     def test_duplicate_key_rejected(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        assert net.reserve(NodeId(0, 0), PortDir.EAST, ("f", 0), 1.0)
+        assert net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 1)
         with pytest.raises(InvariantViolationError):
-            net.reserve(NodeId(0, 0), PortDir.EAST, ("f", 0), 1.0)
+            net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 1)
+
+    def test_reservation_needs_a_wire(self):
+        net = Network(Mesh(3, 3), 8, 1.0)
+        with pytest.raises(ValueError):
+            net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 0)
+        assert net.total_held() == 0
 
     def test_drain_dirty_checks_touched_links(self):
         net = Network(Mesh(3, 3), 9, 1.0)
-        net.reserve(NodeId(0, 0), PortDir.EAST, ("f", 0), 9.0)
+        net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 9)
         net.drain_dirty()
         net.wire_count = 8  # corrupt: the link now holds past its 8-wire bound
         net.drain_dirty()  # the corrupted link was not touched since the last drain
-        net.release(NodeId(0, 0), PortDir.EAST, ("ghost", 0))
+        net.release(at(net, 0, 0), PortDir.EAST, ("ghost", 0))
         with pytest.raises(InvariantViolationError, match="link 0,0->EAST holds 9 of 8 wires"):
             net.drain_dirty()
 
     def test_drain_dirty_checks_free_count(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        net.reserve(NodeId(1, 1), PortDir.NORTH, ("f", 0), 3.0)
+        net.reserve(at(net, 1, 1), PortDir.NORTH, ("f", 0), 3)
         net.drain_dirty()
         net.wire_count = 9  # corrupt: 3 held plus 5 free no longer make up the pool
         net.drain_dirty()
-        net.release(NodeId(1, 1), PortDir.NORTH, ("ghost", 0))
+        net.release(at(net, 1, 1), PortDir.NORTH, ("ghost", 0))
         with pytest.raises(InvariantViolationError, match="link 1,1->NORTH holds 3 wires but counts 5 free of 9"):
             net.drain_dirty()
 
     def test_release_absent_returns_zero(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        assert net.release(NodeId(0, 0), PortDir.EAST, ("ghost", 0)) == 0
+        assert net.release(at(net, 0, 0), PortDir.EAST, ("ghost", 0)) == 0
 
     def test_link_population(self):
         # 2 * (w-1) * h horizontal plus 2 * w * (h-1) vertical directed links
@@ -182,18 +211,22 @@ class TestNetworkReservations:
 
 
 class TestLinkAddressing:
-    # Links are numbered (y * width + x) * 4 + port code; none of these may
-    # reach a real link of a 3x3 mesh through that arithmetic.
+    # Links are numbered handle * 4 + port code, and a handle is
+    # y * width + x. None of these may reach a real link of a 3x3 mesh
+    # through that arithmetic: a NodeId outside the mesh has no handle, and
+    # the network refuses handles outside it, the local port and missing links.
     BAD_LINKS = [
         pytest.param(NodeId(3, 0), PortDir.EAST, id="x-past-width-aliases-(0,1)"),
         pytest.param(NodeId(-1, 0), PortDir.EAST, id="negative-x-wraps-to-last-node"),
         pytest.param(NodeId(0, 3), PortDir.SOUTH, id="y-past-height"),
         pytest.param(NodeId(0, 1), PortDir.LOCAL, id="local-aliases-next-node-south"),
         pytest.param(NodeId(0, 0), PortDir.WEST, id="missing-boundary-link"),
+        pytest.param(-1, PortDir.EAST, id="negative-handle-wraps-to-last-node"),
+        pytest.param(9, PortDir.SOUTH, id="handle-past-node-count"),
     ]
     QUERIES = {
-        "fits": lambda net, node, port: net.fits(node, port, 1.0),
-        "reserve": lambda net, node, port: net.reserve(node, port, ("f", 0), 1.0),
+        "fits": lambda net, node, port: net.fits(node, port, 1),
+        "reserve": lambda net, node, port: net.reserve(node, port, ("f", 0), 1),
         "release": lambda net, node, port: net.release(node, port, ("f", 0)),
         "free_wires": lambda net, node, port: net.free_wires(node, port),
         "holders": lambda net, node, port: net.holders(node, port),
@@ -205,27 +238,60 @@ class TestLinkAddressing:
     def test_rejected(self, query, node, port):
         net = Network(Mesh(3, 3), 8, 1.0)
         with pytest.raises(InvalidPathError):
-            self.QUERIES[query](net, node, port)
+            self.QUERIES[query](net, net.mesh.handle(node) if isinstance(node, NodeId) else node, port)
         assert net.total_held() == 0
 
     def test_fitting_links_rejects_node_outside_mesh(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        for node in (NodeId(3, 0), NodeId(-1, 0), NodeId(0, -1)):
+        for node in (9, -1, 100):
             with pytest.raises(InvalidPathError):
                 net.fitting_links(node, 1)
 
     def test_fitting_links_skips_missing_and_full_links(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        assert [port for port, _ in net.fitting_links(NodeId(0, 0), 1)] == [PortDir.EAST, PortDir.NORTH]
-        assert net.reserve(NodeId(1, 1), PortDir.WEST, ("bg", 0), 6.0)
-        assert [port for port, _ in net.fitting_links(NodeId(1, 1), 2)] == list(NON_LOCAL_PORTS)
-        assert [port for port, _ in net.fitting_links(NodeId(1, 1), 3)] == [PortDir.SOUTH, PortDir.EAST, PortDir.NORTH]
-        assert net.fitting_links(NodeId(1, 1), 9) == []
+        assert [port for port, _ in net.fitting_links(at(net, 0, 0), 1)] == [PortDir.EAST, PortDir.NORTH]
+        center = at(net, 1, 1)
+        assert net.reserve(center, PortDir.WEST, ("bg", 0), 6)
+        assert [port for port, _ in net.fitting_links(center, 2)] == list(NON_LOCAL_PORTS)
+        assert [port for port, _ in net.fitting_links(center, 3)] == [PortDir.SOUTH, PortDir.EAST, PortDir.NORTH]
+        assert net.fitting_links(center, 9) == []
 
     def test_far_end_matches_mesh_neighbor(self):
         net = Network(Mesh(4, 3), 8, 1.0)
+        mesh = net.mesh
         for node, port in net.links:
-            assert net.far_end(node, port) == net.mesh.neighbor(node, port)
-        for node in net.mesh.nodes():
-            expected = [(port, net.mesh.neighbor(node, port)) for port in NON_LOCAL_PORTS]
-            assert net.fitting_links(node, 8) == [(port, far) for port, far in expected if far is not None]
+            assert mesh.node_at(net.far_end(node, port)) == mesh.neighbor(mesh.node_at(node), port)
+        for node in mesh.nodes():
+            expected = [(port, mesh.neighbor(node, port)) for port in NON_LOCAL_PORTS]
+            got = [(port, mesh.node_at(far)) for port, far in net.fitting_links(mesh.handle(node), 8)]
+            assert got == [(port, far) for port, far in expected if far is not None]
+
+
+@st.composite
+def loaded_networks(draw):
+    """A network of 1x1 to 6x6 nodes with a random background load on each link."""
+    mesh = Mesh(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    net = Network(mesh, draw(st.integers(1, 6)), 1.0)
+    for node, port in net.links:
+        held = draw(st.integers(0, net.wire_count))
+        if held:
+            assert net.reserve(node, port, ("background", 0), held)
+    return net
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(loaded_networks(), st.integers(1, 7))
+def test_fitting_links_are_the_links_with_enough_free_wires(net, wires):
+    # the ports with free_wires >= wires, in code order, each paired with
+    # the far end Mesh.neighbor names
+    mesh = net.mesh
+    for node in mesh.nodes():
+        handle = mesh.handle(node)
+        expected = [
+            (port, mesh.neighbor(node, port))
+            for port in NON_LOCAL_PORTS
+            if mesh.neighbor(node, port) is not None and net.free_wires(handle, port) >= wires
+        ]
+        got = net.fitting_links(handle, wires)
+        assert [(port, mesh.node_at(far)) for port, far in got] == expected
+        assert all(net.fits(handle, port, wires) for port, _ in got)
