@@ -13,21 +13,24 @@ made only for output and messages.
 The flood builds no packet per hop. Every hop takes the same t_hop and each
 cycle's events come out in scheduling order, so a flow's forward copies
 reach a node in the order they were sent, and a copy's hop count is
-(clock - arrival_time) // t_hop. A queued copy carries only its flow's
-record, and one step, `Simulator._on_forward`, applies the whole flood rule
-over the flow's first-copy tree, queuing each copy straight into the bucket
-of cycle clock + t_hop. At the destination the engine rebuilds the bee's
-port list from the tree for `router.handle_forward_bee`.
+(clock - arrival_time) // t_hop. The copies one flood step sends are
+consecutive in the next cycle's bucket, so they are queued as one wave: the
+flow's record and its (node, arrival_port) copies. `Simulator._on_wave`
+applies the flood rule to each copy over the flow's first-copy tree,
+reading the flow's state once per wave (frontier batching, as in
+level-synchronous BFS). A destination conversion transits a backward bee
+into the same bucket, so it closes the open wave: flattened, the queue is
+the per-copy schedule. At the destination the bee's port list is rebuilt
+from the tree for `router.handle_forward_bee`.
 
-Untraced runs do not schedule the forward copies the receiver would drop as
-duplicates: once a copy has been sent to a node, a later one bound there
-(the destination aside) finds it a duplicate or the flow settled and does
-nothing. The flood step counts such a copy's delivery (events_processed,
-forward_deliveries, the flow's count and its 4|V| cap) when it would be
-sent. A delivery that would fall after max_cycles is scheduled as usual,
-and at the end of the run the clock moves on to the last counted delivery,
-so `RunStats` and both CSVs are those of the full schedule. Traced runs
-schedule every delivery, so that trace.tsv lists each of them.
+Untraced runs do not queue a forward copy the receiver would drop as a
+duplicate: once a copy has been sent to a node, a later one bound there
+(the destination aside) does nothing. Its delivery is counted
+(events_processed, forward_deliveries, the flow's count and its 4|V| cap)
+when it would be sent, unless it would fall after max_cycles, and at the
+end of the run the clock moves on to the last counted delivery, so
+`RunStats` and both CSVs are those of the full schedule. Traced runs queue
+every copy, and trace.tsv lists each delivery.
 """
 
 from __future__ import annotations
@@ -93,8 +96,7 @@ class FlowRecord:
 
     spec: FlowSpec
     hop_limit: int
-    # Wires the flow's demand takes on each link, Network.wires_for of it.
-    wires: int
+    wires: int  # the wires its demand takes on each link, Network.wires_for of it
     source: int  # handles of the flow's ends
     destination: int
     flood_until: int  # arrival_time + hop_limit * t_hop: copies delivered from then on used the budget
@@ -130,9 +132,9 @@ class CalendarQueue:
     A dict maps each pending cycle to a FIFO list of its events, and a heap
     holds the distinct pending cycles. Events come out in (cycle, push
     order), the order of a heap keyed by (time, sequence number). The
-    simulator queues (handler, node, payload, arrival_port) tuples; a forward
-    copy carries its flow's `FlowRecord`, and so do a flow's arrival,
-    completion and setup timeout, with no port.
+    simulator queues (handler, node, payload, arrival_port) tuples; a flow's
+    arrival, completion and setup timeout carry its `FlowRecord` and no port,
+    and a wave is (wave step, FlowRecord, [(node, arrival_port), ...], None).
     """
 
     __slots__ = ("_buckets", "_cycles")
@@ -192,9 +194,6 @@ class Simulator:
         self._trace: list[str] | None = [] if config.trace else None
         self._forward_cap = 4 * self.mesh.node_count
         self._t_hop = config.t_hop
-        # The flood step's bucket of cycle _hop_clock + t_hop, fetched once per cycle.
-        self._hop_clock = -1
-        self._hop_bucket: list = []
         # Duplicate forward bees are elided while the clock is at most this,
         # so that their delivery would still fall within max_cycles.
         self._elide_through = -1 if config.trace else config.max_cycles - config.t_hop
@@ -267,9 +266,10 @@ class Simulator:
                     handler(self, node, payload, port)
                 except InvariantViolationError as exc:
                     raise type(exc)(f"event {self._events_processed}: {exc}") from exc
-                self._events_processed += 1
-                if self._trace is not None:
-                    self._trace.append(self._trace_line(ev))
+                if handler is not _WAVE:  # a wave counts and traces each of its copies
+                    self._events_processed += 1
+                    if self._trace is not None:
+                        self._trace.append(self._trace_line(ev))
         if self._elided_until > self.clock:
             self._advance_clock(self._elided_until)
         if truncated:
@@ -308,48 +308,70 @@ class Simulator:
         timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self._t_hop)
         self.queue.push(self.clock + timeout, (Simulator._on_setup_timeout, source, rec, None))
         rec.tree = [None] * self.mesh.node_count
-        rec.tree[source] = PortDir.LOCAL
-        self._on_forward(source, rec, PortDir.LOCAL)
+        rec.tree[source] = _LOCAL
+        self._on_wave(rec, [(source, _LOCAL)], None)
 
-    def _on_forward(self, node: int, rec: FlowRecord, arrival_port: PortDir) -> None:
-        """The flood rule, for a forward copy delivered at `node` on
-        `arrival_port` or, on LOCAL, a flow starting at its source. A copy of
-        a settled flow, one that is not the first sent to its node, or one
-        that has used the hop budget sends nothing. The first goes on every
-        link but its arrival port with the flow's wires free, and each new far
-        end but the destination enters the tree. When eliding, a copy bound
-        for a node already in the tree is counted now instead of queued."""
+    def _on_wave(self, rec: FlowRecord, copies: list, _port: None) -> None:
+        """The flood rule for `copies`, (node, arrival_port) pairs of `rec`'s
+        flow delivered now, in order. The first copy sent to a node, unless
+        the flow has settled or used its hop budget, goes on every link but
+        its arrival port with the flow's wires free, and each new far end but
+        the destination enters the tree; when eliding, a copy bound for a node
+        in the tree is counted, not queued. Other copies send nothing, and
+        are converted at the destination. Each copy is an event, but a LOCAL
+        one: the flow starting, inside its arrival event."""
         tree = rec.tree
         clock = self.clock
-        if tree is None or tree[node] is not arrival_port or clock >= rec.flood_until:
-            self._count_forward(rec, 1)
-            # The destination is never in the tree, so every copy there lands here.
-            if tree is not None and node == rec.destination:
-                bee = self._arrived_bee(node, rec, arrival_port)
-                for port, packet in router.handle_forward_bee(self.nodes[node], bee, self.config.backward_bee_count):
-                    self.transit(node, port, packet)
-            return
-        elide = clock <= self._elide_through
+        spent = tree is None or clock >= rec.flood_until
         destination = rec.destination
-        elided = 0
-        for port, far in self.network.fitting_links(node, rec.wires):
-            if port is arrival_port:
-                continue
-            if tree[far] is None:
-                if far != destination:
-                    tree[far] = OPPOSITE[port]
-            elif elide:
-                elided += 1
-                continue
-            if self._hop_clock != clock:
-                self._hop_clock = clock
-                self._hop_bucket = self.queue.bucket(clock + self._t_hop)
-            self._hop_bucket.append((_FORWARD, far, rec, OPPOSITE[port]))
-        if elided:
-            self._events_processed += elided
-            self._elided_until = clock + self._t_hop
-        # A LOCAL arrival is the flow starting at its source, not a delivery.
-        self._count_forward(rec, elided + (arrival_port is not _LOCAL))
+        wires = rec.wires
+        elide = clock <= self._elide_through
+        node_links = self.network.node_links
+        free = self.network.free_by_slot
+        trace = self._trace
+        budget = self._forward_cap - rec.forward_deliveries
+        # Each copy counted so far, elided or not, is one event and one delivery.
+        base = self._events_processed
+        counted = 0
+        send = None  # appends to the open wave of copies queued for cycle clock + t_hop
+        for node, arrival_port in copies:
+            if not spent and tree[node] is arrival_port:
+                for port, slot, far in node_links[node]:
+                    if port is arrival_port or free[slot] < wires:
+                        continue
+                    if tree[far] is None:
+                        if far != destination:
+                            tree[far] = OPPOSITE[port]
+                    elif elide:
+                        counted += 1
+                        self._elided_until = clock + self._t_hop
+                        continue
+                    if send is None:
+                        wave = []
+                        send = wave.append
+                        self.queue.bucket(clock + self._t_hop).append((_WAVE, rec, wave, None))
+                    send((far, OPPOSITE[port]))
+                if arrival_port is _LOCAL:
+                    continue
+            counted += 1
+            if counted > budget:
+                self._events_processed = base + counted - 1
+                raise InvariantViolationError(
+                    f"flow {rec.spec.flow} exceeded the forward-bee event cap ({self._forward_cap})"
+                )
+            # The destination is never in the tree, so every copy there sends nothing.
+            if node == destination and tree is not None:
+                self._events_processed = base + counted - 1
+                bee = self._arrived_bee(node, rec, arrival_port)
+                if emissions := router.handle_forward_bee(self.nodes[node], bee, self.config.backward_bee_count):
+                    send = None  # its backward bee follows the copies queued so far
+                    for port, packet in emissions:
+                        self.transit(node, port, packet)
+            if trace is not None:
+                trace.append(self._trace_line((_WAVE, node, rec, arrival_port)))
+        self._events_processed = base + counted
+        self._forward_deliveries += counted
+        rec.forward_deliveries += counted
 
     def _arrived_bee(self, node: int, rec: FlowRecord, arrival_port: PortDir) -> ForwardBee:
         """The forward bee a copy delivered at its destination `node` carries:
@@ -364,22 +386,10 @@ class Simulator:
         ports = PortList()
         for port in reversed(backward):
             ports = ports.push(port, rec.hop_limit)
-        spec, hops = rec.spec, self._hops(rec)
+        spec, hops = rec.spec, (self.clock - rec.spec.arrival_time) // self._t_hop
         if ports.length != hops:
             raise InvariantViolationError(f"flow {spec.flow}: tree path of {ports.length} hops after {hops}")
         return ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, ports)
-
-    def _hops(self, rec: FlowRecord) -> int:
-        """Hops taken by a forward copy of `rec`'s flow delivered now."""
-        return (self.clock - rec.spec.arrival_time) // self._t_hop
-
-    def _count_forward(self, rec: FlowRecord, deliveries: int) -> None:
-        self._forward_deliveries += deliveries
-        rec.forward_deliveries += deliveries
-        if rec.forward_deliveries > self._forward_cap:
-            raise InvariantViolationError(
-                f"flow {rec.spec.flow} exceeded the forward-bee event cap ({self._forward_cap})"
-            )
 
     def _on_backward(self, node: int, bee: BackwardBee, arrival_port: PortDir) -> None:
         self._backward_deliveries += 1
@@ -450,7 +460,7 @@ class Simulator:
         if port is None:
             return f"{self.clock}\t{_LIFECYCLE_NAMES[handler]}\t{node}\t{payload.spec.flow}\t-\t-\t-"
         if type(payload) is FlowRecord:
-            flow, pkt, hop = payload.spec.flow, "forward", self._hops(payload)
+            flow, pkt, hop = payload.spec.flow, "forward", (self.clock - payload.spec.arrival_time) // self._t_hop
         elif type(payload) is BackwardBee:
             flow, pkt, hop = payload.flow, "backward", payload.next_index
         else:
@@ -498,8 +508,8 @@ class Simulator:
         return metrics.build_report(self.config, tuple(rows), stats, util_peak, util_mean, trace)
 
 
-# The handler of every queued forward copy, read as a global in the flood step.
-_FORWARD = Simulator._on_forward
+# The handler of every queued wave of forward copies, read as a global.
+_WAVE = Simulator._on_wave
 # The handler of a packet delivery, by packet type; transit picks it.
 _DELIVERY_HANDLERS = {
     BackwardBee: Simulator._on_backward,

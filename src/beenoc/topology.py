@@ -146,15 +146,15 @@ class Network:
     Each physical channel between neighbors is modeled as two independent
     directed links, each with its own pool of `wire_count` wires. A link's
     state is a dict mapping each owner, a (flow, bee index) key, to the wires
-    it holds, plus a count of its free wires; only this class reads or writes
-    them. Admission goes through fits()/fitting_links() and mutation through
-    reserve()/release(), so the wire arithmetic, the per-direction totals and
-    the wire-count bound live in one place.
+    it holds, plus a count of its free wires. Only reserve()/release() write
+    them. A link admits a demand of bandwidth b when it has wires_for(b)
+    wires free: the flood, reservation and the oracle all use this test.
 
     Nodes are int handles (Mesh.handle). The link leaving node n through a
-    port is numbered 4 * n + port code, and each per-link table is a flat
-    list in that order, with no reservation dict for links leaving the mesh.
-    Each node's links are also listed as (port, slot, far end), by port code.
+    port is its slot 4 * n + port code, and each per-link table is a flat
+    list by slot, with no reservation dict for links leaving the mesh. Two
+    read-only views serve the flood: `node_links[n]`, node n's links as
+    (port, slot, far end) by port code, and `free_by_slot`.
     """
 
     def __init__(self, mesh: Mesh, wire_count: int, wire_bandwidth: float) -> None:
@@ -170,22 +170,23 @@ class Network:
         # Handle offset of the neighbor through each port, by port code.
         self._steps = (-width, -1, 1, width)
         self._reservations: list[dict | None] = [None] * (4 * self._node_count)
-        self._free = [0] * (4 * self._node_count)
-        self._out: list[tuple] = []
+        self.free_by_slot = [0] * (4 * self._node_count)
+        node_links = []
         self.wires_by_class = [0, 0, 0, 0]
         for y in range(height):
             for x in range(width):
                 node = y * width + x
                 present = (y > 0, x > 0, x < width - 1, y < height - 1)
-                node_links = []
+                links = []
                 for port in NON_LOCAL_PORTS:
                     if present[port]:
                         slot = 4 * node + port
                         self._reservations[slot] = {}
-                        self._free[slot] = wire_count
-                        node_links.append((port, slot, node + self._steps[port]))
+                        self.free_by_slot[slot] = wire_count
+                        links.append((port, slot, node + self._steps[port]))
                         self.wires_by_class[port] += wire_count
-                self._out.append(tuple(node_links))
+                node_links.append(tuple(links))
+        self.node_links = tuple(node_links)
         self.held_by_class = [0, 0, 0, 0]
         self._dirty: list[int] = []
 
@@ -193,7 +194,7 @@ class Network:
     def links(self) -> tuple[tuple[int, PortDir], ...]:
         """(node handle, port) of every directed link, nodes in handle order
         and each node's ports in code order."""
-        return tuple((node, port) for node, out in enumerate(self._out) for port, _, _ in out)
+        return tuple((node, port) for node, links in enumerate(self.node_links) for port, _, _ in links)
 
     def _index(self, node: int, port: PortDir) -> int:
         """Index of an existing link; raises for the local port or a missing link."""
@@ -214,7 +215,7 @@ class Network:
         return node + self._steps[port]
 
     def free_wires(self, node: int, port: PortDir) -> int:
-        return self._free[self._index(node, port)]
+        return self.free_by_slot[self._index(node, port)]
 
     def residual(self, node: int, port: PortDir) -> float:
         return self.free_wires(node, port) * self.wire_bandwidth
@@ -229,25 +230,13 @@ class Network:
             raise ValueError("bandwidth must be positive")
         return max(1, math.ceil(bandwidth / self.wire_bandwidth - 1e-9))
 
-    def fits(self, node: int, port: PortDir, wires: int) -> bool:
-        """The admission rule: the link has `wires` wires free, a demand of
-        bandwidth b taking wires_for(b). Flooding (fitting_links), reservation
-        and the feasibility oracle all decide with it.
-        """
-        return self.free_wires(node, port) >= wires
-
     def fitting_links(self, node: int, wires: int) -> list[tuple[PortDir, int]]:
         """(port, far end) of each link leaving `node`, in port-code order,
-        that has at least `wires` wires free: the admission rule of fits()
-        applied to all of a node's links."""
+        that has at least `wires` wires free."""
         if not 0 <= node < self._node_count:
             raise InvalidPathError(f"node handle {node} is outside the {self.mesh.width}x{self.mesh.height} mesh")
-        # A loop, not a comprehension: this runs once per flood step.
-        links = []
-        for port, slot, far in self._out[node]:
-            if self._free[slot] >= wires:
-                links.append((port, far))
-        return links
+        free = self.free_by_slot
+        return [(port, far) for port, slot, far in self.node_links[node] if free[slot] >= wires]
 
     def reserve(self, node: int, port: PortDir, key, wires: int) -> bool:
         """Try to reserve `wires` wires for `key` on the link leaving `node`
@@ -255,7 +244,7 @@ class Network:
         index = self._index(node, port)
         if wires < 1:
             raise ValueError("a reservation needs at least one wire")
-        if self._free[index] < wires:
+        if self.free_by_slot[index] < wires:
             return False
         reservations = self._reservations[index]
         if key in reservations:
@@ -263,7 +252,7 @@ class Network:
                 f"duplicate reservation by {key} on {self.mesh.node_at(node)}->{port.name}"
             )
         reservations[key] = wires
-        self._free[index] -= wires
+        self.free_by_slot[index] -= wires
         self.held_by_class[port] += wires
         self._dirty.append(index)
         return True
@@ -272,7 +261,7 @@ class Network:
         """Free `key`'s wires on the given link; returns the wires freed (0 if none)."""
         index = self._index(node, port)
         wires = self._reservations[index].pop(key, 0)
-        self._free[index] += wires
+        self.free_by_slot[index] += wires
         self.held_by_class[port] -= wires
         self._dirty.append(index)
         return wires
@@ -294,16 +283,12 @@ class Network:
         wire_count = self.wire_count
         for index in self._dirty:
             held = sum(self._reservations[index].values())
-            if 0 <= held <= wire_count and held + self._free[index] == wire_count:
+            if 0 <= held <= wire_count and held + self.free_by_slot[index] == wire_count:
                 continue
             link = f"{self.mesh.node_at(index // 4)}->{PortDir(index % 4).name}"
             if not 0 <= held <= wire_count:
                 raise InvariantViolationError(f"link {link} holds {held} of {wire_count} wires")
             raise InvariantViolationError(
-                f"link {link} holds {held} wires but counts {self._free[index]} free of {wire_count}"
+                f"link {link} holds {held} wires but counts {self.free_by_slot[index]} free of {wire_count}"
             )
         self._dirty = []
-
-    def residual_snapshot(self) -> dict[tuple[int, PortDir], float]:
-        """Frozen residual bandwidth of every directed link."""
-        return {(node, port): self.residual(node, port) for node, port in self.links}

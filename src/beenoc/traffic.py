@@ -8,6 +8,7 @@ seed always yields the same flow list on any platform.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,24 +59,24 @@ def traffic_params_from_config(cfg: RunConfig) -> TrafficParams:
     )
 
 
-def _draw_uniform_excluding(nodes: list[NodeId], excluded: list[NodeId], rng: np.random.Generator) -> NodeId:
-    """Uniform draw over `nodes` minus `excluded` without rebuilding the list."""
-    skip = sorted({nodes.index(e) for e in excluded})
-    idx = int(rng.integers(0, len(nodes) - len(skip)))
+def _draw_uniform_excluding(mesh: Mesh, excluded: list[NodeId], rng: np.random.Generator) -> NodeId:
+    """Uniform draw over the mesh's nodes, in handle order, minus `excluded`."""
+    skip = sorted({mesh.handle(e) for e in excluded})
+    idx = int(rng.integers(0, mesh.node_count - len(skip)))
     for s in skip:
         if idx >= s:
             idx += 1
-    return nodes[idx]
+    return mesh.node_at(idx)
 
 
-def _draw_destination(src: NodeId, nodes: list[NodeId], params: TrafficParams, rng: np.random.Generator) -> NodeId:
+def _draw_destination(src: NodeId, mesh: Mesh, params: TrafficParams, rng: np.random.Generator) -> NodeId:
     if params.pattern == "transpose":
         return NodeId(src.y, src.x)
     if params.pattern == "hotspot" and src != params.hotspot:
         if rng.random() < params.hotspot_fraction:
             return params.hotspot
-        return _draw_uniform_excluding(nodes, [src, params.hotspot], rng)
-    return _draw_uniform_excluding(nodes, [src], rng)
+        return _draw_uniform_excluding(mesh, [src, params.hotspot], rng)
+    return _draw_uniform_excluding(mesh, [src], rng)
 
 
 def _draw_hold(params: TrafficParams, rng: np.random.Generator) -> int:
@@ -95,15 +96,19 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
         raise ConfigError(f"unknown traffic pattern {params.pattern!r}")
     if params.pattern == "transpose" and mesh.width != mesh.height:
         raise ConfigError("transpose traffic needs a square mesh")
+    if len(params.bandwidth_weights) != len(params.bandwidth_values):
+        raise ConfigError("bandwidth weights and values must have the same length")
     if params.rate == 0:
         return []
     weights = np.asarray(params.bandwidth_weights, dtype=float)
-    if weights.sum() <= 0:
-        raise ConfigError("bandwidth weights must not all be zero")
-    weights = weights / weights.sum()
-    nodes = list(mesh.nodes())
+    if not (np.all(np.isfinite(weights) & (weights >= 0)) and weights.sum() > 0):
+        raise ConfigError("bandwidth weights must be finite, not negative and not all zero")
+    # What Generator.choice(n, p=weights) searches; bisect_right is its draw.
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    bandwidth_cdf = cdf.tolist()
     flows: list[FlowSpec] = []
-    for src in nodes:
+    for src in mesh.nodes():
         if params.pattern == "transpose" and src.x == src.y:
             continue  # transpose targets itself on the diagonal
         sequence = 0
@@ -112,8 +117,8 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
             clock += rng.exponential(1.0 / params.rate)
             if clock > params.duration:
                 break
-            destination = _draw_destination(src, nodes, params, rng)
-            bandwidth = params.bandwidth_values[int(rng.choice(len(params.bandwidth_values), p=weights))]
+            destination = _draw_destination(src, mesh, params, rng)
+            bandwidth = params.bandwidth_values[bisect_right(bandwidth_cdf, rng.random())]
             hold = _draw_hold(params, rng)
             flows.append(
                 FlowSpec(

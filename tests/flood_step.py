@@ -1,8 +1,9 @@
-"""Drive the flood rule, one engine step (`Simulator._on_forward`), by hand.
+"""Drive the flood rule, one engine step (`Simulator._on_wave`), by hand.
 
 `flood_sim` builds a simulator of a single flow, takes its arrival event
 off the queue unrun and plants the flow's first-copy tree; `flood` then
-delivers one forward copy and returns the copies the step queued.
+delivers one forward copy, as a wave of one, and returns the copies the
+step queued, flattened out of their waves.
 """
 
 from beenoc import FlowId, FlowSpec, NodeId, RunConfig, Simulator
@@ -30,13 +31,12 @@ def flood(sim, node, arrival, hops):
     in queue order."""
     (rec,) = sim.records.values()
     sim.clock = rec.spec.arrival_time + hops * sim.config.t_hop
-    sim._hop_clock = -1  # the bucket of an earlier step was popped below
-    sim._on_forward(sim.mesh.handle(node), rec, arrival)
+    sim._on_wave(rec, [(sim.mesh.handle(node), arrival)], None)
     if not sim.queue:
         return []
-    time, copies = sim.queue.pop_cycle()
+    time, waves = sim.queue.pop_cycle()
     assert time == sim.clock + sim.config.t_hop and not sim.queue
-    return [(port.opposite(), sim.mesh.node_at(far)) for _, far, _, port in copies]
+    return [(port.opposite(), sim.mesh.node_at(far)) for _, _, copies, _ in waves for far, port in copies]
 
 
 def tree_of(sim, rec):

@@ -101,13 +101,13 @@ def test_criterion_3_state_machine_traces():
 
     # (d) forward copies never mutate link reservations
     sim, rec = flood_sim(tree={src: LOCAL})
-    before = sim.network.residual_snapshot()
+    before = {link: sim.network.free_wires(*link) for link in sim.network.links}
     queue = [(src, LOCAL, 0)]
     while queue:
         node, arrival, hops = queue.pop(0)
         if node != dst:
             queue.extend((far, port.opposite(), hops + 1) for port, far in flood(sim, node, arrival, hops))
-    assert sim.network.residual_snapshot() == before
+    assert {link: sim.network.free_wires(*link) for link in sim.network.links} == before
     print("PASS criterion 3: duplicate kill, hop-limit kill, 3-bee conversion cap, pure discovery")
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import heapq
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,29 @@ def deliver(sim, event):
     handler(sim, node, payload, arrival_port)
 
 
+WAVE = Simulator._on_wave
+
+
+def only_wave(events):
+    """The flow record and the (node, arrival_port) copies of a cycle that
+    holds one wave."""
+    ((handler, rec, copies, port),) = events
+    assert handler is WAVE and port is None
+    return rec, copies
+
+
+def flattened(bucket):
+    """A bucket's events in per-copy order: each wave's copies in turn, as
+    ("forward", node, arrival_port), and every other event as it is."""
+    events = []
+    for handler, node, payload, port in bucket:
+        if handler is WAVE:
+            events.extend(("forward", far, arrival) for far, arrival in payload)
+        else:
+            events.append((handler, node, payload, port))
+    return events
+
+
 class TestFloodScheduling:
     def test_copies_queued_one_hop_later_in_port_order(self):
         # traced, so no copy is elided; the source (0,1) sends to (0,0),
@@ -141,19 +165,20 @@ class TestFloodScheduling:
         sim = Simulator(base_config(t_hop=2, trace=True), [one_flow(src=(0, 1), dst=(3, 3))])
         _, (arrival,) = sim.queue.pop_cycle()
         deliver(sim, arrival)
-        sim.clock, (_, center, _) = sim.queue.pop_cycle()
-        deliver(sim, center)
-        time, copies = sim.queue.pop_cycle()
+        sim.clock, events = sim.queue.pop_cycle()
+        rec, (_, center, _) = only_wave(events)
+        deliver(sim, (WAVE, rec, [center], None))
+        time, events = sim.queue.pop_cycle()
         assert time == 4
-        assert [(sim.mesh.node_at(node), port) for _, node, _, port in copies] == [
+        # one wave carries the flow's record and the copies, in port order
+        payload, copies = only_wave(events)
+        assert payload is rec is sim.records[FlowId(NodeId(0, 1), 0)]
+        assert [(sim.mesh.node_at(node), port) for node, port in copies] == [
             (NodeId(1, 0), PortDir.NORTH),
             (NodeId(2, 1), PortDir.WEST),
             (NodeId(1, 2), PortDir.SOUTH),
         ]
-        # each copy carries its flow's record, whose tree leads every copy's
-        # node back through (1,1) to the source
-        rec = sim.records[FlowId(NodeId(0, 1), 0)]
-        assert all(payload is rec for _, _, payload, _ in copies)
+        # the tree leads every copy's node back through (1,1) to the source
         expected = {
             NodeId(0, 1): PortDir.LOCAL,
             NodeId(1, 1): PortDir.WEST,
@@ -169,18 +194,20 @@ class TestFloodScheduling:
         sim = Simulator(base_config(mesh_width=3, mesh_height=2, t_hop=2), [one_flow(src=(0, 0), dst=(2, 0))])
         _, (arrival,) = sim.queue.pop_cycle()
         deliver(sim, arrival)
-        sim.clock, (east, _) = sim.queue.pop_cycle()
-        deliver(sim, east)
-        sim.clock, (to_destination, _) = sim.queue.pop_cycle()
+        sim.clock, events = sim.queue.pop_cycle()
+        rec, (east, _) = only_wave(events)
+        deliver(sim, (WAVE, rec, [east], None))
+        sim.clock, events = sim.queue.pop_cycle()
+        _, (to_destination, _) = only_wave(events)
         bees = []
         monkeypatch.setattr(router, "handle_forward_bee", lambda state, bee, cap: bees.append(bee) or [])
-        deliver(sim, to_destination)
+        deliver(sim, (WAVE, rec, [to_destination], None))
         flow = FlowId(NodeId(0, 0), 0)
         assert bees == [ForwardBee(flow, NodeId(2, 0), 2.0, PortList.from_ports([PortDir.EAST, PortDir.EAST]))]
         # the tree path must be as long as the hops the clock allows
         sim.clock += 2
         with pytest.raises(InvariantViolationError, match="tree path of 2 hops after 3"):
-            deliver(sim, to_destination)
+            deliver(sim, (WAVE, rec, [to_destination], None))
 
     def test_all_elided_fanout_queues_nothing(self):
         # 3x2 mesh, flow (0,0) -> (2,1): the bee at (1,0) is sent on to
@@ -189,12 +216,58 @@ class TestFloodScheduling:
         sim = Simulator(base_config(mesh_width=3, mesh_height=2, t_hop=2), [one_flow(src=(0, 0), dst=(2, 1))])
         _, (arrival,) = sim.queue.pop_cycle()
         deliver(sim, arrival)
-        sim.clock, (east, north) = sim.queue.pop_cycle()
-        deliver(sim, east)
+        sim.clock, events = sim.queue.pop_cycle()
+        rec, (east, north) = only_wave(events)
+        deliver(sim, (WAVE, rec, [east], None))
         assert sim.queue.pop_cycle()[0] == 4  # the copies sent from (1,0)
-        deliver(sim, north)
+        deliver(sim, (WAVE, rec, [north], None))
         assert sim.queue.next_time() > 4
-        assert sim.records[FlowId(NodeId(0, 0), 0)].forward_deliveries == 3
+        assert rec.forward_deliveries == 3
+
+    def test_conversion_mid_wave_splits_it(self):
+        # 3x3, flow (0,0) -> (1,1), one backward bee, traced: the cycle-2
+        # wave is (2,0), then the destination twice, then (0,2). The first
+        # destination copy converts, so the cycle-3 bucket is the copy (2,0)
+        # sends, the backward bee, and the copy (0,2) sends, in two waves.
+        def run_to_cycle_3(one_copy_waves):
+            cfg = base_config(mesh_width=3, mesh_height=3, t_hop=1, trace=True, backward_bee_count=1)
+            sim = Simulator(cfg, [one_flow(src=(0, 0), dst=(1, 1))])
+            while sim.queue.next_time() < 3:
+                sim.clock, events = sim.queue.pop_cycle()
+                for handler, rec, payload, port in events:
+                    if handler is WAVE and one_copy_waves:
+                        for copy in payload:
+                            deliver(sim, (WAVE, rec, [copy], None))
+                    else:
+                        deliver(sim, (handler, rec, payload, port))
+            return sim, sim.queue.pop_cycle()
+
+        sim, (time, bucket) = run_to_cycle_3(one_copy_waves=False)
+        assert time == 3
+        assert [event[0] for event in bucket] == [WAVE, Simulator._on_backward, WAVE]
+        at = sim.mesh.handle
+        assert flattened(bucket)[::2] == [
+            ("forward", at(NodeId(2, 1)), PortDir.SOUTH),
+            ("forward", at(NodeId(1, 2)), PortDir.WEST),
+        ]
+        # the same schedule as delivering every copy as a wave of its own
+        _, (_, per_copy) = run_to_cycle_3(one_copy_waves=True)
+        assert flattened(bucket) == flattened(per_copy)
+
+    @pytest.mark.parametrize("trace", [True, False])
+    def test_flood_without_destination_queues_one_wave_per_cycle(self, trace):
+        # the links into (2,2) are full, so the flood never meets it
+        sim = Simulator(base_config(mesh_width=3, mesh_height=3, t_hop=1, trace=trace), [one_flow(dst=(2, 2))])
+        for node, port in ((NodeId(1, 2), PortDir.EAST), (NodeId(2, 1), PortDir.NORTH)):
+            assert sim.network.reserve(sim.mesh.handle(node), port, ("background", 0), 8)
+        handlers = []
+        while sim.queue:
+            sim.clock, events = sim.queue.pop_cycle()
+            handlers.append([event[0] for event in events])
+            for event in events:
+                deliver(sim, event)
+        assert handlers[0] == [Simulator._on_flow_arrival] and handlers[-1] == [Simulator._on_setup_timeout]
+        assert len(handlers) > 4 and all(cycle == [WAVE] for cycle in handlers[1:-1])
 
 
 class TestCalendarQueue:
@@ -388,9 +461,13 @@ class TestElidedDuplicates:
 
     @pytest.mark.parametrize("trace", [True, False])
     def test_forward_cap_enforced_in_both_modes(self, trace):
+        # the event index counts every copy, elided ones included, up to the
+        # copy whose delivery passes the cap
         sim = Simulator(base_config(trace=trace), [one_flow()])
         sim._forward_cap = 5
-        with pytest.raises(InvariantViolationError, match="forward-bee event cap"):
+        event = 6 if trace else 7
+        message = f"event {event}: flow 0,0:0 exceeded the forward-bee event cap (5)"
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
             sim.run()
 
     @pytest.mark.parametrize("trace", [True, False])

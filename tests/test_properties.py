@@ -201,7 +201,7 @@ def reference_arrivals(net, spec, hop_limit):
             continue
         for port in NON_LOCAL_PORTS:
             far = net.mesh.neighbor(node, port)
-            if port is not arrival and far is not None and net.fits(net.mesh.handle(node), port, wires):
+            if port is not arrival and far is not None and net.free_wires(net.mesh.handle(node), port) >= wires:
                 queue.append((far, bee.advanced(port, hop_limit), port.opposite()))
     return arrivals
 

@@ -168,7 +168,7 @@ class TestForwardBee:
         sim, rec = flood_sim(tree={NodeId(0, 0): LOCAL})
         net = sim.network
         src, dst = NodeId(0, 0), NodeId(2, 2)
-        before = net.residual_snapshot()
+        before = {link: net.free_wires(*link) for link in net.links}
         queue = [(src, LOCAL, 0)]
         deliveries = 0
         while queue:
@@ -179,7 +179,7 @@ class TestForwardBee:
                 queue.extend((far, port.opposite(), hops + 1) for port, far in links)
         assert deliveries > 1
         assert net.total_held() == 0
-        assert net.residual_snapshot() == before
+        assert {link: net.free_wires(*link) for link in net.links} == before
 
     def test_copies_to_reached_nodes_are_elided(self):
         # center of an idle 3x3, first copy from the west source; (1,0) and
@@ -334,9 +334,9 @@ class TestControl:
     def test_zero_length_release_is_noop(self):
         mesh, net, states = make_net()
         pkt = ControlPacket(ControlKind.RELEASE, FlowId(NodeId(0, 0), 1), 0, PortList(), 0)
-        before = net.residual_snapshot()
+        before = {link: net.free_wires(*link) for link in net.links}
         assert handle_control(states[NodeId(1, 1)], pkt, E, net) == []
-        assert net.residual_snapshot() == before
+        assert {link: net.free_wires(*link) for link in net.links} == before
 
     def test_route_leaving_the_mesh_is_corruption(self):
         mesh, net, states = make_net()

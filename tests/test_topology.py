@@ -225,7 +225,7 @@ class TestLinkAddressing:
         pytest.param(9, PortDir.SOUTH, id="handle-past-node-count"),
     ]
     QUERIES = {
-        "fits": lambda net, node, port: net.fits(node, port, 1),
+        "fits": lambda net, node, port: net.free_wires(node, port) >= 1,
         "reserve": lambda net, node, port: net.reserve(node, port, ("f", 0), 1),
         "release": lambda net, node, port: net.release(node, port, ("f", 0)),
         "free_wires": lambda net, node, port: net.free_wires(node, port),
@@ -294,4 +294,4 @@ def test_fitting_links_are_the_links_with_enough_free_wires(net, wires):
         ]
         got = net.fitting_links(handle, wires)
         assert [(port, mesh.node_at(far)) for port, far in got] == expected
-        assert all(net.fits(handle, port, wires) for port, _ in got)
+        assert all(net.free_wires(handle, port) >= wires for port, _ in got)

@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beenoc import ConfigError, Mesh, NodeId
 from beenoc.traffic import TrafficParams, generate_traffic, make_rng
@@ -21,6 +24,18 @@ class TestGenerateTraffic:
     def test_empty_bandwidth_set_rejected(self):
         with pytest.raises(ConfigError):
             generate_traffic(Mesh(4, 4), params(bandwidth_values=()), make_rng(1))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.0,), (1.0, 0.5, 0.5), (1.0, -0.5), (-1.0, 2.0), (1.0, float("nan")), (0.0, 0.0)],
+        ids=["too-few", "too-many", "negative", "negative-first", "nan", "all-zero"],
+    )
+    def test_bad_bandwidth_weights_rejected_before_any_draw(self, weights):
+        rng = make_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="bandwidth weights"):
+            generate_traffic(Mesh(4, 4), params(bandwidth_values=(1.0, 2.0), bandwidth_weights=weights), rng)
+        assert rng.bit_generator.state == state
 
     def test_same_seed_same_flows(self):
         p = params(bandwidth_values=(1.0, 2.0), bandwidth_weights=(0.7, 0.3), hold_dist="geometric")
@@ -77,3 +92,39 @@ class TestPatterns:
         flows = generate_traffic(Mesh(4, 4), params(rate=0.08, duration=1500), make_rng(9))
         destinations = {f.destination for f in flows}
         assert len(destinations) == 16  # every node is someone's destination
+
+
+def choice_bandwidths(mesh, p, seed):
+    """The bandwidths of a uniform, fixed-hold generation in generation order,
+    replaying its stream with `Generator.choice(n, p=...)` for each bandwidth
+    draw: per flow an inter-arrival gap, a destination, then the bandwidth."""
+    rng = make_rng(seed)
+    weights = np.asarray(p.bandwidth_weights, dtype=float)
+    weights = weights / weights.sum()
+    bandwidths = []
+    for _ in mesh.nodes():
+        clock = 0.0
+        while True:
+            clock += rng.exponential(1.0 / p.rate)
+            if clock > p.duration:
+                break
+            rng.integers(0, mesh.node_count - 1)
+            bandwidths.append(p.bandwidth_values[int(rng.choice(len(weights), p=weights))])
+    return bandwidths
+
+
+weight_vectors = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.integers(1, 9).map(float)), min_size=1, max_size=7
+).filter(lambda weights: sum(weights) > 0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(weight_vectors, st.integers(0, 2**32))
+def test_bandwidth_draw_is_generator_choice(weights, seed):
+    # the same seed gives the same bandwidth sequence as drawing each one
+    # with Generator.choice, zero weights included
+    mesh = Mesh(3, 3)
+    p = params(rate=0.05, duration=200, bandwidth_values=tuple(range(1, len(weights) + 1)), bandwidth_weights=tuple(weights))
+    flows = generate_traffic(mesh, p, make_rng(seed))
+    flows.sort(key=lambda f: (f.source.y, f.source.x, f.flow.sequence))
+    assert [f.required_bandwidth for f in flows] == choice_bandwidths(mesh, p, seed)
