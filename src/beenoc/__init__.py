@@ -45,8 +45,6 @@ from .protocol import (
 )
 from .router import (
     BackwardOutcome,
-    FlowTableEntry,
-    NodeState,
     handle_backward_bee,
     handle_control,
     handle_forward_bee,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import RunConfig, echo_lines, parse_config, validate_config
@@ -42,7 +42,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         return cfg
     defaults = tuple(k for k in cfg.applied_defaults if k not in changes)
     cfg = replace(cfg, applied_defaults=defaults, **changes)
-    validate_config(cfg)
+    validate_config(cfg, {f.name for f in fields(cfg)} - {"applied_defaults", *defaults})  # keys set or overridden
     return cfg
 
 

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError
-
-_REQUIRED_KEYS = ("mesh_width", "mesh_height", "seed")
 
 
 @dataclass(frozen=True)
@@ -58,29 +56,18 @@ def _parse_floats(value: str) -> tuple[float, ...]:
     return tuple(float(p) for p in value.split(","))
 
 
-_PARSERS = {
-    "mesh_width": int,
-    "mesh_height": int,
-    "seed": int,
-    "wire_count": int,
-    "wire_bandwidth": float,
-    "t_hop": int,
-    "setup_timeout_factor": float,
-    "hop_limit_metric": str,
-    "backward_bee_count": int,
-    "max_cycles": int,
-    "trace": _parse_bool,
-    "workload_file": str,
-    "traffic_rate": float,
-    "traffic_duration": int,
-    "traffic_pattern": str,
-    "hotspot_node": _parse_node,
-    "hotspot_fraction": float,
-    "bandwidth_values": _parse_floats,
-    "bandwidth_weights": _parse_floats,
-    "hold_time_dist": str,
-    "hold_time_mean": float,
+# The parser of each key's value, by its RunConfig field type, in field order.
+_TYPE_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "str | None": str,
+    "bool": _parse_bool,
+    "tuple[int, int]": _parse_node,
+    "tuple[float, ...]": _parse_floats,
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig) if f.name != "applied_defaults"}
+_REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 # Every float-valued key, scalar or tuple; all must be finite.
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "tuple[float, ...]"))

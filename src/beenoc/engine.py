@@ -47,7 +47,6 @@ from . import metrics, router
 from .config import RunConfig, validate_config
 from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee, PortList
-from .router import NodeState
 from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir
 
 
@@ -105,6 +104,7 @@ class FlowRecord:
     winner_route: PortList | None = None
     winner_index: int | None = None
     forward_deliveries: int = 0
+    converted: int = 0  # backward bees its destination has emitted, at most backward_bee_count
     # First-copy tree by node handle: the port the first copy sent to a node
     # arrives on (LOCAL at the source, never set at the destination), else
     # None. Made when the flow arrives; None again once it settles.
@@ -187,7 +187,8 @@ class Simulator:
         self.config = config
         self.mesh = Mesh(config.mesh_width, config.mesh_height)
         self.network = Network(self.mesh, config.wire_count, config.wire_bandwidth)
-        self.nodes = {node: NodeState(node) for node in range(self.mesh.node_count)}
+        # No per-node state exists; the benchmark's traced state count still reads this.
+        self.nodes = {}
         self.clock = 0
         self.queue = CalendarQueue()
         self.records: dict[FlowId, FlowRecord] = {}
@@ -363,9 +364,10 @@ class Simulator:
             if node == destination and tree is not None:
                 self._events_processed = base + counted - 1
                 bee = self._arrived_bee(node, rec, arrival_port)
-                if emissions := router.handle_forward_bee(self.nodes[node], bee, self.config.backward_bee_count):
+                if emissions := router.handle_forward_bee(rec.converted, bee, self.config.backward_bee_count):
                     send = None  # its backward bee follows the copies queued so far
                     for port, packet in emissions:
+                        rec.converted += 1
                         self.transit(node, port, packet)
             if trace is not None:
                 trace.append(self._trace_line((_WAVE, node, rec, arrival_port)))
@@ -399,7 +401,8 @@ class Simulator:
             for port, packet in router.release_for_backward_bee(bee, arrival_port):
                 self.transit(node, port, packet)
             return
-        outcome = router.handle_backward_bee(self.nodes[node], bee, arrival_port, self.network, rec.wires)
+        won = rec.phase is FlowPhase.ESTABLISHED  # at the source: a sibling was accepted first
+        outcome = router.handle_backward_bee(node, bee, arrival_port, self.network, rec.wires, won)
         self.network.drain_dirty()
         if outcome.kind != "aborted":  # the bee reserved on its arrival port's link
             self._track_peak_util(arrival_port)
@@ -410,7 +413,7 @@ class Simulator:
 
     def _on_control(self, node: int, pkt: ControlPacket, arrival_port: PortDir) -> None:
         self._control_deliveries += 1
-        for port, packet in router.handle_control(self.nodes[node], pkt, arrival_port, self.network):
+        for port, packet in router.handle_control(node, pkt, arrival_port, self.network):
             self.transit(node, port, packet)
         self.network.drain_dirty()
 
@@ -431,7 +434,7 @@ class Simulator:
         )
         # The source frees its own hop first, then the packet travels the
         # forward path releasing every circuit link.
-        for port, packet in router.handle_control(self.nodes[source], teardown, PortDir.LOCAL, self.network):
+        for port, packet in router.handle_control(source, teardown, PortDir.LOCAL, self.network):
             self.transit(source, port, packet)
         self.network.drain_dirty()
 
@@ -446,11 +449,8 @@ class Simulator:
             )
         rec.phase = phase
         if phase in _SETTLED:
-            # Nothing reads a settled flow's tree or node entries: every
-            # handler stops at the settled check first.
+            # Nothing reads a settled flow's tree: every handler checks settlement first.
             rec.tree = None
-            self.nodes[rec.destination].dest_arrivals.pop(rec.spec.flow, None)
-            self.nodes[rec.source].source_accepted.discard(rec.spec.flow)
 
     # -- reporting --------------------------------------------------------
 

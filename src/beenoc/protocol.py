@@ -154,16 +154,15 @@ class BackwardBee(NamedTuple):
 
     `route` is the forward path already reversed and complemented.
     `next_index` counts the route entries traversed so far; a bee in flight
-    has reserved the first next_index - 1 links of its route.
-    `bee_index` (0..2) distinguishes sibling bees of the same flow so their
-    reservations never get confused on shared links.
+    has reserved the first next_index - 1 links of its route, each holding
+    its flow's wires under (flow, bee_index), so sibling bees (`bee_index`
+    0..2) never confuse their reservations on shared links.
     """
 
     flow: FlowId
     bee_index: int
     route: PortList
     next_index: int
-    required_bandwidth: float
 
 
 class ControlKind(Enum):
@@ -172,7 +171,7 @@ class ControlKind(Enum):
 
 
 class ControlPacket(NamedTuple):
-    """Small packet that frees wires and flow-table entries along `route`.
+    """Small packet that frees the wires one bee holds along `route`.
 
     A teardown travels the forward path from the source after data transfer;
     a release retraces the links a failed or losing backward bee had

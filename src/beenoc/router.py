@@ -1,4 +1,4 @@
-"""Per-node protocol state machine.
+"""Protocol handlers for one node; they keep no per-node state.
 
 Forward copies flood toward the destination and reserve nothing; the flood
 rule itself is one engine step over the flow's first-copy tree. The
@@ -10,6 +10,8 @@ earliest backward bee to reach the source wins the circuit. Failed and
 losing bees free their reservations with release packets, and a teardown
 from the source dismantles the winning circuit after data transfer.
 
+A node is its int handle. A bee's reservation lives only in `Network`, under
+the key (flow, bee_index); the engine passes in its flow's other facts.
 Every handler reports what it sends as a list of (port, packet) emissions,
 empty when nothing leaves the node, which the engine transits in list order.
 """
@@ -17,38 +19,13 @@ empty when nothing leaves the node, which the engine transits in list order.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidPathError, ProtocolCorruptionError
-from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee
+from .protocol import BackwardBee, ControlKind, ControlPacket, ForwardBee
 from .topology import Network, PortDir
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(slots=True)
-class FlowTableEntry:
-    """Distributed circuit state held at one node for one backward-bee instance."""
-
-    flow: FlowId
-    bee_index: int
-    in_port: PortDir
-    out_port: PortDir
-    wires_held: int
-
-
-@dataclass(slots=True)
-class NodeState:
-    """Mutable per-node protocol state, touched only by the engine loop. A
-    flow's dest_arrivals and source_accepted entries go when it settles."""
-
-    id: int  # the node's handle (Mesh.handle); messages print its NodeId
-    # Always empty: a flow's visited nodes live in its first-copy tree. Kept
-    # because the benchmark's state count still reads it.
-    seen: set = field(default_factory=set)
-    flow_table: dict = field(default_factory=dict)
-    dest_arrivals: dict = field(default_factory=dict)
-    source_accepted: set = field(default_factory=set)
 
 
 @dataclass(slots=True)
@@ -59,18 +36,16 @@ class BackwardOutcome:
     emissions: list
 
 
-def handle_forward_bee(state: NodeState, bee: ForwardBee, convert_cap: int = 3) -> list:
-    """Convert a forward bee delivered at its destination; returns its
-    (port, BackwardBee) emission, or nothing once the earliest `convert_cap`
-    bees of the flow (cap 3) have been converted. The destination is exempt
-    from duplicate suppression. Forward bees reserve nothing.
+def handle_forward_bee(count: int, bee: ForwardBee, convert_cap: int) -> list:
+    """Convert a forward bee delivered at its destination after `count` of
+    its flow's bees; returns its (port, BackwardBee) emission with bee_index
+    `count`, or nothing once `count` reaches `convert_cap`. The destination
+    is exempt from duplicate suppression. Forward bees reserve nothing.
     """
-    count = state.dest_arrivals.get(bee.flow, 0)
     if count >= convert_cap:
         return []
-    state.dest_arrivals[bee.flow] = count + 1
     route = bee.ports.reverse_complement()
-    return [(route.entry(0), BackwardBee(bee.flow, count, route, 1, bee.required_bandwidth))]
+    return [(route.entry(0), BackwardBee(bee.flow, count, route, 1))]
 
 
 def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir) -> list:
@@ -89,75 +64,71 @@ def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir) -> list:
 
 
 def handle_backward_bee(
-    state: NodeState,
+    node: int,
     bee: BackwardBee,
     arrival_port: PortDir,
     net: Network,
     wires: int,
+    won: bool,
 ) -> BackwardOutcome:
-    """Process one backward-bee delivery.
+    """Process one backward-bee delivery at `node`.
 
     Every arrival first reserves `wires` wires, the flow's demand, on the
     link back toward the node the bee came from (the link data will use when
-    flowing source to destination) and records a flow-table entry. At the source the first bee of its flow
-    is accepted and the circuit is established; later siblings release their
-    whole reserved route. A failed reservation releases the reserved prefix
-    and kills the bee.
+    flowing source to destination), held under (flow, bee_index). At the
+    source the first bee of its flow is accepted and the circuit is
+    established; a later sibling, arriving once its flow has `won`, releases
+    its whole reserved route. A failed reservation releases the reserved
+    prefix and kills the bee.
     """
     route = bee.route
     if not 1 <= bee.next_index <= route.length:
         raise ProtocolCorruptionError(f"backward bee of {bee.flow}: next_index {bee.next_index} out of range")
     at_source = bee.next_index == route.length
-    if at_source and bee.flow in state.source_accepted:
+    if at_source and won:
         # Lost the race; nothing was reserved at the source for this bee.
         return BackwardOutcome("aborted", release_for_backward_bee(bee, arrival_port))
-    key = (bee.flow, bee.bee_index)
-    if not net.reserve(state.id, arrival_port, key, wires):
+    if not net.reserve(node, arrival_port, (bee.flow, bee.bee_index), wires):
         return BackwardOutcome("aborted", release_for_backward_bee(bee, arrival_port))
     if at_source:
-        state.source_accepted.add(bee.flow)
-        state.flow_table[key] = FlowTableEntry(bee.flow, bee.bee_index, arrival_port, PortDir.LOCAL, wires)
         return BackwardOutcome("accepted", [])
     out_port = route.entry(bee.next_index)
-    state.flow_table[key] = FlowTableEntry(bee.flow, bee.bee_index, arrival_port, out_port, wires)
-    forwarded = BackwardBee(bee.flow, bee.bee_index, route, bee.next_index + 1, bee.required_bandwidth)
-    return BackwardOutcome("forwarded", [(out_port, forwarded)])
+    return BackwardOutcome("forwarded", [(out_port, BackwardBee(bee.flow, bee.bee_index, route, bee.next_index + 1))])
 
 
 def handle_control(
-    state: NodeState,
+    node: int,
     pkt: ControlPacket,
     arrival_port: PortDir,
     net: Network,
 ) -> list:
-    """Process one teardown/release delivery; returns its forwarding emission.
+    """Process one teardown/release delivery at `node`; returns its
+    forwarding emission.
 
     At each node with route entries left the packet frees its owner's wires
-    on the link named by the next route entry, deletes the matching
-    flow-table entry, and travels on through that port. Releasing wires that
-    are not held is a protocol warning, not an error, so repeated teardowns
-    are harmless. A packet at the end of its route emits nothing.
+    on the link named by the next route entry and travels on through that
+    port. Releasing wires that are not held is a protocol warning, not an
+    error, so repeated teardowns are harmless. A packet at the end of its
+    route emits nothing.
     """
     if pkt.next_index > pkt.route.length:
         raise ProtocolCorruptionError(f"control packet of {pkt.flow}: next_index {pkt.next_index} out of range")
     if pkt.next_index == pkt.route.length:
         return []
     port = pkt.route.entry(pkt.next_index)
-    key = (pkt.flow, pkt.bee_index)
     try:
-        freed = net.release(state.id, port, key)
+        freed = net.release(node, port, (pkt.flow, pkt.bee_index))
     except InvalidPathError:
         raise ProtocolCorruptionError(
-            f"control route of {pkt.flow} leaves the mesh at {net.mesh.node_at(state.id)}"
+            f"control route of {pkt.flow} leaves the mesh at {net.mesh.node_at(node)}"
         ) from None
     if freed == 0:
         logger.warning(
             "%s at %s found no reservation for %s bee %d on %s",
             pkt.kind.value,
-            net.mesh.node_at(state.id),
+            net.mesh.node_at(node),
             pkt.flow,
             pkt.bee_index,
             port.name,
         )
-    state.flow_table.pop(key, None)
     return [(port, ControlPacket(pkt.kind, pkt.flow, pkt.bee_index, pkt.route, pkt.next_index + 1))]

@@ -87,7 +87,8 @@ def _draw_hold(params: TrafficParams, rng: np.random.Generator) -> int:
 
 def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator) -> list[FlowSpec]:
     """Deterministic flow list sorted by arrival time. A rate of zero yields
-    an empty list; a negative or non-finite rate is a configuration error."""
+    an empty list; parameters no flow can be drawn from raise ConfigError
+    before the first draw."""
     if not 0 <= params.rate < math.inf:
         raise ConfigError("traffic rate must be finite and not negative")
     if not params.bandwidth_values:
@@ -98,6 +99,14 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
         raise ConfigError("transpose traffic needs a square mesh")
     if len(params.bandwidth_weights) != len(params.bandwidth_values):
         raise ConfigError("bandwidth weights and values must have the same length")
+    if not 0.0 <= params.hotspot_fraction <= 1.0:
+        raise ConfigError("hotspot fraction must be in [0, 1]")
+    if params.pattern == "hotspot" and not mesh.contains(params.hotspot):
+        raise ConfigError(f"hotspot {params.hotspot} is outside the mesh")
+    if params.hold_dist not in ("fixed", "geometric"):
+        raise ConfigError(f"unknown hold-time distribution {params.hold_dist!r}")
+    if not 1 <= params.hold_mean < math.inf:
+        raise ConfigError("mean hold time must be finite and at least 1 cycle")
     if params.rate == 0:
         return []
     weights = np.asarray(params.bandwidth_weights, dtype=float)

@@ -13,7 +13,6 @@ from beenoc import (
     ForwardBee,
     Mesh,
     NodeId,
-    NodeState,
     PortDir,
     PortList,
     RunConfig,
@@ -67,8 +66,6 @@ def test_criterion_2_port_codec():
 def test_criterion_3_state_machine_traces():
     # Exact, scripted single-flow scenarios at handler granularity: the
     # flood rule is the engine's flood step, the rest router handlers.
-    mesh = Mesh(3, 3)
-    states = {n: NodeState(mesh.handle(n)) for n in mesh.nodes()}
     flow = FlowId(NodeId(0, 0), 0)
     src, dst = NodeId(0, 0), NodeId(2, 2)
 
@@ -87,16 +84,15 @@ def test_criterion_3_state_machine_traces():
     # (b) kill at the hop limit
     assert flood(flood_sim(tree={NodeId(1, 1): W})[0], NodeId(1, 1), W, 6) == []
 
-    # (c) destination converts exactly the first min(3, arrivals) bees
+    # (c) destination converts exactly the first min(3, arrivals) bees,
+    # given the count of the flow's earlier conversions
     arrivals = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
     converted = 0
     for ports in arrivals:
-        emissions = handle_forward_bee(states[dst], bee(ports))
+        emissions = handle_forward_bee(converted, bee(ports), 3)
         converted += sum(1 for _, pkt in emissions if isinstance(pkt, BackwardBee))
     assert converted == 3
-    assert states[dst].dest_arrivals[flow] == 3
-    fresh = {n: NodeState(n) for n in mesh.nodes()}
-    short = [handle_forward_bee(fresh[dst], bee(p)) for p in arrivals[:2]]
+    short = [handle_forward_bee(count, bee(p), 3) for count, p in enumerate(arrivals[:2])]
     assert all(len(e) == 1 for e in short)  # fewer than three arrivals all convert
 
     # (d) forward copies never mutate link reservations

@@ -13,6 +13,7 @@ from beenoc import (
     DegenerateFlowError,
     FlowId,
     FlowPhase,
+    FlowRecord,
     FlowSpec,
     ForwardBee,
     InvariantViolationError,
@@ -108,7 +109,7 @@ class TestIdleSingleFlow:
 class TestTransit:
     def packet(self):
         flow = FlowId(NodeId(0, 0), 0)
-        return BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST, PortDir.WEST]), 1, 1.0)
+        return BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST, PortDir.WEST]), 1)
 
     def test_delivery_one_hop_later(self):
         sim = Simulator(base_config(t_hop=1), [])
@@ -200,7 +201,7 @@ class TestFloodScheduling:
         sim.clock, events = sim.queue.pop_cycle()
         _, (to_destination, _) = only_wave(events)
         bees = []
-        monkeypatch.setattr(router, "handle_forward_bee", lambda state, bee, cap: bees.append(bee) or [])
+        monkeypatch.setattr(router, "handle_forward_bee", lambda count, bee, cap: bees.append(bee) or [])
         deliver(sim, (WAVE, rec, [to_destination], None))
         flow = FlowId(NodeId(0, 0), 0)
         assert bees == [ForwardBee(flow, NodeId(2, 0), 2.0, PortList.from_ports([PortDir.EAST, PortDir.EAST]))]
@@ -481,10 +482,11 @@ class TestElidedDuplicates:
 class TestBoundedState:
     def test_node_entries_belong_to_unsettled_flows(self):
         # A long churn run: 4x4, 4 wires, over a thousand short flows of 1-3
-        # wires. After every event, each flow with a dest_arrivals or
-        # source_accepted entry at some node is unsettled, so live per-flow
-        # node entries never outnumber the unsettled flows, and the drained
-        # run ends with none.
+        # wires. A flow's per-node entries are its first-copy tree. After
+        # every event the record that event touched holds a tree only while
+        # its flow is unsettled and never counts more conversions than the
+        # backward-bee cap, so live trees never outnumber the unsettled
+        # flows, and the drained run ends with none.
         cfg = base_config(
             seed=11,
             wire_count=4,
@@ -498,16 +500,19 @@ class TestBoundedState:
         )
         workload = generate_traffic(Mesh(4, 4), traffic_params_from_config(cfg), make_rng(cfg.seed))
         settled = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
+        live = set()
         peak = 0
 
         class Checked(Simulator):
             def _trace_line(self, ev):  # called after every event of a traced run
                 nonlocal peak
-                flows = set()
-                for state in self.nodes.values():
-                    flows.update(state.dest_arrivals, state.source_accepted)
-                assert not [flow for flow in flows if self.records[flow].phase in settled]
-                peak = max(peak, len(flows))
+                payload = ev[2]
+                rec = payload if type(payload) is FlowRecord else self.records[payload.flow]
+                if rec.phase in settled:
+                    assert rec.tree is None
+                assert rec.converted <= cfg.backward_bee_count
+                (live.add if rec.tree is not None else live.discard)(rec.spec.flow)
+                peak = max(peak, len(live))
                 return super()._trace_line(ev)
 
         sim = Checked(cfg, workload)
@@ -515,7 +520,8 @@ class TestBoundedState:
         assert len(workload) > 1000 and report.stats.drained
         assert report.summary.established > 100 and report.summary.failed > 100
         assert peak > 1
-        assert not any(state.dest_arrivals or state.source_accepted for state in sim.nodes.values())
+        assert all(rec.tree is None for rec in sim.records.values())
+        assert max(rec.converted for rec in sim.records.values()) == cfg.backward_bee_count
 
 
 class TestDiagnostics:
@@ -524,7 +530,7 @@ class TestDiagnostics:
 
         sim = Simulator(base_config(), [one_flow(arrival=100)])
         flow = FlowId(NodeId(0, 0), 0)
-        bad = BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST]), 5, 1.0)  # next_index out of range
+        bad = BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST]), 5)  # next_index out of range
         sim.transit(sim.mesh.handle(NodeId(0, 0)), PortDir.EAST, bad)
         with pytest.raises(ProtocolCorruptionError, match="event 0:"):
             sim.run()

@@ -230,6 +230,15 @@ class TestCli:
         lines = (out / "flows.csv").read_text().splitlines()
         assert len(lines) == 2
 
+    def test_run_workload_override_conflicts_with_traffic_keys_exit_2(self, tmp_path, capsys):
+        workload = tmp_path / "wl.txt"
+        workload.write_text("0,0,3,3,2.0,0,30\n", encoding="ascii")
+        cfg = write_config(tmp_path, MINIMAL + "traffic_rate = 0.05\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--workload", str(workload), "--out", str(out)]) == 2
+        assert "key 'traffic_rate': conflicts with workload_file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_non_finite_workload_bandwidth_exit_2(self, tmp_path, capsys):
         workload = tmp_path / "wl.txt"
         workload.write_text("0,0,3,3,nan,0,30\n", encoding="ascii")

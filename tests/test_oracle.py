@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beenoc import (
+    NON_LOCAL_PORTS,
     DegenerateFlowError,
+    InvalidPathError,
     Mesh,
     Network,
     NodeId,
@@ -78,6 +82,55 @@ class TestEnumerateFeasible:
         assert first.paths == second.paths
         codes = [tuple(p.entry(i).code for i in range(p.length)) for p in first.paths]
         assert codes == sorted(codes)
+
+
+def bitmask_paths(net, start, goal, wires, bound):
+    """Every simple path start -> goal of at most `bound` hops whose links
+    each have `wires` free wires, as port tuples: a depth-first search over a
+    visited-node bitmask that reads the network only through free_wires and
+    far_end, independently of enumerate_feasible."""
+    paths = []
+
+    def explore(node, visited, ports):
+        if node == goal:
+            paths.append(tuple(ports))
+            return
+        if len(ports) == bound:
+            return
+        for port in NON_LOCAL_PORTS:
+            try:
+                far = net.far_end(node, port)
+            except InvalidPathError:  # no link on this side of the mesh
+                continue
+            if not visited >> far & 1 and net.free_wires(node, port) >= wires:
+                explore(far, visited | 1 << far, ports + [port])
+
+    explore(start, 1 << start, [])
+    return paths
+
+
+@st.composite
+def loaded_feasibility_queries(draw):
+    """A 2x2 to 4x4 network with random background reservations, two
+    distinct endpoints, a wire demand and a hop bound."""
+    mesh = Mesh(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+    wire_count = draw(st.integers(1, 4))
+    net = Network(mesh, wire_count, 1.0)
+    for node, port in net.links:  # about half the links stay idle
+        if held := draw(st.one_of(st.just(0), st.integers(0, wire_count))):
+            assert net.reserve(node, port, ("bg", 0), held)
+    src, dst = draw(st.lists(st.sampled_from(list(mesh.nodes())), min_size=2, max_size=2, unique=True))
+    return net, src, dst, draw(st.integers(1, wire_count)), draw(st.integers(1, mesh.node_count))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(loaded_feasibility_queries())
+def test_enumerate_feasible_matches_a_bitmask_search(query):
+    net, src, dst, wires, bound = query
+    feasible = enumerate_feasible(net, src, dst, float(wires), bound)
+    expected = bitmask_paths(net, net.mesh.handle(src), net.mesh.handle(dst), wires, bound)
+    assert len(set(expected)) == len(expected)
+    assert sorted(tuple(path) for path in feasible.paths) == sorted(expected)
 
 
 class TestScenarios:

@@ -218,9 +218,9 @@ def run_capturing_destination_bees(cfg, spec, loads):
     captured = []
     convert = router.handle_forward_bee
 
-    def capture(state, bee, *args):
+    def capture(count, bee, *args):
         captured.append(bee)
-        return convert(state, bee, *args)
+        return convert(count, bee, *args)
 
     with mock.patch.object(router, "handle_forward_bee", capture):
         report = sim.run()

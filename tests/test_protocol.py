@@ -118,7 +118,7 @@ class TestForwardBeeAdvanced:
         "packet,field",
         [
             (seed_bee(), "ports"),
-            (BackwardBee(FlowId(NodeId(0, 0), 0), 1, PortList(), 1, 1.0), "next_index"),
+            (BackwardBee(FlowId(NodeId(0, 0), 0), 1, PortList(), 1), "next_index"),
             (ControlPacket(ControlKind.RELEASE, FlowId(NodeId(0, 0), 0), 1, PortList(), 0), "next_index"),
         ],
         ids=["forward", "backward", "control"],

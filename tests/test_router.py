@@ -11,7 +11,6 @@ from beenoc import (
     Mesh,
     Network,
     NodeId,
-    NodeState,
     PortDir,
     PortList,
     ProtocolCorruptionError,
@@ -27,9 +26,7 @@ S, W, E, N, LOCAL = PortDir.SOUTH, PortDir.WEST, PortDir.EAST, PortDir.NORTH, Po
 
 def make_net(width=3, height=3, wire_count=8, wire_bandwidth=1.0):
     mesh = Mesh(width, height)
-    net = Network(mesh, wire_count, wire_bandwidth)
-    states = {n: NodeState(mesh.handle(n)) for n in mesh.nodes()}
-    return mesh, net, states
+    return mesh, Network(mesh, wire_count, wire_bandwidth)
 
 
 def at(mesh, x, y):
@@ -42,19 +39,15 @@ def make_bee(flow, dst, ports=(), bandwidth=1.0):
     return ForwardBee(flow, dst, bandwidth, lst)
 
 
-def backward(state, bee, arrival, net):
-    """A backward-bee delivery with the wires of the bee's demand."""
-    return handle_backward_bee(state, bee, arrival, net, net.wires_for(bee.required_bandwidth))
-
-
-def deliver_backward_until_done(mesh, net, states, dest, bee):
-    """Walk a backward bee hop by hop from its birth at `dest`; returns the
-    final (node, outcome)."""
+def deliver_backward_until_done(mesh, net, dest, bee, wires, won=False):
+    """Walk a backward bee of a flow demanding `wires` wires hop by hop from
+    its birth at `dest`, the flow having `won` its circuit or not; returns
+    the final (node, outcome)."""
     port = bee.route.entry(0)
     node = mesh.neighbor(dest, port)
     arrival = port.opposite()
     while True:
-        outcome = backward(states[node], bee, arrival, net)
+        outcome = handle_backward_bee(mesh.handle(node), bee, arrival, net, wires, won)
         if outcome.kind != "forwarded":
             return node, outcome
         port, bee = outcome.emissions[0]
@@ -62,13 +55,13 @@ def deliver_backward_until_done(mesh, net, states, dest, bee):
         arrival = port.opposite()
 
 
-def deliver_control_chain(mesh, net, states, origin, emissions):
+def deliver_control_chain(mesh, net, origin, emissions):
     """Deliver the control packet emitted at `origin` until its route runs out."""
     node = origin
     while emissions:
         ((port, pkt),) = emissions
         node = mesh.neighbor(node, port)
-        emissions = handle_control(states[node], pkt, port.opposite(), net)
+        emissions = handle_control(mesh.handle(node), pkt, port.opposite(), net)
 
 
 # The flood rule is one engine step over a flow's first-copy tree; the
@@ -132,35 +125,32 @@ class TestForwardBee:
         assert {port for port, _ in links} == {E, N}
 
     def test_destination_converts_first_three(self):
-        mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 4)
         dest = NodeId(2, 2)
         paths = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
         backward = []
-        for i, path in enumerate(paths):
-            emissions = handle_forward_bee(states[dest], make_bee(flow, dest, path))
-            if i < 3:
+        for count, path in enumerate(paths):
+            emissions = handle_forward_bee(count, make_bee(flow, dest, path), 3)
+            if count < 3:
                 assert len(emissions) == 1
                 port, back = emissions[0]
                 assert isinstance(back, BackwardBee)
-                assert back.bee_index == i
+                assert back.bee_index == count
                 assert back.route == PortList.from_ports(path).reverse_complement()
                 assert port is back.route.entry(0)
                 assert back.next_index == 1
                 backward.append(back)
             else:
                 assert emissions == []
-        assert states[dest].dest_arrivals[flow] == 3
         assert len(backward) == 3
 
     def test_destination_cap_one(self):
-        mesh, net, states = make_net()
         flow = FlowId(NodeId(0, 0), 5)
         dest = NodeId(2, 2)
         first = make_bee(flow, dest, [E, E, N, N])
         second = make_bee(flow, dest, [N, N, E, E])
-        assert len(handle_forward_bee(states[dest], first, convert_cap=1)) == 1
-        assert handle_forward_bee(states[dest], second, convert_cap=1) == []
+        assert len(handle_forward_bee(0, first, convert_cap=1)) == 1
+        assert handle_forward_bee(1, second, convert_cap=1) == []
 
     def test_forward_bees_never_touch_links(self):
         # flood a whole flow over the mesh: discovery must leave every
@@ -230,25 +220,28 @@ class TestForwardBee:
 
 class TestBackwardBee:
     def test_single_hop_accepted(self):
-        mesh, net, states = make_net()
+        mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 0)
         route = PortList.from_ports([E]).reverse_complement()  # forward east -> route west
-        bee = BackwardBee(flow, 0, route, 1, 2.5)
-        node, outcome = deliver_backward_until_done(mesh, net, states, NodeId(1, 0), bee)
+        bee = BackwardBee(flow, 0, route, 1)
+        node, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), bee, net.wires_for(2.5))
         assert node == NodeId(0, 0)
         assert outcome.kind == "accepted"
-        # the source holds the data-direction first hop: 3 wires of 8
-        assert net.residual(at(mesh, 0, 0), E) == 5.0
-        entry = states[NodeId(0, 0)].flow_table[(flow, 0)]
-        assert entry.in_port is E and entry.out_port is LOCAL and entry.wires_held == 3
-        assert flow in states[NodeId(0, 0)].source_accepted
+        # the source holds the data-direction first hop: 3 wires of 8, under the bee's key
+        assert net.free_wires(at(mesh, 0, 0), E) == 5
+        assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 3}
+        # once the flow has won, a sibling reaching the source loses the race
+        sibling = BackwardBee(flow, 1, route, 1)
+        node, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), sibling, 3, won=True)
+        assert node == NodeId(0, 0) and outcome.kind == "aborted" and outcome.emissions == []
+        assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 3}
 
     def test_multi_hop_reserves_data_path(self):
-        mesh, net, states = make_net()
+        mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 1)
         forward = PortList.from_ports([E, N])
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, 1.0)
-        node, outcome = deliver_backward_until_done(mesh, net, states, NodeId(1, 1), bee)
+        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1)
+        node, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 1), bee, 1)
         assert outcome.kind == "accepted"
         # exactly the links a source->destination walk would use
         assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 1}
@@ -256,27 +249,27 @@ class TestBackwardBee:
         assert net.total_held() == 2
 
     def test_reservation_failure_releases_prefix(self):
-        mesh, net, states = make_net(wire_count=4)
+        mesh, net = make_net(wire_count=4)
         flow = FlowId(NodeId(0, 0), 2)
         forward = PortList.from_ports([E, E])
         net.reserve(at(mesh, 0, 0), E, ("bg", 0), 4)  # the final reservation will fail
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, 2.0)
-        node, outcome = deliver_backward_until_done(mesh, net, states, NodeId(2, 0), bee)
+        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1)
+        node, outcome = deliver_backward_until_done(mesh, net, NodeId(2, 0), bee, 2)
         assert node == NodeId(0, 0)
         assert outcome.kind == "aborted"
         assert len(outcome.emissions) == 1
-        deliver_control_chain(mesh, net, states, node, outcome.emissions)
-        # only the background reservation survives
+        deliver_control_chain(mesh, net, node, outcome.emissions)
+        # only the background reservation survives; no link holds the bee's key
         assert net.total_held() == 4
         assert net.holders(at(mesh, 1, 0), E) == {}
-        assert all((flow, 0) not in st.flow_table for st in states.values())
+        assert all((flow, 0) not in net.holders(*link) for link in net.links)
 
     def test_failure_with_empty_prefix_emits_nothing(self):
-        mesh, net, states = make_net(wire_count=4)
+        mesh, net = make_net(wire_count=4)
         flow = FlowId(NodeId(0, 0), 3)
         net.reserve(at(mesh, 1, 0), E, ("bg", 0), 4)
-        bee = BackwardBee(flow, 0, PortList.from_ports([E, E]).reverse_complement(), 1, 2.0)
-        outcome = backward(states[NodeId(1, 0)], bee, E, net)
+        bee = BackwardBee(flow, 0, PortList.from_ports([E, E]).reverse_complement(), 1)
+        outcome = handle_backward_bee(at(mesh, 1, 0), bee, E, net, 2, False)
         assert outcome.kind == "aborted"
         assert outcome.emissions == []
         assert net.total_held() == 4
@@ -284,18 +277,18 @@ class TestBackwardBee:
     def test_losing_sibling_releases_only_its_own_wires(self):
         # two sibling bees whose routes share the 1,0 -> 2,0 data link; the
         # loser's release must leave the winner's wires in place
-        mesh, net, states = make_net(width=4, height=2, wire_count=4)
+        mesh, net = make_net(width=4, height=2, wire_count=4)
         flow = FlowId(NodeId(0, 0), 0)
         route1 = PortList.from_ports([E, E, E, N]).reverse_complement()  # S W W W
         route2 = PortList.from_ports([E, E, N, E]).reverse_complement()  # W S W W
-        bee1 = BackwardBee(flow, 0, route1, 1, 2.0)
-        bee2 = BackwardBee(flow, 1, route2, 1, 2.0)
-        _, first = deliver_backward_until_done(mesh, net, states, NodeId(3, 1), bee1)
+        bee1 = BackwardBee(flow, 0, route1, 1)
+        bee2 = BackwardBee(flow, 1, route2, 1)
+        _, first = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee1, 2)
         assert first.kind == "accepted"
-        node, second = deliver_backward_until_done(mesh, net, states, NodeId(3, 1), bee2)
+        node, second = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee2, 2, won=True)
         assert second.kind == "aborted"
         assert net.holders(at(mesh, 1, 0), E) == {(flow, 0): 2, (flow, 1): 2}  # both held pre-release
-        deliver_control_chain(mesh, net, states, node, second.emissions)
+        deliver_control_chain(mesh, net, node, second.emissions)
         assert net.holders(at(mesh, 1, 0), E) == {(flow, 0): 2}
         # the winner's four-link circuit is intact, nothing else is held
         assert net.total_held() == 8
@@ -303,57 +296,57 @@ class TestBackwardBee:
             assert net.holders(at(mesh, *spot), port) == {(flow, 0): 2}
 
     def test_corrupt_index_rejected(self):
-        mesh, net, states = make_net()
-        bee = BackwardBee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([W]), 5, 1.0)
+        mesh, net = make_net()
+        bee = BackwardBee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([W]), 5)
         with pytest.raises(ProtocolCorruptionError):
-            backward(states[NodeId(0, 0)], bee, E, net)
+            handle_backward_bee(at(mesh, 0, 0), bee, E, net, 1, False)
 
 
 class TestControl:
-    def build_circuit(self, mesh, net, states, flow, forward_ports, bandwidth=1.0):
+    def build_circuit(self, mesh, net, flow, forward_ports, wires=1):
         forward = PortList.from_ports(forward_ports)
         dest = NodeId(0, 0)
         for port in forward:
             dest = mesh.neighbor(dest, port)
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1, bandwidth)
-        node, outcome = deliver_backward_until_done(mesh, net, states, dest, bee)
+        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1)
+        node, outcome = deliver_backward_until_done(mesh, net, dest, bee, wires)
         assert outcome.kind == "accepted"
         return forward
 
     def test_teardown_restores_three_hop_circuit(self):
-        mesh, net, states = make_net()
+        mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 0)
-        forward = self.build_circuit(mesh, net, states, flow, [E, E, N], bandwidth=2.0)
+        forward = self.build_circuit(mesh, net, flow, [E, E, N], wires=2)
         assert net.total_held() == 6
         teardown = ControlPacket(ControlKind.TEARDOWN, flow, 0, forward, 0)
-        emissions = handle_control(states[NodeId(0, 0)], teardown, LOCAL, net)
-        deliver_control_chain(mesh, net, states, NodeId(0, 0), emissions)
+        emissions = handle_control(at(mesh, 0, 0), teardown, LOCAL, net)
+        deliver_control_chain(mesh, net, NodeId(0, 0), emissions)
         assert net.total_held() == 0
-        assert all(not st.flow_table for st in states.values())
+        assert all(not net.holders(*link) for link in net.links)
 
     def test_zero_length_release_is_noop(self):
-        mesh, net, states = make_net()
+        mesh, net = make_net()
         pkt = ControlPacket(ControlKind.RELEASE, FlowId(NodeId(0, 0), 1), 0, PortList(), 0)
         before = {link: net.free_wires(*link) for link in net.links}
-        assert handle_control(states[NodeId(1, 1)], pkt, E, net) == []
+        assert handle_control(at(mesh, 1, 1), pkt, E, net) == []
         assert {link: net.free_wires(*link) for link in net.links} == before
 
     def test_route_leaving_the_mesh_is_corruption(self):
-        mesh, net, states = make_net()
+        mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 3)
         pkt = ControlPacket(ControlKind.RELEASE, flow, 0, PortList.from_ports([W]), 0)
         with pytest.raises(ProtocolCorruptionError, match="control route of 0,0:3 leaves the mesh at 0,0"):
-            handle_control(states[NodeId(0, 0)], pkt, E, net)
+            handle_control(at(mesh, 0, 0), pkt, E, net)
 
     def test_double_teardown_warns_but_survives(self, caplog):
-        mesh, net, states = make_net()
+        mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 2)
-        forward = self.build_circuit(mesh, net, states, flow, [E, N])
+        forward = self.build_circuit(mesh, net, flow, [E, N])
         for round_no in range(2):
             teardown = ControlPacket(ControlKind.TEARDOWN, flow, 0, forward, 0)
             with caplog.at_level(logging.WARNING, logger="beenoc.router"):
-                emissions = handle_control(states[NodeId(0, 0)], teardown, LOCAL, net)
-                deliver_control_chain(mesh, net, states, NodeId(0, 0), emissions)
+                emissions = handle_control(at(mesh, 0, 0), teardown, LOCAL, net)
+                deliver_control_chain(mesh, net, NodeId(0, 0), emissions)
             if round_no == 1:
                 assert any("no reservation" in rec.message for rec in caplog.records)
         assert net.total_held() == 0

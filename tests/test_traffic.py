@@ -37,6 +37,28 @@ class TestGenerateTraffic:
             generate_traffic(Mesh(4, 4), params(bandwidth_values=(1.0, 2.0), bandwidth_weights=weights), rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"hold_dist": "poisson"}, "hold-time distribution"),
+            ({"hold_dist": "geometric", "hold_mean": 0.5}, "mean hold time"),
+            ({"hold_mean": 0.0}, "mean hold time"),
+            ({"hold_mean": float("inf")}, "mean hold time"),
+            ({"hotspot_fraction": 1.5}, "hotspot fraction"),
+            ({"hotspot_fraction": -0.1}, "hotspot fraction"),
+            ({"pattern": "hotspot", "hotspot": NodeId(4, 0), "hotspot_fraction": 1.0}, "outside the mesh"),
+            ({"pattern": "hotspot", "hotspot": NodeId(0, 7), "hotspot_fraction": 0.5}, "outside the mesh"),
+        ],
+        ids=["unknown-hold", "geometric-mean-below-1", "zero-mean", "infinite-mean", "fraction-above-1",
+             "negative-fraction", "hotspot-off-mesh-all", "hotspot-off-mesh-half"],
+    )
+    def test_bad_params_rejected_before_any_draw(self, overrides, message):
+        rng = make_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=message):
+            generate_traffic(Mesh(4, 4), params(**overrides), rng)
+        assert rng.bit_generator.state == state
+
     def test_same_seed_same_flows(self):
         p = params(bandwidth_values=(1.0, 2.0), bandwidth_weights=(0.7, 0.3), hold_dist="geometric")
         first = generate_traffic(Mesh(4, 4), p, make_rng(99))
