@@ -225,6 +225,8 @@ class TestLinkAddressing:
         pytest.param(9, PortDir.SOUTH, id="handle-past-node-count"),
     ]
     QUERIES = {
+        # the admission rule, as the flood and the oracle apply it
+        "fits": lambda net, node, port: net.free_wires(node, port) >= 1,
         "reserve": lambda net, node, port: net.reserve(node, port, ("f", 0), 1),
         "release": lambda net, node, port: net.release(node, port, ("f", 0)),
         "free_wires": lambda net, node, port: net.free_wires(node, port),
