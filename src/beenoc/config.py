@@ -61,7 +61,7 @@ _TYPE_PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "str | None": str,
+    "str | None": lambda value: None if value == "none" else value,  # as echo_lines prints None
     "bool": _parse_bool,
     "tuple[int, int]": _parse_node,
     "tuple[float, ...]": _parse_floats,

@@ -195,6 +195,7 @@ class Simulator:
         self._trace: list[str] | None = [] if config.trace else None
         self._forward_cap = 4 * self.mesh.node_count
         self._t_hop = config.t_hop
+        self._far_by_slot = self.network.far_by_slot
         # Duplicate forward bees are elided while the clock is at most this,
         # so that their delivery would still fall within max_cycles.
         self._elide_through = -1 if config.trace else config.max_cycles - config.t_hop
@@ -230,14 +231,14 @@ class Simulator:
         """Schedule delivery of `packet` at the neighbor of node `origin`
         through `port`, one t_hop later, arriving on the neighbor's opposite
         port."""
-        try:
-            destination = self.network.far_end(origin, port)
-        except InvalidPathError:
+        # The local port's slot would alias the next node's south link.
+        destination = self._far_by_slot[4 * origin + port] if port < 4 else -1
+        if destination < 0:
             raise InvariantViolationError(
                 f"transit from {self.mesh.node_at(origin)} through {port.name} leaves the mesh"
-            ) from None
-        self.queue.push(
-            self.clock + self._t_hop, (_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port])
+            )
+        self.queue.bucket(self.clock + self._t_hop).append(
+            (_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port])
         )
 
     # -- main loop --------------------------------------------------------
@@ -377,21 +378,22 @@ class Simulator:
 
     def _arrived_bee(self, node: int, rec: FlowRecord, arrival_port: PortDir) -> ForwardBee:
         """The forward bee a copy delivered at its destination `node` carries:
-        its port list is the tree path to the sender, far_end(node,
-        arrival_port), plus the last hop, and its length is the hop count."""
-        backward = []
+        its port list is the tree path to the sender across `arrival_port`
+        plus that last hop (collected last hop lowest), one entry per hop."""
+        far_by_slot, tree = self._far_by_slot, rec.tree
+        bits = length = 0
         port = arrival_port
-        while port is not PortDir.LOCAL:
-            node = self.network.far_end(node, port)
-            backward.append(OPPOSITE[port])
-            port = rec.tree[node]
-        ports = PortList()
-        for port in reversed(backward):
-            ports = ports.push(port, rec.hop_limit)
+        while port is not _LOCAL:
+            node = far_by_slot[4 * node + port]
+            if node < 0:
+                raise InvariantViolationError(f"flow {rec.spec.flow}: tree path leaves the mesh")
+            bits |= (port ^ 0b11) << (2 * length)
+            length += 1
+            port = tree[node]
         spec, hops = rec.spec, (self.clock - rec.spec.arrival_time) // self._t_hop
-        if ports.length != hops:
-            raise InvariantViolationError(f"flow {spec.flow}: tree path of {ports.length} hops after {hops}")
-        return ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, ports)
+        if length != hops:
+            raise InvariantViolationError(f"flow {spec.flow}: tree path of {length} hops after {hops}")
+        return ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, PortList(bits, length))
 
     def _on_backward(self, node: int, bee: BackwardBee, arrival_port: PortDir) -> None:
         self._backward_deliveries += 1

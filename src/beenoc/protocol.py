@@ -31,6 +31,12 @@ def decode_port(code: int) -> PortDir:
     return PortDir(code)
 
 
+# Each byte's four 2-bit entries reversed and complemented.
+_REVERSE_COMPLEMENT_BYTE = bytes(
+    sum((((byte >> (2 * i)) & 0b11) ^ 0b11) << (6 - 2 * i) for i in range(4)) for byte in range(256)
+)
+
+
 @dataclass(frozen=True, slots=True)
 class PortList:
     """Immutable bit-packed sequence of 2-bit port codes.
@@ -68,12 +74,10 @@ class PortList:
         """Reverse the entries (2-bit granularity), then complement both bits
         of each entry. Following the result from a path's endpoint retraces
         the path back to its start."""
-        out = 0
-        bits = self.bits
-        for _ in range(self.length):
-            out = (out << 2) | ((bits & 0b11) ^ 0b11)
-            bits >>= 2
-        return PortList(out, self.length)
+        # Each byte reversed and complemented, read in reverse byte order; the padding drops off the bottom.
+        nbytes = (self.length + 3) // 4
+        out = int.from_bytes(self.bits.to_bytes(nbytes, "little").translate(_REVERSE_COMPLEMENT_BYTE), "big")
+        return PortList(out >> (8 * nbytes - 2 * self.length), self.length)
 
     def bitstring(self) -> str:
         if self.length == 0:

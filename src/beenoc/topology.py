@@ -152,9 +152,10 @@ class Network:
 
     Nodes are int handles (Mesh.handle). The link leaving node n through a
     port is its slot 4 * n + port code, and each per-link table is a flat
-    list by slot, with no reservation dict for links leaving the mesh. Two
-    read-only views serve the flood: `node_links[n]`, node n's links as
-    (port, slot, far end) by port code, and `free_by_slot`.
+    list by slot, with no reservation dict for links leaving the mesh.
+    Read-only views serve the engine: `node_links[n]`, node n's links as
+    (port, slot, far end) by port code, `free_by_slot`, and `far_by_slot`,
+    each slot's far end or -1 where no link leaves.
     """
 
     def __init__(self, mesh: Mesh, wire_count: int, wire_bandwidth: float) -> None:
@@ -168,9 +169,10 @@ class Network:
         width, height = mesh.width, mesh.height
         self._node_count = width * height
         # Handle offset of the neighbor through each port, by port code.
-        self._steps = (-width, -1, 1, width)
+        steps = (-width, -1, 1, width)
         self._reservations: list[dict | None] = [None] * (4 * self._node_count)
         self.free_by_slot = [0] * (4 * self._node_count)
+        far_by_slot = [-1] * (4 * self._node_count)
         node_links = []
         self.wires_by_class = [0, 0, 0, 0]
         for y in range(height):
@@ -183,10 +185,12 @@ class Network:
                         slot = 4 * node + port
                         self._reservations[slot] = {}
                         self.free_by_slot[slot] = wire_count
-                        links.append((port, slot, node + self._steps[port]))
+                        far_by_slot[slot] = far = node + steps[port]
+                        links.append((port, slot, far))
                         self.wires_by_class[port] += wire_count
                 node_links.append(tuple(links))
         self.node_links = tuple(node_links)
+        self.far_by_slot = tuple(far_by_slot)
         self.held_by_class = [0, 0, 0, 0]
         self._dirty: list[int] = []
 
@@ -211,8 +215,7 @@ class Network:
 
     def far_end(self, node: int, port: PortDir) -> int:
         """The node the link leaving `node` through `port` leads to."""
-        self._index(node, port)
-        return node + self._steps[port]
+        return self.far_by_slot[self._index(node, port)]
 
     def free_wires(self, node: int, port: PortDir) -> int:
         return self.free_by_slot[self._index(node, port)]

@@ -129,6 +129,23 @@ class TestTransit:
         assert sim.mesh.node_at(second) == NodeId(1, 2)
         assert not sim.queue
 
+    def test_through_a_boundary_port_raises(self):
+        sim = Simulator(base_config(), [])
+        with pytest.raises(InvariantViolationError) as exc:
+            sim.transit(sim.mesh.handle(NodeId(3, 1)), PortDir.EAST, self.packet())
+        assert str(exc.value) == "transit from 3,1 through EAST leaves the mesh"
+        assert not sim.queue
+
+    # The local port's slot at (1,1) would be (2,1)'s south link; at the
+    # last handle, (3,3), it lies past the end of the link table.
+    @pytest.mark.parametrize("node", [NodeId(1, 1), NodeId(3, 3)])
+    def test_through_local_raises(self, node):
+        sim = Simulator(base_config(), [])
+        with pytest.raises(InvariantViolationError) as exc:
+            sim.transit(sim.mesh.handle(node), PortDir.LOCAL, self.packet())
+        assert str(exc.value) == f"transit from {node} through LOCAL leaves the mesh"
+        assert not sim.queue
+
 
 def deliver(sim, event):
     """Run one queued (handler, node, payload, arrival_port) event."""
@@ -208,6 +225,11 @@ class TestFloodScheduling:
         # the tree path must be as long as the hops the clock allows
         sim.clock += 2
         with pytest.raises(InvariantViolationError, match="tree path of 2 hops after 3"):
+            deliver(sim, (WAVE, rec, [to_destination], None))
+        # a tree entry pointing off the mesh stops the walk, which must not
+        # read the tree at handle -1
+        rec.tree[sim.mesh.handle(NodeId(1, 0))] = PortDir.SOUTH
+        with pytest.raises(InvariantViolationError, match="tree path leaves the mesh"):
             deliver(sim, (WAVE, rec, [to_destination], None))
 
     def test_all_elided_fanout_queues_nothing(self):

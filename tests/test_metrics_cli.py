@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from beenoc import (
@@ -37,6 +39,13 @@ class TestParseConfig:
         # every defaulted parameter shows up marked
         for key in cfg.applied_defaults:
             assert any(line.startswith(f"{key} = ") and line.endswith("(default)") for line in lines)
+
+    def test_echo_parses_back_to_the_same_config(self):
+        cfg = parse_config(MINIMAL + "t_hop = 2\nbandwidth_values = 1.0,2.5\nbandwidth_weights = 0.5,0.5\n")
+        assert cfg.workload_file is None
+        echoed = "\n".join(line.removesuffix("  (default)") for line in echo_lines(cfg))
+        assert "workload_file = none" in echoed.splitlines()
+        assert parse_config(echoed) == dataclasses.replace(cfg, applied_defaults=())
 
     def test_comments_and_blanks_ok(self):
         cfg = parse_config("# header\n\n" + MINIMAL)

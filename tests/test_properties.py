@@ -8,7 +8,11 @@ must report what the traced run of the same config reports, on generated
 traffic as well as on a few flows drawn one by one. The forward bees the
 engine hands its destination, rebuilt from the flow's first-copy tree, must
 be those a plain breadth-first flood finds, each copy carrying its own port
-list and each node keeping the set of flows it has seen.
+list and each node keeping the set of flows it has seen. Against the
+exhaustive oracle, evaluated before the run: a single flow's established
+circuit must be feasible under frozen background load, and on an idle mesh
+a single flow must be established exactly when a feasible path exists, on
+one of minimum length.
 """
 
 import dataclasses
@@ -31,6 +35,7 @@ from beenoc import (
     RunConfig,
     Simulator,
     generate_traffic,
+    enumerate_feasible,
     make_rng,
     traffic_params_from_config,
     validate_config,
@@ -154,13 +159,14 @@ def test_untraced_run_reports_what_the_traced_run_does(run):
 
 
 @st.composite
-def frozen_single_flows(draw):
+def frozen_single_flows(draw, sizes=(2, 3, 4, 5, 6)):
     """A config, one flow, and a frozen background load in wires per link.
     Each link's load takes all its wires or leaves at least four times the
     flow's demand free, so the flow's own reservations (at most three
-    backward bees on a link) never change which links fit it."""
+    backward bees on a link) never change which links fit it. Mesh sides
+    are drawn from `sizes`."""
     # Drawn from lists, not ranges, so that larger meshes are not rare.
-    width, height = draw(st.sampled_from([2, 3, 4, 5, 6])), draw(st.sampled_from([2, 3, 4, 5, 6]))
+    width, height = draw(st.sampled_from(sizes)), draw(st.sampled_from(sizes))
     mesh = Mesh(width, height)
     source, destination = draw(st.lists(st.sampled_from(list(mesh.nodes())), min_size=2, max_size=2, unique=True))
     demand = draw(st.integers(1, 2))
@@ -206,14 +212,22 @@ def reference_arrivals(net, spec, hop_limit):
     return arrivals
 
 
-def run_capturing_destination_bees(cfg, spec, loads):
-    """The reference flood's destination arrivals over the loaded network,
-    the bees the engine hands `router.handle_forward_bee`, and the report."""
+def loaded_simulator(cfg, spec, loads):
+    """A simulator of the one flow `spec` whose links hold `loads` wires of
+    background load, in `Network.links` order."""
     sim = Simulator(cfg, [spec])
     net = sim.network
     for (node, port), wires in zip(net.links, loads):
         if wires:
             assert net.reserve(node, port, ("background", 0), wires)
+    return sim
+
+
+def run_capturing_destination_bees(cfg, spec, loads):
+    """The reference flood's destination arrivals over the loaded network,
+    the bees the engine hands `router.handle_forward_bee`, and the report."""
+    sim = loaded_simulator(cfg, spec, loads)
+    net = sim.network
     expected = reference_arrivals(net, spec, sim.records[spec.flow].hop_limit)
     captured = []
     convert = router.handle_forward_bee
@@ -236,3 +250,59 @@ def test_destination_bees_match_a_reference_flood(run):
         assert captured == expected
         # a bee that reaches the destination retraces links that still fit
         assert report.flows[0].ever_established == bool(expected)
+
+
+def run_against_the_oracle(sim, spec):
+    """The feasible set of the simulator's one flow on its network as it
+    stands, and the forward path of the circuit the run establishes (the
+    winning route, reversed and complemented), or None."""
+    rec = sim.records[spec.flow]
+    feasible = enumerate_feasible(sim.network, spec.source, spec.destination, spec.required_bandwidth, rec.hop_limit)
+    sim.run()
+    if not rec.ever_established:
+        return feasible, None
+    forward_path = rec.winner_route.reverse_complement()
+    assert walk(forward_path, spec.source, sim.mesh)[-1] == spec.destination
+    return feasible, forward_path
+
+
+# Up to 5x5, where the oracle enumerates at any hop bound.
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(frozen_single_flows(sizes=(2, 3, 4, 5)))
+def test_established_circuit_is_feasible_under_frozen_load(run):
+    cfg, spec, loads = run
+    feasible, forward_path = run_against_the_oracle(loaded_simulator(cfg, spec, loads), spec)
+    assert forward_path is None or forward_path in feasible
+
+
+@st.composite
+def idle_single_flows(draw):
+    """A config and one flow whose demand, in wires, runs from one wire to
+    one more than a link holds, so that some draws have no feasible path."""
+    width, height = draw(st.sampled_from([2, 3, 4, 5])), draw(st.sampled_from([2, 3, 4, 5]))
+    mesh = Mesh(width, height)
+    source, destination = draw(st.lists(st.sampled_from(list(mesh.nodes())), min_size=2, max_size=2, unique=True))
+    cfg = RunConfig(
+        mesh_width=width,
+        mesh_height=height,
+        seed=0,
+        wire_count=draw(st.integers(1, 4)),
+        wire_bandwidth=draw(st.sampled_from([0.5, 1.0])),
+        t_hop=draw(st.integers(1, 3)),
+        hop_limit_metric=draw(st.sampled_from(["euclidean", "manhattan"])),
+        backward_bee_count=draw(st.integers(1, 3)),
+    )
+    demand = draw(st.integers(1, cfg.wire_count + 1)) * cfg.wire_bandwidth
+    return cfg, FlowSpec(FlowId(source, 0), destination, demand, draw(st.integers(0, 5)), draw(st.integers(1, 50)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(idle_single_flows())
+def test_idle_single_flow_is_established_iff_feasible_at_minimum_length(run):
+    cfg, spec = run
+    sim = Simulator(cfg, [spec])
+    feasible, forward_path = run_against_the_oracle(sim, spec)
+    assert (forward_path is not None) == bool(feasible)
+    if forward_path is not None:
+        assert forward_path in feasible
+        assert forward_path.length == feasible.min_length() == sim.mesh.manhattan(spec.source, spec.destination)

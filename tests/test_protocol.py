@@ -167,17 +167,30 @@ class TestReverseComplement:
         assert reversed_route.bitstring() == BLUE_REVERSED_BITS
         assert list(reversed_route) == [PortDir.NORTH] * 7 + [PortDir.WEST] * 7
 
+    # Every length up to 64 entries: byte boundaries fall every 4 entries,
+    # and 16x16 hop limits reach 43 (euclidean) and 60 (manhattan).
+    LENGTHS = [length for length in range(65) for _ in range(4)]
+
     def test_matches_entrywise_oracle(self):
         rng = random.Random(23)
-        for _ in range(200):
-            ports = [rng.choice(NON_LOCAL_PORTS) for _ in range(rng.randrange(0, 30))]
+        for length in self.LENGTHS:
+            ports = [rng.choice(NON_LOCAL_PORTS) for _ in range(length)]
             expected = entrywise_reverse_complement(ports)
-            assert list(PortList.from_ports(ports).reverse_complement()) == expected
+            reversed_route = PortList.from_ports(ports).reverse_complement()
+            assert list(reversed_route) == expected and reversed_route.length == length
+
+    def test_prefix_matches_entrywise_oracle(self):
+        rng = random.Random(29)
+        for length in self.LENGTHS:
+            ports = [rng.choice(NON_LOCAL_PORTS) for _ in range(length)]
+            lst = PortList.from_ports(ports)
+            for count in range(length + 1):
+                assert list(lst.prefix(count).reverse_complement()) == entrywise_reverse_complement(ports[:count])
 
     def test_round_trip(self):
         rng = random.Random(37)
-        for _ in range(200):
-            ports = [rng.choice(NON_LOCAL_PORTS) for _ in range(rng.randrange(0, 30))]
+        for length in self.LENGTHS:
+            ports = [rng.choice(NON_LOCAL_PORTS) for _ in range(length)]
             lst = PortList.from_ports(ports)
             assert lst.reverse_complement().reverse_complement() == lst
 
