@@ -5,22 +5,23 @@ in (time, scheduling order), uniform per-hop transit latency for every
 packet, and the flow lifecycle. A flow is SettingUp from its arrival through
 discovery and reservation until its first backward bee reaches the source
 (Established) or its setup timeout fires (Failed); an established flow is
-TornDown when its hold time ends. Every router handler returns a list of
-(port, packet) emissions, which the engine transits in order. Nodes are int
-handles (Mesh.handle) here, in the router and in the network; a NodeId is
-made only for output and messages.
+TornDown when its hold time ends. Nodes are int handles (Mesh.handle) here,
+in the router and in the network; a NodeId is made only for output and
+messages.
 
-The flood builds no packet per hop. Every hop takes the same t_hop and each
-cycle's events come out in scheduling order, so a flow's forward copies
-reach a node in the order they were sent, and a copy's hop count is
-(clock - arrival_time) // t_hop. The copies one flood step sends are
-consecutive in the next cycle's bucket, so they are queued as one wave: the
-flow's record and its (node, arrival_port) copies. `Simulator._on_wave`
-applies the flood rule to each copy over the flow's first-copy tree,
-reading the flow's state once per wave (frontier batching, as in
-level-synchronous BFS). A destination conversion transits a backward bee
-into the same bucket, so it closes the open wave: flattened, the queue is
-the per-copy schedule. At the destination the bee's port list is rebuilt
+No packet is built per hop. Every hop takes the same t_hop and each cycle's
+events come out in scheduling order. A backward bee or control packet is
+queued as the same object at every hop of its route, at route index
+(clock - start) // t_hop, and sent on through the port a router handler
+names. A flow's forward copies reach a node in the order they were sent,
+and a copy's hop count is (clock - arrival_time) // t_hop. The copies one
+flood step sends are consecutive in the next cycle's bucket, so they are
+queued as one wave: the flow's record and its (node, arrival_port) copies.
+`Simulator._on_wave` applies the flood rule to each copy over the flow's
+first-copy tree, reading the flow's state once per wave (frontier batching,
+as in level-synchronous BFS). A destination conversion transits a backward
+bee into the same bucket, so it closes the open wave: flattened, the queue
+is the per-copy schedule. At the destination the bee's port list is rebuilt
 from the tree for `router.handle_forward_bee`.
 
 Untraced runs do not queue a forward copy the receiver would drop as a
@@ -124,6 +125,8 @@ class FlowRecord:
 # times a module-global lookup.
 _SETTLED = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
 _LOCAL = PortDir.LOCAL
+_FORWARDED = router.BackwardOutcome.FORWARDED
+_ABORTED = router.BackwardOutcome.ABORTED
 
 
 class CalendarQueue:
@@ -365,7 +368,7 @@ class Simulator:
             if node == destination and tree is not None:
                 self._events_processed = base + counted - 1
                 bee = self._arrived_bee(node, rec, arrival_port)
-                if emissions := router.handle_forward_bee(rec.converted, bee, self.config.backward_bee_count):
+                if emissions := router.handle_forward_bee(rec.converted, bee, self.config.backward_bee_count, clock):
                     send = None  # its backward bee follows the copies queued so far
                     for port, packet in emissions:
                         rec.converted += 1
@@ -398,25 +401,28 @@ class Simulator:
     def _on_backward(self, node: int, bee: BackwardBee, arrival_port: PortDir) -> None:
         self._backward_deliveries += 1
         rec = self.records[bee.flow]
+        index = (self.clock - bee.start) // self._t_hop
         if rec.phase in _SETTLED:
-            # Flow is already settled; drop the bee and free its prefix.
-            for port, packet in router.release_for_backward_bee(bee, arrival_port):
-                self.transit(node, port, packet)
+            outcome = _ABORTED  # the flow has settled: drop the bee and free its prefix
+        else:
+            won = rec.phase is FlowPhase.ESTABLISHED  # at the source: a sibling was accepted first
+            outcome = router.handle_backward_bee(node, bee, index, arrival_port, self.network, rec.wires, won)
+            self.network.drain_dirty()
+        if outcome is _ABORTED:
+            if (release := router.release_for_backward_bee(bee, index, self.clock + self._t_hop)) is not None:
+                self.transit(node, arrival_port, release)
             return
-        won = rec.phase is FlowPhase.ESTABLISHED  # at the source: a sibling was accepted first
-        outcome = router.handle_backward_bee(node, bee, arrival_port, self.network, rec.wires, won)
-        self.network.drain_dirty()
-        if outcome.kind != "aborted":  # the bee reserved on its arrival port's link
-            self._track_peak_util(arrival_port)
-        if outcome.kind == "accepted":
+        self._track_peak_util(arrival_port)  # the bee reserved on its arrival port's link
+        if outcome is _FORWARDED:
+            self.transit(node, bee.route.entry(index), bee)
+        else:
             self._establish(rec, bee)
-        for port, packet in outcome.emissions:
-            self.transit(node, port, packet)
 
-    def _on_control(self, node: int, pkt: ControlPacket, arrival_port: PortDir) -> None:
+    def _on_control(self, node: int, pkt: ControlPacket, _port: PortDir) -> None:
         self._control_deliveries += 1
-        for port, packet in router.handle_control(node, pkt, arrival_port, self.network):
-            self.transit(node, port, packet)
+        port = router.handle_control(node, pkt, (self.clock - pkt.start) // self._t_hop, self.network)
+        if port is not None:
+            self.transit(node, port, pkt)
         self.network.drain_dirty()
 
     def _establish(self, rec: FlowRecord, bee: BackwardBee) -> None:
@@ -432,12 +438,12 @@ class Simulator:
         self._set_phase(rec, FlowPhase.TORN_DOWN)
         route = rec.winner_route.reverse_complement()
         teardown = ControlPacket(
-            kind=ControlKind.TEARDOWN, flow=rec.spec.flow, bee_index=rec.winner_index, route=route, next_index=0
+            kind=ControlKind.TEARDOWN, flow=rec.spec.flow, bee_index=rec.winner_index, route=route, start=self.clock
         )
-        # The source frees its own hop first, then the packet travels the
-        # forward path releasing every circuit link.
-        for port, packet in router.handle_control(source, teardown, PortDir.LOCAL, self.network):
-            self.transit(source, port, packet)
+        # The source frees its own hop first, at route index 0, then the
+        # packet travels the forward path releasing every circuit link.
+        if (port := router.handle_control(source, teardown, 0, self.network)) is not None:
+            self.transit(source, port, teardown)
         self.network.drain_dirty()
 
     def _on_setup_timeout(self, _source: int, rec: FlowRecord, _port: None) -> None:
@@ -463,10 +469,9 @@ class Simulator:
             return f"{self.clock}\t{_LIFECYCLE_NAMES[handler]}\t{node}\t{payload.spec.flow}\t-\t-\t-"
         if type(payload) is FlowRecord:
             flow, pkt, hop = payload.spec.flow, "forward", (self.clock - payload.spec.arrival_time) // self._t_hop
-        elif type(payload) is BackwardBee:
-            flow, pkt, hop = payload.flow, "backward", payload.next_index
         else:
-            flow, pkt, hop = payload.flow, payload.kind.value, payload.next_index
+            pkt = "backward" if type(payload) is BackwardBee else payload.kind.value
+            flow, hop = payload.flow, (self.clock - payload.start) // self._t_hop
         return f"{self.clock}\tdeliver\t{node}\t{flow}\t{pkt}\t{port.name.lower()}\t{hop}"
 
     def _build_report(self, final_held: int, drained: bool) -> metrics.MetricsReport:

@@ -49,6 +49,10 @@ class PortList:
     bits: int = 0
     length: int = 0
 
+    def __post_init__(self) -> None:
+        if self.length < 0 or self.bits < 0 or self.bits >> (2 * self.length):
+            raise ValueError(f"port list bits {self.bits:#x} do not fit {self.length} entries")
+
     def push(self, port: PortDir, limit: int | None = None) -> "PortList":
         """New list with `port` appended; raises when a length limit is hit."""
         length = self.length
@@ -156,17 +160,18 @@ class ForwardBee(NamedTuple):
 class BackwardBee(NamedTuple):
     """Reservation packet retracing a discovered path from the destination.
 
-    `route` is the forward path already reversed and complemented.
-    `next_index` counts the route entries traversed so far; a bee in flight
-    has reserved the first next_index - 1 links of its route, each holding
-    its flow's wires under (flow, bee_index), so sibling bees (`bee_index`
-    0..2) never confuse their reservations on shared links.
+    `route` is the forward path already reversed and complemented. One bee
+    travels the whole route: at cycle c it is at route index
+    (c - start) // t_hop, `start` being the cycle of its conversion. At index
+    i it has reserved the first i - 1 links of its route, each holding its
+    flow's wires under (flow, bee_index), so sibling bees (`bee_index` 0..2)
+    never confuse their reservations on shared links.
     """
 
     flow: FlowId
     bee_index: int
     route: PortList
-    next_index: int
+    start: int
 
 
 class ControlKind(Enum):
@@ -179,14 +184,15 @@ class ControlPacket(NamedTuple):
 
     A teardown travels the forward path from the source after data transfer;
     a release retraces the links a failed or losing backward bee had
-    reserved. `bee_index` selects whose reservations are freed.
+    reserved. `bee_index` selects whose reservations are freed. Like a
+    backward bee it travels the whole route, at index 0 at cycle `start`.
     """
 
     kind: ControlKind
     flow: FlowId
     bee_index: int
     route: PortList
-    next_index: int
+    start: int
 
 
 # Serialized forward-bee layout (all fields big-endian): source (x u16,

@@ -11,15 +11,15 @@ losing bees free their reservations with release packets, and a teardown
 from the source dismantles the winning circuit after data transfer.
 
 A node is its int handle. A bee's reservation lives only in `Network`, under
-the key (flow, bee_index); the engine passes in its flow's other facts.
-Every handler reports what it sends as a list of (port, packet) emissions,
-empty when nothing leaves the node, which the engine transits in list order.
+the key (flow, bee_index); the engine passes in its flow's other facts and a
+packet's route index, (clock - start) // t_hop, and sends the same packet on
+through the port a handler names.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from enum import Enum
 
 from .errors import InvalidPathError, ProtocolCorruptionError
 from .protocol import BackwardBee, ControlKind, ControlPacket, ForwardBee
@@ -28,94 +28,81 @@ from .topology import Network, PortDir
 logger = logging.getLogger(__name__)
 
 
-@dataclass(slots=True)
-class BackwardOutcome:
+class BackwardOutcome(Enum):
     """Result of processing one backward-bee delivery."""
 
-    kind: str  # "forwarded" | "accepted" | "aborted"
-    emissions: list
+    FORWARDED = "forwarded"  # the engine sends the bee on through route.entry(index)
+    ACCEPTED = "accepted"  # the circuit is established
+    ABORTED = "aborted"  # the engine sends release_for_backward_bee's packet
+
+    @property
+    def kind(self) -> str:
+        return self.value
 
 
-def handle_forward_bee(count: int, bee: ForwardBee, convert_cap: int) -> list:
-    """Convert a forward bee delivered at its destination after `count` of
-    its flow's bees; returns its (port, BackwardBee) emission with bee_index
-    `count`, or nothing once `count` reaches `convert_cap`. The destination
-    is exempt from duplicate suppression. Forward bees reserve nothing.
-    """
+_FORWARDED, _ACCEPTED, _ABORTED = BackwardOutcome  # read as globals on the per-hop path
+
+
+def handle_forward_bee(count: int, bee: ForwardBee, convert_cap: int, clock: int) -> list:
+    """Convert a forward bee delivered at its destination at cycle `clock`
+    after `count` of its flow's bees; returns its (port, BackwardBee) emission
+    with bee_index `count` and start `clock`, or nothing once `count` reaches
+    `convert_cap`. Forward bees reserve nothing."""
     if count >= convert_cap:
         return []
     route = bee.ports.reverse_complement()
-    return [(route.entry(0), BackwardBee(bee.flow, count, route, 1))]
+    return [(route.entry(0), BackwardBee(bee.flow, count, route, clock))]
 
 
-def release_for_backward_bee(bee: BackwardBee, arrival_port: PortDir) -> list:
-    """Release packet freeing the reserved prefix of a dead backward bee.
-
-    The bee delivered here had reserved `next_index - 1` links at the nodes
-    behind it; the release retraces them toward the destination. Returns the
-    (port, packet) emission in a list, empty when nothing was reserved yet.
-    """
-    reserved = bee.next_index - 1
+def release_for_backward_bee(bee: BackwardBee, index: int, start: int) -> ControlPacket | None:
+    """Release packet freeing the reserved prefix of a dead backward bee, or
+    None when it reserved nothing. Delivered at route index `index`, the bee
+    had reserved `index - 1` links behind it; the release, at its index 0 at
+    cycle `start`, retraces them from the bee's arrival port."""
+    reserved = index - 1
     if reserved <= 0:
-        return []
+        return None
     route = bee.route.prefix(reserved).reverse_complement()
-    pkt = ControlPacket(kind=ControlKind.RELEASE, flow=bee.flow, bee_index=bee.bee_index, route=route, next_index=0)
-    return [(arrival_port, pkt)]
+    return ControlPacket(kind=ControlKind.RELEASE, flow=bee.flow, bee_index=bee.bee_index, route=route, start=start)
 
 
 def handle_backward_bee(
-    node: int,
-    bee: BackwardBee,
-    arrival_port: PortDir,
-    net: Network,
-    wires: int,
-    won: bool,
+    node: int, bee: BackwardBee, index: int, arrival_port: PortDir, net: Network, wires: int, won: bool
 ) -> BackwardOutcome:
-    """Process one backward-bee delivery at `node`.
+    """Process the delivery of `bee` at `node`, at route index `index`.
 
     Every arrival first reserves `wires` wires, the flow's demand, on the
     link back toward the node the bee came from (the link data will use when
     flowing source to destination), held under (flow, bee_index). At the
     source the first bee of its flow is accepted and the circuit is
-    established; a later sibling, arriving once its flow has `won`, releases
-    its whole reserved route. A failed reservation releases the reserved
-    prefix and kills the bee.
+    established; a later sibling, arriving once its flow has `won`, aborts
+    and releases its whole reserved route. A failed reservation aborts the
+    bee, which releases its reserved prefix.
     """
-    route = bee.route
-    if not 1 <= bee.next_index <= route.length:
-        raise ProtocolCorruptionError(f"backward bee of {bee.flow}: next_index {bee.next_index} out of range")
-    at_source = bee.next_index == route.length
-    if at_source and won:
-        # Lost the race; nothing was reserved at the source for this bee.
-        return BackwardOutcome("aborted", release_for_backward_bee(bee, arrival_port))
+    length = bee.route.length
+    if not 1 <= index <= length:
+        raise ProtocolCorruptionError(f"backward bee of {bee.flow}: next_index {index} out of range")
+    if index == length and won:  # lost the race; nothing was reserved at the source
+        return _ABORTED
     if not net.reserve(node, arrival_port, (bee.flow, bee.bee_index), wires):
-        return BackwardOutcome("aborted", release_for_backward_bee(bee, arrival_port))
-    if at_source:
-        return BackwardOutcome("accepted", [])
-    out_port = route.entry(bee.next_index)
-    return BackwardOutcome("forwarded", [(out_port, BackwardBee(bee.flow, bee.bee_index, route, bee.next_index + 1))])
+        return _ABORTED
+    return _ACCEPTED if index == length else _FORWARDED
 
 
-def handle_control(
-    node: int,
-    pkt: ControlPacket,
-    arrival_port: PortDir,
-    net: Network,
-) -> list:
-    """Process one teardown/release delivery at `node`; returns its
-    forwarding emission.
-
-    At each node with route entries left the packet frees its owner's wires
-    on the link named by the next route entry and travels on through that
-    port. Releasing wires that are not held is a protocol warning, not an
-    error, so repeated teardowns are harmless. A packet at the end of its
-    route emits nothing.
+def handle_control(node: int, pkt: ControlPacket, index: int, net: Network) -> PortDir | None:
+    """Process the delivery of a teardown/release at `node`, at route index
+    `index`; returns the port it leaves through. With route entries left, the
+    packet frees its owner's wires on the link named by the entry at `index`
+    and travels on through that port; at the end of its route it frees
+    nothing and returns None. Releasing wires that are not held is a protocol
+    warning, not an error, so repeated teardowns are harmless.
     """
-    if pkt.next_index > pkt.route.length:
-        raise ProtocolCorruptionError(f"control packet of {pkt.flow}: next_index {pkt.next_index} out of range")
-    if pkt.next_index == pkt.route.length:
-        return []
-    port = pkt.route.entry(pkt.next_index)
+    route = pkt.route
+    if not 0 <= index <= route.length:
+        raise ProtocolCorruptionError(f"control packet of {pkt.flow}: next_index {index} out of range")
+    if index == route.length:
+        return None
+    port = route.entry(index)
     try:
         freed = net.release(node, port, (pkt.flow, pkt.bee_index))
     except InvalidPathError:
@@ -131,4 +118,4 @@ def handle_control(
             pkt.bee_index,
             port.name,
         )
-    return [(port, ControlPacket(pkt.kind, pkt.flow, pkt.bee_index, pkt.route, pkt.next_index + 1))]
+    return port

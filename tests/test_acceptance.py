@@ -89,10 +89,10 @@ def test_criterion_3_state_machine_traces():
     arrivals = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
     converted = 0
     for ports in arrivals:
-        emissions = handle_forward_bee(converted, bee(ports), 3)
+        emissions = handle_forward_bee(converted, bee(ports), 3, 0)
         converted += sum(1 for _, pkt in emissions if isinstance(pkt, BackwardBee))
     assert converted == 3
-    short = [handle_forward_bee(count, bee(p), 3) for count, p in enumerate(arrivals[:2])]
+    short = [handle_forward_bee(count, bee(p), 3, 0) for count, p in enumerate(arrivals[:2])]
     assert all(len(e) == 1 for e in short)  # fewer than three arrivals all convert
 
     # (d) forward copies never mutate link reservations

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from beenoc import (
     BackwardBee,
     ConfigError,
+    ControlKind,
+    ControlPacket,
     DegenerateFlowError,
     FlowId,
     FlowPhase,
@@ -218,7 +220,7 @@ class TestFloodScheduling:
         sim.clock, events = sim.queue.pop_cycle()
         _, (to_destination, _) = only_wave(events)
         bees = []
-        monkeypatch.setattr(router, "handle_forward_bee", lambda count, bee, cap: bees.append(bee) or [])
+        monkeypatch.setattr(router, "handle_forward_bee", lambda count, bee, cap, clock: bees.append(bee) or [])
         deliver(sim, (WAVE, rec, [to_destination], None))
         flow = FlowId(NodeId(0, 0), 0)
         assert bees == [ForwardBee(flow, NodeId(2, 0), 2.0, PortList.from_ports([PortDir.EAST, PortDir.EAST]))]
@@ -447,6 +449,51 @@ class TestTrace:
         report = Simulator(base_config(), [one_flow()]).run()
         assert report.trace is None
 
+    def test_each_bee_and_control_packet_is_one_object_on_its_route(self, monkeypatch):
+        # A traced contended churn run: every backward bee and control packet
+        # is queued as the same object at each hop, and the trace's hop column
+        # is its route index there, as the route's next entry leads on.
+        cfg, workload = contended_run(3)
+        cfg = dataclasses.replace(cfg, trace=True)
+        sent = []  # (arrival cycle, node, packet) of every transit, in order
+        transit = Simulator.transit
+
+        def recording(sim, origin, port, packet):
+            transit(sim, origin, port, packet)
+            sent.append((sim.clock + sim.config.t_hop, sim.mesh.neighbor(sim.mesh.node_at(origin), port), packet))
+
+        monkeypatch.setattr(Simulator, "transit", recording)
+        sim = Simulator(cfg, workload)
+        report = sim.run()
+        assert report.stats.drained
+        delivered = [
+            line.split("\t")
+            for line in report.trace
+            if line.split("\t")[1] == "deliver" and line.split("\t")[4] != "forward"
+        ]
+        assert len(delivered) == len(sent) > 1000
+        objects, hops = {}, {}
+        for (cycle, node, pkt), (clock, _, at, flow, kind, _, hop) in zip(sent, delivered):
+            assert (str(cycle), str(node), str(pkt.flow)) == (clock, at, flow)
+            assert kind == ("backward" if type(pkt) is BackwardBee else pkt.kind.value)
+            assert objects.setdefault((kind, pkt.flow, pkt.bee_index), pkt) is pkt
+            hops.setdefault(id(pkt), []).append((node, int(hop)))
+        assert {kind for kind, _, _ in objects} == {"backward", "release", "teardown"}
+        for pkt in objects.values():
+            route, route_hops = pkt.route, hops[id(pkt)]
+            rec = sim.records[pkt.flow]
+            first = 0 if type(pkt) is ControlPacket and pkt.kind is ControlKind.RELEASE else 1
+            assert [hop for _, hop in route_hops] == list(range(first, first + len(route_hops)))
+            if first == 1:  # sent from the bee's destination, or from the teardown's source
+                origin = rec.spec.destination if type(pkt) is BackwardBee else rec.spec.source
+                assert route_hops[0][0] == sim.mesh.neighbor(origin, route.entry(0))
+            for (node, hop), (next_node, _) in zip(route_hops, route_hops[1:]):
+                assert next_node == sim.mesh.neighbor(node, route.entry(hop))
+            if type(pkt) is ControlPacket:
+                assert route_hops[-1][1] == route.length  # it is delivered at the end of its route
+            else:
+                assert route_hops[-1][1] <= route.length
+
 
 class TestMaxCycles:
     def test_truncation_fails_unresolved_flows(self):
@@ -552,9 +599,11 @@ class TestDiagnostics:
 
         sim = Simulator(base_config(), [one_flow(arrival=100)])
         flow = FlowId(NodeId(0, 0), 0)
-        bad = BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST]), 5)  # next_index out of range
+        # delivered one hop after transit, at route index 5 of a 1-entry route
+        t_hop = sim.config.t_hop
+        bad = BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST]), t_hop - 5 * t_hop)
         sim.transit(sim.mesh.handle(NodeId(0, 0)), PortDir.EAST, bad)
-        with pytest.raises(ProtocolCorruptionError, match="event 0:"):
+        with pytest.raises(ProtocolCorruptionError, match="event 0: backward bee of 0,0:0: next_index 5 out of range"):
             sim.run()
 
 

@@ -96,6 +96,24 @@ class TestPortListPush:
         assert lst.prefix(14) == lst
 
 
+class TestPortListBounds:
+    # A list of L entries is exactly 2L bits: no negative length or bits,
+    # and no bits above the top entry.
+    @pytest.mark.parametrize(
+        "bits,length",
+        [(0x1FF, 1), (0, -1), (-1, 0), (-1, 1), (0b100, 1), (1 << 28, 14)],
+    )
+    def test_refused(self, bits, length):
+        with pytest.raises(ValueError, match="do not fit"):
+            PortList(bits, length)
+
+    @pytest.mark.parametrize("bits,length", [(0, 0), (0b11, 1), ((1 << 28) - 1, 14)])
+    def test_boundary_accepted(self, bits, length):
+        lst = PortList(bits, length)
+        assert len(lst.bitstring()) == 2 * length and len(list(lst)) == length
+        assert lst.reverse_complement().reverse_complement() == lst
+
+
 def seed_bee(ports: PortList = PortList()) -> ForwardBee:
     return ForwardBee(FlowId(NodeId(2, 1), 5), NodeId(0, 3), 0.5, ports)
 
@@ -118,8 +136,8 @@ class TestForwardBeeAdvanced:
         "packet,field",
         [
             (seed_bee(), "ports"),
-            (BackwardBee(FlowId(NodeId(0, 0), 0), 1, PortList(), 1), "next_index"),
-            (ControlPacket(ControlKind.RELEASE, FlowId(NodeId(0, 0), 0), 1, PortList(), 0), "next_index"),
+            (BackwardBee(FlowId(NodeId(0, 0), 0), 1, PortList(), 1), "start"),
+            (ControlPacket(ControlKind.RELEASE, FlowId(NodeId(0, 0), 0), 1, PortList(), 0), "start"),
         ],
         ids=["forward", "backward", "control"],
     )

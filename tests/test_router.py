@@ -4,6 +4,7 @@ import pytest
 
 from beenoc import (
     BackwardBee,
+    BackwardOutcome,
     ControlKind,
     ControlPacket,
     FlowId,
@@ -17,6 +18,7 @@ from beenoc import (
     handle_backward_bee,
     handle_control,
     handle_forward_bee,
+    release_for_backward_bee,
 )
 
 from flood_step import flood, flood_sim, tree_of
@@ -41,27 +43,35 @@ def make_bee(flow, dst, ports=(), bandwidth=1.0):
 
 def deliver_backward_until_done(mesh, net, dest, bee, wires, won=False):
     """Walk a backward bee of a flow demanding `wires` wires hop by hop from
-    its birth at `dest`, the flow having `won` its circuit or not; returns
-    the final (node, outcome)."""
-    port = bee.route.entry(0)
-    node = mesh.neighbor(dest, port)
-    arrival = port.opposite()
-    while True:
-        outcome = handle_backward_bee(mesh.handle(node), bee, arrival, net, wires, won)
-        if outcome.kind != "forwarded":
-            return node, outcome
-        port, bee = outcome.emissions[0]
-        node = mesh.neighbor(node, port)
-        arrival = port.opposite()
+    its birth at `dest`, the flow having `won` its circuit or not, sending
+    the same bee on through its route entry at each forwarded hop; returns
+    the final delivery's (node, arrival port, route index, outcome)."""
+    node, index, outcome = dest, 0, BackwardOutcome.FORWARDED
+    while outcome is BackwardOutcome.FORWARDED:
+        port = bee.route.entry(index)
+        node, arrival, index = mesh.neighbor(node, port), port.opposite(), index + 1
+        outcome = handle_backward_bee(mesh.handle(node), bee, index, arrival, net, wires, won)
+    return node, arrival, index, outcome
 
 
-def deliver_control_chain(mesh, net, origin, emissions):
-    """Deliver the control packet emitted at `origin` until its route runs out."""
+def deliver_control_chain(mesh, net, origin, port, pkt, index):
+    """Deliver `pkt`, sent from `origin` through `port` to arrive at route
+    index `index`, hop by hop until its route runs out."""
     node = origin
-    while emissions:
-        ((port, pkt),) = emissions
+    while port is not None:
         node = mesh.neighbor(node, port)
-        emissions = handle_control(mesh.handle(node), pkt, port.opposite(), net)
+        port = handle_control(mesh.handle(node), pkt, index, net)
+        index += 1
+    assert index == pkt.route.length + 1
+
+
+def release_aborted(mesh, net, node, arrival, bee, index):
+    """Send and deliver the release of a bee aborted at `node`, at route
+    index `index`; returns it."""
+    release = release_for_backward_bee(bee, index, 0)
+    assert release.route == bee.route.prefix(index - 1).reverse_complement()
+    deliver_control_chain(mesh, net, node, arrival, release, 0)
+    return release
 
 
 # The flood rule is one engine step over a flow's first-copy tree; the
@@ -130,7 +140,7 @@ class TestForwardBee:
         paths = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
         backward = []
         for count, path in enumerate(paths):
-            emissions = handle_forward_bee(count, make_bee(flow, dest, path), 3)
+            emissions = handle_forward_bee(count, make_bee(flow, dest, path), 3, 17)
             if count < 3:
                 assert len(emissions) == 1
                 port, back = emissions[0]
@@ -138,7 +148,7 @@ class TestForwardBee:
                 assert back.bee_index == count
                 assert back.route == PortList.from_ports(path).reverse_complement()
                 assert port is back.route.entry(0)
-                assert back.next_index == 1
+                assert back.start == 17  # at route index 0 at the cycle of its conversion
                 backward.append(back)
             else:
                 assert emissions == []
@@ -149,8 +159,8 @@ class TestForwardBee:
         dest = NodeId(2, 2)
         first = make_bee(flow, dest, [E, E, N, N])
         second = make_bee(flow, dest, [N, N, E, E])
-        assert len(handle_forward_bee(0, first, convert_cap=1)) == 1
-        assert handle_forward_bee(1, second, convert_cap=1) == []
+        assert len(handle_forward_bee(0, first, convert_cap=1, clock=0)) == 1
+        assert handle_forward_bee(1, second, convert_cap=1, clock=0) == []
 
     def test_forward_bees_never_touch_links(self):
         # flood a whole flow over the mesh: discovery must leave every
@@ -223,26 +233,29 @@ class TestBackwardBee:
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 0)
         route = PortList.from_ports([E]).reverse_complement()  # forward east -> route west
-        bee = BackwardBee(flow, 0, route, 1)
-        node, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), bee, net.wires_for(2.5))
-        assert node == NodeId(0, 0)
+        bee = BackwardBee(flow, 0, route, 0)
+        node, _, index, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), bee, net.wires_for(2.5))
+        assert node == NodeId(0, 0) and index == 1
         assert outcome.kind == "accepted"
         # the source holds the data-direction first hop: 3 wires of 8, under the bee's key
         assert net.free_wires(at(mesh, 0, 0), E) == 5
         assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 3}
         # once the flow has won, a sibling reaching the source loses the race
-        sibling = BackwardBee(flow, 1, route, 1)
-        node, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), sibling, 3, won=True)
-        assert node == NodeId(0, 0) and outcome.kind == "aborted" and outcome.emissions == []
+        sibling = BackwardBee(flow, 1, route, 0)
+        node, _, index, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), sibling, 3, won=True)
+        assert node == NodeId(0, 0) and outcome.kind == "aborted"
+        assert release_for_backward_bee(sibling, index, 0) is None
         assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 3}
 
     def test_multi_hop_reserves_data_path(self):
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 1)
         forward = PortList.from_ports([E, N])
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1)
-        node, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 1), bee, 1)
-        assert outcome.kind == "accepted"
+        bee = BackwardBee(flow, 0, forward.reverse_complement(), 0)
+        # at the first hop the bee reserves and is sent on through route entry 1
+        assert handle_backward_bee(at(mesh, 1, 0), bee, 1, N, net, 1, False) is BackwardOutcome.FORWARDED
+        assert bee.route.entry(1) is W
+        assert handle_backward_bee(at(mesh, 0, 0), bee, 2, E, net, 1, False) is BackwardOutcome.ACCEPTED
         # exactly the links a source->destination walk would use
         assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 1}
         assert net.holders(at(mesh, 1, 0), N) == {(flow, 0): 1}
@@ -253,12 +266,12 @@ class TestBackwardBee:
         flow = FlowId(NodeId(0, 0), 2)
         forward = PortList.from_ports([E, E])
         net.reserve(at(mesh, 0, 0), E, ("bg", 0), 4)  # the final reservation will fail
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1)
-        node, outcome = deliver_backward_until_done(mesh, net, NodeId(2, 0), bee, 2)
+        bee = BackwardBee(flow, 0, forward.reverse_complement(), 0)
+        node, arrival, index, outcome = deliver_backward_until_done(mesh, net, NodeId(2, 0), bee, 2)
         assert node == NodeId(0, 0)
         assert outcome.kind == "aborted"
-        assert len(outcome.emissions) == 1
-        deliver_control_chain(mesh, net, node, outcome.emissions)
+        release = release_aborted(mesh, net, node, arrival, bee, index)
+        assert (release.kind, release.flow, release.bee_index, release.route.length) == (ControlKind.RELEASE, flow, 0, 1)
         # only the background reservation survives; no link holds the bee's key
         assert net.total_held() == 4
         assert net.holders(at(mesh, 1, 0), E) == {}
@@ -268,10 +281,10 @@ class TestBackwardBee:
         mesh, net = make_net(wire_count=4)
         flow = FlowId(NodeId(0, 0), 3)
         net.reserve(at(mesh, 1, 0), E, ("bg", 0), 4)
-        bee = BackwardBee(flow, 0, PortList.from_ports([E, E]).reverse_complement(), 1)
-        outcome = handle_backward_bee(at(mesh, 1, 0), bee, E, net, 2, False)
+        bee = BackwardBee(flow, 0, PortList.from_ports([E, E]).reverse_complement(), 0)
+        outcome = handle_backward_bee(at(mesh, 1, 0), bee, 1, E, net, 2, False)
         assert outcome.kind == "aborted"
-        assert outcome.emissions == []
+        assert release_for_backward_bee(bee, 1, 0) is None
         assert net.total_held() == 4
 
     def test_losing_sibling_releases_only_its_own_wires(self):
@@ -281,14 +294,14 @@ class TestBackwardBee:
         flow = FlowId(NodeId(0, 0), 0)
         route1 = PortList.from_ports([E, E, E, N]).reverse_complement()  # S W W W
         route2 = PortList.from_ports([E, E, N, E]).reverse_complement()  # W S W W
-        bee1 = BackwardBee(flow, 0, route1, 1)
-        bee2 = BackwardBee(flow, 1, route2, 1)
-        _, first = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee1, 2)
+        bee1 = BackwardBee(flow, 0, route1, 0)
+        bee2 = BackwardBee(flow, 1, route2, 0)
+        _, _, _, first = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee1, 2)
         assert first.kind == "accepted"
-        node, second = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee2, 2, won=True)
+        node, arrival, index, second = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee2, 2, won=True)
         assert second.kind == "aborted"
         assert net.holders(at(mesh, 1, 0), E) == {(flow, 0): 2, (flow, 1): 2}  # both held pre-release
-        deliver_control_chain(mesh, net, node, second.emissions)
+        release_aborted(mesh, net, node, arrival, bee2, index)
         assert net.holders(at(mesh, 1, 0), E) == {(flow, 0): 2}
         # the winner's four-link circuit is intact, nothing else is held
         assert net.total_held() == 8
@@ -297,9 +310,11 @@ class TestBackwardBee:
 
     def test_corrupt_index_rejected(self):
         mesh, net = make_net()
-        bee = BackwardBee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([W]), 5)
-        with pytest.raises(ProtocolCorruptionError):
-            handle_backward_bee(at(mesh, 0, 0), bee, E, net, 1, False)
+        bee = BackwardBee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([W]), 0)
+        for index in (0, 2, 5):
+            with pytest.raises(ProtocolCorruptionError, match=f"next_index {index} out of range"):
+                handle_backward_bee(at(mesh, 0, 0), bee, index, E, net, 1, False)
+        assert net.total_held() == 0
 
 
 class TestControl:
@@ -308,8 +323,8 @@ class TestControl:
         dest = NodeId(0, 0)
         for port in forward:
             dest = mesh.neighbor(dest, port)
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 1)
-        node, outcome = deliver_backward_until_done(mesh, net, dest, bee, wires)
+        bee = BackwardBee(flow, 0, forward.reverse_complement(), 0)
+        _, _, _, outcome = deliver_backward_until_done(mesh, net, dest, bee, wires)
         assert outcome.kind == "accepted"
         return forward
 
@@ -319,8 +334,9 @@ class TestControl:
         forward = self.build_circuit(mesh, net, flow, [E, E, N], wires=2)
         assert net.total_held() == 6
         teardown = ControlPacket(ControlKind.TEARDOWN, flow, 0, forward, 0)
-        emissions = handle_control(at(mesh, 0, 0), teardown, LOCAL, net)
-        deliver_control_chain(mesh, net, NodeId(0, 0), emissions)
+        port = handle_control(at(mesh, 0, 0), teardown, 0, net)  # the source frees its own hop
+        assert port is E and net.total_held() == 4
+        deliver_control_chain(mesh, net, NodeId(0, 0), port, teardown, 1)
         assert net.total_held() == 0
         assert all(not net.holders(*link) for link in net.links)
 
@@ -328,15 +344,23 @@ class TestControl:
         mesh, net = make_net()
         pkt = ControlPacket(ControlKind.RELEASE, FlowId(NodeId(0, 0), 1), 0, PortList(), 0)
         before = {link: net.free_wires(*link) for link in net.links}
-        assert handle_control(at(mesh, 1, 1), pkt, E, net) == []
+        assert handle_control(at(mesh, 1, 1), pkt, 0, net) is None
         assert {link: net.free_wires(*link) for link in net.links} == before
+
+    def test_corrupt_index_rejected(self):
+        mesh, net = make_net()
+        flow = FlowId(NodeId(0, 0), 5)
+        pkt = ControlPacket(ControlKind.RELEASE, flow, 0, PortList.from_ports([E]), 0)
+        for index in (-1, 2):
+            with pytest.raises(ProtocolCorruptionError, match=f"control packet of 0,0:5: next_index {index} out of range"):
+                handle_control(at(mesh, 0, 0), pkt, index, net)
 
     def test_route_leaving_the_mesh_is_corruption(self):
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 3)
         pkt = ControlPacket(ControlKind.RELEASE, flow, 0, PortList.from_ports([W]), 0)
         with pytest.raises(ProtocolCorruptionError, match="control route of 0,0:3 leaves the mesh at 0,0"):
-            handle_control(at(mesh, 0, 0), pkt, E, net)
+            handle_control(at(mesh, 0, 0), pkt, 0, net)
 
     def test_double_teardown_warns_but_survives(self, caplog):
         mesh, net = make_net()
@@ -345,8 +369,8 @@ class TestControl:
         for round_no in range(2):
             teardown = ControlPacket(ControlKind.TEARDOWN, flow, 0, forward, 0)
             with caplog.at_level(logging.WARNING, logger="beenoc.router"):
-                emissions = handle_control(at(mesh, 0, 0), teardown, LOCAL, net)
-                deliver_control_chain(mesh, net, NodeId(0, 0), emissions)
+                port = handle_control(at(mesh, 0, 0), teardown, 0, net)
+                deliver_control_chain(mesh, net, NodeId(0, 0), port, teardown, 1)
             if round_no == 1:
                 assert any("no reservation" in rec.message for rec in caplog.records)
         assert net.total_held() == 0
