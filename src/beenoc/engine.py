@@ -42,7 +42,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import metrics, router
 from .config import RunConfig, validate_config
@@ -58,32 +58,45 @@ class FlowPhase(Enum):
     FAILED = "Failed"
 
 
-_LEGAL_TRANSITIONS = {
+# Compared by identity: a set would hash both members through Enum.__hash__.
+_LEGAL_TRANSITIONS = (
     (FlowPhase.SETTING_UP, FlowPhase.ESTABLISHED),
     (FlowPhase.ESTABLISHED, FlowPhase.TORN_DOWN),
     (FlowPhase.SETTING_UP, FlowPhase.FAILED),
-}
+)
 
 
-@dataclass(frozen=True, slots=True)
-class FlowSpec:
-    """One offered traffic demand."""
-
+class _FlowSpecFields(NamedTuple):
     flow: FlowId
     destination: NodeId
     required_bandwidth: float
     arrival_time: int
     hold_time: int
 
-    def __post_init__(self) -> None:
-        if self.source == self.destination:
-            raise DegenerateFlowError(f"flow {self.flow}: source equals destination")
-        if not 0 < self.required_bandwidth < math.inf:
-            raise ValueError(f"flow {self.flow}: required_bandwidth must be positive and finite")
-        if self.arrival_time < 0:
-            raise ValueError(f"flow {self.flow}: arrival_time must be >= 0")
-        if self.hold_time < 1:
-            raise ValueError(f"flow {self.flow}: hold_time must be >= 1")
+
+class FlowSpec(_FlowSpecFields):
+    """One offered traffic demand: an immutable tuple, validated when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, flow: FlowId, destination: NodeId, required_bandwidth: float, arrival_time: int, hold_time: int):
+        if flow.source == destination:
+            raise DegenerateFlowError(f"flow {flow}: source equals destination")
+        if not 0 < required_bandwidth < math.inf:
+            raise ValueError(f"flow {flow}: required_bandwidth must be positive and finite")
+        if type(arrival_time) is not int:  # bool is an int subclass
+            raise ValueError(f"flow {flow}: arrival_time must be an integer")
+        if arrival_time < 0:
+            raise ValueError(f"flow {flow}: arrival_time must be >= 0")
+        if type(hold_time) is not int:
+            raise ValueError(f"flow {flow}: hold_time must be an integer")
+        if hold_time < 1:
+            raise ValueError(f"flow {flow}: hold_time must be >= 1")
+        return tuple.__new__(cls, (flow, destination, required_bandwidth, arrival_time, hold_time))
+
+    @classmethod
+    def _make(cls, iterable) -> "FlowSpec":  # _replace builds through this: validate it too
+        return cls(*iterable)
 
     @property
     def source(self) -> NodeId:
@@ -216,17 +229,18 @@ class Simulator:
     # -- construction -----------------------------------------------------
 
     def _admit(self, spec: FlowSpec) -> None:
+        flow, destination, bandwidth, arrival, _ = spec
+        mesh = self.mesh
         try:
-            source, destination = self.mesh.handle(spec.source), self.mesh.handle(spec.destination)
+            src, dst = mesh.handle(flow.source), mesh.handle(destination)
         except InvalidPathError as exc:
-            raise ConfigError(f"flow {spec.flow}: {exc}") from None
-        if spec.flow in self.records:
-            raise ConfigError(f"duplicate flow id {spec.flow}")
-        hop_limit = self.mesh.hop_limit(spec.source, spec.destination, self.config.hop_limit_metric)
-        wires = self.network.wires_for(spec.required_bandwidth)
-        rec = FlowRecord(spec, hop_limit, wires, source, destination, spec.arrival_time + hop_limit * self._t_hop)
-        self.records[spec.flow] = rec
-        self.queue.push(spec.arrival_time, (Simulator._on_flow_arrival, source, rec, None))
+            raise ConfigError(f"flow {flow}: {exc}") from None
+        if flow in self.records:
+            raise ConfigError(f"duplicate flow id {flow}")
+        hop_limit = mesh.hop_limit(flow.source, destination, self.config.hop_limit_metric)
+        wires = self.network.wires_for(bandwidth)
+        rec = self.records[flow] = FlowRecord(spec, hop_limit, wires, src, dst, arrival + hop_limit * self._t_hop)
+        self.queue.push(arrival, (Simulator._on_flow_arrival, src, rec, None))
 
     # -- scheduling -------------------------------------------------------
 
@@ -476,22 +490,16 @@ class Simulator:
 
     def _build_report(self, final_held: int, drained: bool) -> metrics.MetricsReport:
         rows = []
+        row = metrics.FlowRow
         for rec in self.records.values():
-            spec = rec.spec
+            ((src_x, src_y), seq), (dst_x, dst_y), bandwidth, _, _ = rec.spec
+            latency, route = rec.setup_latency, rec.winner_route
+            length = None if route is None else route.length
+            manhattan = abs(dst_x - src_x) + abs(dst_y - src_y)
+            # Only establishing a flow sets its latency, so it tells whether the flow ever was.
             rows.append(
-                metrics.FlowRow(
-                    flow_seq=spec.flow.sequence,
-                    src_x=spec.source.x,
-                    src_y=spec.source.y,
-                    dst_x=spec.destination.x,
-                    dst_y=spec.destination.y,
-                    bandwidth=spec.required_bandwidth,
-                    phase=rec.phase.value,
-                    setup_latency=rec.setup_latency,
-                    path_length=rec.path_length,
-                    manhattan=self.mesh.manhattan(spec.source, spec.destination),
-                    ever_established=rec.ever_established,
-                )
+                row(seq, src_x, src_y, dst_x, dst_y, bandwidth, rec.phase.value, latency, length, manhattan,
+                    latency is not None)
             )
         stats = metrics.RunStats(
             events_processed=self._events_processed,

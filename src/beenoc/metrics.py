@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import RunConfig
 from .topology import PortDir
@@ -25,8 +26,7 @@ SUMMARY_HEADER = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRow:
+class FlowRow(NamedTuple):
     """One flows.csv row. Latency and path length are None unless the flow's
     circuit was established; `ever_established` also covers flows that have
     already been torn down."""
@@ -169,20 +169,10 @@ def _fmt(value) -> str:
 
 
 def flow_row_line(row: FlowRow) -> str:
-    return ",".join(
-        (
-            str(row.flow_seq),
-            str(row.src_x),
-            str(row.src_y),
-            str(row.dst_x),
-            str(row.dst_y),
-            f"{row.bandwidth:.6f}",
-            row.phase,
-            _fmt(row.setup_latency),
-            _fmt(row.path_length),
-            str(row.manhattan),
-        )
-    )
+    seq, src_x, src_y, dst_x, dst_y, bandwidth, phase, latency, length, manhattan, _ = row
+    latency = "" if latency is None else latency
+    length = "" if length is None else length
+    return f"{seq},{src_x},{src_y},{dst_x},{dst_y},{bandwidth:.6f},{phase},{latency},{length},{manhattan}"
 
 
 def summary_line(summary: Summary) -> str:

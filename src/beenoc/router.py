@@ -81,7 +81,9 @@ def handle_backward_bee(
     """
     length = bee.route.length
     if not 1 <= index <= length:
-        raise ProtocolCorruptionError(f"backward bee of {bee.flow}: next_index {index} out of range")
+        raise ProtocolCorruptionError(
+            f"backward bee of {bee.flow}: route index {index} outside 1..{length} (start {bee.start})"
+        )
     if index == length and won:  # lost the race; nothing was reserved at the source
         return _ABORTED
     if not net.reserve(node, arrival_port, (bee.flow, bee.bee_index), wires):
@@ -99,7 +101,9 @@ def handle_control(node: int, pkt: ControlPacket, index: int, net: Network) -> P
     """
     route = pkt.route
     if not 0 <= index <= route.length:
-        raise ProtocolCorruptionError(f"control packet of {pkt.flow}: next_index {index} out of range")
+        raise ProtocolCorruptionError(
+            f"control packet of {pkt.flow}: route index {index} outside 0..{route.length} (start {pkt.start})"
+        )
     if index == route.length:
         return None
     port = route.entry(index)

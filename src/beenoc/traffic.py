@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -59,32 +60,6 @@ def traffic_params_from_config(cfg: RunConfig) -> TrafficParams:
     )
 
 
-def _draw_uniform_excluding(mesh: Mesh, excluded: list[NodeId], rng: np.random.Generator) -> NodeId:
-    """Uniform draw over the mesh's nodes, in handle order, minus `excluded`."""
-    skip = sorted({mesh.handle(e) for e in excluded})
-    idx = int(rng.integers(0, mesh.node_count - len(skip)))
-    for s in skip:
-        if idx >= s:
-            idx += 1
-    return mesh.node_at(idx)
-
-
-def _draw_destination(src: NodeId, mesh: Mesh, params: TrafficParams, rng: np.random.Generator) -> NodeId:
-    if params.pattern == "transpose":
-        return NodeId(src.y, src.x)
-    if params.pattern == "hotspot" and src != params.hotspot:
-        if rng.random() < params.hotspot_fraction:
-            return params.hotspot
-        return _draw_uniform_excluding(mesh, [src, params.hotspot], rng)
-    return _draw_uniform_excluding(mesh, [src], rng)
-
-
-def _draw_hold(params: TrafficParams, rng: np.random.Generator) -> int:
-    if params.hold_dist == "geometric":
-        return int(rng.geometric(1.0 / params.hold_mean))
-    return max(1, round(params.hold_mean))
-
-
 def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator) -> list[FlowSpec]:
     """Deterministic flow list sorted by arrival time. A rate of zero yields
     an empty list; parameters no flow can be drawn from raise ConfigError
@@ -116,28 +91,51 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     bandwidth_cdf = cdf.tolist()
+    bandwidths = tuple(float(v) for v in params.bandwidth_values)
+    # Destinations are drawn over node handles, skipping the excluded ones.
+    nodes = tuple(mesh.nodes())
+    last = len(nodes) - 1
+    pattern = params.pattern
+    hotspot = mesh.handle(params.hotspot) if pattern == "hotspot" else None
+    fraction = params.hotspot_fraction
+    geometric_p = 1.0 / params.hold_mean if params.hold_dist == "geometric" else None
+    fixed_hold = max(1, round(params.hold_mean))
+    exponential, integers, random, geometric = rng.exponential, rng.integers, rng.random, rng.geometric
+    gap, duration = 1.0 / params.rate, params.duration
     flows: list[FlowSpec] = []
-    for src in mesh.nodes():
-        if params.pattern == "transpose" and src.x == src.y:
-            continue  # transpose targets itself on the diagonal
+    append = flows.append
+    for src_handle, src in enumerate(nodes):
+        # The source's destination rule: its mirror (transpose); the hotspot
+        # with probability `fraction`, else a node other than both (hotspot,
+        # from any source but the hotspot); else any node but the source.
+        mirror = hot = None
+        if pattern == "transpose":
+            if src.x == src.y:
+                continue  # transpose targets itself on the diagonal
+            mirror = NodeId(src.y, src.x)
+        elif pattern == "hotspot" and src_handle != hotspot:
+            hot = nodes[hotspot]
+            low, high = sorted((src_handle, hotspot))
         sequence = 0
         clock = 0.0
         while True:
-            clock += rng.exponential(1.0 / params.rate)
-            if clock > params.duration:
+            clock += exponential(gap)
+            if clock > duration:
                 break
-            destination = _draw_destination(src, mesh, params, rng)
-            bandwidth = params.bandwidth_values[bisect_right(bandwidth_cdf, rng.random())]
-            hold = _draw_hold(params, rng)
-            flows.append(
-                FlowSpec(
-                    flow=FlowId(src, sequence),
-                    destination=destination,
-                    required_bandwidth=float(bandwidth),
-                    arrival_time=math.ceil(clock),
-                    hold_time=hold,
-                )
-            )
+            if mirror is not None:
+                destination = mirror
+            elif hot is None:
+                idx = int(integers(0, last))
+                destination = nodes[idx + (idx >= src_handle)]
+            elif random() < fraction:
+                destination = hot
+            else:
+                idx = int(integers(0, last - 1))
+                idx += idx >= low
+                destination = nodes[idx + (idx >= high)]
+            bandwidth = bandwidths[bisect_right(bandwidth_cdf, random())]
+            hold = fixed_hold if geometric_p is None else int(geometric(geometric_p))
+            append(FlowSpec(FlowId(src, sequence), destination, bandwidth, math.ceil(clock), hold))
             sequence += 1
-    flows.sort(key=lambda f: f.arrival_time)
+    flows.sort(key=attrgetter("arrival_time"))
     return flows

@@ -65,10 +65,34 @@ class TestFlowSpec:
         with pytest.raises(DegenerateFlowError):
             one_flow(src=(1, 1), dst=(1, 1))
 
-    @pytest.mark.parametrize("kw", [dict(bandwidth=0.0), dict(hold=0), dict(arrival=-1)])
-    def test_bad_fields(self, kw):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            (dict(bandwidth=0.0), "required_bandwidth must be positive"),
+            (dict(hold=0), "hold_time must be >= 1"),
+            (dict(arrival=-1), "arrival_time must be >= 0"),
+            (dict(arrival=1.0), "arrival_time must be an integer"),
+            (dict(hold=2.5), "hold_time must be an integer"),
+            (dict(hold=10.0), "hold_time must be an integer"),
+            (dict(arrival=True), "arrival_time must be an integer"),
+            (dict(hold=True), "hold_time must be an integer"),
+        ],
+        ids=[f"kw{i}" for i in range(8)],
+    )
+    def test_bad_fields(self, kw, message):
+        with pytest.raises(ValueError, match=message):
             one_flow(**kw)
+
+    def test_replace_is_validated(self):
+        spec = one_flow()
+        assert spec._replace(hold_time=7).hold_time == 7
+        with pytest.raises(ValueError, match="hold_time must be an integer"):
+            spec._replace(hold_time=7.5)
+
+    def test_immutable(self):
+        spec = one_flow()
+        with pytest.raises(AttributeError):
+            spec.hold_time = 5
 
 
 class TestIdleSingleFlow:
@@ -603,7 +627,9 @@ class TestDiagnostics:
         t_hop = sim.config.t_hop
         bad = BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST]), t_hop - 5 * t_hop)
         sim.transit(sim.mesh.handle(NodeId(0, 0)), PortDir.EAST, bad)
-        with pytest.raises(ProtocolCorruptionError, match="event 0: backward bee of 0,0:0: next_index 5 out of range"):
+        with pytest.raises(
+            ProtocolCorruptionError, match=r"event 0: backward bee of 0,0:0: route index 5 outside 1\.\.1 \(start -4\)"
+        ):
             sim.run()
 
 

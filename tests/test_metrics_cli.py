@@ -16,7 +16,7 @@ from beenoc import (
 )
 from beenoc.cli import cli_main
 from beenoc.errors import InvariantViolationError
-from beenoc.metrics import FLOWS_HEADER, SUMMARY_HEADER
+from beenoc.metrics import FLOWS_HEADER, SUMMARY_HEADER, FlowRow, flow_row_line
 
 MINIMAL = "mesh_width = 4\nmesh_height = 4\nseed = 7\n"
 
@@ -199,6 +199,31 @@ class TestWriteReport:
         trace = (tmp_path / "trace.tsv").read_text().splitlines()
         assert trace
         assert all(len(line.split("\t")) == 7 for line in trace)
+
+
+class TestFlowRowLine:
+    @pytest.mark.parametrize(
+        "row,line",
+        [
+            (FlowRow(3, 0, 1, 2, 3, 99.0, "Failed", None, None, 4, False), "3,0,1,2,3,99.000000,Failed,,,4"),
+            (FlowRow(0, 1, 1, 3, 0, 2.5, "Established", 14, 3, 3, True), "0,1,1,3,0,2.500000,Established,14,3,3"),
+            (FlowRow(12, 2, 0, 0, 2, 1.0, "TornDown", 9, 6, 4, True), "12,2,0,0,2,1.000000,TornDown,9,6,4"),
+        ],
+        ids=["failed", "established", "torn-down"],
+    )
+    def test_line(self, row, line):
+        assert flow_row_line(row) == line
+        assert len(line.split(",")) == len(FLOWS_HEADER.split(","))
+
+    def test_row_is_an_immutable_named_record(self):
+        row = FlowRow(0, 1, 1, 3, 0, 2.5, "Established", 14, 3, 3, True)
+        assert FlowRow._fields == (
+            "flow_seq", "src_x", "src_y", "dst_x", "dst_y", "bandwidth",
+            "phase", "setup_latency", "path_length", "manhattan", "ever_established",
+        )
+        assert FLOWS_HEADER.split(",") == list(FlowRow._fields[:-1])
+        with pytest.raises(AttributeError):
+            row.phase = "TornDown"
 
 
 def write_config(tmp_path, text):

@@ -312,7 +312,7 @@ class TestBackwardBee:
         mesh, net = make_net()
         bee = BackwardBee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([W]), 0)
         for index in (0, 2, 5):
-            with pytest.raises(ProtocolCorruptionError, match=f"next_index {index} out of range"):
+            with pytest.raises(ProtocolCorruptionError, match=rf"route index {index} outside 1\.\.1 \(start 0\)"):
                 handle_backward_bee(at(mesh, 0, 0), bee, index, E, net, 1, False)
         assert net.total_held() == 0
 
@@ -352,7 +352,9 @@ class TestControl:
         flow = FlowId(NodeId(0, 0), 5)
         pkt = ControlPacket(ControlKind.RELEASE, flow, 0, PortList.from_ports([E]), 0)
         for index in (-1, 2):
-            with pytest.raises(ProtocolCorruptionError, match=f"control packet of 0,0:5: next_index {index} out of range"):
+            with pytest.raises(
+                ProtocolCorruptionError, match=rf"control packet of 0,0:5: route index {index} outside 0\.\.1 \(start 0\)"
+            ):
                 handle_control(at(mesh, 0, 0), pkt, index, net)
 
     def test_route_leaving_the_mesh_is_corruption(self):

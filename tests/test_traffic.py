@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,3 +152,52 @@ def test_bandwidth_draw_is_generator_choice(weights, seed):
     flows = generate_traffic(mesh, p, make_rng(seed))
     flows.sort(key=lambda f: (f.source.y, f.source.x, f.flow.sequence))
     assert [f.required_bandwidth for f in flows] == choice_bandwidths(mesh, p, seed)
+
+
+# The full stream of each pattern and hold rule, pinned: every draw, its
+# order and its arguments decide these bytes. Mesh, rate and bandwidth set
+# are fixed; changing any of them needs new digests.
+STREAM_CASES = {
+    ("uniform", "fixed"):
+        "1f68869206e3d52f4dbb7071375a43be034e45f04ff5f1c8caab838abcdf6f37",
+    ("uniform", "geometric"):
+        "4124afbbdcf336db2e9306c56b74b1a0eec8c930becdd301635fc29a5eb89f64",
+    ("hotspot", "fixed"):
+        "c0200894c0cdbf91184a795b941b855d397af152398c529d089eee9dac47e39b",
+    ("hotspot", "geometric"):
+        "8b1b2c519ef07f5294d7a1f9792f64e4c33f72b823247049a582b683dc323a7d",
+    ("transpose", "fixed"):
+        "c6ce0959e53ad71823e1317c7f4cb0d82661e6b5d6ce25c32ac8e8072c8d9e33",
+    ("transpose", "geometric"):
+        "78a474750d3c23d5c7e82de54ffc5616a436164626ddd8b0d8bb67cea3a153e0",
+}
+
+
+def stream_digest(flows) -> str:
+    lines = (
+        repr((f.flow.source.x, f.flow.source.y, f.flow.sequence, f.destination.x, f.destination.y,
+              f.required_bandwidth, f.arrival_time, f.hold_time))
+        for f in flows
+    )
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("pattern,hold_dist", sorted(STREAM_CASES))
+def test_traffic_stream_digest(pattern, hold_dist):
+    hotspot = NodeId(1, 2)
+    p = params(
+        rate=0.03,
+        duration=400,
+        pattern=pattern,
+        hotspot=hotspot,
+        hotspot_fraction=0.3,
+        bandwidth_values=(1.0, 2.0, 3.5),
+        bandwidth_weights=(0.5, 0.3, 0.2),
+        hold_dist=hold_dist,
+        hold_mean=37.4,
+    )
+    flows = generate_traffic(Mesh(5, 5), p, make_rng(2024))
+    assert len(flows) > 200
+    if pattern == "hotspot":  # the hotspot's own flows draw uniformly, without the biased draw
+        assert any(f.source == hotspot for f in flows)
+    assert stream_digest(flows) == STREAM_CASES[pattern, hold_dist]
