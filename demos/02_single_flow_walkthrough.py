@@ -20,7 +20,7 @@ record = sim.records[flow.flow]
 print(f"flow {flow.flow}: {src} -> {dst}, demand {flow.required_bandwidth}")
 print(f"outcome: {record.phase.value}, setup latency {record.setup_latency} cycles, "
       f"path length {record.path_length} (manhattan {sim.mesh.manhattan(src, dst)})")
-print(f"winning route (destination's view): {record.winner_route.bitstring()}\n")
+print(f"circuit (source's view): {record.circuit.bitstring()}\n")
 
 print("trace (cycle, event, node, flow, packet, port, hop):")
 for line in report.trace:

@@ -24,7 +24,7 @@ sim.run()
 
 record = sim.records[flow.flow]
 print(f"{src} -> {dst} with the bottom row congested: {record.phase.value}")
-forward_path = record.winner_route.reverse_complement()
+forward_path = record.circuit
 print(f"circuit: {' -> '.join(str(n) for n in walk(forward_path, src, sim.mesh))}")
 print(f"path length {record.path_length} vs manhattan {sim.mesh.manhattan(src, dst)} (stretch "
       f"{record.path_length / sim.mesh.manhattan(src, dst):.2f})")

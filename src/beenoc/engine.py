@@ -1,41 +1,36 @@
 """Deterministic discrete-event core.
 
 One global clock in integer cycles, a calendar queue that hands out events
-in (time, scheduling order), uniform per-hop transit latency for every
-packet, and the flow lifecycle. A flow is SettingUp from its arrival through
-discovery and reservation until its first backward bee reaches the source
-(Established) or its setup timeout fires (Failed); an established flow is
-TornDown when its hold time ends. Nodes are int handles (Mesh.handle) here,
-in the router and in the network; a NodeId is made only for output and
-messages.
+in (time, scheduling order), one transit latency t_hop for every hop, and
+the flow lifecycle: SettingUp from arrival until the first backward bee
+reaches the source (Established) or the setup timeout fires (Failed), then
+TornDown when the hold time ends. Nodes are int handles (Mesh.handle) here,
+in the router and in the network; a NodeId is made only for output.
 
-No packet is built per hop. Every hop takes the same t_hop and each cycle's
-events come out in scheduling order. A backward bee or control packet is
-queued as the same object at every hop of its route, at route index
-(clock - start) // t_hop, and sent on through the port a router handler
-names. A flow's forward copies reach a node in the order they were sent,
-and a copy's hop count is (clock - arrival_time) // t_hop. The copies one
-flood step sends are consecutive in the next cycle's bucket, so they are
-queued as one wave: the flow's record and its (node, arrival_port) copies.
-`Simulator._on_wave` applies the flood rule to each copy over the flow's
-first-copy tree, reading the flow's state once per wave (frontier batching,
-as in level-synchronous BFS). A destination conversion transits a backward
-bee into the same bucket, so it closes the open wave: flattened, the queue
-is the per-copy schedule. At the destination the bee's port list is rebuilt
-from the tree for `router.handle_forward_bee`.
+No packet is built per hop. A backward bee or control packet is queued as
+the same object at every hop of its route, at route index
+(clock - start) // t_hop. Forward copies carry no packet: a copy's hop
+count is (clock - arrival_time) // t_hop, and the copies one flood step
+sends are queued as one wave, the flow's record and its (node,
+arrival_port) copies, to which `Simulator._on_wave` applies the flood rule
+over the flow's first-copy tree (frontier batching, as in level-synchronous
+BFS). A conversion at the destination closes the open wave, so the
+flattened queue is the per-copy schedule; one walk of the tree back to the
+source gives the conversion its backward route, in walk order, and the
+forward path's bits.
 
 Untraced runs do not queue a forward copy the receiver would drop as a
 duplicate: once a copy has been sent to a node, a later one bound there
-(the destination aside) does nothing. Its delivery is counted
-(events_processed, forward_deliveries, the flow's count and its 4|V| cap)
-when it would be sent, unless it would fall after max_cycles, and at the
-end of the run the clock moves on to the last counted delivery, so
-`RunStats` and both CSVs are those of the full schedule. Traced runs queue
-every copy, and trace.tsv lists each delivery.
+(the destination aside) does nothing. Its delivery is counted when it would
+be sent, unless it would fall after max_cycles, and at the end of the run
+the clock moves on to the last counted delivery, so `RunStats` and both
+CSVs are those of the full schedule. Traced runs queue every copy, and
+trace.tsv lists each delivery.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import defaultdict
@@ -47,7 +42,7 @@ from typing import NamedTuple, Sequence
 from . import metrics, router
 from .config import RunConfig, validate_config
 from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
-from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, ForwardBee, PortList
+from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
 from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir
 
 
@@ -115,7 +110,7 @@ class FlowRecord:
     flood_until: int  # arrival_time + hop_limit * t_hop: copies delivered from then on used the budget
     phase: FlowPhase = FlowPhase.SETTING_UP
     setup_latency: int | None = None
-    winner_route: PortList | None = None
+    circuit: PortList | None = None  # the winning bee's path, source to destination
     winner_index: int | None = None
     forward_deliveries: int = 0
     converted: int = 0  # backward bees its destination has emitted, at most backward_bee_count
@@ -127,16 +122,13 @@ class FlowRecord:
     @property
     def path_length(self) -> int | None:
         """Hops of the winning circuit; None until one is established."""
-        return None if self.winner_route is None else self.winner_route.length
-
-    @property
-    def ever_established(self) -> bool:
-        return self.phase in (FlowPhase.ESTABLISHED, FlowPhase.TORN_DOWN)
+        return None if self.circuit is None else self.circuit.length
 
 
 # Read once per event. Reading a member off its Enum class costs about ten
 # times a module-global lookup.
 _SETTLED = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
+_ESTABLISHED = FlowPhase.ESTABLISHED
 _LOCAL = PortDir.LOCAL
 _FORWARDED = router.BackwardOutcome.FORWARDED
 _ABORTED = router.BackwardOutcome.ABORTED
@@ -151,13 +143,16 @@ class CalendarQueue:
     simulator queues (handler, node, payload, arrival_port) tuples; a flow's
     arrival, completion and setup timeout carry its `FlowRecord` and no port,
     and a wave is (wave step, FlowRecord, [(node, arrival_port), ...], None).
+    `hot_time` and `hot_bucket` cache the last bucket handed out, for callers
+    that append to one cycle many times; pop_cycle clears them.
     """
 
-    __slots__ = ("_buckets", "_cycles")
+    __slots__ = ("_buckets", "_cycles", "hot_time", "hot_bucket")
 
     def __init__(self) -> None:
         self._buckets: dict[int, list] = {}
         self._cycles: list[int] = []
+        self.hot_time = self.hot_bucket = None
 
     def __bool__(self) -> bool:
         return bool(self._cycles)
@@ -169,10 +164,13 @@ class CalendarQueue:
         """The list of events pending at `time`; appending to it pushes. A new
         cycle is scheduled at once, so ask only when an event will be appended:
         an empty bucket would still move the clock when it comes out."""
+        if time == self.hot_time:
+            return self.hot_bucket
         bucket = self._buckets.get(time)
         if bucket is None:
             bucket = self._buckets[time] = []
             heapq.heappush(self._cycles, time)
+        self.hot_time, self.hot_bucket = time, bucket
         return bucket
 
     def next_time(self) -> int:
@@ -186,6 +184,7 @@ class CalendarQueue:
         out next.
         """
         time = heapq.heappop(self._cycles)
+        self.hot_time = self.hot_bucket = None
         return time, self._buckets.pop(time)
 
 
@@ -215,14 +214,17 @@ class Simulator:
         # Duplicate forward bees are elided while the clock is at most this,
         # so that their delivery would still fall within max_cycles.
         self._elide_through = -1 if config.trace else config.max_cycles - config.t_hop
-        # Cycle of the last elided delivery.
-        self._elided_until = 0
+        self._elided_until = 0  # cycle of the last elided delivery
         self._events_processed = 0
         self._forward_deliveries = 0
         self._backward_deliveries = 0
         self._control_deliveries = 0
         self._util_acc = [0, 0, 0, 0]
         self._util_peak = [0.0, 0.0, 0.0, 0.0]
+        # Admission memos, since a run offers few distinct hop limits and
+        # bandwidths: the setup timeout by hop_limit, and the wires.
+        self._timeouts: dict[int, int] = {}
+        self._wires_for = functools.cache(self.network.wires_for)
         for spec in workload:
             self._admit(spec)
 
@@ -237,26 +239,29 @@ class Simulator:
             raise ConfigError(f"flow {flow}: {exc}") from None
         if flow in self.records:
             raise ConfigError(f"duplicate flow id {flow}")
+        # Not memoized by pair: on a large mesh most pairs occur once a run, and
+        # a memo's misses then cost more than its hits save.
         hop_limit = mesh.hop_limit(flow.source, destination, self.config.hop_limit_metric)
-        wires = self.network.wires_for(bandwidth)
+        if hop_limit not in self._timeouts:
+            self._timeouts[hop_limit] = math.ceil(self.config.setup_timeout_factor * hop_limit * self._t_hop)
+        wires = self._wires_for(bandwidth)
         rec = self.records[flow] = FlowRecord(spec, hop_limit, wires, src, dst, arrival + hop_limit * self._t_hop)
         self.queue.push(arrival, (Simulator._on_flow_arrival, src, rec, None))
 
     # -- scheduling -------------------------------------------------------
 
     def transit(self, origin: int, port: PortDir, packet) -> None:
-        """Schedule delivery of `packet` at the neighbor of node `origin`
-        through `port`, one t_hop later, arriving on the neighbor's opposite
-        port."""
+        """Schedule delivery of `packet` one t_hop later at the neighbor of
+        node `origin` through `port`, arriving on its opposite port."""
         # The local port's slot would alias the next node's south link.
         destination = self._far_by_slot[4 * origin + port] if port < 4 else -1
         if destination < 0:
             raise InvariantViolationError(
                 f"transit from {self.mesh.node_at(origin)} through {port.name} leaves the mesh"
             )
-        self.queue.bucket(self.clock + self._t_hop).append(
-            (_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port])
-        )
+        queue, time = self.queue, self.clock + self._t_hop
+        bucket = queue.hot_bucket if time == queue.hot_time else queue.bucket(time)
+        bucket.append((_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port]))
 
     # -- main loop --------------------------------------------------------
 
@@ -267,10 +272,11 @@ class Simulator:
         max_cycles = self.config.max_cycles
         truncated = False
         if queue and queue.next_time() <= max_cycles:
-            # Background load placed before run(); after this only backward
-            # bees reserve, and _on_backward samples after each of them.
+            # The background load placed before run(); after this only
+            # backward bees reserve, and _on_backward raises the peaks.
             for port in NON_LOCAL_PORTS:
-                self._track_peak_util(port)
+                if wires := self.network.wires_by_class[port]:
+                    self._util_peak[port] = self.network.held_by_class[port] / wires
         while queue:
             if queue.next_time() > max_cycles:
                 truncated = True
@@ -307,25 +313,18 @@ class Simulator:
     def _advance_clock(self, time: int) -> None:
         dt = time - self.clock
         if dt:
-            for port, held in enumerate(self.network.held_by_class):
-                self._util_acc[port] += held * dt
+            acc = self._util_acc
+            south, west, east, north = self.network.held_by_class
+            acc[0] += south * dt
+            acc[1] += west * dt
+            acc[2] += east * dt
+            acc[3] += north * dt
         self.clock = time
-
-    def _track_peak_util(self, port: PortDir) -> None:
-        """Raise direction `port`'s peak utilisation to its current value. It
-        rises only when wires are reserved on a link of that direction, so
-        sampling there after each reservation finds every event's peaks."""
-        wires = self.network.wires_by_class[port]
-        if wires:
-            util = self.network.held_by_class[port] / wires
-            if util > self._util_peak[port]:
-                self._util_peak[port] = util
 
     # -- event handlers ---------------------------------------------------
 
     def _on_flow_arrival(self, source: int, rec: FlowRecord, _port: None) -> None:
-        timeout = math.ceil(self.config.setup_timeout_factor * rec.hop_limit * self._t_hop)
-        self.queue.push(self.clock + timeout, (Simulator._on_setup_timeout, source, rec, None))
+        self.queue.push(self.clock + self._timeouts[rec.hop_limit], (Simulator._on_setup_timeout, source, rec, None))
         rec.tree = [None] * self.mesh.node_count
         rec.tree[source] = _LOCAL
         self._on_wave(rec, [(source, _LOCAL)], None)
@@ -381,8 +380,10 @@ class Simulator:
             # The destination is never in the tree, so every copy there sends nothing.
             if node == destination and tree is not None:
                 self._events_processed = base + counted - 1
-                bee = self._arrived_bee(node, rec, arrival_port)
-                if emissions := router.handle_forward_bee(rec.converted, bee, self.config.backward_bee_count, clock):
+                route, forward_bits = self._arrived_route(node, rec, arrival_port)
+                if emissions := router.handle_forward_bee(
+                    rec.converted, rec.spec.flow, route, forward_bits, self.config.backward_bee_count, clock
+                ):
                     send = None  # its backward bee follows the copies queued so far
                     for port, packet in emissions:
                         rec.converted += 1
@@ -393,44 +394,55 @@ class Simulator:
         self._forward_deliveries += counted
         rec.forward_deliveries += counted
 
-    def _arrived_bee(self, node: int, rec: FlowRecord, arrival_port: PortDir) -> ForwardBee:
-        """The forward bee a copy delivered at its destination `node` carries:
-        its port list is the tree path to the sender across `arrival_port`
-        plus that last hop (collected last hop lowest), one entry per hop."""
+    def _arrived_route(self, node: int, rec: FlowRecord, arrival_port: PortDir) -> tuple[PortList, int]:
+        """The backward route of a copy delivered at its destination `node`
+        and the bits of its forward path, from one walk of the tree back to
+        the source across `arrival_port`. The ports crossed are the route's
+        entries in order and, complemented, the path's from its last hop."""
         far_by_slot, tree = self._far_by_slot, rec.tree
-        bits = length = 0
+        route = forward = length = 0
         port = arrival_port
         while port is not _LOCAL:
             node = far_by_slot[4 * node + port]
             if node < 0:
                 raise InvariantViolationError(f"flow {rec.spec.flow}: tree path leaves the mesh")
-            bits |= (port ^ 0b11) << (2 * length)
+            route = route << 2 | port
+            forward |= (port ^ 0b11) << (2 * length)
             length += 1
             port = tree[node]
-        spec, hops = rec.spec, (self.clock - rec.spec.arrival_time) // self._t_hop
+        hops = (self.clock - rec.spec.arrival_time) // self._t_hop
         if length != hops:
-            raise InvariantViolationError(f"flow {spec.flow}: tree path of {length} hops after {hops}")
-        return ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, PortList(bits, length))
+            raise InvariantViolationError(f"flow {rec.spec.flow}: tree path of {length} hops after {hops}")
+        return PortList(route, length), forward
 
     def _on_backward(self, node: int, bee: BackwardBee, arrival_port: PortDir) -> None:
         self._backward_deliveries += 1
-        rec = self.records[bee.flow]
+        rec = self.records[bee.owner[0]]
         index = (self.clock - bee.start) // self._t_hop
-        if rec.phase in _SETTLED:
+        phase, net = rec.phase, self.network
+        if phase in _SETTLED:
             outcome = _ABORTED  # the flow has settled: drop the bee and free its prefix
         else:
-            won = rec.phase is FlowPhase.ESTABLISHED  # at the source: a sibling was accepted first
-            outcome = router.handle_backward_bee(node, bee, index, arrival_port, self.network, rec.wires, won)
-            self.network.drain_dirty()
+            won = phase is _ESTABLISHED  # at the source: a sibling was accepted first
+            outcome = router.handle_backward_bee(node, bee, index, arrival_port, net, rec.wires, won)
+            net.drain_dirty()
         if outcome is _ABORTED:
             if (release := router.release_for_backward_bee(bee, index, self.clock + self._t_hop)) is not None:
                 self.transit(node, arrival_port, release)
             return
-        self._track_peak_util(arrival_port)  # the bee reserved on its arrival port's link
+        # Only a reservation raises a direction's peak; this one was on the arrival port's link.
+        util = net.held_by_class[arrival_port] / net.wires_by_class[arrival_port]
+        if util > self._util_peak[arrival_port]:
+            self._util_peak[arrival_port] = util
         if outcome is _FORWARDED:
-            self.transit(node, bee.route.entry(index), bee)
-        else:
-            self._establish(rec, bee)
+            route = bee.route  # handle_backward_bee checked index < length: route.entry(index), inline
+            self.transit(node, NON_LOCAL_PORTS[(route.bits >> 2 * (route.length - 1 - index)) & 0b11], bee)
+            return
+        self._set_phase(rec, _ESTABLISHED)  # accepted at the source
+        rec.setup_latency = self.clock - rec.spec.arrival_time
+        rec.circuit = PortList(bee.forward_bits, bee.route.length)
+        rec.winner_index = bee.owner[1]
+        self.queue.push(self.clock + rec.spec.hold_time, (Simulator._on_flow_complete, rec.source, rec, None))
 
     def _on_control(self, node: int, pkt: ControlPacket, _port: PortDir) -> None:
         self._control_deliveries += 1
@@ -439,23 +451,12 @@ class Simulator:
             self.transit(node, port, pkt)
         self.network.drain_dirty()
 
-    def _establish(self, rec: FlowRecord, bee: BackwardBee) -> None:
-        self._set_phase(rec, FlowPhase.ESTABLISHED)
-        rec.setup_latency = self.clock - rec.spec.arrival_time
-        rec.winner_route = bee.route
-        rec.winner_index = bee.bee_index
-        self.queue.push(self.clock + rec.spec.hold_time, (Simulator._on_flow_complete, rec.source, rec, None))
-
     def _on_flow_complete(self, source: int, rec: FlowRecord, _port: None) -> None:
         if rec.phase is not FlowPhase.ESTABLISHED:
             raise InvariantViolationError(f"flow {rec.spec.flow} completed while {rec.phase.value}")
         self._set_phase(rec, FlowPhase.TORN_DOWN)
-        route = rec.winner_route.reverse_complement()
-        teardown = ControlPacket(
-            kind=ControlKind.TEARDOWN, flow=rec.spec.flow, bee_index=rec.winner_index, route=route, start=self.clock
-        )
-        # The source frees its own hop first, at route index 0, then the
-        # packet travels the forward path releasing every circuit link.
+        teardown = ControlPacket(ControlKind.TEARDOWN, (rec.spec.flow, rec.winner_index), rec.circuit, self.clock)
+        # The source frees its own hop, at route index 0; the packet then walks and frees the circuit.
         if (port := router.handle_control(source, teardown, 0, self.network)) is not None:
             self.transit(source, port, teardown)
         self.network.drain_dirty()
@@ -493,8 +494,8 @@ class Simulator:
         row = metrics.FlowRow
         for rec in self.records.values():
             ((src_x, src_y), seq), (dst_x, dst_y), bandwidth, _, _ = rec.spec
-            latency, route = rec.setup_latency, rec.winner_route
-            length = None if route is None else route.length
+            latency, circuit = rec.setup_latency, rec.circuit
+            length = None if circuit is None else circuit.length
             manhattan = abs(dst_x - src_x) + abs(dst_y - src_y)
             # Only establishing a flow sets its latency, so it tells whether the flow ever was.
             rows.append(
@@ -513,11 +514,10 @@ class Simulator:
             drained=drained,
             final_cycle=self.clock,
         )
-        util_peak = {}
+        util_peak = dict(zip(NON_LOCAL_PORTS, self._util_peak))
         util_mean = {}
         for port in NON_LOCAL_PORTS:
             denom = self.network.wires_by_class[port] * self.clock
-            util_peak[port] = self._util_peak[port]
             util_mean[port] = (self._util_acc[port] / denom) if denom else 0.0
         trace = tuple(self._trace) if self._trace is not None else None
         return metrics.build_report(self.config, tuple(rows), stats, util_peak, util_mean, trace)

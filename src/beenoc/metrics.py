@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import RunConfig
-from .topology import PortDir
+from .topology import NON_LOCAL_PORTS, PortDir
 
 FLOWS_HEADER = "flow_seq,src_x,src_y,dst_x,dst_y,bandwidth,phase,setup_latency,path_length,manhattan"
 
@@ -110,12 +110,15 @@ def build_summary(
     util_mean: dict[PortDir, float],
 ) -> Summary:
     offered = len(flows)
-    established_rows = [r for r in flows if r.ever_established]
-    established = len(established_rows)
-    failed = sum(1 for r in flows if r.phase == "Failed")
-    torn_down = sum(1 for r in flows if r.phase == "TornDown")
-    latencies = [r.setup_latency for r in established_rows]
-    stretches = [r.path_length / r.manhattan for r in established_rows]
+    failed = torn_down = 0
+    latencies, stretches = [], []  # in row order: the float sums depend on it
+    for _, _, _, _, _, _, phase, latency, length, manhattan, ever_established in flows:
+        if ever_established:
+            latencies.append(latency)
+            stretches.append(length / manhattan)
+        failed += phase == "Failed"
+        torn_down += phase == "TornDown"
+    established = len(latencies)
     total_deliveries = stats.forward_deliveries + stats.backward_deliveries + stats.control_deliveries
     return Summary(
         offered=offered,
@@ -130,14 +133,8 @@ def build_summary(
         forward_deliveries=stats.forward_deliveries,
         backward_deliveries=stats.backward_deliveries,
         control_deliveries=stats.control_deliveries,
-        util_peak_south=util_peak[PortDir.SOUTH],
-        util_mean_south=util_mean[PortDir.SOUTH],
-        util_peak_west=util_peak[PortDir.WEST],
-        util_mean_west=util_mean[PortDir.WEST],
-        util_peak_east=util_peak[PortDir.EAST],
-        util_mean_east=util_mean[PortDir.EAST],
-        util_peak_north=util_peak[PortDir.NORTH],
-        util_mean_north=util_mean[PortDir.NORTH],
+        **{f"util_peak_{port.name.lower()}": util_peak[port] for port in NON_LOCAL_PORTS},
+        **{f"util_mean_{port.name.lower()}": util_mean[port] for port in NON_LOCAL_PORTS},
     )
 
 

@@ -135,8 +135,8 @@ def single_flow_scenario(
     feasible = enumerate_feasible(sim.network, src, dst, bandwidth, mesh.hop_limit(src, dst, cfg.hop_limit_metric))
     sim.run()
     record = sim.records[flow]
-    established = record.winner_route is not None
-    forward_path = record.winner_route.reverse_complement() if established else None
+    forward_path = record.circuit
+    established = forward_path is not None
     return ScenarioOutcome(
         source=src,
         destination=dst,

@@ -31,12 +31,6 @@ def decode_port(code: int) -> PortDir:
     return PortDir(code)
 
 
-# Each byte's four 2-bit entries reversed and complemented.
-_REVERSE_COMPLEMENT_BYTE = bytes(
-    sum((((byte >> (2 * i)) & 0b11) ^ 0b11) << (6 - 2 * i) for i in range(4)) for byte in range(256)
-)
-
-
 @dataclass(frozen=True, slots=True)
 class PortList:
     """Immutable bit-packed sequence of 2-bit port codes.
@@ -78,10 +72,11 @@ class PortList:
         """Reverse the entries (2-bit granularity), then complement both bits
         of each entry. Following the result from a path's endpoint retraces
         the path back to its start."""
-        # Each byte reversed and complemented, read in reverse byte order; the padding drops off the bottom.
-        nbytes = (self.length + 3) // 4
-        out = int.from_bytes(self.bits.to_bytes(nbytes, "little").translate(_REVERSE_COMPLEMENT_BYTE), "big")
-        return PortList(out >> (8 * nbytes - 2 * self.length), self.length)
+        bits, out = self.bits, 0
+        for _ in range(self.length):  # the last entry first
+            out = out << 2 | (bits & 0b11) ^ 0b11
+            bits >>= 2
+        return PortList(out, self.length)
 
     def bitstring(self) -> str:
         if self.length == 0:
@@ -160,18 +155,20 @@ class ForwardBee(NamedTuple):
 class BackwardBee(NamedTuple):
     """Reservation packet retracing a discovered path from the destination.
 
-    `route` is the forward path already reversed and complemented. One bee
-    travels the whole route: at cycle c it is at route index
-    (c - start) // t_hop, `start` being the cycle of its conversion. At index
-    i it has reserved the first i - 1 links of its route, each holding its
-    flow's wires under (flow, bee_index), so sibling bees (`bee_index` 0..2)
-    never confuse their reservations on shared links.
+    `route` is the path reversed and complemented; `forward_bits` are the
+    path's own bits. At cycle c the bee is at route index (c - start) // t_hop,
+    `start` being its conversion, and has reserved the first index - 1 links
+    of its route under `owner`, (flow, bee_index), so sibling bees never
+    confuse their reservations on shared links.
     """
 
-    flow: FlowId
-    bee_index: int
+    owner: tuple[FlowId, int]
     route: PortList
     start: int
+    forward_bits: int
+
+    flow = property(lambda self: self.owner[0])  # for messages; a hop uses `owner` whole
+    bee_index = property(lambda self: self.owner[1])
 
 
 class ControlKind(Enum):
@@ -183,16 +180,18 @@ class ControlPacket(NamedTuple):
     """Small packet that frees the wires one bee holds along `route`.
 
     A teardown travels the forward path from the source after data transfer;
-    a release retraces the links a failed or losing backward bee had
-    reserved. `bee_index` selects whose reservations are freed. Like a
-    backward bee it travels the whole route, at index 0 at cycle `start`.
+    a release retraces the links a failed or losing backward bee reserved.
+    `owner`, the bee's (flow, bee_index), selects whose wires are freed. The
+    packet is at route index 0 at cycle `start`.
     """
 
     kind: ControlKind
-    flow: FlowId
-    bee_index: int
+    owner: tuple[FlowId, int]
     route: PortList
     start: int
+
+    flow = property(lambda self: self.owner[0])  # for messages; a hop uses `owner` whole
+    bee_index = property(lambda self: self.owner[1])
 
 
 # Serialized forward-bee layout (all fields big-endian): source (x u16,

@@ -1,19 +1,18 @@
 """Protocol handlers for one node; they keep no per-node state.
 
 Forward copies flood toward the destination and reserve nothing; the flood
-rule itself is one engine step over the flow's first-copy tree. The
-destination turns the earliest arrivals, rebuilt as forward bees carrying
-their port lists, into backward bees; backward bees reserve wires hop by
-hop on the links the data will use (each arrival claims the link back toward
-the node it came from, i.e. the source-to-destination direction); the
-earliest backward bee to reach the source wins the circuit. Failed and
-losing bees free their reservations with release packets, and a teardown
-from the source dismantles the winning circuit after data transfer.
+rule is one engine step. The destination turns the earliest arrivals, whose
+routes it reads off the flow's tree already reversed, into backward bees. A
+backward bee reserves wires hop by hop on the links the data will use (each
+arrival claims the link back toward the node it came from), and the first
+to reach the source wins the circuit. Failed and losing bees free their
+wires with release packets, and a teardown from the source dismantles the
+circuit after data transfer.
 
 A node is its int handle. A bee's reservation lives only in `Network`, under
-the key (flow, bee_index); the engine passes in its flow's other facts and a
-packet's route index, (clock - start) // t_hop, and sends the same packet on
-through the port a handler names.
+its `owner` key (flow, bee_index), built once with the bee. The engine
+passes in a packet's route index, (clock - start) // t_hop, and sends the
+same packet on through the port a handler names.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ import logging
 from enum import Enum
 
 from .errors import InvalidPathError, ProtocolCorruptionError
-from .protocol import BackwardBee, ControlKind, ControlPacket, ForwardBee
-from .topology import Network, PortDir
+from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
+from .topology import NON_LOCAL_PORTS, Network, PortDir
 
 logger = logging.getLogger(__name__)
 
@@ -43,27 +42,28 @@ class BackwardOutcome(Enum):
 _FORWARDED, _ACCEPTED, _ABORTED = BackwardOutcome  # read as globals on the per-hop path
 
 
-def handle_forward_bee(count: int, bee: ForwardBee, convert_cap: int, clock: int) -> list:
-    """Convert a forward bee delivered at its destination at cycle `clock`
-    after `count` of its flow's bees; returns its (port, BackwardBee) emission
-    with bee_index `count` and start `clock`, or nothing once `count` reaches
-    `convert_cap`. Forward bees reserve nothing."""
+def handle_forward_bee(
+    count: int, flow: FlowId, route: PortList, forward_bits: int, convert_cap: int, clock: int
+) -> list:
+    """Convert a copy of `flow` delivered at its destination at cycle `clock`
+    after `count` of its flow's bees, given its path reversed and complemented
+    (`route`) and the path's own bits: [(port, BackwardBee)] with bee_index
+    `count` and start `clock`, or [] once `count` reaches `convert_cap`."""
     if count >= convert_cap:
         return []
-    route = bee.ports.reverse_complement()
-    return [(route.entry(0), BackwardBee(bee.flow, count, route, clock))]
+    return [(route.entry(0), BackwardBee((flow, count), route, clock, forward_bits))]
 
 
 def release_for_backward_bee(bee: BackwardBee, index: int, start: int) -> ControlPacket | None:
     """Release packet freeing the reserved prefix of a dead backward bee, or
     None when it reserved nothing. Delivered at route index `index`, the bee
     had reserved `index - 1` links behind it; the release, at its index 0 at
-    cycle `start`, retraces them from the bee's arrival port."""
+    cycle `start`, retraces them: the last `index - 1` steps of its path."""
     reserved = index - 1
     if reserved <= 0:
         return None
-    route = bee.route.prefix(reserved).reverse_complement()
-    return ControlPacket(kind=ControlKind.RELEASE, flow=bee.flow, bee_index=bee.bee_index, route=route, start=start)
+    route = PortList(bee.forward_bits & ((1 << 2 * reserved) - 1), reserved)
+    return ControlPacket(ControlKind.RELEASE, bee.owner, route, start)
 
 
 def handle_backward_bee(
@@ -86,29 +86,29 @@ def handle_backward_bee(
         )
     if index == length and won:  # lost the race; nothing was reserved at the source
         return _ABORTED
-    if not net.reserve(node, arrival_port, (bee.flow, bee.bee_index), wires):
+    if not net.reserve(node, arrival_port, bee.owner, wires):
         return _ABORTED
     return _ACCEPTED if index == length else _FORWARDED
 
 
 def handle_control(node: int, pkt: ControlPacket, index: int, net: Network) -> PortDir | None:
     """Process the delivery of a teardown/release at `node`, at route index
-    `index`; returns the port it leaves through. With route entries left, the
-    packet frees its owner's wires on the link named by the entry at `index`
-    and travels on through that port; at the end of its route it frees
-    nothing and returns None. Releasing wires that are not held is a protocol
-    warning, not an error, so repeated teardowns are harmless.
+    `index`: free its owner's wires on the link the entry at `index` names,
+    and return that port to send it on through, or None at the end of the
+    route. Releasing wires that are not held is a protocol warning, not an
+    error, so repeated teardowns are harmless.
     """
     route = pkt.route
-    if not 0 <= index <= route.length:
+    length = route.length
+    if not 0 <= index <= length:
         raise ProtocolCorruptionError(
-            f"control packet of {pkt.flow}: route index {index} outside 0..{route.length} (start {pkt.start})"
+            f"control packet of {pkt.flow}: route index {index} outside 0..{length} (start {pkt.start})"
         )
-    if index == route.length:
+    if index == length:
         return None
-    port = route.entry(index)
+    port = NON_LOCAL_PORTS[(route.bits >> 2 * (length - 1 - index)) & 0b11]  # route.entry(index), checked above
     try:
-        freed = net.release(node, port, (pkt.flow, pkt.bee_index))
+        freed = net.release(node, port, pkt.owner)
     except InvalidPathError:
         raise ProtocolCorruptionError(
             f"control route of {pkt.flow} leaves the mesh at {net.mesh.node_at(node)}"

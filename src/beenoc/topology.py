@@ -143,19 +143,16 @@ class Mesh:
 class Network:
     """Mesh plus the wire pool of every directed link, with reservation accounting.
 
-    Each physical channel between neighbors is modeled as two independent
-    directed links, each with its own pool of `wire_count` wires. A link's
-    state is a dict mapping each owner, a (flow, bee index) key, to the wires
-    it holds, plus a count of its free wires. Only reserve()/release() write
-    them. A link admits a demand of bandwidth b when it has wires_for(b)
-    wires free: the flood, reservation and the oracle all use this test.
+    Each physical channel is two directed links, each with `wire_count`
+    wires. A link's state is a dict from each owner, a (flow, bee index) key,
+    to the wires it holds, plus its free-wire count; only reserve()/release()
+    write them. A link admits bandwidth b when wires_for(b) wires are free:
+    the flood, reservation and the oracle all use this test.
 
     Nodes are int handles (Mesh.handle). The link leaving node n through a
-    port is its slot 4 * n + port code, and each per-link table is a flat
-    list by slot, with no reservation dict for links leaving the mesh.
-    Read-only views serve the engine: `node_links[n]`, node n's links as
-    (port, slot, far end) by port code, `free_by_slot`, and `far_by_slot`,
-    each slot's far end or -1 where no link leaves.
+    port is slot 4 * n + port code in flat per-link tables. Read-only views
+    serve the engine: `node_links[n]`, node n's links as (port, slot, far
+    end) by port code, `free_by_slot`, and `far_by_slot` (-1: no link).
     """
 
     def __init__(self, mesh: Mesh, wire_count: int, wire_bandwidth: float) -> None:
@@ -244,12 +241,13 @@ class Network:
     def reserve(self, node: int, port: PortDir, key, wires: int) -> bool:
         """Try to reserve `wires` wires for `key` on the link leaving `node`
         via `port`. Returns False (link unchanged) when they do not fit."""
-        index = self._index(node, port)
+        index = 4 * node + port
+        if not (0 <= node < self._node_count and port < 4) or (reservations := self._reservations[index]) is None:
+            self._index(node, port)  # raises; its test is inlined above for the per-hop path
         if wires < 1:
             raise ValueError("a reservation needs at least one wire")
         if self.free_by_slot[index] < wires:
             return False
-        reservations = self._reservations[index]
         if key in reservations:
             raise InvariantViolationError(
                 f"duplicate reservation by {key} on {self.mesh.node_at(node)}->{port.name}"
@@ -262,8 +260,10 @@ class Network:
 
     def release(self, node: int, port: PortDir, key) -> int:
         """Free `key`'s wires on the given link; returns the wires freed (0 if none)."""
-        index = self._index(node, port)
-        wires = self._reservations[index].pop(key, 0)
+        index = 4 * node + port
+        if not (0 <= node < self._node_count and port < 4) or (reservations := self._reservations[index]) is None:
+            self._index(node, port)  # raises; its test is inlined above
+        wires = reservations.pop(key, 0)
         self.free_by_slot[index] += wires
         self.held_by_class[port] -= wires
         self._dirty.append(index)

@@ -10,7 +10,6 @@ from beenoc import (
     BackwardBee,
     FlowId,
     FlowSpec,
-    ForwardBee,
     Mesh,
     NodeId,
     PortDir,
@@ -69,9 +68,13 @@ def test_criterion_3_state_machine_traces():
     flow = FlowId(NodeId(0, 0), 0)
     src, dst = NodeId(0, 0), NodeId(2, 2)
 
-    def bee(ports):
-        lst = PortList.from_ports(ports)
-        return ForwardBee(flow, dst, 1.0, lst)
+    def arrival(ports):
+        # what the destination hands the router for a copy that came along
+        # `ports`: the flow, the route back (reversed and complemented) and
+        # the path's bits
+        path = PortList.from_ports(ports)
+        assert walk(path, src, Mesh(3, 3))[-1] == dst
+        return flow, path.reverse_complement(), path.bits
 
     # (a) duplicate kill at an intermediate node: only the first copy sent
     # to (1,0), the one from the source arriving on its west port, floods
@@ -89,10 +92,10 @@ def test_criterion_3_state_machine_traces():
     arrivals = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
     converted = 0
     for ports in arrivals:
-        emissions = handle_forward_bee(converted, bee(ports), 3, 0)
+        emissions = handle_forward_bee(converted, *arrival(ports), 3, 0)
         converted += sum(1 for _, pkt in emissions if isinstance(pkt, BackwardBee))
     assert converted == 3
-    short = [handle_forward_bee(count, bee(p), 3, 0) for count, p in enumerate(arrivals[:2])]
+    short = [handle_forward_bee(count, *arrival(p), 3, 0) for count, p in enumerate(arrivals[:2])]
     assert all(len(e) == 1 for e in short)  # fewer than three arrivals all convert
 
     # (d) forward copies never mutate link reservations

@@ -17,7 +17,6 @@ from beenoc import (
     FlowPhase,
     FlowRecord,
     FlowSpec,
-    ForwardBee,
     InvariantViolationError,
     Mesh,
     NodeId,
@@ -135,7 +134,8 @@ class TestIdleSingleFlow:
 class TestTransit:
     def packet(self):
         flow = FlowId(NodeId(0, 0), 0)
-        return BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST, PortDir.WEST]), 1)
+        forward = PortList.from_ports([PortDir.EAST, PortDir.EAST])
+        return BackwardBee((flow, 0), forward.reverse_complement(), 1, forward.bits)
 
     def test_delivery_one_hop_later(self):
         sim = Simulator(base_config(t_hop=1), [])
@@ -145,6 +145,18 @@ class TestTransit:
         assert time == 6
         assert sim.mesh.node_at(node) == NodeId(2, 1)
         assert arrival_port is PortDir.WEST
+
+    def test_transit_after_a_hand_driven_pop_lands_in_a_new_bucket(self):
+        sim = Simulator(base_config(), [])
+        origin = sim.mesh.handle(NodeId(1, 1))
+        sim.transit(origin, PortDir.EAST, self.packet())
+        time, first = sim.queue.pop_cycle()
+        sim.transit(origin, PortDir.NORTH, self.packet())  # the same cycle, after its bucket left the queue
+        assert [sim.mesh.node_at(node) for _, node, _, _ in first] == [NodeId(2, 1)]
+        again, second = sim.queue.pop_cycle()
+        assert time == again == 1
+        assert [sim.mesh.node_at(node) for _, node, _, _ in second] == [NodeId(1, 2)]
+        assert not sim.queue
 
     def test_same_cycle_fifo_by_seq(self):
         sim = Simulator(base_config(), [])
@@ -234,7 +246,8 @@ class TestFloodScheduling:
 
     def test_destination_bee_is_rebuilt_from_the_tree(self, monkeypatch):
         # 3x2 mesh, flow (0,0) -> (2,0), t_hop 2: the copy (1,0) sends east
-        # reaches the destination after 2 hops, so its bee carries [E, E]
+        # reaches the destination after 2 hops, so its path is [E, E] and
+        # the route its backward bee takes is [W, W]
         sim = Simulator(base_config(mesh_width=3, mesh_height=2, t_hop=2), [one_flow(src=(0, 0), dst=(2, 0))])
         _, (arrival,) = sim.queue.pop_cycle()
         deliver(sim, arrival)
@@ -243,11 +256,16 @@ class TestFloodScheduling:
         deliver(sim, (WAVE, rec, [east], None))
         sim.clock, events = sim.queue.pop_cycle()
         _, (to_destination, _) = only_wave(events)
-        bees = []
-        monkeypatch.setattr(router, "handle_forward_bee", lambda count, bee, cap, clock: bees.append(bee) or [])
+        arrivals = []
+        monkeypatch.setattr(
+            router, "handle_forward_bee", lambda count, *arrival: arrivals.append((count, *arrival)) or []
+        )
         deliver(sim, (WAVE, rec, [to_destination], None))
         flow = FlowId(NodeId(0, 0), 0)
-        assert bees == [ForwardBee(flow, NodeId(2, 0), 2.0, PortList.from_ports([PortDir.EAST, PortDir.EAST]))]
+        path = PortList.from_ports([PortDir.EAST, PortDir.EAST])
+        route = PortList.from_ports([PortDir.WEST, PortDir.WEST])
+        assert route == path.reverse_complement()
+        assert arrivals == [(0, flow, route, path.bits, sim.config.backward_bee_count, 4)]
         # the tree path must be as long as the hops the clock allows
         sim.clock += 2
         with pytest.raises(InvariantViolationError, match="tree path of 2 hops after 3"):
@@ -360,6 +378,16 @@ class TestCalendarQueue:
         while queue:
             drain(())
         assert reference == []
+
+    def test_push_after_its_cycle_was_popped_opens_a_fresh_bucket(self):
+        queue = CalendarQueue()
+        queue.push(3, "a")
+        assert queue.bucket(3) == ["a"]  # handed out again: now the cached bucket
+        time, popped = queue.pop_cycle()
+        assert (time, popped) == (3, ["a"]) and not queue
+        queue.push(3, "b")
+        assert popped == ["a"]
+        assert queue.pop_cycle() == (3, ["b"]) and not queue
 
 
 class TestUtilisationPeak:
@@ -625,7 +653,7 @@ class TestDiagnostics:
         flow = FlowId(NodeId(0, 0), 0)
         # delivered one hop after transit, at route index 5 of a 1-entry route
         t_hop = sim.config.t_hop
-        bad = BackwardBee(flow, 0, PortList.from_ports([PortDir.WEST]), t_hop - 5 * t_hop)
+        bad = BackwardBee((flow, 0), PortList.from_ports([PortDir.WEST]), t_hop - 5 * t_hop, 0b10)  # path [E]
         sim.transit(sim.mesh.handle(NodeId(0, 0)), PortDir.EAST, bad)
         with pytest.raises(
             ProtocolCorruptionError, match=r"event 0: backward bee of 0,0:0: route index 5 outside 1\.\.1 \(start -4\)"

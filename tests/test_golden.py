@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from beenoc import RunConfig, run_simulation, write_report
+from beenoc import ControlPacket, PortList, RunConfig, Simulator, run_simulation, write_report
 
 GOLDEN = {
     # Contended 4x4 churn: mixed 1-3 wire demands, geometric holds.
@@ -111,3 +111,32 @@ def test_untraced_outputs_match_golden(name, tmp_path):
     csvs = ("flows.csv", "summary.csv")
     assert _digests(tmp_path, csvs) == {f: digests[f] for f in csvs}
     assert not (tmp_path / "trace.tsv").exists()
+
+
+def test_routes_are_reversed_at_most_once_per_control_packet(monkeypatch):
+    # The destination reads each backward route off its tree in order, and
+    # a release or teardown takes its route from the bee's forward path, so
+    # the contended churn golden reverse-complements no more port lists
+    # than it sends control packets.
+    reversals = 0
+    reverse_complement = PortList.reverse_complement
+
+    def counting(ports):
+        nonlocal reversals
+        reversals += 1
+        return reverse_complement(ports)
+
+    sent = {}  # id -> every control packet sent, kept alive so that ids stay distinct
+    transit = Simulator.transit
+
+    def recording(sim, origin, port, packet):
+        if type(packet) is ControlPacket:
+            sent[id(packet)] = packet
+        transit(sim, origin, port, packet)
+
+    monkeypatch.setattr(PortList, "reverse_complement", counting)
+    monkeypatch.setattr(Simulator, "transit", recording)
+    report = run_simulation(RunConfig(**GOLDEN["churn4x4"][0]))
+    assert report.summary.torn_down > 0 and report.stats.control_deliveries > 0
+    assert {pkt.kind.value for pkt in sent.values()} == {"release", "teardown"}
+    assert reversals <= len(sent)

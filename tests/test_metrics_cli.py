@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beenoc import (
     ConfigError,
@@ -16,7 +18,15 @@ from beenoc import (
 )
 from beenoc.cli import cli_main
 from beenoc.errors import InvariantViolationError
-from beenoc.metrics import FLOWS_HEADER, SUMMARY_HEADER, FlowRow, flow_row_line
+from beenoc.metrics import (
+    FLOWS_HEADER,
+    SUMMARY_HEADER,
+    FlowRow,
+    RunStats,
+    build_summary,
+    flow_row_line,
+    nearest_rank_percentile,
+)
 
 MINIMAL = "mesh_width = 4\nmesh_height = 4\nseed = 7\n"
 
@@ -199,6 +209,59 @@ class TestWriteReport:
         trace = (tmp_path / "trace.tsv").read_text().splitlines()
         assert trace
         assert all(len(line.split("\t")) == 7 for line in trace)
+
+
+def flow_row(seq, phase, manhattan, latency, detour, bandwidth):
+    """A FlowRow as a run reports it: an established or torn-down row has a
+    latency and a path at least as long as its distance, any other neither."""
+    ever = phase in ("TornDown", "Established")
+    length = manhattan + 2 * detour if ever else None
+    return FlowRow(seq, 0, 0, 1, 1, bandwidth, phase, latency if ever else None, length, manhattan, ever)
+
+
+drawn_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["Failed", "TornDown", "Established", "SettingUp"]),
+        st.integers(1, 12),
+        st.integers(2, 500),
+        st.integers(0, 5),
+        st.sampled_from([0.5, 1.0, 3.0]),
+    ),
+    max_size=40,
+)
+flow_rows = drawn_rows.map(lambda drawn: tuple(flow_row(seq, *fields) for seq, fields in enumerate(drawn)))
+failed_rows = drawn_rows.map(lambda drawn: tuple(flow_row(seq, "Failed", *fields[1:]) for seq, fields in enumerate(drawn)))
+
+
+def multi_pass_summary_fields(flows):
+    """The summary's row-derived fields by one pass per quantity."""
+    established_rows = [r for r in flows if r.ever_established]
+    latencies = [r.setup_latency for r in established_rows]
+    stretches = [r.path_length / r.manhattan for r in established_rows]
+    return (
+        len(established_rows),
+        sum(1 for r in flows if r.phase == "Failed"),
+        sum(1 for r in flows if r.phase == "TornDown"),
+        (len(established_rows) / len(flows)) if flows else None,
+        (sum(latencies) / len(latencies)) if latencies else None,
+        nearest_rank_percentile(latencies, 0.95),
+        (sum(stretches) / len(stretches)) if stretches else None,
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(st.just(()), flow_rows, failed_rows))
+def test_summary_matches_the_multi_pass_formulas(flows):
+    stats = RunStats(7, 5, 3, 2, 1, 0, True, 100)
+    peaks = {port: 0.25 * port for port in range(4)}
+    summary = build_summary(flows, stats, peaks, peaks)
+    got = (
+        summary.established, summary.failed, summary.torn_down, summary.success_ratio,
+        summary.mean_setup_latency, summary.p95_setup_latency, summary.mean_path_stretch,
+    )
+    assert got == multi_pass_summary_fields(flows)  # floats compared exactly
+    assert summary.offered == len(flows)
+    assert summary.control_packets_per_flow == ((5 + 3 + 2) / len(flows) if flows else None)
 
 
 class TestFlowRowLine:

@@ -91,10 +91,10 @@ def test_random_configs_are_deterministic_and_settle(cfg):
 
     for rec in sim.records.values():
         assert rec.phase.value in ("TornDown", "Failed")
-        if not rec.ever_established:
+        if rec.circuit is None:
             continue
         spec = rec.spec
-        nodes = walk(rec.winner_route.reverse_complement(), spec.source, sim.mesh)
+        nodes = walk(rec.circuit, spec.source, sim.mesh)
         assert nodes[0] == spec.source and nodes[-1] == spec.destination
         assert len(nodes) - 1 == rec.path_length <= rec.hop_limit
 
@@ -225,16 +225,18 @@ def loaded_simulator(cfg, spec, loads):
 
 def run_capturing_destination_bees(cfg, spec, loads):
     """The reference flood's destination arrivals over the loaded network,
-    the bees the engine hands `router.handle_forward_bee`, and the report."""
+    as (flow, route back, forward path), what the engine hands
+    `router.handle_forward_bee` in the same form, and the report."""
     sim = loaded_simulator(cfg, spec, loads)
     net = sim.network
-    expected = reference_arrivals(net, spec, sim.records[spec.flow].hop_limit)
+    bees = reference_arrivals(net, spec, sim.records[spec.flow].hop_limit)
+    expected = [(bee.flow, bee.ports.reverse_complement(), bee.ports) for bee in bees]
     captured = []
     convert = router.handle_forward_bee
 
-    def capture(count, bee, *args):
-        captured.append(bee)
-        return convert(count, bee, *args)
+    def capture(count, flow, route, forward_bits, *args):
+        captured.append((flow, route, PortList(forward_bits, route.length)))
+        return convert(count, flow, route, forward_bits, *args)
 
     with mock.patch.object(router, "handle_forward_bee", capture):
         report = sim.run()
@@ -254,14 +256,14 @@ def test_destination_bees_match_a_reference_flood(run):
 
 def run_against_the_oracle(sim, spec):
     """The feasible set of the simulator's one flow on its network as it
-    stands, and the forward path of the circuit the run establishes (the
-    winning route, reversed and complemented), or None."""
+    stands, and the forward path of the circuit the run establishes
+    (`FlowRecord.circuit`), or None."""
     rec = sim.records[spec.flow]
     feasible = enumerate_feasible(sim.network, spec.source, spec.destination, spec.required_bandwidth, rec.hop_limit)
     sim.run()
-    if not rec.ever_established:
+    if rec.circuit is None:
         return feasible, None
-    forward_path = rec.winner_route.reverse_complement()
+    forward_path = rec.circuit
     assert walk(forward_path, spec.source, sim.mesh)[-1] == spec.destination
     return feasible, forward_path
 

@@ -8,7 +8,6 @@ from beenoc import (
     ControlKind,
     ControlPacket,
     FlowId,
-    ForwardBee,
     Mesh,
     Network,
     NodeId,
@@ -19,6 +18,7 @@ from beenoc import (
     handle_control,
     handle_forward_bee,
     release_for_backward_bee,
+    walk,
 )
 
 from flood_step import flood, flood_sim, tree_of
@@ -36,9 +36,10 @@ def at(mesh, x, y):
     return mesh.handle(NodeId(x, y))
 
 
-def make_bee(flow, dst, ports=(), bandwidth=1.0):
-    lst = PortList.from_ports(ports)
-    return ForwardBee(flow, dst, bandwidth, lst)
+def backward_bee(flow, bee_index, forward, start=0):
+    """The backward bee of `flow` retracing the forward path `forward`, a
+    PortList, as its destination converts it."""
+    return BackwardBee((flow, bee_index), forward.reverse_complement(), start, forward.bits)
 
 
 def deliver_backward_until_done(mesh, net, dest, bee, wires, won=False):
@@ -140,15 +141,24 @@ class TestForwardBee:
         paths = [[E, E, N, N], [N, N, E, E], [E, N, E, N], [N, E, N, E], [E, N, N, E]]
         backward = []
         for count, path in enumerate(paths):
-            emissions = handle_forward_bee(count, make_bee(flow, dest, path), 3, 17)
+            forward = PortList.from_ports(path)
+            assert walk(forward, NodeId(0, 0), Mesh(3, 3))[-1] == dest
+            # the destination hands over the route already reversed, plus the path's bits
+            route = forward.reverse_complement()
+            emissions = handle_forward_bee(count, flow, route, forward.bits, 3, 17)
             if count < 3:
                 assert len(emissions) == 1
                 port, back = emissions[0]
                 assert isinstance(back, BackwardBee)
-                assert back.bee_index == count
-                assert back.route == PortList.from_ports(path).reverse_complement()
+                assert back.owner == (flow, count) and (back.flow, back.bee_index) == (flow, count)
+                assert back.route == route and back.forward_bits == forward.bits
                 assert port is back.route.entry(0)
                 assert back.start == 17  # at route index 0 at the cycle of its conversion
+                # the release of every reserved prefix retraces it, from the path's bits
+                for index in range(2, len(path) + 1):
+                    release = release_for_backward_bee(back, index, 0)
+                    assert release.route == route.prefix(index - 1).reverse_complement()
+                    assert release.owner is back.owner
                 backward.append(back)
             else:
                 assert emissions == []
@@ -157,10 +167,11 @@ class TestForwardBee:
     def test_destination_cap_one(self):
         flow = FlowId(NodeId(0, 0), 5)
         dest = NodeId(2, 2)
-        first = make_bee(flow, dest, [E, E, N, N])
-        second = make_bee(flow, dest, [N, N, E, E])
-        assert len(handle_forward_bee(0, first, convert_cap=1, clock=0)) == 1
-        assert handle_forward_bee(1, second, convert_cap=1, clock=0) == []
+        first = PortList.from_ports([E, E, N, N])
+        second = PortList.from_ports([N, N, E, E])
+        assert walk(first, NodeId(0, 0), Mesh(3, 3))[-1] == walk(second, NodeId(0, 0), Mesh(3, 3))[-1] == dest
+        assert len(handle_forward_bee(0, flow, first.reverse_complement(), first.bits, convert_cap=1, clock=0)) == 1
+        assert handle_forward_bee(1, flow, second.reverse_complement(), second.bits, convert_cap=1, clock=0) == []
 
     def test_forward_bees_never_touch_links(self):
         # flood a whole flow over the mesh: discovery must leave every
@@ -232,8 +243,7 @@ class TestBackwardBee:
     def test_single_hop_accepted(self):
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 0)
-        route = PortList.from_ports([E]).reverse_complement()  # forward east -> route west
-        bee = BackwardBee(flow, 0, route, 0)
+        bee = backward_bee(flow, 0, PortList.from_ports([E]))  # forward east -> route west
         node, _, index, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), bee, net.wires_for(2.5))
         assert node == NodeId(0, 0) and index == 1
         assert outcome.kind == "accepted"
@@ -241,7 +251,7 @@ class TestBackwardBee:
         assert net.free_wires(at(mesh, 0, 0), E) == 5
         assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 3}
         # once the flow has won, a sibling reaching the source loses the race
-        sibling = BackwardBee(flow, 1, route, 0)
+        sibling = backward_bee(flow, 1, PortList.from_ports([E]))
         node, _, index, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), sibling, 3, won=True)
         assert node == NodeId(0, 0) and outcome.kind == "aborted"
         assert release_for_backward_bee(sibling, index, 0) is None
@@ -251,7 +261,7 @@ class TestBackwardBee:
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 1)
         forward = PortList.from_ports([E, N])
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 0)
+        bee = backward_bee(flow, 0, forward)
         # at the first hop the bee reserves and is sent on through route entry 1
         assert handle_backward_bee(at(mesh, 1, 0), bee, 1, N, net, 1, False) is BackwardOutcome.FORWARDED
         assert bee.route.entry(1) is W
@@ -266,7 +276,7 @@ class TestBackwardBee:
         flow = FlowId(NodeId(0, 0), 2)
         forward = PortList.from_ports([E, E])
         net.reserve(at(mesh, 0, 0), E, ("bg", 0), 4)  # the final reservation will fail
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 0)
+        bee = backward_bee(flow, 0, forward)
         node, arrival, index, outcome = deliver_backward_until_done(mesh, net, NodeId(2, 0), bee, 2)
         assert node == NodeId(0, 0)
         assert outcome.kind == "aborted"
@@ -281,7 +291,7 @@ class TestBackwardBee:
         mesh, net = make_net(wire_count=4)
         flow = FlowId(NodeId(0, 0), 3)
         net.reserve(at(mesh, 1, 0), E, ("bg", 0), 4)
-        bee = BackwardBee(flow, 0, PortList.from_ports([E, E]).reverse_complement(), 0)
+        bee = backward_bee(flow, 0, PortList.from_ports([E, E]))
         outcome = handle_backward_bee(at(mesh, 1, 0), bee, 1, E, net, 2, False)
         assert outcome.kind == "aborted"
         assert release_for_backward_bee(bee, 1, 0) is None
@@ -292,10 +302,8 @@ class TestBackwardBee:
         # loser's release must leave the winner's wires in place
         mesh, net = make_net(width=4, height=2, wire_count=4)
         flow = FlowId(NodeId(0, 0), 0)
-        route1 = PortList.from_ports([E, E, E, N]).reverse_complement()  # S W W W
-        route2 = PortList.from_ports([E, E, N, E]).reverse_complement()  # W S W W
-        bee1 = BackwardBee(flow, 0, route1, 0)
-        bee2 = BackwardBee(flow, 1, route2, 0)
+        bee1 = backward_bee(flow, 0, PortList.from_ports([E, E, E, N]))  # route S W W W
+        bee2 = backward_bee(flow, 1, PortList.from_ports([E, E, N, E]))  # route W S W W
         _, _, _, first = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee1, 2)
         assert first.kind == "accepted"
         node, arrival, index, second = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee2, 2, won=True)
@@ -310,7 +318,7 @@ class TestBackwardBee:
 
     def test_corrupt_index_rejected(self):
         mesh, net = make_net()
-        bee = BackwardBee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([W]), 0)
+        bee = backward_bee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([E]))  # route W
         for index in (0, 2, 5):
             with pytest.raises(ProtocolCorruptionError, match=rf"route index {index} outside 1\.\.1 \(start 0\)"):
                 handle_backward_bee(at(mesh, 0, 0), bee, index, E, net, 1, False)
@@ -323,7 +331,7 @@ class TestControl:
         dest = NodeId(0, 0)
         for port in forward:
             dest = mesh.neighbor(dest, port)
-        bee = BackwardBee(flow, 0, forward.reverse_complement(), 0)
+        bee = backward_bee(flow, 0, forward)
         _, _, _, outcome = deliver_backward_until_done(mesh, net, dest, bee, wires)
         assert outcome.kind == "accepted"
         return forward
@@ -333,7 +341,7 @@ class TestControl:
         flow = FlowId(NodeId(0, 0), 0)
         forward = self.build_circuit(mesh, net, flow, [E, E, N], wires=2)
         assert net.total_held() == 6
-        teardown = ControlPacket(ControlKind.TEARDOWN, flow, 0, forward, 0)
+        teardown = ControlPacket(ControlKind.TEARDOWN, (flow, 0), forward, 0)
         port = handle_control(at(mesh, 0, 0), teardown, 0, net)  # the source frees its own hop
         assert port is E and net.total_held() == 4
         deliver_control_chain(mesh, net, NodeId(0, 0), port, teardown, 1)
@@ -342,7 +350,7 @@ class TestControl:
 
     def test_zero_length_release_is_noop(self):
         mesh, net = make_net()
-        pkt = ControlPacket(ControlKind.RELEASE, FlowId(NodeId(0, 0), 1), 0, PortList(), 0)
+        pkt = ControlPacket(ControlKind.RELEASE, (FlowId(NodeId(0, 0), 1), 0), PortList(), 0)
         before = {link: net.free_wires(*link) for link in net.links}
         assert handle_control(at(mesh, 1, 1), pkt, 0, net) is None
         assert {link: net.free_wires(*link) for link in net.links} == before
@@ -350,7 +358,7 @@ class TestControl:
     def test_corrupt_index_rejected(self):
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 5)
-        pkt = ControlPacket(ControlKind.RELEASE, flow, 0, PortList.from_ports([E]), 0)
+        pkt = ControlPacket(ControlKind.RELEASE, (flow, 0), PortList.from_ports([E]), 0)
         for index in (-1, 2):
             with pytest.raises(
                 ProtocolCorruptionError, match=rf"control packet of 0,0:5: route index {index} outside 0\.\.1 \(start 0\)"
@@ -360,7 +368,7 @@ class TestControl:
     def test_route_leaving_the_mesh_is_corruption(self):
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 3)
-        pkt = ControlPacket(ControlKind.RELEASE, flow, 0, PortList.from_ports([W]), 0)
+        pkt = ControlPacket(ControlKind.RELEASE, (flow, 0), PortList.from_ports([W]), 0)
         with pytest.raises(ProtocolCorruptionError, match="control route of 0,0:3 leaves the mesh at 0,0"):
             handle_control(at(mesh, 0, 0), pkt, 0, net)
 
@@ -369,7 +377,7 @@ class TestControl:
         flow = FlowId(NodeId(0, 0), 2)
         forward = self.build_circuit(mesh, net, flow, [E, N])
         for round_no in range(2):
-            teardown = ControlPacket(ControlKind.TEARDOWN, flow, 0, forward, 0)
+            teardown = ControlPacket(ControlKind.TEARDOWN, (flow, 0), forward, 0)
             with caplog.at_level(logging.WARNING, logger="beenoc.router"):
                 port = handle_control(at(mesh, 0, 0), teardown, 0, net)
                 deliver_control_chain(mesh, net, NodeId(0, 0), port, teardown, 1)
