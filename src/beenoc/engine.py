@@ -43,7 +43,7 @@ from . import metrics, router
 from .config import RunConfig, validate_config
 from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
-from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir
+from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir, hop_budget
 
 
 class FlowPhase(Enum):
@@ -225,28 +225,33 @@ class Simulator:
         # bandwidths: the setup timeout by hop_limit, and the wires.
         self._timeouts: dict[int, int] = {}
         self._wires_for = functools.cache(self.network.wires_for)
-        for spec in workload:
-            self._admit(spec)
+        self._admit(workload)
 
     # -- construction -----------------------------------------------------
 
-    def _admit(self, spec: FlowSpec) -> None:
-        flow, destination, bandwidth, arrival, _ = spec
-        mesh = self.mesh
-        try:
-            src, dst = mesh.handle(flow.source), mesh.handle(destination)
-        except InvalidPathError as exc:
-            raise ConfigError(f"flow {flow}: {exc}") from None
-        if flow in self.records:
-            raise ConfigError(f"duplicate flow id {flow}")
-        # Not memoized by pair: on a large mesh most pairs occur once a run, and
-        # a memo's misses then cost more than its hits save.
-        hop_limit = mesh.hop_limit(flow.source, destination, self.config.hop_limit_metric)
-        if hop_limit not in self._timeouts:
-            self._timeouts[hop_limit] = math.ceil(self.config.setup_timeout_factor * hop_limit * self._t_hop)
-        wires = self._wires_for(bandwidth)
-        rec = self.records[flow] = FlowRecord(spec, hop_limit, wires, src, dst, arrival + hop_limit * self._t_hop)
-        self.queue.push(arrival, (Simulator._on_flow_arrival, src, rec, None))
+    def _admit(self, workload: Sequence[FlowSpec]) -> None:
+        """Record and queue the arrival of every flow, in workload order. The
+        handles and hop limit are arithmetic on the coordinates, and an arrival
+        in the cycle of the queue's hot bucket is appended to it directly."""
+        width, height, metric, t_hop = self.mesh.width, self.mesh.height, self.config.hop_limit_metric, self._t_hop
+        records, timeouts, wires_for, queue = self.records, self._timeouts, self._wires_for, self.queue
+        for spec in workload:
+            flow, destination, bandwidth, arrival, _ = spec
+            (sx, sy), (tx, ty) = flow[0], destination
+            if not (0 <= sx < width and 0 <= sy < height and 0 <= tx < width and 0 <= ty < height):
+                try:
+                    self.mesh.handle(flow.source), self.mesh.handle(destination)
+                except InvalidPathError as exc:
+                    raise ConfigError(f"flow {flow}: {exc}") from None
+            hop_limit = hop_budget(abs(tx - sx), abs(ty - sy), metric)
+            if hop_limit not in timeouts:
+                timeouts[hop_limit] = math.ceil(self.config.setup_timeout_factor * hop_limit * t_hop)
+            src = sy * width + sx
+            rec = FlowRecord(spec, hop_limit, wires_for(bandwidth), src, ty * width + tx, arrival + hop_limit * t_hop)
+            if records.setdefault(flow, rec) is not rec:  # hashes the flow id once
+                raise ConfigError(f"duplicate flow id {flow}")
+            bucket = queue.hot_bucket if arrival == queue.hot_time else queue.bucket(arrival)
+            bucket.append((_ARRIVAL, src, rec, None))
 
     # -- scheduling -------------------------------------------------------
 
@@ -425,11 +430,11 @@ class Simulator:
         else:
             won = phase is _ESTABLISHED  # at the source: a sibling was accepted first
             outcome = router.handle_backward_bee(node, bee, index, arrival_port, net, rec.wires, won)
-            net.drain_dirty()
-        if outcome is _ABORTED:
+        if outcome is _ABORTED:  # it reserved nothing here
             if (release := router.release_for_backward_bee(bee, index, self.clock + self._t_hop)) is not None:
                 self.transit(node, arrival_port, release)
             return
+        net.drain_dirty()
         # Only a reservation raises a direction's peak; this one was on the arrival port's link.
         util = net.held_by_class[arrival_port] / net.wires_by_class[arrival_port]
         if util > self._util_peak[arrival_port]:
@@ -447,9 +452,9 @@ class Simulator:
     def _on_control(self, node: int, pkt: ControlPacket, _port: PortDir) -> None:
         self._control_deliveries += 1
         port = router.handle_control(node, pkt, (self.clock - pkt.start) // self._t_hop, self.network)
-        if port is not None:
+        if port is not None:  # it freed a link; at the end of its route it writes none
+            self.network.drain_dirty()
             self.transit(node, port, pkt)
-        self.network.drain_dirty()
 
     def _on_flow_complete(self, source: int, rec: FlowRecord, _port: None) -> None:
         if rec.phase is not FlowPhase.ESTABLISHED:
@@ -458,8 +463,8 @@ class Simulator:
         teardown = ControlPacket(ControlKind.TEARDOWN, (rec.spec.flow, rec.winner_index), rec.circuit, self.clock)
         # The source frees its own hop, at route index 0; the packet then walks and frees the circuit.
         if (port := router.handle_control(source, teardown, 0, self.network)) is not None:
+            self.network.drain_dirty()
             self.transit(source, port, teardown)
-        self.network.drain_dirty()
 
     def _on_setup_timeout(self, _source: int, rec: FlowRecord, _port: None) -> None:
         if rec.phase is FlowPhase.SETTING_UP:
@@ -523,8 +528,9 @@ class Simulator:
         return metrics.build_report(self.config, tuple(rows), stats, util_peak, util_mean, trace)
 
 
-# The handler of every queued wave of forward copies, read as a global.
+# The handlers of every queued wave of forward copies and of every arrival, read as globals.
 _WAVE = Simulator._on_wave
+_ARRIVAL = Simulator._on_flow_arrival
 # The handler of a packet delivery, by packet type; transit picks it.
 _DELIVERY_HANDLERS = {
     BackwardBee: Simulator._on_backward,

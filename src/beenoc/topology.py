@@ -3,10 +3,11 @@ with spatial-division-multiplexed wire pools."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     DegenerateFlowError,
@@ -102,11 +103,10 @@ class Mesh:
             raise InvalidPathError(f"node handle {handle} is outside the {self.width}x{self.height} mesh")
         return NodeId(handle % self.width, handle // self.width)
 
-    def nodes(self) -> Iterator[NodeId]:
-        """All nodes in row-major order (y outer, x inner)."""
-        for y in range(self.height):
-            for x in range(self.width):
-                yield NodeId(x, y)
+    def nodes(self) -> tuple[NodeId, ...]:
+        """All nodes in row-major order (y outer, x inner), so by handle: one
+        table per mesh shape, shared."""
+        return _node_table(self.width, self.height)
 
     @property
     def node_count(self) -> int:
@@ -131,13 +131,46 @@ class Mesh:
         """
         if src == dst:
             raise DegenerateFlowError(f"flow {src} -> {dst} needs no circuit")
-        dx = dst.x - src.x
-        dy = dst.y - src.y
-        if metric == "euclidean":
-            return math.ceil(2.0 * math.sqrt(dx * dx + dy * dy))
-        if metric == "manhattan":
-            return 2 * (abs(dx) + abs(dy))
-        raise ValueError(f"unknown hop-limit metric {metric!r}")
+        return hop_budget(abs(dst.x - src.x), abs(dst.y - src.y), metric)
+
+
+@functools.cache
+def hop_budget(adx: int, ady: int, metric: str) -> int:
+    """Mesh.hop_limit of two nodes |dx| and |dy| apart. Cached: a shape has
+    at most width x height offsets."""
+    if metric == "euclidean":
+        return math.ceil(2.0 * math.sqrt(adx * adx + ady * ady))
+    if metric == "manhattan":
+        return 2 * (adx + ady)
+    raise ValueError(f"unknown hop-limit metric {metric!r}")
+
+
+@functools.cache
+def _node_table(width: int, height: int) -> tuple[NodeId, ...]:
+    return tuple(NodeId(x, y) for y in range(height) for x in range(width))
+
+
+@functools.cache
+def _link_tables(width: int, height: int) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """node_links, far_by_slot and the links in each direction of a width x
+    height mesh (see Network); built once per shape, shared and never written."""
+    # Handle offset of the neighbor through each port, by port code.
+    steps = (-width, -1, 1, width)
+    far_by_slot = [-1] * (4 * width * height)
+    node_links = []
+    links_by_class = [0, 0, 0, 0]
+    for y in range(height):
+        for x in range(width):
+            node = y * width + x
+            present = (y > 0, x > 0, x < width - 1, y < height - 1)
+            links = []
+            for port in NON_LOCAL_PORTS:
+                if present[port]:
+                    far_by_slot[4 * node + port] = far = node + steps[port]
+                    links.append((port, 4 * node + port, far))
+                    links_by_class[port] += 1
+            node_links.append(tuple(links))
+    return tuple(node_links), tuple(far_by_slot), tuple(links_by_class)
 
 
 class Network:
@@ -152,7 +185,8 @@ class Network:
     Nodes are int handles (Mesh.handle). The link leaving node n through a
     port is slot 4 * n + port code in flat per-link tables. Read-only views
     serve the engine: `node_links[n]`, node n's links as (port, slot, far
-    end) by port code, `free_by_slot`, and `far_by_slot` (-1: no link).
+    end) by port code, `free_by_slot`, and `far_by_slot` (-1: no link); the
+    tuples `node_links` and `far_by_slot` are shared by all meshes of a shape.
     """
 
     def __init__(self, mesh: Mesh, wire_count: int, wire_bandwidth: float) -> None:
@@ -163,31 +197,11 @@ class Network:
         self.mesh = mesh
         self.wire_count = wire_count
         self.wire_bandwidth = wire_bandwidth
-        width, height = mesh.width, mesh.height
-        self._node_count = width * height
-        # Handle offset of the neighbor through each port, by port code.
-        steps = (-width, -1, 1, width)
-        self._reservations: list[dict | None] = [None] * (4 * self._node_count)
-        self.free_by_slot = [0] * (4 * self._node_count)
-        far_by_slot = [-1] * (4 * self._node_count)
-        node_links = []
-        self.wires_by_class = [0, 0, 0, 0]
-        for y in range(height):
-            for x in range(width):
-                node = y * width + x
-                present = (y > 0, x > 0, x < width - 1, y < height - 1)
-                links = []
-                for port in NON_LOCAL_PORTS:
-                    if present[port]:
-                        slot = 4 * node + port
-                        self._reservations[slot] = {}
-                        self.free_by_slot[slot] = wire_count
-                        far_by_slot[slot] = far = node + steps[port]
-                        links.append((port, slot, far))
-                        self.wires_by_class[port] += wire_count
-                node_links.append(tuple(links))
-        self.node_links = tuple(node_links)
-        self.far_by_slot = tuple(far_by_slot)
+        self.node_links, self.far_by_slot, links_by_class = _link_tables(mesh.width, mesh.height)
+        self._node_count = len(self.node_links)
+        self._reservations: list[dict | None] = [None if far < 0 else {} for far in self.far_by_slot]
+        self.free_by_slot = [0 if far < 0 else wire_count for far in self.far_by_slot]
+        self.wires_by_class = [links * wire_count for links in links_by_class]
         self.held_by_class = [0, 0, 0, 0]
         self._dirty: list[int] = []
 

@@ -68,6 +68,8 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
         raise ConfigError("traffic rate must be finite and not negative")
     if not params.bandwidth_values:
         raise ConfigError("bandwidth value set must not be empty")
+    if not all(0 < v < math.inf for v in params.bandwidth_values):
+        raise ConfigError("bandwidth values must be positive and finite")
     if params.pattern not in ("uniform", "hotspot", "transpose"):
         raise ConfigError(f"unknown traffic pattern {params.pattern!r}")
     if params.pattern == "transpose" and mesh.width != mesh.height:
@@ -93,15 +95,22 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
     bandwidth_cdf = cdf.tolist()
     bandwidths = tuple(float(v) for v in params.bandwidth_values)
     # Destinations are drawn over node handles, skipping the excluded ones.
-    nodes = tuple(mesh.nodes())
+    nodes = mesh.nodes()
     last = len(nodes) - 1
     pattern = params.pattern
     hotspot = mesh.handle(params.hotspot) if pattern == "hotspot" else None
     fraction = params.hotspot_fraction
     geometric_p = 1.0 / params.hold_mean if params.hold_dist == "geometric" else None
     fixed_hold = max(1, round(params.hold_mean))
-    exponential, integers, random, geometric = rng.exponential, rng.integers, rng.random, rng.geometric
+    # Generator.exponential(gap) is gap * standard_exponential(), and below
+    # p = 1/3 Generator.geometric(p) is ceil(-standard_exponential() /
+    # log1p(-p)), so both are drawn here as numpy draws them, in fewer calls.
+    # From a mean of 2**57 up numpy may clamp that to the int64 maximum.
+    inverted = geometric_p is not None and geometric_p < 1 / 3 and params.hold_mean < 2**57
+    log_q = math.log1p(-geometric_p) if inverted else None
+    standard_exponential, integers, random = rng.standard_exponential, rng.integers, rng.random
     gap, duration = 1.0 / params.rate, params.duration
+    new, ceil = tuple.__new__, math.ceil
     flows: list[FlowSpec] = []
     append = flows.append
     for src_handle, src in enumerate(nodes):
@@ -119,7 +128,7 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
         sequence = 0
         clock = 0.0
         while True:
-            clock += exponential(gap)
+            clock += gap * standard_exponential()
             if clock > duration:
                 break
             if mirror is not None:
@@ -134,8 +143,16 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
                 idx += idx >= low
                 destination = nodes[idx + (idx >= high)]
             bandwidth = bandwidths[bisect_right(bandwidth_cdf, random())]
-            hold = fixed_hold if geometric_p is None else int(geometric(geometric_p))
-            append(FlowSpec(FlowId(src, sequence), destination, bandwidth, math.ceil(clock), hold))
+            # Built without FlowSpec's checks, which hold by construction
+            # but for an inverted geometric hold: a zero draw gives 0.
+            flow = new(FlowId, (src, sequence))
+            if log_q is not None:
+                hold = ceil(-standard_exponential() / log_q)
+                if hold < 1:
+                    raise ValueError(f"flow {flow}: hold_time must be >= 1")
+            else:
+                hold = fixed_hold if geometric_p is None else int(rng.geometric(geometric_p))
+            append(new(FlowSpec, (flow, destination, bandwidth, ceil(clock), hold)))
             sequence += 1
     flows.sort(key=attrgetter("arrival_time"))
     return flows

@@ -13,7 +13,8 @@ import hashlib
 
 import pytest
 
-from beenoc import ControlPacket, PortList, RunConfig, Simulator, run_simulation, write_report
+from beenoc import ControlPacket, Mesh, PortList, RunConfig, Simulator, run_simulation, write_report
+from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
 
 GOLDEN = {
     # Contended 4x4 churn: mixed 1-3 wire demands, geometric holds.
@@ -140,3 +141,35 @@ def test_routes_are_reversed_at_most_once_per_control_packet(monkeypatch):
     assert report.summary.torn_down > 0 and report.stats.control_deliveries > 0
     assert {pkt.kind.value for pkt in sent.values()} == {"release", "teardown"}
     assert reversals <= len(sent)
+
+
+def test_each_link_write_is_drained_once():
+    # A handler checks the link it wrote right after writing it, and only
+    # then: a backward bee that reserves nothing and a control packet at the
+    # end of its route do not drain. Writes are successful reservations and
+    # releases; run() first checks the load placed before it, here none.
+    cfg = RunConfig(**GOLDEN["churn4x4"][0])
+    mesh = Mesh(cfg.mesh_width, cfg.mesh_height)
+    sim = Simulator(cfg, generate_traffic(mesh, traffic_params_from_config(cfg), make_rng(cfg.seed)))
+    net, calls = sim.network, []
+    reserve, release, drain_dirty = net.reserve, net.release, net.drain_dirty
+
+    def reserving(*args):
+        if ok := reserve(*args):
+            calls.append("write")
+        return ok
+
+    def releasing(*args):
+        calls.append("write")
+        return release(*args)
+
+    def draining():
+        calls.append("drain")
+        drain_dirty()
+
+    net.reserve, net.release, net.drain_dirty = reserving, releasing, draining
+    report = sim.run()
+    writes = calls.count("write")
+    assert report.summary.failed > 0 and report.summary.torn_down > 0 and writes > 0
+    assert calls.count("drain") == writes + 1
+    assert calls == ["drain"] + ["write", "drain"] * writes

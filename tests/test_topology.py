@@ -296,3 +296,55 @@ def test_fitting_links_are_the_links_with_enough_free_wires(net, wires):
         got = net.fitting_links(handle, wires)
         assert [(port, mesh.node_at(far)) for port, far in got] == expected
         assert all(net.free_wires(handle, port) >= wires for port, _ in got)
+
+
+def links_by_neighbor(mesh):
+    """node_links, far_by_slot and the links in each direction of `mesh`,
+    found node by node with Mesh.neighbor."""
+    node_links, far_by_slot, per_class = [], [-1] * (4 * mesh.node_count), [0, 0, 0, 0]
+    for y in range(mesh.height):
+        for x in range(mesh.width):
+            node, links = NodeId(x, y), []
+            for port in NON_LOCAL_PORTS:
+                if (far := mesh.neighbor(node, port)) is not None:
+                    slot = 4 * mesh.handle(node) + port
+                    far_by_slot[slot] = mesh.handle(far)
+                    links.append((port, slot, far_by_slot[slot]))
+                    per_class[port] += 1
+            node_links.append(tuple(links))
+    return tuple(node_links), tuple(far_by_slot), per_class
+
+
+@pytest.mark.parametrize("width,height", [(2, 2), (2, 5), (5, 2), (1, 3), (3, 7), (16, 16)])
+def test_shared_link_tables_match_per_node_arithmetic(width, height):
+    mesh = Mesh(width, height)
+    node_links, far_by_slot, per_class = links_by_neighbor(mesh)
+    net = Network(mesh, 3, 1.0)
+    assert net.node_links == node_links
+    assert net.far_by_slot == far_by_slot
+    assert net.wires_by_class == [3 * links for links in per_class]
+    assert net.free_by_slot == [3 if far >= 0 else 0 for far in far_by_slot]
+    assert net.links == tuple((node, port) for node, links in enumerate(node_links) for port, _, _ in links)
+    assert mesh.nodes() == tuple(NodeId(x, y) for y in range(height) for x in range(width))
+    # built once per shape: another network of it, at any wire count, shares the tables
+    other = Network(Mesh(width, height), 5, 2.0)
+    assert other.node_links is net.node_links and other.far_by_slot is net.far_by_slot
+    assert other.wires_by_class == [5 * links for links in per_class]
+
+
+def test_networks_of_one_shape_share_no_link_state():
+    a, b = Network(Mesh(3, 2), 4, 1.0), Network(Mesh(3, 2), 4, 1.0)
+
+    def state(net):
+        return (list(net.free_by_slot), [net.holders(node, port) for node, port in net.links],
+                list(net.wires_by_class), list(net.held_by_class))
+
+    before = state(b)
+    assert a.reserve(at(a, 1, 0), PortDir.EAST, ("f", 0), 3)
+    assert a.reserve(at(a, 1, 1), PortDir.SOUTH, ("f", 1), 1)
+    assert a.release(at(a, 1, 0), PortDir.EAST, ("f", 0)) == 3
+    assert a.reserve(at(a, 0, 0), PortDir.NORTH, ("g", 0), 4)
+    Network(Mesh(3, 2), 7, 1.0)  # the same shape at another wire count
+    a.drain_dirty()
+    assert state(b) == before
+    assert a.free_wires(at(a, 1, 1), PortDir.SOUTH) == 3 and a.holders(at(a, 0, 0), PortDir.NORTH) == {("g", 0): 4}

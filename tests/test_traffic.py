@@ -1,11 +1,13 @@
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beenoc import ConfigError, Mesh, NodeId
+from beenoc import ConfigError, FlowId, FlowSpec, Mesh, NodeId
 from beenoc.traffic import TrafficParams, generate_traffic, make_rng
 
 
@@ -50,9 +52,14 @@ class TestGenerateTraffic:
             ({"hotspot_fraction": -0.1}, "hotspot fraction"),
             ({"pattern": "hotspot", "hotspot": NodeId(4, 0), "hotspot_fraction": 1.0}, "outside the mesh"),
             ({"pattern": "hotspot", "hotspot": NodeId(0, 7), "hotspot_fraction": 0.5}, "outside the mesh"),
+            ({"bandwidth_values": (1.0, -2.0), "bandwidth_weights": (0.5, 0.5)}, "bandwidth values"),
+            ({"bandwidth_values": (0.0,)}, "bandwidth values"),
+            ({"bandwidth_values": (float("inf"),)}, "bandwidth values"),
+            ({"bandwidth_values": (2.0, float("nan")), "bandwidth_weights": (0.5, 0.5)}, "bandwidth values"),
         ],
         ids=["unknown-hold", "geometric-mean-below-1", "zero-mean", "infinite-mean", "fraction-above-1",
-             "negative-fraction", "hotspot-off-mesh-all", "hotspot-off-mesh-half"],
+             "negative-fraction", "hotspot-off-mesh-all", "hotspot-off-mesh-half", "negative-bandwidth",
+             "zero-bandwidth", "infinite-bandwidth", "nan-bandwidth"],
     )
     def test_bad_params_rejected_before_any_draw(self, overrides, message):
         rng = make_rng(1)
@@ -156,20 +163,24 @@ def test_bandwidth_draw_is_generator_choice(weights, seed):
 
 # The full stream of each pattern and hold rule, pinned: every draw, its
 # order and its arguments decide these bytes. Mesh, rate and bandwidth set
-# are fixed; changing any of them needs new digests.
+# are fixed; changing any of them needs new digests. The mean hold is 37.4,
+# except in the last case: at a mean of 3, p = 1/3, numpy draws a geometric
+# hold by search instead of by inversion.
 STREAM_CASES = {
-    ("uniform", "fixed"):
+    ("uniform", "fixed", 37.4):
         "1f68869206e3d52f4dbb7071375a43be034e45f04ff5f1c8caab838abcdf6f37",
-    ("uniform", "geometric"):
+    ("uniform", "geometric", 37.4):
         "4124afbbdcf336db2e9306c56b74b1a0eec8c930becdd301635fc29a5eb89f64",
-    ("hotspot", "fixed"):
+    ("hotspot", "fixed", 37.4):
         "c0200894c0cdbf91184a795b941b855d397af152398c529d089eee9dac47e39b",
-    ("hotspot", "geometric"):
+    ("hotspot", "geometric", 37.4):
         "8b1b2c519ef07f5294d7a1f9792f64e4c33f72b823247049a582b683dc323a7d",
-    ("transpose", "fixed"):
+    ("transpose", "fixed", 37.4):
         "c6ce0959e53ad71823e1317c7f4cb0d82661e6b5d6ce25c32ac8e8072c8d9e33",
-    ("transpose", "geometric"):
+    ("transpose", "geometric", 37.4):
         "78a474750d3c23d5c7e82de54ffc5616a436164626ddd8b0d8bb67cea3a153e0",
+    ("uniform", "geometric", 3.0):
+        "93c57358f6ace835c10e125d0b499c798dd04059d338357d98b2f40daa1a9094",
 }
 
 
@@ -182,8 +193,12 @@ def stream_digest(flows) -> str:
     return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
 
 
-@pytest.mark.parametrize("pattern,hold_dist", sorted(STREAM_CASES))
-def test_traffic_stream_digest(pattern, hold_dist):
+@pytest.mark.parametrize(
+    "pattern,hold_dist,hold_mean",
+    [pytest.param(*case, id="-".join(case[:2]) + ("" if case[2] == 37.4 else f"-mean-{case[2]:g}"))
+     for case in sorted(STREAM_CASES)],
+)
+def test_traffic_stream_digest(pattern, hold_dist, hold_mean):
     hotspot = NodeId(1, 2)
     p = params(
         rate=0.03,
@@ -194,10 +209,104 @@ def test_traffic_stream_digest(pattern, hold_dist):
         bandwidth_values=(1.0, 2.0, 3.5),
         bandwidth_weights=(0.5, 0.3, 0.2),
         hold_dist=hold_dist,
-        hold_mean=37.4,
+        hold_mean=hold_mean,
     )
     flows = generate_traffic(Mesh(5, 5), p, make_rng(2024))
     assert len(flows) > 200
     if pattern == "hotspot":  # the hotspot's own flows draw uniformly, without the biased draw
         assert any(f.source == hotspot for f in flows)
-    assert stream_digest(flows) == STREAM_CASES[pattern, hold_dist]
+    assert stream_digest(flows) == STREAM_CASES[pattern, hold_dist, hold_mean]
+
+
+def reference_traffic(mesh, p, seed):
+    """The flow list drawn with Generator.exponential, integers, random and
+    geometric, each called as the distribution it samples, and built with
+    the validating FlowSpec constructor."""
+    rng = make_rng(seed)
+    nodes = [NodeId(x, y) for y in range(mesh.height) for x in range(mesh.width)]
+    weights = np.asarray(p.bandwidth_weights, dtype=float)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    flows = []
+    for src in nodes:
+        if p.pattern == "transpose" and src.x == src.y:
+            continue
+        biased = p.pattern == "hotspot" and src != p.hotspot
+        others = [n for n in nodes if n != src and not (biased and n == p.hotspot)]
+        clock, sequence = 0.0, 0
+        while True:
+            clock += rng.exponential(1.0 / p.rate)
+            if clock > p.duration:
+                break
+            if p.pattern == "transpose":
+                destination = NodeId(src.y, src.x)
+            elif biased and rng.random() < p.hotspot_fraction:
+                destination = p.hotspot
+            else:
+                destination = others[int(rng.integers(0, len(others)))]
+            bandwidth = p.bandwidth_values[int(np.searchsorted(cdf, rng.random(), side="right"))]
+            if p.hold_dist == "geometric":
+                hold = int(rng.geometric(1.0 / p.hold_mean))
+            else:
+                hold = max(1, round(p.hold_mean))
+            flows.append(FlowSpec(FlowId(src, sequence), destination, bandwidth, math.ceil(clock), hold))
+            sequence += 1
+    flows.sort(key=lambda f: f.arrival_time)
+    return flows
+
+
+hold_means = st.one_of(
+    st.floats(1.0, 3.0),
+    st.floats(3.0, 1e4),
+    st.sampled_from((3.0, math.nextafter(3.0, 0.0), math.nextafter(3.0, 4.0), 1e300)),
+)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.floats(0.002, 0.15),
+    hold_means,
+    st.sampled_from(("uniform", "hotspot", "transpose")),
+    st.sampled_from(("fixed", "geometric")),
+    st.sampled_from((NodeId(0, 0), NodeId(2, 1), NodeId(3, 3))),
+)
+def test_stream_matches_direct_numpy_calls(seed, rate, hold_mean, pattern, hold_dist, hotspot):
+    # the same flows, FlowSpec for FlowSpec, as drawing each value with the
+    # numpy sampler of its distribution, mean holds on both sides of 3 and
+    # beyond 2**57 included
+    mesh = Mesh(4, 4)
+    p = params(rate=rate, duration=150, pattern=pattern, hotspot=hotspot, hotspot_fraction=0.4,
+               bandwidth_values=(1.0, 2.0, 3.0), bandwidth_weights=(0.5, 0.3, 0.2), hold_dist=hold_dist,
+               hold_mean=hold_mean)
+    flows = generate_traffic(mesh, p, make_rng(seed))
+    assert flows == reference_traffic(mesh, p, seed)
+    assert all(type(f) is FlowSpec and type(f.flow) is FlowId for f in flows)
+
+
+class ZeroHoldStream:
+    """A stand-in generator whose standard exponentials alternate 1.0 and
+    0.0: a flow's gap, then its inverted geometric hold."""
+
+    def __init__(self):
+        self.next_exponential = 1.0
+
+    def standard_exponential(self):
+        value, self.next_exponential = self.next_exponential, 1.0 - self.next_exponential
+        return value
+
+    def integers(self, low, high):
+        return low
+
+    def random(self):
+        return 0.0
+
+
+def test_zero_geometric_hold_raises_flowspec_error():
+    # ceil(-0.0 / log1p(-p)) is 0, as numpy's own inversion would give;
+    # generate_traffic refuses it with FlowSpec's message
+    with pytest.raises(ValueError) as refused:
+        FlowSpec(FlowId(NodeId(0, 0), 0), NodeId(1, 0), 1.0, 10, 0)
+    p = params(rate=0.1, hold_dist="geometric", hold_mean=40.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        generate_traffic(Mesh(4, 4), p, ZeroHoldStream())
