@@ -16,8 +16,8 @@ arrival_port) copies, to which `Simulator._on_wave` applies the flood rule
 over the flow's first-copy tree (frontier batching, as in level-synchronous
 BFS). A conversion at the destination closes the open wave, so the
 flattened queue is the per-copy schedule; one walk of the tree back to the
-source gives the conversion its backward route, in walk order, and the
-forward path's bits.
+source gives the conversion its path, which the backward bee carries, the
+winner's circuit keeps and its teardown walks.
 
 Untraced runs do not queue a forward copy the receiver would drop as a
 duplicate: once a copy has been sent to a node, a later one bound there
@@ -111,7 +111,7 @@ class FlowRecord:
     phase: FlowPhase = FlowPhase.SETTING_UP
     setup_latency: int | None = None
     circuit: PortList | None = None  # the winning bee's path, source to destination
-    winner_index: int | None = None
+    winner: tuple[FlowId, int] | None = None  # the winning bee's owner key, (flow, bee_index)
     forward_deliveries: int = 0
     converted: int = 0  # backward bees its destination has emitted, at most backward_bee_count
     # First-copy tree by node handle: the port the first copy sent to a node
@@ -216,7 +216,6 @@ class Simulator:
         self._elide_through = -1 if config.trace else config.max_cycles - config.t_hop
         self._elided_until = 0  # cycle of the last elided delivery
         self._events_processed = 0
-        self._forward_deliveries = 0
         self._backward_deliveries = 0
         self._control_deliveries = 0
         self._util_acc = [0, 0, 0, 0]
@@ -385,9 +384,9 @@ class Simulator:
             # The destination is never in the tree, so every copy there sends nothing.
             if node == destination and tree is not None:
                 self._events_processed = base + counted - 1
-                route, forward_bits = self._arrived_route(node, rec, arrival_port)
+                path = self._arrived_path(node, rec, arrival_port)
                 if emissions := router.handle_forward_bee(
-                    rec.converted, rec.spec.flow, route, forward_bits, self.config.backward_bee_count, clock
+                    rec.converted, rec.spec.flow, path, self.config.backward_bee_count, clock
                 ):
                     send = None  # its backward bee follows the copies queued so far
                     for port, packet in emissions:
@@ -396,29 +395,27 @@ class Simulator:
             if trace is not None:
                 trace.append(self._trace_line((_WAVE, node, rec, arrival_port)))
         self._events_processed = base + counted
-        self._forward_deliveries += counted
         rec.forward_deliveries += counted
 
-    def _arrived_route(self, node: int, rec: FlowRecord, arrival_port: PortDir) -> tuple[PortList, int]:
-        """The backward route of a copy delivered at its destination `node`
-        and the bits of its forward path, from one walk of the tree back to
-        the source across `arrival_port`. The ports crossed are the route's
-        entries in order and, complemented, the path's from its last hop."""
+    def _arrived_path(self, node: int, rec: FlowRecord, arrival_port: PortDir) -> PortList:
+        """The path, source to destination, of a copy delivered at its
+        destination `node`, from one walk of the tree back to the source
+        across `arrival_port`. The ports crossed, complemented, are the path's
+        entries from its last hop."""
         far_by_slot, tree = self._far_by_slot, rec.tree
-        route = forward = length = 0
+        path = length = 0
         port = arrival_port
         while port is not _LOCAL:
             node = far_by_slot[4 * node + port]
             if node < 0:
                 raise InvariantViolationError(f"flow {rec.spec.flow}: tree path leaves the mesh")
-            route = route << 2 | port
-            forward |= (port ^ 0b11) << (2 * length)
+            path |= (port ^ 0b11) << (2 * length)
             length += 1
             port = tree[node]
         hops = (self.clock - rec.spec.arrival_time) // self._t_hop
         if length != hops:
             raise InvariantViolationError(f"flow {rec.spec.flow}: tree path of {length} hops after {hops}")
-        return PortList(route, length), forward
+        return PortList(path, length)
 
     def _on_backward(self, node: int, bee: BackwardBee, arrival_port: PortDir) -> None:
         self._backward_deliveries += 1
@@ -439,14 +436,12 @@ class Simulator:
         util = net.held_by_class[arrival_port] / net.wires_by_class[arrival_port]
         if util > self._util_peak[arrival_port]:
             self._util_peak[arrival_port] = util
-        if outcome is _FORWARDED:
-            route = bee.route  # handle_backward_bee checked index < length: route.entry(index), inline
-            self.transit(node, NON_LOCAL_PORTS[(route.bits >> 2 * (route.length - 1 - index)) & 0b11], bee)
+        if outcome is _FORWARDED:  # handle_backward_bee checked index < length
+            self.transit(node, OPPOSITE[(bee.path.bits >> 2 * index) & 0b11], bee)
             return
         self._set_phase(rec, _ESTABLISHED)  # accepted at the source
         rec.setup_latency = self.clock - rec.spec.arrival_time
-        rec.circuit = PortList(bee.forward_bits, bee.route.length)
-        rec.winner_index = bee.owner[1]
+        rec.circuit, rec.winner = bee.path, bee.owner
         self.queue.push(self.clock + rec.spec.hold_time, (Simulator._on_flow_complete, rec.source, rec, None))
 
     def _on_control(self, node: int, pkt: ControlPacket, _port: PortDir) -> None:
@@ -460,7 +455,7 @@ class Simulator:
         if rec.phase is not FlowPhase.ESTABLISHED:
             raise InvariantViolationError(f"flow {rec.spec.flow} completed while {rec.phase.value}")
         self._set_phase(rec, FlowPhase.TORN_DOWN)
-        teardown = ControlPacket(ControlKind.TEARDOWN, (rec.spec.flow, rec.winner_index), rec.circuit, self.clock)
+        teardown = ControlPacket(ControlKind.TEARDOWN, rec.winner, rec.circuit, self.clock)
         # The source frees its own hop, at route index 0; the packet then walks and frees the circuit.
         if (port := router.handle_control(source, teardown, 0, self.network)) is not None:
             self.network.drain_dirty()
@@ -497,10 +492,12 @@ class Simulator:
     def _build_report(self, final_held: int, drained: bool) -> metrics.MetricsReport:
         rows = []
         row = metrics.FlowRow
+        forwarded = most_forwarded = 0
         for rec in self.records.values():
+            forwarded += rec.forward_deliveries
+            most_forwarded = max(most_forwarded, rec.forward_deliveries)
             ((src_x, src_y), seq), (dst_x, dst_y), bandwidth, _, _ = rec.spec
-            latency, circuit = rec.setup_latency, rec.circuit
-            length = None if circuit is None else circuit.length
+            latency, length = rec.setup_latency, rec.path_length
             manhattan = abs(dst_x - src_x) + abs(dst_y - src_y)
             # Only establishing a flow sets its latency, so it tells whether the flow ever was.
             rows.append(
@@ -509,12 +506,10 @@ class Simulator:
             )
         stats = metrics.RunStats(
             events_processed=self._events_processed,
-            forward_deliveries=self._forward_deliveries,
+            forward_deliveries=forwarded,
             backward_deliveries=self._backward_deliveries,
             control_deliveries=self._control_deliveries,
-            max_forward_deliveries_per_flow=max(
-                (rec.forward_deliveries for rec in self.records.values()), default=0
-            ),
+            max_forward_deliveries_per_flow=most_forwarded,
             final_wires_held=final_held,
             drained=drained,
             final_cycle=self.clock,

@@ -155,17 +155,18 @@ class ForwardBee(NamedTuple):
 class BackwardBee(NamedTuple):
     """Reservation packet retracing a discovered path from the destination.
 
-    `route` is the path reversed and complemented; `forward_bits` are the
-    path's own bits. At cycle c the bee is at route index (c - start) // t_hop,
-    `start` being its conversion, and has reserved the first index - 1 links
-    of its route under `owner`, (flow, bee_index), so sibling bees never
-    confuse their reservations on shared links.
+    `path` is the discovered path in forward order, source to destination;
+    the bee's route is its reverse complement, read off in place. At cycle c
+    the bee is at route index i = (c - start) // t_hop, `start` being its
+    conversion, leaves through OPPOSITE[(path.bits >> 2 * i) & 0b11], and
+    has reserved the first i - 1 links of its route under `owner`, (flow,
+    bee_index), so sibling bees never confuse their reservations on shared
+    links.
     """
 
     owner: tuple[FlowId, int]
-    route: PortList
+    path: PortList
     start: int
-    forward_bits: int
 
     flow = property(lambda self: self.owner[0])  # for messages; a hop uses `owner` whole
     bee_index = property(lambda self: self.owner[1])

@@ -1,18 +1,18 @@
 """Protocol handlers for one node; they keep no per-node state.
 
 Forward copies flood toward the destination and reserve nothing; the flood
-rule is one engine step. The destination turns the earliest arrivals, whose
-routes it reads off the flow's tree already reversed, into backward bees. A
-backward bee reserves wires hop by hop on the links the data will use (each
-arrival claims the link back toward the node it came from), and the first
-to reach the source wins the circuit. Failed and losing bees free their
-wires with release packets, and a teardown from the source dismantles the
-circuit after data transfer.
+rule is one engine step. The destination turns the earliest arrivals into
+backward bees, each carrying the path it read off the flow's tree. A bee
+retraces its path from the far end, reserving wires hop by hop on the links
+the data will use (each arrival claims the link back toward the node it came
+from), and the first to reach the source wins: its path is the circuit.
+Failed and losing bees free their wires with release packets, and a teardown
+from the source dismantles the circuit after data transfer.
 
 A node is its int handle. A bee's reservation lives only in `Network`, under
 its `owner` key (flow, bee_index), built once with the bee. The engine
 passes in a packet's route index, (clock - start) // t_hop, and sends the
-same packet on through the port a handler names.
+same packet on at the next hop.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from enum import Enum
 
 from .errors import InvalidPathError, ProtocolCorruptionError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
-from .topology import NON_LOCAL_PORTS, Network, PortDir
+from .topology import NON_LOCAL_PORTS, OPPOSITE, Network, PortDir
 
 logger = logging.getLogger(__name__)
 
@@ -30,7 +30,7 @@ logger = logging.getLogger(__name__)
 class BackwardOutcome(Enum):
     """Result of processing one backward-bee delivery."""
 
-    FORWARDED = "forwarded"  # the engine sends the bee on through route.entry(index)
+    FORWARDED = "forwarded"  # the engine sends the bee on through OPPOSITE[(path.bits >> 2 * index) & 0b11]
     ACCEPTED = "accepted"  # the circuit is established
     ABORTED = "aborted"  # the engine sends release_for_backward_bee's packet
 
@@ -42,16 +42,14 @@ class BackwardOutcome(Enum):
 _FORWARDED, _ACCEPTED, _ABORTED = BackwardOutcome  # read as globals on the per-hop path
 
 
-def handle_forward_bee(
-    count: int, flow: FlowId, route: PortList, forward_bits: int, convert_cap: int, clock: int
-) -> list:
+def handle_forward_bee(count: int, flow: FlowId, path: PortList, convert_cap: int, clock: int) -> list:
     """Convert a copy of `flow` delivered at its destination at cycle `clock`
-    after `count` of its flow's bees, given its path reversed and complemented
-    (`route`) and the path's own bits: [(port, BackwardBee)] with bee_index
-    `count` and start `clock`, or [] once `count` reaches `convert_cap`."""
+    after `count` of its flow's bees, given the path it took: [(port,
+    BackwardBee)] with bee_index `count` and start `clock`, sent back across
+    the path's last hop, or [] once `count` reaches `convert_cap`."""
     if count >= convert_cap:
         return []
-    return [(route.entry(0), BackwardBee((flow, count), route, clock, forward_bits))]
+    return [(OPPOSITE[path.bits & 0b11], BackwardBee((flow, count), path, clock))]
 
 
 def release_for_backward_bee(bee: BackwardBee, index: int, start: int) -> ControlPacket | None:
@@ -62,7 +60,7 @@ def release_for_backward_bee(bee: BackwardBee, index: int, start: int) -> Contro
     reserved = index - 1
     if reserved <= 0:
         return None
-    route = PortList(bee.forward_bits & ((1 << 2 * reserved) - 1), reserved)
+    route = PortList(bee.path.bits & ((1 << 2 * reserved) - 1), reserved)
     return ControlPacket(ControlKind.RELEASE, bee.owner, route, start)
 
 
@@ -79,7 +77,7 @@ def handle_backward_bee(
     and releases its whole reserved route. A failed reservation aborts the
     bee, which releases its reserved prefix.
     """
-    length = bee.route.length
+    length = bee.path.length
     if not 1 <= index <= length:
         raise ProtocolCorruptionError(
             f"backward bee of {bee.flow}: route index {index} outside 1..{length} (start {bee.start})"

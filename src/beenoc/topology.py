@@ -190,10 +190,12 @@ class Network:
     """
 
     def __init__(self, mesh: Mesh, wire_count: int, wire_bandwidth: float) -> None:
+        if type(wire_count) is not int:  # bool is an int subclass
+            raise ValueError("wire_count must be an integer")
         if wire_count < 1:
             raise ValueError("wire_count must be >= 1")
-        if wire_bandwidth <= 0.0:
-            raise ValueError("wire_bandwidth must be positive")
+        if not 0.0 < wire_bandwidth < math.inf:
+            raise ValueError("wire_bandwidth must be positive and finite")
         self.mesh = mesh
         self.wire_count = wire_count
         self.wire_bandwidth = wire_bandwidth

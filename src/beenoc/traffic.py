@@ -66,6 +66,8 @@ def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator
     before the first draw."""
     if not 0 <= params.rate < math.inf:
         raise ConfigError("traffic rate must be finite and not negative")
+    if not math.isfinite(params.duration):  # the arrival loop would never pass it
+        raise ConfigError("traffic duration must be finite")
     if not params.bandwidth_values:
         raise ConfigError("bandwidth value set must not be empty")
     if not all(0 < v < math.inf for v in params.bandwidth_values):

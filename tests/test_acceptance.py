@@ -70,11 +70,10 @@ def test_criterion_3_state_machine_traces():
 
     def arrival(ports):
         # what the destination hands the router for a copy that came along
-        # `ports`: the flow, the route back (reversed and complemented) and
-        # the path's bits
+        # `ports`: the flow and the path
         path = PortList.from_ports(ports)
         assert walk(path, src, Mesh(3, 3))[-1] == dst
-        return flow, path.reverse_complement(), path.bits
+        return flow, path
 
     # (a) duplicate kill at an intermediate node: only the first copy sent
     # to (1,0), the one from the source arriving on its west port, floods

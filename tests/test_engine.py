@@ -30,6 +30,7 @@ from beenoc import (
 from beenoc import router
 from beenoc.engine import CalendarQueue
 from beenoc.metrics import SUMMARY_HEADER, summary_line
+from beenoc.topology import OPPOSITE
 from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
 
 
@@ -135,7 +136,7 @@ class TestTransit:
     def packet(self):
         flow = FlowId(NodeId(0, 0), 0)
         forward = PortList.from_ports([PortDir.EAST, PortDir.EAST])
-        return BackwardBee((flow, 0), forward.reverse_complement(), 1, forward.bits)
+        return BackwardBee((flow, 0), forward, 1)
 
     def test_delivery_one_hop_later(self):
         sim = Simulator(base_config(t_hop=1), [])
@@ -265,7 +266,7 @@ class TestFloodScheduling:
         path = PortList.from_ports([PortDir.EAST, PortDir.EAST])
         route = PortList.from_ports([PortDir.WEST, PortDir.WEST])
         assert route == path.reverse_complement()
-        assert arrivals == [(0, flow, route, path.bits, sim.config.backward_bee_count, 4)]
+        assert arrivals == [(0, flow, path, sim.config.backward_bee_count, 4)]
         # the tree path must be as long as the hops the clock allows
         sim.clock += 2
         with pytest.raises(InvariantViolationError, match="tree path of 2 hops after 3"):
@@ -504,17 +505,28 @@ class TestTrace:
     def test_each_bee_and_control_packet_is_one_object_on_its_route(self, monkeypatch):
         # A traced contended churn run: every backward bee and control packet
         # is queued as the same object at each hop, and the trace's hop column
-        # is its route index there, as the route's next entry leads on.
+        # is its route index there, as the route's next entry leads on. An
+        # established flow's circuit and teardown reuse its winner's path and
+        # owner key.
         cfg, workload = contended_run(3)
         cfg = dataclasses.replace(cfg, trace=True)
         sent = []  # (arrival cycle, node, packet) of every transit, in order
         transit = Simulator.transit
+        accepted = {}  # flow -> its backward bee accepted at the source
+        handle_backward_bee = router.handle_backward_bee
 
         def recording(sim, origin, port, packet):
             transit(sim, origin, port, packet)
             sent.append((sim.clock + sim.config.t_hop, sim.mesh.neighbor(sim.mesh.node_at(origin), port), packet))
 
+        def accepting(node, bee, *args):
+            outcome = handle_backward_bee(node, bee, *args)
+            if outcome is router.BackwardOutcome.ACCEPTED:
+                accepted[bee.flow] = bee
+            return outcome
+
         monkeypatch.setattr(Simulator, "transit", recording)
+        monkeypatch.setattr(router, "handle_backward_bee", accepting)
         sim = Simulator(cfg, workload)
         report = sim.run()
         assert report.stats.drained
@@ -532,7 +544,13 @@ class TestTrace:
             hops.setdefault(id(pkt), []).append((node, int(hop)))
         assert {kind for kind, _, _ in objects} == {"backward", "release", "teardown"}
         for pkt in objects.values():
-            route, route_hops = pkt.route, hops[id(pkt)]
+            if type(pkt) is BackwardBee:
+                # a bee carries its path; the engine's rule reads its route off it
+                route = pkt.path.reverse_complement()
+                assert [OPPOSITE[(pkt.path.bits >> 2 * i) & 0b11] for i in range(route.length)] == list(route)
+            else:
+                route = pkt.route
+            route_hops = hops[id(pkt)]
             rec = sim.records[pkt.flow]
             first = 0 if type(pkt) is ControlPacket and pkt.kind is ControlKind.RELEASE else 1
             assert [hop for _, hop in route_hops] == list(range(first, first + len(route_hops)))
@@ -545,6 +563,14 @@ class TestTrace:
                 assert route_hops[-1][1] == route.length  # it is delivered at the end of its route
             else:
                 assert route_hops[-1][1] <= route.length
+        established = [rec for rec in sim.records.values() if rec.circuit is not None]
+        assert len(established) > 10 and set(accepted) == {rec.spec.flow for rec in established}
+        for rec in established:
+            bee = accepted[rec.spec.flow]
+            teardown = objects[("teardown", bee.flow, bee.bee_index)]
+            assert rec.circuit is bee.path
+            assert teardown.route is bee.path
+            assert teardown.owner is bee.owner
 
 
 class TestMaxCycles:
@@ -653,7 +679,7 @@ class TestDiagnostics:
         flow = FlowId(NodeId(0, 0), 0)
         # delivered one hop after transit, at route index 5 of a 1-entry route
         t_hop = sim.config.t_hop
-        bad = BackwardBee((flow, 0), PortList.from_ports([PortDir.WEST]), t_hop - 5 * t_hop, 0b10)  # path [E]
+        bad = BackwardBee((flow, 0), PortList.from_ports([PortDir.EAST]), t_hop - 5 * t_hop)  # route [W]
         sim.transit(sim.mesh.handle(NodeId(0, 0)), PortDir.EAST, bad)
         with pytest.raises(
             ProtocolCorruptionError, match=r"event 0: backward bee of 0,0:0: route index 5 outside 1\.\.1 \(start -4\)"

@@ -43,6 +43,7 @@ from beenoc import (
     write_report,
 )
 from beenoc import router
+from beenoc.topology import OPPOSITE
 
 
 configs = st.builds(
@@ -226,7 +227,8 @@ def loaded_simulator(cfg, spec, loads):
 def run_capturing_destination_bees(cfg, spec, loads):
     """The reference flood's destination arrivals over the loaded network,
     as (flow, route back, forward path), what the engine hands
-    `router.handle_forward_bee` in the same form, and the report."""
+    `router.handle_forward_bee` in the same form, the route read off the path
+    by the backward bee's rule, and the report."""
     sim = loaded_simulator(cfg, spec, loads)
     net = sim.network
     bees = reference_arrivals(net, spec, sim.records[spec.flow].hop_limit)
@@ -234,9 +236,10 @@ def run_capturing_destination_bees(cfg, spec, loads):
     captured = []
     convert = router.handle_forward_bee
 
-    def capture(count, flow, route, forward_bits, *args):
-        captured.append((flow, route, PortList(forward_bits, route.length)))
-        return convert(count, flow, route, forward_bits, *args)
+    def capture(count, flow, path, *args):
+        route = PortList.from_ports(OPPOSITE[(path.bits >> 2 * i) & 0b11] for i in range(path.length))
+        captured.append((flow, route, path))
+        return convert(count, flow, path, *args)
 
     with mock.patch.object(router, "handle_forward_bee", capture):
         report = sim.run()

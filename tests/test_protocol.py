@@ -136,7 +136,7 @@ class TestForwardBeeAdvanced:
         "packet,field",
         [
             (seed_bee(), "ports"),
-            (BackwardBee((FlowId(NodeId(0, 0), 0), 1), PortList(), 1, 0), "start"),
+            (BackwardBee((FlowId(NodeId(0, 0), 0), 1), PortList(), 1), "start"),
             (ControlPacket(ControlKind.RELEASE, (FlowId(NodeId(0, 0), 0), 1), PortList(), 0), "start"),
         ],
         ids=["forward", "backward", "control"],

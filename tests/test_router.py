@@ -20,6 +20,7 @@ from beenoc import (
     release_for_backward_bee,
     walk,
 )
+from beenoc.topology import OPPOSITE
 
 from flood_step import flood, flood_sim, tree_of
 
@@ -39,7 +40,15 @@ def at(mesh, x, y):
 def backward_bee(flow, bee_index, forward, start=0):
     """The backward bee of `flow` retracing the forward path `forward`, a
     PortList, as its destination converts it."""
-    return BackwardBee((flow, bee_index), forward.reverse_complement(), start, forward.bits)
+    return BackwardBee((flow, bee_index), forward, start)
+
+
+def leaving_port(bee, index):
+    """The port a backward bee leaves through at route index `index`, by the
+    engine's rule, checked against its route: the path reverse-complemented."""
+    port = OPPOSITE[(bee.path.bits >> 2 * index) & 0b11]
+    assert port is bee.path.reverse_complement().entry(index)
+    return port
 
 
 def deliver_backward_until_done(mesh, net, dest, bee, wires, won=False):
@@ -49,7 +58,7 @@ def deliver_backward_until_done(mesh, net, dest, bee, wires, won=False):
     the final delivery's (node, arrival port, route index, outcome)."""
     node, index, outcome = dest, 0, BackwardOutcome.FORWARDED
     while outcome is BackwardOutcome.FORWARDED:
-        port = bee.route.entry(index)
+        port = leaving_port(bee, index)
         node, arrival, index = mesh.neighbor(node, port), port.opposite(), index + 1
         outcome = handle_backward_bee(mesh.handle(node), bee, index, arrival, net, wires, won)
     return node, arrival, index, outcome
@@ -70,7 +79,7 @@ def release_aborted(mesh, net, node, arrival, bee, index):
     """Send and deliver the release of a bee aborted at `node`, at route
     index `index`; returns it."""
     release = release_for_backward_bee(bee, index, 0)
-    assert release.route == bee.route.prefix(index - 1).reverse_complement()
+    assert release.route == bee.path.reverse_complement().prefix(index - 1).reverse_complement()
     deliver_control_chain(mesh, net, node, arrival, release, 0)
     return release
 
@@ -143,18 +152,18 @@ class TestForwardBee:
         for count, path in enumerate(paths):
             forward = PortList.from_ports(path)
             assert walk(forward, NodeId(0, 0), Mesh(3, 3))[-1] == dest
-            # the destination hands over the route already reversed, plus the path's bits
+            # the destination hands over the path; the bee's route is its reverse complement
             route = forward.reverse_complement()
-            emissions = handle_forward_bee(count, flow, route, forward.bits, 3, 17)
+            emissions = handle_forward_bee(count, flow, forward, 3, 17)
             if count < 3:
                 assert len(emissions) == 1
                 port, back = emissions[0]
                 assert isinstance(back, BackwardBee)
                 assert back.owner == (flow, count) and (back.flow, back.bee_index) == (flow, count)
-                assert back.route == route and back.forward_bits == forward.bits
-                assert port is back.route.entry(0)
+                assert back.path is forward
+                assert port is route.entry(0) is leaving_port(back, 0)
                 assert back.start == 17  # at route index 0 at the cycle of its conversion
-                # the release of every reserved prefix retraces it, from the path's bits
+                # the release of every reserved prefix retraces it, from the path
                 for index in range(2, len(path) + 1):
                     release = release_for_backward_bee(back, index, 0)
                     assert release.route == route.prefix(index - 1).reverse_complement()
@@ -170,8 +179,8 @@ class TestForwardBee:
         first = PortList.from_ports([E, E, N, N])
         second = PortList.from_ports([N, N, E, E])
         assert walk(first, NodeId(0, 0), Mesh(3, 3))[-1] == walk(second, NodeId(0, 0), Mesh(3, 3))[-1] == dest
-        assert len(handle_forward_bee(0, flow, first.reverse_complement(), first.bits, convert_cap=1, clock=0)) == 1
-        assert handle_forward_bee(1, flow, second.reverse_complement(), second.bits, convert_cap=1, clock=0) == []
+        assert len(handle_forward_bee(0, flow, first, convert_cap=1, clock=0)) == 1
+        assert handle_forward_bee(1, flow, second, convert_cap=1, clock=0) == []
 
     def test_forward_bees_never_touch_links(self):
         # flood a whole flow over the mesh: discovery must leave every
@@ -264,7 +273,7 @@ class TestBackwardBee:
         bee = backward_bee(flow, 0, forward)
         # at the first hop the bee reserves and is sent on through route entry 1
         assert handle_backward_bee(at(mesh, 1, 0), bee, 1, N, net, 1, False) is BackwardOutcome.FORWARDED
-        assert bee.route.entry(1) is W
+        assert leaving_port(bee, 1) is W
         assert handle_backward_bee(at(mesh, 0, 0), bee, 2, E, net, 1, False) is BackwardOutcome.ACCEPTED
         # exactly the links a source->destination walk would use
         assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 1}

@@ -127,6 +127,24 @@ class TestResidualBandwidth:
 
 
 class TestNetworkReservations:
+    @pytest.mark.parametrize(
+        "wire_count,wire_bandwidth,message",
+        [
+            (0, 1.0, "wire_count must be >= 1"),
+            (2.5, 1.0, "wire_count must be an integer"),
+            (True, 1.0, "wire_count must be an integer"),
+            (4, 0.0, "wire_bandwidth must be positive"),
+            (4, -1.0, "wire_bandwidth must be positive"),
+            (4, float("inf"), "wire_bandwidth must be positive and finite"),
+            (4, float("nan"), "wire_bandwidth must be positive and finite"),
+        ],
+        ids=["zero-wires", "fractional-wires", "bool-wires", "zero-bandwidth", "negative-bandwidth",
+             "infinite-bandwidth", "nan-bandwidth"],
+    )
+    def test_unholdable_wire_parameters_rejected(self, wire_count, wire_bandwidth, message):
+        with pytest.raises(ValueError, match=message):
+            Network(Mesh(3, 3), wire_count, wire_bandwidth)
+
     def test_reserve_monotone(self):
         net = Network(Mesh(3, 3), 8, 1.0)
         node, port = at(net, 1, 1), PortDir.EAST

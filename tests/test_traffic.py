@@ -56,10 +56,12 @@ class TestGenerateTraffic:
             ({"bandwidth_values": (0.0,)}, "bandwidth values"),
             ({"bandwidth_values": (float("inf"),)}, "bandwidth values"),
             ({"bandwidth_values": (2.0, float("nan")), "bandwidth_weights": (0.5, 0.5)}, "bandwidth values"),
+            ({"duration": float("nan")}, "traffic duration"),
+            ({"duration": float("inf")}, "traffic duration"),
         ],
         ids=["unknown-hold", "geometric-mean-below-1", "zero-mean", "infinite-mean", "fraction-above-1",
              "negative-fraction", "hotspot-off-mesh-all", "hotspot-off-mesh-half", "negative-bandwidth",
-             "zero-bandwidth", "infinite-bandwidth", "nan-bandwidth"],
+             "zero-bandwidth", "infinite-bandwidth", "nan-bandwidth", "nan-duration", "infinite-duration"],
     )
     def test_bad_params_rejected_before_any_draw(self, overrides, message):
         rng = make_rng(1)
