@@ -6,13 +6,14 @@ is. Reversing the entries and complementing both bits of each one yields the
 route that retraces the path from the far end.
 """
 
-from beenoc import Mesh, NodeId, PortDir, PortList, walk
+from beenoc import Mesh, NodeId, PortDir, PortList, encode_port, walk
 
 mesh = Mesh(8, 8)
 
 print("port codes:")
 for port in (PortDir.SOUTH, PortDir.WEST, PortDir.EAST, PortDir.NORTH):
-    print(f"  {port.name:<5} -> {port.code:02b}   (complement {port.code ^ 0b11:02b} = {port.opposite().name})")
+    code = encode_port(port)
+    print(f"  {port.name:<5} -> {code:02b}   (complement {code ^ 0b11:02b} = {port.opposite().name})")
 
 # record a staircase-free path: seven hops east, then seven south
 route = PortList()

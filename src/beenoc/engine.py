@@ -79,6 +79,9 @@ class FlowSpec(_FlowSpecFields):
             raise DegenerateFlowError(f"flow {flow}: source equals destination")
         if not 0 < required_bandwidth < math.inf:
             raise ValueError(f"flow {flow}: required_bandwidth must be positive and finite")
+        for name, (x, y) in (("source", flow.source), ("destination", destination)):
+            if type(x) is not int or type(y) is not int:  # bool is an int subclass
+                raise ValueError(f"flow {flow}: {name} coordinates must be integers")
         if type(arrival_time) is not int:  # bool is an int subclass
             raise ValueError(f"flow {flow}: arrival_time must be an integer")
         if arrival_time < 0:
@@ -143,16 +146,16 @@ class CalendarQueue:
     simulator queues (handler, node, payload, arrival_port) tuples; a flow's
     arrival, completion and setup timeout carry its `FlowRecord` and no port,
     and a wave is (wave step, FlowRecord, [(node, arrival_port), ...], None).
-    `hot_time` and `hot_bucket` cache the last bucket handed out, for callers
-    that append to one cycle many times; pop_cycle clears them.
+    bucket() caches the last bucket it handed out, so a run of appends to one
+    cycle skips the dict; pop_cycle clears the cache.
     """
 
-    __slots__ = ("_buckets", "_cycles", "hot_time", "hot_bucket")
+    __slots__ = ("_buckets", "_cycles", "_hot_time", "_hot_bucket")
 
     def __init__(self) -> None:
         self._buckets: dict[int, list] = {}
         self._cycles: list[int] = []
-        self.hot_time = self.hot_bucket = None
+        self._hot_time = self._hot_bucket = None
 
     def __bool__(self) -> bool:
         return bool(self._cycles)
@@ -164,13 +167,13 @@ class CalendarQueue:
         """The list of events pending at `time`; appending to it pushes. A new
         cycle is scheduled at once, so ask only when an event will be appended:
         an empty bucket would still move the clock when it comes out."""
-        if time == self.hot_time:
-            return self.hot_bucket
+        if time == self._hot_time:
+            return self._hot_bucket
         bucket = self._buckets.get(time)
         if bucket is None:
             bucket = self._buckets[time] = []
             heapq.heappush(self._cycles, time)
-        self.hot_time, self.hot_bucket = time, bucket
+        self._hot_time, self._hot_bucket = time, bucket
         return bucket
 
     def next_time(self) -> int:
@@ -184,7 +187,7 @@ class CalendarQueue:
         out next.
         """
         time = heapq.heappop(self._cycles)
-        self.hot_time = self.hot_bucket = None
+        self._hot_time = self._hot_bucket = None
         return time, self._buckets.pop(time)
 
 
@@ -219,21 +222,20 @@ class Simulator:
         self._backward_deliveries = 0
         self._control_deliveries = 0
         self._util_acc = [0, 0, 0, 0]
-        self._util_peak = [0.0, 0.0, 0.0, 0.0]
-        # Admission memos, since a run offers few distinct hop limits and
-        # bandwidths: the setup timeout by hop_limit, and the wires.
-        self._timeouts: dict[int, int] = {}
+        self._peak_held = [0, 0, 0, 0]  # most wires held at once per direction
+        # Memos, since a run offers few distinct bandwidths and hop limits:
+        # the wires a demand takes, and the setup timeout by hop_limit.
         self._wires_for = functools.cache(self.network.wires_for)
+        self._timeout_for = functools.cache(lambda limit: math.ceil(config.setup_timeout_factor * limit * config.t_hop))
         self._admit(workload)
 
     # -- construction -----------------------------------------------------
 
     def _admit(self, workload: Sequence[FlowSpec]) -> None:
         """Record and queue the arrival of every flow, in workload order. The
-        handles and hop limit are arithmetic on the coordinates, and an arrival
-        in the cycle of the queue's hot bucket is appended to it directly."""
+        handles and hop limit are arithmetic on the coordinates."""
         width, height, metric, t_hop = self.mesh.width, self.mesh.height, self.config.hop_limit_metric, self._t_hop
-        records, timeouts, wires_for, queue = self.records, self._timeouts, self._wires_for, self.queue
+        records, wires_for, bucket = self.records, self._wires_for, self.queue.bucket
         for spec in workload:
             flow, destination, bandwidth, arrival, _ = spec
             (sx, sy), (tx, ty) = flow[0], destination
@@ -243,14 +245,11 @@ class Simulator:
                 except InvalidPathError as exc:
                     raise ConfigError(f"flow {flow}: {exc}") from None
             hop_limit = hop_budget(abs(tx - sx), abs(ty - sy), metric)
-            if hop_limit not in timeouts:
-                timeouts[hop_limit] = math.ceil(self.config.setup_timeout_factor * hop_limit * t_hop)
             src = sy * width + sx
             rec = FlowRecord(spec, hop_limit, wires_for(bandwidth), src, ty * width + tx, arrival + hop_limit * t_hop)
             if records.setdefault(flow, rec) is not rec:  # hashes the flow id once
                 raise ConfigError(f"duplicate flow id {flow}")
-            bucket = queue.hot_bucket if arrival == queue.hot_time else queue.bucket(arrival)
-            bucket.append((_ARRIVAL, src, rec, None))
+            bucket(arrival).append((_ARRIVAL, src, rec, None))
 
     # -- scheduling -------------------------------------------------------
 
@@ -263,9 +262,9 @@ class Simulator:
             raise InvariantViolationError(
                 f"transit from {self.mesh.node_at(origin)} through {port.name} leaves the mesh"
             )
-        queue, time = self.queue, self.clock + self._t_hop
-        bucket = queue.hot_bucket if time == queue.hot_time else queue.bucket(time)
-        bucket.append((_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port]))
+        self.queue.bucket(self.clock + self._t_hop).append(
+            (_DELIVERY_HANDLERS[type(packet)], destination, packet, OPPOSITE[port])
+        )
 
     # -- main loop --------------------------------------------------------
 
@@ -278,9 +277,7 @@ class Simulator:
         if queue and queue.next_time() <= max_cycles:
             # The background load placed before run(); after this only
             # backward bees reserve, and _on_backward raises the peaks.
-            for port in NON_LOCAL_PORTS:
-                if wires := self.network.wires_by_class[port]:
-                    self._util_peak[port] = self.network.held_by_class[port] / wires
+            self._peak_held = list(self.network.held_by_class)
         while queue:
             if queue.next_time() > max_cycles:
                 truncated = True
@@ -328,7 +325,7 @@ class Simulator:
     # -- event handlers ---------------------------------------------------
 
     def _on_flow_arrival(self, source: int, rec: FlowRecord, _port: None) -> None:
-        self.queue.push(self.clock + self._timeouts[rec.hop_limit], (Simulator._on_setup_timeout, source, rec, None))
+        self.queue.push(self.clock + self._timeout_for(rec.hop_limit), (Simulator._on_setup_timeout, source, rec, None))
         rec.tree = [None] * self.mesh.node_count
         rec.tree[source] = _LOCAL
         self._on_wave(rec, [(source, _LOCAL)], None)
@@ -433,9 +430,9 @@ class Simulator:
             return
         net.drain_dirty()
         # Only a reservation raises a direction's peak; this one was on the arrival port's link.
-        util = net.held_by_class[arrival_port] / net.wires_by_class[arrival_port]
-        if util > self._util_peak[arrival_port]:
-            self._util_peak[arrival_port] = util
+        held = net.held_by_class[arrival_port]
+        if held > self._peak_held[arrival_port]:
+            self._peak_held[arrival_port] = held
         if outcome is _FORWARDED:  # handle_backward_bee checked index < length
             self.transit(node, OPPOSITE[(bee.path.bits >> 2 * index) & 0b11], bee)
             return
@@ -452,8 +449,6 @@ class Simulator:
             self.transit(node, port, pkt)
 
     def _on_flow_complete(self, source: int, rec: FlowRecord, _port: None) -> None:
-        if rec.phase is not FlowPhase.ESTABLISHED:
-            raise InvariantViolationError(f"flow {rec.spec.flow} completed while {rec.phase.value}")
         self._set_phase(rec, FlowPhase.TORN_DOWN)
         teardown = ControlPacket(ControlKind.TEARDOWN, rec.winner, rec.circuit, self.clock)
         # The source frees its own hop, at route index 0; the packet then walks and frees the circuit.
@@ -514,10 +509,11 @@ class Simulator:
             drained=drained,
             final_cycle=self.clock,
         )
-        util_peak = dict(zip(NON_LOCAL_PORTS, self._util_peak))
-        util_mean = {}
+        util_peak, util_mean = {}, {}
         for port in NON_LOCAL_PORTS:
-            denom = self.network.wires_by_class[port] * self.clock
+            wires = self.network.wires_by_class[port]
+            util_peak[port] = (self._peak_held[port] / wires) if wires else 0.0
+            denom = wires * self.clock
             util_mean[port] = (self._util_acc[port] / denom) if denom else 0.0
         trace = tuple(self._trace) if self._trace is not None else None
         return metrics.build_report(self.config, tuple(rows), stats, util_peak, util_mean, trace)

@@ -15,16 +15,6 @@ from typing import NamedTuple
 from .config import RunConfig
 from .topology import NON_LOCAL_PORTS, PortDir
 
-FLOWS_HEADER = "flow_seq,src_x,src_y,dst_x,dst_y,bandwidth,phase,setup_latency,path_length,manhattan"
-
-SUMMARY_HEADER = (
-    "offered,established,failed,torn_down,success_ratio,"
-    "mean_setup_latency,p95_setup_latency,mean_path_stretch,"
-    "control_packets_per_flow,forward_deliveries,backward_deliveries,control_deliveries,"
-    "util_peak_south,util_mean_south,util_peak_west,util_mean_west,"
-    "util_peak_east,util_mean_east,util_peak_north,util_mean_north"
-)
-
 
 class FlowRow(NamedTuple):
     """One flows.csv row. Latency and path length are None unless the flow's
@@ -80,6 +70,11 @@ class Summary:
     util_mean_east: float
     util_peak_north: float
     util_mean_north: float
+
+
+# The headers are the field names, so each lines up with its values by construction.
+FLOWS_HEADER = ",".join(FlowRow._fields[:-1])  # all but ever_established
+SUMMARY_HEADER = ",".join(f.name for f in fields(Summary))
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,13 @@ def enumerate_feasible(
     state.
 
     Tractability guard: accepts meshes up to 5x5, or any mesh when the bound
-    is at most 12; anything larger is refused.
+    is at most 12; anything larger is refused. A bound that is not a
+    non-negative int raises ValueError.
     """
     if src == dst:
         raise DegenerateFlowError("feasibility enumeration needs distinct endpoints")
+    if type(bound) is not int or bound < 0:  # bool is an int subclass
+        raise ValueError(f"hop bound must be a non-negative integer, got {bound!r}")
     mesh = net.mesh
     small_mesh = mesh.width <= 5 and mesh.height <= 5
     if not small_mesh and bound > 12:

@@ -22,7 +22,9 @@ from .topology import NON_LOCAL_PORTS, Mesh, NodeId, PortDir
 
 def encode_port(port: PortDir) -> int:
     """2-bit wire code of a non-local port (south 00, west 01, east 10, north 11)."""
-    return port.code
+    if port > 0b11:
+        raise InvalidPortError("the local port has no wire code")
+    return int(port)
 
 
 def decode_port(code: int) -> PortDir:

@@ -36,27 +36,18 @@ class PortDir(IntEnum):
     __str__ = Enum.__str__
     __format__ = Enum.__format__
 
-    @property
-    def code(self) -> int:
-        if self._value_ > 0b11:
-            raise InvalidPortError("the local port has no wire code")
-        return self._value_
-
     def opposite(self) -> "PortDir":
         if self is PortDir.LOCAL:
             raise InvalidPortError("the local port has no opposite")
         return OPPOSITE[self]
-
-    def delta(self) -> tuple[int, int]:
-        return _DELTAS[self]
 
 
 # Canonical iteration order for broadcasts and enumeration: by wire code.
 NON_LOCAL_PORTS = (PortDir.SOUTH, PortDir.WEST, PortDir.EAST, PortDir.NORTH)
 # OPPOSITE[port] is port.opposite() for every non-local port.
 OPPOSITE = tuple(PortDir(code ^ 0b11) for code in range(4))
-# Indexed by port value. Axis convention: east increases x, north increases y.
-_DELTAS = ((0, -1), (-1, 0), (1, 0), (0, 1), (0, 0))
+# (dx, dy) by port code. Axis convention: east increases x, north increases y.
+_DELTAS = ((0, -1), (-1, 0), (1, 0), (0, 1))
 
 
 class NodeId(NamedTuple):
@@ -68,10 +59,6 @@ class NodeId(NamedTuple):
 
     x: int
     y: int
-
-    def step(self, port: PortDir) -> "NodeId":
-        dx, dy = port.delta()
-        return NodeId(self.x + dx, self.y + dy)
 
     def __str__(self) -> str:
         return f"{self.x},{self.y}"
@@ -85,6 +72,8 @@ class Mesh:
     height: int
 
     def __post_init__(self) -> None:
+        if type(self.width) is not int or type(self.height) is not int:  # bool is an int subclass
+            raise ValueError("mesh dimensions must be integers")
         if self.width < 1 or self.height < 1:
             raise ValueError("mesh dimensions must be positive")
 
@@ -117,7 +106,8 @@ class Mesh:
         if port is PortDir.LOCAL:
             raise InvalidPortError("neighbor lookup needs a non-local port")
         self.handle(node)  # raises for a node outside the mesh
-        nxt = node.step(port)
+        dx, dy = _DELTAS[port]
+        nxt = NodeId(node.x + dx, node.y + dy)
         return nxt if self.contains(nxt) else None
 
     def manhattan(self, a: NodeId, b: NodeId) -> int:
@@ -242,8 +232,8 @@ class Network:
         A tiny slack absorbs binary-float artifacts in the quotient so that
         e.g. 0.3 / 0.15 still needs exactly 2 wires.
         """
-        if bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 < bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
         return max(1, math.ceil(bandwidth / self.wire_bandwidth - 1e-9))
 
     def fitting_links(self, node: int, wires: int) -> list[tuple[PortDir, int]]:

@@ -76,8 +76,12 @@ class TestFlowSpec:
             (dict(hold=10.0), "hold_time must be an integer"),
             (dict(arrival=True), "arrival_time must be an integer"),
             (dict(hold=True), "hold_time must be an integer"),
+            (dict(src=(True, 0)), "source coordinates must be integers"),
+            (dict(src=(1.0, 0)), "source coordinates must be integers"),
+            (dict(dst=(3, 3.0)), "destination coordinates must be integers"),
+            (dict(dst=(3, False)), "destination coordinates must be integers"),
         ],
-        ids=[f"kw{i}" for i in range(8)],
+        ids=[f"kw{i}" for i in range(12)],
     )
     def test_bad_fields(self, kw, message):
         with pytest.raises(ValueError, match=message):

@@ -162,6 +162,16 @@ def tiny_run(tmp_path, seed=7, **overrides):
 
 
 class TestWriteReport:
+    def test_headers_are_the_frozen_literals(self):
+        # The README's File formats section; the headers are derived from FlowRow's and Summary's fields.
+        assert FLOWS_HEADER == "flow_seq,src_x,src_y,dst_x,dst_y,bandwidth,phase,setup_latency,path_length,manhattan"
+        assert SUMMARY_HEADER == (
+            "offered,established,failed,torn_down,success_ratio,mean_setup_latency,p95_setup_latency,"
+            "mean_path_stretch,control_packets_per_flow,forward_deliveries,backward_deliveries,"
+            "control_deliveries,util_peak_south,util_mean_south,util_peak_west,util_mean_west,"
+            "util_peak_east,util_mean_east,util_peak_north,util_mean_north"
+        )
+
     def test_empty_run_headers_only(self, tmp_path):
         report = Simulator(RunConfig(mesh_width=4, mesh_height=4, seed=1), []).run()
         write_report(report, tmp_path)

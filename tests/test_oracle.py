@@ -13,6 +13,7 @@ from beenoc import (
     PortDir,
     PortList,
     RunConfig,
+    encode_port,
     enumerate_feasible,
     single_flow_scenario,
     soundness_violation,
@@ -63,6 +64,18 @@ class TestEnumerateFeasible:
         small = Mesh(5, 5)
         enumerate_feasible(idle_network(small), NodeId(0, 0), NodeId(4, 4), 1.0, 14)
 
+    @pytest.mark.parametrize("bound", [-1, 2.5, 4.0, True, None])
+    def test_bad_bound_refused(self, bound):
+        with pytest.raises(ValueError, match="hop bound must be a non-negative integer"):
+            enumerate_feasible(idle_network(Mesh(3, 3)), NodeId(0, 0), NodeId(2, 2), 1.0, bound)
+
+    def test_zero_bound_finds_nothing(self):
+        assert len(enumerate_feasible(idle_network(Mesh(3, 3)), NodeId(0, 0), NodeId(2, 2), 1.0, 0)) == 0
+
+    def test_non_finite_bandwidth_refused(self):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            enumerate_feasible(idle_network(Mesh(3, 3)), NodeId(0, 0), NodeId(2, 2), float("inf"), 4)
+
     def test_paths_respect_bound_and_walk(self):
         mesh = Mesh(3, 3)
         src, dst = NodeId(0, 0), NodeId(2, 1)
@@ -80,7 +93,7 @@ class TestEnumerateFeasible:
         first = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(2, 2), 1.0, 6)
         second = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(2, 2), 1.0, 6)
         assert first.paths == second.paths
-        codes = [tuple(p.entry(i).code for i in range(p.length)) for p in first.paths]
+        codes = [tuple(encode_port(p.entry(i)) for i in range(p.length)) for p in first.paths]
         assert codes == sorted(codes)
 
 

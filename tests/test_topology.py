@@ -20,6 +20,13 @@ def at(net, x, y):
     return net.mesh.handle(NodeId(x, y))
 
 
+@pytest.mark.parametrize("width,height", [(2.5, 3), (3.0, 3), (3, 3.0), (True, 3), (3, True)])
+def test_mesh_refuses_non_integer_dimensions(width, height):
+    # (3.0, 3) would also hash like (3, 3) in the per-shape table caches.
+    with pytest.raises(ValueError, match="mesh dimensions must be integers"):
+        Mesh(width, height)
+
+
 class TestNeighbor:
     def test_east_from_origin(self):
         mesh = Mesh(4, 4)
@@ -226,6 +233,11 @@ class TestNetworkReservations:
         # binary-float quotient artifacts must not add a phantom wire
         net_q = Network(Mesh(2, 2), 8, 0.15)
         assert net_q.wires_for(0.3) == 2
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("inf"), float("nan")])
+    def test_wires_for_refuses_unholdable_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            Network(Mesh(2, 2), 8, 1.0).wires_for(bandwidth)
 
 
 class TestLinkAddressing:
