@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from typing import NoReturn
 
 from .errors import ConfigError
+from .topology import Mesh
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,14 @@ _TRAFFIC_KEYS = {
 }
 
 
-def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
-    """Range- and cross-checks; raises ConfigError naming the offending key."""
+def fail(key: str, why: str) -> NoReturn:
+    """Raise the ConfigError of a bad value, naming its key."""
+    raise ConfigError(f"key '{key}': {why}")
 
-    def fail(key: str, why: str) -> None:
-        raise ConfigError(f"key '{key}': {why}")
+
+def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
+    """Range- and cross-checks; raises ConfigError naming the offending key.
+    The traffic keys' own rules are `traffic.check_traffic`'s."""
 
     for key in _FLOAT_KEYS:
         value = getattr(cfg, key)
@@ -128,29 +133,9 @@ def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
         fail("traffic_rate", "must be positive (see workload_file for explicit workloads)")
     if cfg.traffic_duration < 1:
         fail("traffic_duration", "must be >= 1 cycle")
-    if cfg.traffic_pattern not in ("uniform", "hotspot", "transpose"):
-        fail("traffic_pattern", "must be 'uniform', 'hotspot', or 'transpose'")
-    hx, hy = cfg.hotspot_node
-    if not (0 <= hx < cfg.mesh_width and 0 <= hy < cfg.mesh_height):
-        fail("hotspot_node", "must lie inside the mesh")
-    if not 0.0 <= cfg.hotspot_fraction <= 1.0:
-        fail("hotspot_fraction", "must be in [0, 1]")
-    if cfg.traffic_pattern == "transpose" and cfg.mesh_width != cfg.mesh_height:
-        fail("traffic_pattern", "transpose needs a square mesh")
-    if not cfg.bandwidth_values:
-        fail("bandwidth_values", "must not be empty")
-    if any(v <= 0 for v in cfg.bandwidth_values):
-        fail("bandwidth_values", "all values must be positive")
-    if len(cfg.bandwidth_weights) != len(cfg.bandwidth_values):
-        fail("bandwidth_weights", "must match bandwidth_values in length")
-    if any(w < 0 for w in cfg.bandwidth_weights):
-        fail("bandwidth_weights", "weights must be non-negative")
-    if sum(cfg.bandwidth_weights) <= 0:
-        fail("bandwidth_weights", "weights must not all be zero")
-    if cfg.hold_time_dist not in ("fixed", "geometric"):
-        fail("hold_time_dist", "must be 'fixed' or 'geometric'")
-    if cfg.hold_time_mean < 1:
-        fail("hold_time_mean", "must be >= 1 cycle")
+    from .traffic import check_traffic, traffic_params_from_config  # traffic imports this module
+
+    check_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), traffic_params_from_config(cfg))
     if explicit is not None and cfg.workload_file is not None:
         clash = sorted(_TRAFFIC_KEYS & explicit)
         if clash:

@@ -82,6 +82,8 @@ class FlowSpec(_FlowSpecFields):
         for name, (x, y) in (("source", flow.source), ("destination", destination)):
             if type(x) is not int or type(y) is not int:  # bool is an int subclass
                 raise ValueError(f"flow {flow}: {name} coordinates must be integers")
+        if type(flow.sequence) is not int:
+            raise ValueError(f"flow {flow}: sequence must be an integer")
         if type(arrival_time) is not int:  # bool is an int subclass
             raise ValueError(f"flow {flow}: arrival_time must be an integer")
         if arrival_time < 0:

@@ -14,9 +14,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, fail
 from .engine import FlowSpec
-from .errors import ConfigError
 from .protocol import FlowId
 from .topology import Mesh, NodeId
 
@@ -60,37 +59,45 @@ def traffic_params_from_config(cfg: RunConfig) -> TrafficParams:
     )
 
 
+def check_traffic(mesh: Mesh, params: TrafficParams) -> None:
+    """Every rule on the traffic parameters, raising ConfigError that names
+    the config key; `validate_config` and `generate_traffic` both run it."""
+    if not 0 <= params.rate < math.inf:
+        fail("traffic_rate", "traffic rate must be finite and not negative")
+    if not math.isfinite(params.duration):  # the arrival loop would never pass it
+        fail("traffic_duration", "traffic duration must be finite")
+    if params.pattern not in ("uniform", "hotspot", "transpose"):
+        fail("traffic_pattern", f"unknown traffic pattern {params.pattern!r}")
+    if params.pattern == "transpose" and mesh.width != mesh.height:
+        fail("traffic_pattern", "transpose traffic needs a square mesh")
+    if not mesh.contains(params.hotspot):
+        fail("hotspot_node", f"hotspot {params.hotspot} is outside the mesh")
+    if not 0.0 <= params.hotspot_fraction <= 1.0:
+        fail("hotspot_fraction", "hotspot fraction must be in [0, 1]")
+    values, weights = params.bandwidth_values, params.bandwidth_weights
+    if not values:
+        fail("bandwidth_values", "bandwidth value set must not be empty")
+    if not all(0 < v < math.inf for v in values):
+        fail("bandwidth_values", "bandwidth values must be positive and finite")
+    if len(weights) != len(values):
+        fail("bandwidth_weights", "bandwidth weights and values must have the same length")
+    if not all(0 <= w < math.inf for w in weights):
+        fail("bandwidth_weights", "bandwidth weights must be finite and not negative")
+    if not any(weights):
+        fail("bandwidth_weights", "bandwidth weights must not all be zero")
+    if params.hold_dist not in ("fixed", "geometric"):
+        fail("hold_time_dist", f"unknown hold-time distribution {params.hold_dist!r}")
+    if not 1 <= params.hold_mean < math.inf:
+        fail("hold_time_mean", "mean hold time must be finite and at least 1 cycle")
+
+
 def generate_traffic(mesh: Mesh, params: TrafficParams, rng: np.random.Generator) -> list[FlowSpec]:
     """Deterministic flow list sorted by arrival time. A rate of zero yields
-    an empty list; parameters no flow can be drawn from raise ConfigError
-    before the first draw."""
-    if not 0 <= params.rate < math.inf:
-        raise ConfigError("traffic rate must be finite and not negative")
-    if not math.isfinite(params.duration):  # the arrival loop would never pass it
-        raise ConfigError("traffic duration must be finite")
-    if not params.bandwidth_values:
-        raise ConfigError("bandwidth value set must not be empty")
-    if not all(0 < v < math.inf for v in params.bandwidth_values):
-        raise ConfigError("bandwidth values must be positive and finite")
-    if params.pattern not in ("uniform", "hotspot", "transpose"):
-        raise ConfigError(f"unknown traffic pattern {params.pattern!r}")
-    if params.pattern == "transpose" and mesh.width != mesh.height:
-        raise ConfigError("transpose traffic needs a square mesh")
-    if len(params.bandwidth_weights) != len(params.bandwidth_values):
-        raise ConfigError("bandwidth weights and values must have the same length")
-    if not 0.0 <= params.hotspot_fraction <= 1.0:
-        raise ConfigError("hotspot fraction must be in [0, 1]")
-    if params.pattern == "hotspot" and not mesh.contains(params.hotspot):
-        raise ConfigError(f"hotspot {params.hotspot} is outside the mesh")
-    if params.hold_dist not in ("fixed", "geometric"):
-        raise ConfigError(f"unknown hold-time distribution {params.hold_dist!r}")
-    if not 1 <= params.hold_mean < math.inf:
-        raise ConfigError("mean hold time must be finite and at least 1 cycle")
+    an empty list; `check_traffic` refuses bad parameters before any draw."""
+    check_traffic(mesh, params)
     if params.rate == 0:
         return []
     weights = np.asarray(params.bandwidth_weights, dtype=float)
-    if not (np.all(np.isfinite(weights) & (weights >= 0)) and weights.sum() > 0):
-        raise ConfigError("bandwidth weights must be finite, not negative and not all zero")
     # What Generator.choice(n, p=weights) searches; bisect_right is its draw.
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]

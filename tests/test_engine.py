@@ -80,8 +80,11 @@ class TestFlowSpec:
             (dict(src=(1.0, 0)), "source coordinates must be integers"),
             (dict(dst=(3, 3.0)), "destination coordinates must be integers"),
             (dict(dst=(3, False)), "destination coordinates must be integers"),
+            (dict(seq=1.5), "sequence must be an integer"),
+            (dict(seq=True), "sequence must be an integer"),
+            (dict(seq="a"), "sequence must be an integer"),
         ],
-        ids=[f"kw{i}" for i in range(12)],
+        ids=[f"kw{i}" for i in range(15)],
     )
     def test_bad_fields(self, kw, message):
         with pytest.raises(ValueError, match=message):

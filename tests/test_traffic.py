@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beenoc import ConfigError, FlowId, FlowSpec, Mesh, NodeId
-from beenoc.traffic import TrafficParams, generate_traffic, make_rng
+from beenoc import ConfigError, FlowId, FlowSpec, Mesh, NodeId, RunConfig, validate_config
+from beenoc.traffic import TrafficParams, generate_traffic, make_rng, traffic_params_from_config
 
 
 def params(**overrides):
@@ -58,10 +58,13 @@ class TestGenerateTraffic:
             ({"bandwidth_values": (2.0, float("nan")), "bandwidth_weights": (0.5, 0.5)}, "bandwidth values"),
             ({"duration": float("nan")}, "traffic duration"),
             ({"duration": float("inf")}, "traffic duration"),
+            ({"rate": 0.0, "bandwidth_weights": (-1.0,)}, "bandwidth weights"),
+            ({"hotspot": NodeId(9, 9)}, "outside the mesh"),
         ],
         ids=["unknown-hold", "geometric-mean-below-1", "zero-mean", "infinite-mean", "fraction-above-1",
              "negative-fraction", "hotspot-off-mesh-all", "hotspot-off-mesh-half", "negative-bandwidth",
-             "zero-bandwidth", "infinite-bandwidth", "nan-bandwidth", "nan-duration", "infinite-duration"],
+             "zero-bandwidth", "infinite-bandwidth", "nan-bandwidth", "nan-duration", "infinite-duration",
+             "negative-weight-at-rate-zero", "hotspot-off-mesh-uniform"],
     )
     def test_bad_params_rejected_before_any_draw(self, overrides, message):
         rng = make_rng(1)
@@ -69,6 +72,48 @@ class TestGenerateTraffic:
         with pytest.raises(ConfigError, match=message):
             generate_traffic(Mesh(4, 4), params(**overrides), rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "key,overrides",
+        [
+            ("traffic_rate", {"traffic_rate": -1.0}),
+            ("traffic_pattern", {"traffic_pattern": "zigzag"}),
+            ("traffic_pattern", {"traffic_pattern": "transpose", "mesh_height": 3}),
+            ("hotspot_node", {"hotspot_node": (4, 0)}),
+            ("hotspot_node", {"hotspot_node": (0, -1)}),
+            ("hotspot_fraction", {"hotspot_fraction": 1.5}),
+            ("hotspot_fraction", {"hotspot_fraction": -0.1}),
+            ("bandwidth_values", {"bandwidth_values": ()}),
+            ("bandwidth_values", {"bandwidth_values": (0.0,)}),
+            ("bandwidth_values", {"bandwidth_values": (float("inf"),)}),
+            ("bandwidth_weights", {"bandwidth_weights": (1.0, 1.0)}),
+            ("bandwidth_weights", {"bandwidth_weights": (-1.0,)}),
+            ("bandwidth_weights", {"bandwidth_weights": (float("nan"),)}),
+            ("bandwidth_weights", {"bandwidth_weights": (0.0,)}),
+            ("hold_time_dist", {"hold_time_dist": "poisson"}),
+            ("hold_time_mean", {"hold_time_mean": 0.5}),
+            ("hold_time_mean", {"hold_time_mean": float("inf")}),
+        ],
+        ids=["negative-rate", "unknown-pattern", "transpose-not-square", "hotspot-x-off-mesh",
+             "hotspot-y-off-mesh", "fraction-above-1", "negative-fraction", "no-bandwidths", "zero-bandwidth",
+             "infinite-bandwidth", "weights-too-many", "negative-weight", "nan-weight", "all-zero-weights",
+             "unknown-hold", "mean-below-1", "infinite-mean"],
+    )
+    def test_config_and_generator_refuse_alike(self, key, overrides):
+        cfg = RunConfig(**{"mesh_width": 4, "mesh_height": 4, "seed": 1, **overrides})
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            validate_config(cfg)
+        rng = make_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match=f"key '{key}'"):
+            generate_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), traffic_params_from_config(cfg), rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("rate,duration", [(0.005, 1000), (0.02, 300)])
+    def test_config_defaults_are_the_param_defaults(self, rate, duration):
+        # TrafficParams repeats RunConfig's traffic defaults; either copy changing fails here
+        cfg = RunConfig(mesh_width=4, mesh_height=4, seed=0, traffic_rate=rate, traffic_duration=duration)
+        assert traffic_params_from_config(cfg) == TrafficParams(rate=rate, duration=duration)
 
     def test_same_seed_same_flows(self):
         p = params(bandwidth_values=(1.0, 2.0), bandwidth_weights=(0.7, 0.3), hold_dist="geometric")
