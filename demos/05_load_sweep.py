@@ -8,7 +8,7 @@ and reservation. Takes about 16 s on a 2-vCPU VM.
 import dataclasses
 
 from beenoc import Mesh, RunConfig, run_simulation
-from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
+from beenoc.traffic import generate_traffic, make_rng
 
 base = RunConfig(
     mesh_width=6,
@@ -29,7 +29,7 @@ for rate in (0.002, 0.004, 0.006, 0.008, 0.010):
     for seed in seeds:
         for k in (1, 3):
             cfg = dataclasses.replace(base, traffic_rate=rate, seed=seed, backward_bee_count=k)
-            workload = generate_traffic(Mesh(6, 6), traffic_params_from_config(cfg), make_rng(seed))
+            workload = generate_traffic(Mesh(6, 6), cfg, make_rng(seed))
             report = run_simulation(cfg, workload)
             ratios[k].append(report.summary.success_ratio)
             flows_seen += len(workload)

@@ -51,6 +51,6 @@ from .router import (
     release_for_backward_bee,
 )
 from .topology import NON_LOCAL_PORTS, Mesh, Network, NodeId, PortDir
-from .traffic import TrafficParams, generate_traffic, make_rng, traffic_params_from_config
+from .traffic import generate_traffic, make_rng
 
 __version__ = "0.1.0"

@@ -7,7 +7,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import NoReturn
 
 from .errors import ConfigError
-from .topology import Mesh
+from .topology import Mesh, NodeId
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,42 @@ def fail(key: str, why: str) -> NoReturn:
     raise ConfigError(f"key '{key}': {why}")
 
 
+def check_traffic(mesh: Mesh, cfg: RunConfig) -> None:
+    """Every rule on the traffic keys, raising ConfigError that names the
+    key; `validate_config` and `traffic.generate_traffic` both run it."""
+    if not 0 <= cfg.traffic_rate < math.inf:
+        fail("traffic_rate", "traffic rate must be finite and not negative")
+    if not math.isfinite(cfg.traffic_duration):  # the arrival loop would never pass it
+        fail("traffic_duration", "traffic duration must be finite")
+    if cfg.traffic_pattern not in ("uniform", "hotspot", "transpose"):
+        fail("traffic_pattern", f"unknown traffic pattern {cfg.traffic_pattern!r}")
+    if cfg.traffic_pattern == "transpose" and mesh.width != mesh.height:
+        fail("traffic_pattern", "transpose traffic needs a square mesh")
+    hotspot = NodeId(*cfg.hotspot_node)
+    if not mesh.contains(hotspot):
+        fail("hotspot_node", f"hotspot {hotspot} is outside the mesh")
+    if not 0.0 <= cfg.hotspot_fraction <= 1.0:
+        fail("hotspot_fraction", "hotspot fraction must be in [0, 1]")
+    values, weights = cfg.bandwidth_values, cfg.bandwidth_weights
+    if not values:
+        fail("bandwidth_values", "bandwidth value set must not be empty")
+    if not all(0 < v < math.inf for v in values):
+        fail("bandwidth_values", "bandwidth values must be positive and finite")
+    if len(weights) != len(values):
+        fail("bandwidth_weights", "bandwidth weights and values must have the same length")
+    if not all(0 <= w < math.inf for w in weights):
+        fail("bandwidth_weights", "bandwidth weights must be finite and not negative")
+    if not any(weights):
+        fail("bandwidth_weights", "bandwidth weights must not all be zero")
+    if cfg.hold_time_dist not in ("fixed", "geometric"):
+        fail("hold_time_dist", f"unknown hold-time distribution {cfg.hold_time_dist!r}")
+    if not 1 <= cfg.hold_time_mean < math.inf:
+        fail("hold_time_mean", "mean hold time must be finite and at least 1 cycle")
+
+
 def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
     """Range- and cross-checks; raises ConfigError naming the offending key.
-    The traffic keys' own rules are `traffic.check_traffic`'s."""
+    The traffic keys' own rules are `check_traffic`'s."""
 
     for key in _FLOAT_KEYS:
         value = getattr(cfg, key)
@@ -133,9 +166,7 @@ def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
         fail("traffic_rate", "must be positive (see workload_file for explicit workloads)")
     if cfg.traffic_duration < 1:
         fail("traffic_duration", "must be >= 1 cycle")
-    from .traffic import check_traffic, traffic_params_from_config  # traffic imports this module
-
-    check_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), traffic_params_from_config(cfg))
+    check_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), cfg)
     if explicit is not None and cfg.workload_file is not None:
         clash = sorted(_TRAFFIC_KEYS & explicit)
         if clash:

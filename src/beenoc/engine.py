@@ -496,11 +496,7 @@ class Simulator:
             ((src_x, src_y), seq), (dst_x, dst_y), bandwidth, _, _ = rec.spec
             latency, length = rec.setup_latency, rec.path_length
             manhattan = abs(dst_x - src_x) + abs(dst_y - src_y)
-            # Only establishing a flow sets its latency, so it tells whether the flow ever was.
-            rows.append(
-                row(seq, src_x, src_y, dst_x, dst_y, bandwidth, rec.phase.value, latency, length, manhattan,
-                    latency is not None)
-            )
+            rows.append(row(seq, src_x, src_y, dst_x, dst_y, bandwidth, rec.phase.value, latency, length, manhattan))
         stats = metrics.RunStats(
             events_processed=self._events_processed,
             forward_deliveries=forwarded,
@@ -584,7 +580,7 @@ def run_simulation(config: RunConfig, workload: Sequence[FlowSpec] | None = None
         if config.workload_file is not None:
             workload = load_workload(config.workload_file, mesh)
         else:
-            from .traffic import generate_traffic, make_rng, traffic_params_from_config
+            from .traffic import generate_traffic, make_rng
 
-            workload = generate_traffic(mesh, traffic_params_from_config(config), make_rng(config.seed))
+            workload = generate_traffic(mesh, config, make_rng(config.seed))
     return Simulator(config, workload).run()

@@ -18,8 +18,7 @@ from .topology import NON_LOCAL_PORTS, PortDir
 
 class FlowRow(NamedTuple):
     """One flows.csv row. Latency and path length are None unless the flow's
-    circuit was established; `ever_established` also covers flows that have
-    already been torn down."""
+    circuit was established, whether or not it has since been torn down."""
 
     flow_seq: int
     src_x: int
@@ -31,7 +30,10 @@ class FlowRow(NamedTuple):
     setup_latency: int | None
     path_length: int | None
     manhattan: int
-    ever_established: bool
+
+    @property
+    def ever_established(self) -> bool:
+        return self.setup_latency is not None  # only establishing a flow sets it
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +75,7 @@ class Summary:
 
 
 # The headers are the field names, so each lines up with its values by construction.
-FLOWS_HEADER = ",".join(FlowRow._fields[:-1])  # all but ever_established
+FLOWS_HEADER = ",".join(FlowRow._fields)
 SUMMARY_HEADER = ",".join(f.name for f in fields(Summary))
 
 
@@ -107,8 +109,8 @@ def build_summary(
     offered = len(flows)
     failed = torn_down = 0
     latencies, stretches = [], []  # in row order: the float sums depend on it
-    for _, _, _, _, _, _, phase, latency, length, manhattan, ever_established in flows:
-        if ever_established:
+    for _, _, _, _, _, _, phase, latency, length, manhattan in flows:
+        if latency is not None:
             latencies.append(latency)
             stretches.append(length / manhattan)
         failed += phase == "Failed"
@@ -161,7 +163,7 @@ def _fmt(value) -> str:
 
 
 def flow_row_line(row: FlowRow) -> str:
-    seq, src_x, src_y, dst_x, dst_y, bandwidth, phase, latency, length, manhattan, _ = row
+    seq, src_x, src_y, dst_x, dst_y, bandwidth, phase, latency, length, manhattan = row
     latency = "" if latency is None else latency
     length = "" if length is None else length
     return f"{seq},{src_x},{src_y},{dst_x},{dst_y},{bandwidth:.6f},{phase},{latency},{length},{manhattan}"

@@ -54,10 +54,7 @@ class PortList:
         length = self.length
         if limit is not None and length >= limit:
             raise PortListOverflowError(f"port list already holds {length} entries (limit {limit})")
-        # A port's value is its wire code; the comparison stands in for encode_port on this per-hop path.
-        if port > 0b11:
-            raise InvalidPortError("the local port has no wire code")
-        return PortList((self.bits << 2) | port, length + 1)
+        return PortList((self.bits << 2) | encode_port(port), length + 1)
 
     def entry(self, index: int) -> PortDir:
         if not 0 <= index < self.length:

@@ -24,7 +24,7 @@ from beenoc import (
     write_report,
 )
 from beenoc.oracle import single_flow_scenario, soundness_violation
-from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
+from beenoc.traffic import generate_traffic, make_rng
 
 from flood_step import flood, flood_sim
 
@@ -132,7 +132,7 @@ def test_criterion_4_conservation():
     worst_cap = 0
     for seed in range(30):
         cfg = conservation_config(seed)
-        workload = generate_traffic(Mesh(4, 4), traffic_params_from_config(cfg), make_rng(seed))
+        workload = generate_traffic(Mesh(4, 4), cfg, make_rng(seed))
         assert len(workload) >= 200, f"seed {seed}: workload only {len(workload)} flows"
         report = run_simulation(cfg, workload)
         assert report.stats.drained
@@ -209,7 +209,7 @@ def test_criterion_7_triple_backward_bee_success_ratio():
     for seed in range(30):
         for k in (1, 3):
             cfg = dataclasses.replace(base, seed=seed, backward_bee_count=k)
-            workload = generate_traffic(Mesh(6, 6), traffic_params_from_config(cfg), make_rng(seed))
+            workload = generate_traffic(Mesh(6, 6), cfg, make_rng(seed))
             report = run_simulation(cfg, workload)
             ratios[k].append(report.summary.success_ratio)
     mean_k1 = sum(ratios[1]) / 30

@@ -31,7 +31,7 @@ from beenoc import router
 from beenoc.engine import CalendarQueue
 from beenoc.metrics import SUMMARY_HEADER, summary_line
 from beenoc.topology import OPPOSITE
-from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
+from beenoc.traffic import generate_traffic, make_rng
 
 
 def base_config(**overrides):
@@ -57,7 +57,7 @@ def contended_run(seed):
         hold_time_dist="geometric",
         hold_time_mean=80.0,
     )
-    return cfg, generate_traffic(Mesh(4, 4), traffic_params_from_config(cfg), make_rng(seed))
+    return cfg, generate_traffic(Mesh(4, 4), cfg, make_rng(seed))
 
 
 class TestFlowSpec:
@@ -652,7 +652,7 @@ class TestBoundedState:
             hold_time_mean=40.0,
             trace=True,
         )
-        workload = generate_traffic(Mesh(4, 4), traffic_params_from_config(cfg), make_rng(cfg.seed))
+        workload = generate_traffic(Mesh(4, 4), cfg, make_rng(cfg.seed))
         settled = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
         live = set()
         peak = 0

@@ -14,7 +14,7 @@ import hashlib
 import pytest
 
 from beenoc import ControlPacket, Mesh, PortList, RunConfig, Simulator, run_simulation, write_report
-from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
+from beenoc.traffic import generate_traffic, make_rng
 
 GOLDEN = {
     # Contended 4x4 churn: mixed 1-3 wire demands, geometric holds.
@@ -150,7 +150,7 @@ def test_each_link_write_is_drained_once():
     # releases; run() first checks the load placed before it, here none.
     cfg = RunConfig(**GOLDEN["churn4x4"][0])
     mesh = Mesh(cfg.mesh_width, cfg.mesh_height)
-    sim = Simulator(cfg, generate_traffic(mesh, traffic_params_from_config(cfg), make_rng(cfg.seed)))
+    sim = Simulator(cfg, generate_traffic(mesh, cfg, make_rng(cfg.seed)))
     net, calls = sim.network, []
     reserve, release, drain_dirty = net.reserve, net.release, net.drain_dirty
 

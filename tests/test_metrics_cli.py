@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from beenoc import (
     write_report,
 )
 from beenoc.cli import cli_main
+from beenoc.config import _format_value
 from beenoc.errors import InvariantViolationError
 from beenoc.metrics import (
     FLOWS_HEADER,
@@ -172,6 +175,22 @@ class TestWriteReport:
             "util_peak_east,util_mean_east,util_peak_north,util_mean_north"
         )
 
+    def test_readme_config_table_lists_the_defaults(self):
+        # The README's Config format table is the documented copy of RunConfig's defaults; a row may name two keys.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\n## Config format\n", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                keys, default = line.split("|")[1:3]
+                for key in re.findall(r"`(\w+)`", keys):
+                    documented[key] = default.strip().strip("`")
+        assert documented == {
+            f.name: "required" if f.default is dataclasses.MISSING else _format_value(f.default)
+            for f in dataclasses.fields(RunConfig)
+            if f.name != "applied_defaults"
+        }
+
     def test_empty_run_headers_only(self, tmp_path):
         report = Simulator(RunConfig(mesh_width=4, mesh_height=4, seed=1), []).run()
         write_report(report, tmp_path)
@@ -226,7 +245,7 @@ def flow_row(seq, phase, manhattan, latency, detour, bandwidth):
     latency and a path at least as long as its distance, any other neither."""
     ever = phase in ("TornDown", "Established")
     length = manhattan + 2 * detour if ever else None
-    return FlowRow(seq, 0, 0, 1, 1, bandwidth, phase, latency if ever else None, length, manhattan, ever)
+    return FlowRow(seq, 0, 0, 1, 1, bandwidth, phase, latency if ever else None, length, manhattan)
 
 
 drawn_rows = st.lists(
@@ -278,9 +297,9 @@ class TestFlowRowLine:
     @pytest.mark.parametrize(
         "row,line",
         [
-            (FlowRow(3, 0, 1, 2, 3, 99.0, "Failed", None, None, 4, False), "3,0,1,2,3,99.000000,Failed,,,4"),
-            (FlowRow(0, 1, 1, 3, 0, 2.5, "Established", 14, 3, 3, True), "0,1,1,3,0,2.500000,Established,14,3,3"),
-            (FlowRow(12, 2, 0, 0, 2, 1.0, "TornDown", 9, 6, 4, True), "12,2,0,0,2,1.000000,TornDown,9,6,4"),
+            (FlowRow(3, 0, 1, 2, 3, 99.0, "Failed", None, None, 4), "3,0,1,2,3,99.000000,Failed,,,4"),
+            (FlowRow(0, 1, 1, 3, 0, 2.5, "Established", 14, 3, 3), "0,1,1,3,0,2.500000,Established,14,3,3"),
+            (FlowRow(12, 2, 0, 0, 2, 1.0, "TornDown", 9, 6, 4), "12,2,0,0,2,1.000000,TornDown,9,6,4"),
         ],
         ids=["failed", "established", "torn-down"],
     )
@@ -289,12 +308,13 @@ class TestFlowRowLine:
         assert len(line.split(",")) == len(FLOWS_HEADER.split(","))
 
     def test_row_is_an_immutable_named_record(self):
-        row = FlowRow(0, 1, 1, 3, 0, 2.5, "Established", 14, 3, 3, True)
+        row = FlowRow(0, 1, 1, 3, 0, 2.5, "Established", 14, 3, 3)
         assert FlowRow._fields == (
             "flow_seq", "src_x", "src_y", "dst_x", "dst_y", "bandwidth",
-            "phase", "setup_latency", "path_length", "manhattan", "ever_established",
+            "phase", "setup_latency", "path_length", "manhattan",
         )
-        assert FLOWS_HEADER.split(",") == list(FlowRow._fields[:-1])
+        assert FLOWS_HEADER.split(",") == list(FlowRow._fields)
+        assert row.ever_established
         with pytest.raises(AttributeError):
             row.phase = "TornDown"
 

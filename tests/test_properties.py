@@ -37,7 +37,6 @@ from beenoc import (
     generate_traffic,
     enumerate_feasible,
     make_rng,
-    traffic_params_from_config,
     validate_config,
     walk,
     write_report,
@@ -77,7 +76,7 @@ def written(report):
 
 def run_once(cfg):
     mesh = Mesh(cfg.mesh_width, cfg.mesh_height)
-    sim = Simulator(cfg, generate_traffic(mesh, traffic_params_from_config(cfg), make_rng(cfg.seed)))
+    sim = Simulator(cfg, generate_traffic(mesh, cfg, make_rng(cfg.seed)))
     return sim, written(sim.run())
 
 
@@ -117,7 +116,7 @@ def walled_runs(draw):
     )
     mesh = Mesh(cfg.mesh_width, cfg.mesh_height)
     if draw(st.booleans()):
-        workload = generate_traffic(mesh, traffic_params_from_config(cfg), make_rng(cfg.seed))
+        workload = generate_traffic(mesh, cfg, make_rng(cfg.seed))
     else:
         ends = st.lists(st.sampled_from(list(mesh.nodes())), min_size=2, max_size=2, unique=True)
         workload = []

@@ -8,22 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beenoc import ConfigError, FlowId, FlowSpec, Mesh, NodeId, RunConfig, validate_config
-from beenoc.traffic import TrafficParams, generate_traffic, make_rng, traffic_params_from_config
+from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
 
 
 def params(**overrides):
-    defaults = dict(rate=0.01, duration=500)
+    defaults = dict(mesh_width=4, mesh_height=4, seed=0, traffic_rate=0.01, traffic_duration=500)
     defaults.update(overrides)
-    return TrafficParams(**defaults)
+    return RunConfig(**defaults)
 
 
 class TestGenerateTraffic:
     def test_rate_zero_gives_empty_list(self):
-        assert generate_traffic(Mesh(4, 4), params(rate=0.0), make_rng(1)) == []
+        assert generate_traffic(Mesh(4, 4), params(traffic_rate=0.0), make_rng(1)) == []
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
-            generate_traffic(Mesh(4, 4), params(rate=-1.0), make_rng(1))
+            generate_traffic(Mesh(4, 4), params(traffic_rate=-1.0), make_rng(1))
 
     def test_empty_bandwidth_set_rejected(self):
         with pytest.raises(ConfigError):
@@ -44,22 +44,22 @@ class TestGenerateTraffic:
     @pytest.mark.parametrize(
         "overrides,message",
         [
-            ({"hold_dist": "poisson"}, "hold-time distribution"),
-            ({"hold_dist": "geometric", "hold_mean": 0.5}, "mean hold time"),
-            ({"hold_mean": 0.0}, "mean hold time"),
-            ({"hold_mean": float("inf")}, "mean hold time"),
+            ({"hold_time_dist": "poisson"}, "hold-time distribution"),
+            ({"hold_time_dist": "geometric", "hold_time_mean": 0.5}, "mean hold time"),
+            ({"hold_time_mean": 0.0}, "mean hold time"),
+            ({"hold_time_mean": float("inf")}, "mean hold time"),
             ({"hotspot_fraction": 1.5}, "hotspot fraction"),
             ({"hotspot_fraction": -0.1}, "hotspot fraction"),
-            ({"pattern": "hotspot", "hotspot": NodeId(4, 0), "hotspot_fraction": 1.0}, "outside the mesh"),
-            ({"pattern": "hotspot", "hotspot": NodeId(0, 7), "hotspot_fraction": 0.5}, "outside the mesh"),
+            ({"traffic_pattern": "hotspot", "hotspot_node": (4, 0), "hotspot_fraction": 1.0}, "outside the mesh"),
+            ({"traffic_pattern": "hotspot", "hotspot_node": (0, 7), "hotspot_fraction": 0.5}, "outside the mesh"),
             ({"bandwidth_values": (1.0, -2.0), "bandwidth_weights": (0.5, 0.5)}, "bandwidth values"),
             ({"bandwidth_values": (0.0,)}, "bandwidth values"),
             ({"bandwidth_values": (float("inf"),)}, "bandwidth values"),
             ({"bandwidth_values": (2.0, float("nan")), "bandwidth_weights": (0.5, 0.5)}, "bandwidth values"),
-            ({"duration": float("nan")}, "traffic duration"),
-            ({"duration": float("inf")}, "traffic duration"),
-            ({"rate": 0.0, "bandwidth_weights": (-1.0,)}, "bandwidth weights"),
-            ({"hotspot": NodeId(9, 9)}, "outside the mesh"),
+            ({"traffic_duration": float("nan")}, "traffic duration"),
+            ({"traffic_duration": float("inf")}, "traffic duration"),
+            ({"traffic_rate": 0.0, "bandwidth_weights": (-1.0,)}, "bandwidth weights"),
+            ({"hotspot_node": (9, 9)}, "outside the mesh"),
         ],
         ids=["unknown-hold", "geometric-mean-below-1", "zero-mean", "infinite-mean", "fraction-above-1",
              "negative-fraction", "hotspot-off-mesh-all", "hotspot-off-mesh-half", "negative-bandwidth",
@@ -106,17 +106,17 @@ class TestGenerateTraffic:
         rng = make_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ConfigError, match=f"key '{key}'"):
-            generate_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), traffic_params_from_config(cfg), rng)
+            generate_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), cfg, rng)
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("rate,duration", [(0.005, 1000), (0.02, 300)])
     def test_config_defaults_are_the_param_defaults(self, rate, duration):
-        # TrafficParams repeats RunConfig's traffic defaults; either copy changing fails here
+        # RunConfig is the one copy of the traffic defaults; the bench's wrapper hands it on as is
         cfg = RunConfig(mesh_width=4, mesh_height=4, seed=0, traffic_rate=rate, traffic_duration=duration)
-        assert traffic_params_from_config(cfg) == TrafficParams(rate=rate, duration=duration)
+        assert traffic_params_from_config(cfg) is cfg
 
     def test_same_seed_same_flows(self):
-        p = params(bandwidth_values=(1.0, 2.0), bandwidth_weights=(0.7, 0.3), hold_dist="geometric")
+        p = params(bandwidth_values=(1.0, 2.0), bandwidth_weights=(0.7, 0.3), hold_time_dist="geometric")
         first = generate_traffic(Mesh(4, 4), p, make_rng(99))
         second = generate_traffic(Mesh(4, 4), p, make_rng(99))
         assert first == second
@@ -127,14 +127,14 @@ class TestGenerateTraffic:
         assert first != second
 
     def test_sorted_by_arrival_and_unique_ids(self):
-        flows = generate_traffic(Mesh(4, 4), params(rate=0.05), make_rng(5))
+        flows = generate_traffic(Mesh(4, 4), params(traffic_rate=0.05), make_rng(5))
         arrivals = [f.arrival_time for f in flows]
         assert arrivals == sorted(arrivals)
         assert len({f.flow for f in flows}) == len(flows)
 
     def test_flow_fields_within_spec(self):
         mesh = Mesh(4, 4)
-        p = params(rate=0.05, bandwidth_values=(1.0, 2.5), bandwidth_weights=(0.5, 0.5))
+        p = params(traffic_rate=0.05, bandwidth_values=(1.0, 2.5), bandwidth_weights=(0.5, 0.5))
         flows = generate_traffic(mesh, p, make_rng(6))
         assert flows
         for f in flows:
@@ -142,12 +142,12 @@ class TestGenerateTraffic:
             assert f.source != f.destination
             assert f.required_bandwidth in (1.0, 2.5)
             assert f.hold_time >= 1
-            assert 0 <= f.arrival_time <= p.duration + 1
+            assert 0 <= f.arrival_time <= p.traffic_duration + 1
 
 
 class TestPatterns:
     def test_transpose_targets_mirror(self):
-        flows = generate_traffic(Mesh(4, 4), params(rate=0.05, pattern="transpose"), make_rng(7))
+        flows = generate_traffic(Mesh(4, 4), params(traffic_rate=0.05, traffic_pattern="transpose"), make_rng(7))
         assert flows
         for f in flows:
             assert f.destination == NodeId(f.source.y, f.source.x)
@@ -157,17 +157,18 @@ class TestPatterns:
 
     def test_transpose_needs_square_mesh(self):
         with pytest.raises(ConfigError):
-            generate_traffic(Mesh(4, 3), params(pattern="transpose"), make_rng(1))
+            generate_traffic(Mesh(4, 3), params(traffic_pattern="transpose"), make_rng(1))
 
     def test_hotspot_bias(self):
         hotspot = NodeId(2, 2)
-        p = params(rate=0.08, duration=1000, pattern="hotspot", hotspot=hotspot, hotspot_fraction=0.6)
+        p = params(traffic_rate=0.08, traffic_duration=1000, traffic_pattern="hotspot", hotspot_node=hotspot,
+                   hotspot_fraction=0.6)
         flows = generate_traffic(Mesh(4, 4), p, make_rng(8))
         hits = sum(1 for f in flows if f.destination == hotspot)
         assert flows and 0.4 < hits / len(flows) < 0.8
 
     def test_uniform_covers_destinations(self):
-        flows = generate_traffic(Mesh(4, 4), params(rate=0.08, duration=1500), make_rng(9))
+        flows = generate_traffic(Mesh(4, 4), params(traffic_rate=0.08, traffic_duration=1500), make_rng(9))
         destinations = {f.destination for f in flows}
         assert len(destinations) == 16  # every node is someone's destination
 
@@ -183,8 +184,8 @@ def choice_bandwidths(mesh, p, seed):
     for _ in mesh.nodes():
         clock = 0.0
         while True:
-            clock += rng.exponential(1.0 / p.rate)
-            if clock > p.duration:
+            clock += rng.exponential(1.0 / p.traffic_rate)
+            if clock > p.traffic_duration:
                 break
             rng.integers(0, mesh.node_count - 1)
             bandwidths.append(p.bandwidth_values[int(rng.choice(len(weights), p=weights))])
@@ -202,7 +203,8 @@ def test_bandwidth_draw_is_generator_choice(weights, seed):
     # the same seed gives the same bandwidth sequence as drawing each one
     # with Generator.choice, zero weights included
     mesh = Mesh(3, 3)
-    p = params(rate=0.05, duration=200, bandwidth_values=tuple(range(1, len(weights) + 1)), bandwidth_weights=tuple(weights))
+    p = params(traffic_rate=0.05, traffic_duration=200, bandwidth_values=tuple(range(1, len(weights) + 1)),
+               bandwidth_weights=tuple(weights))
     flows = generate_traffic(mesh, p, make_rng(seed))
     flows.sort(key=lambda f: (f.source.y, f.source.x, f.flow.sequence))
     assert [f.required_bandwidth for f in flows] == choice_bandwidths(mesh, p, seed)
@@ -248,15 +250,15 @@ def stream_digest(flows) -> str:
 def test_traffic_stream_digest(pattern, hold_dist, hold_mean):
     hotspot = NodeId(1, 2)
     p = params(
-        rate=0.03,
-        duration=400,
-        pattern=pattern,
-        hotspot=hotspot,
+        traffic_rate=0.03,
+        traffic_duration=400,
+        traffic_pattern=pattern,
+        hotspot_node=hotspot,
         hotspot_fraction=0.3,
         bandwidth_values=(1.0, 2.0, 3.5),
         bandwidth_weights=(0.5, 0.3, 0.2),
-        hold_dist=hold_dist,
-        hold_mean=hold_mean,
+        hold_time_dist=hold_dist,
+        hold_time_mean=hold_mean,
     )
     flows = generate_traffic(Mesh(5, 5), p, make_rng(2024))
     assert len(flows) > 200
@@ -276,26 +278,26 @@ def reference_traffic(mesh, p, seed):
     cdf /= cdf[-1]
     flows = []
     for src in nodes:
-        if p.pattern == "transpose" and src.x == src.y:
+        if p.traffic_pattern == "transpose" and src.x == src.y:
             continue
-        biased = p.pattern == "hotspot" and src != p.hotspot
-        others = [n for n in nodes if n != src and not (biased and n == p.hotspot)]
+        biased = p.traffic_pattern == "hotspot" and src != p.hotspot_node
+        others = [n for n in nodes if n != src and not (biased and n == p.hotspot_node)]
         clock, sequence = 0.0, 0
         while True:
-            clock += rng.exponential(1.0 / p.rate)
-            if clock > p.duration:
+            clock += rng.exponential(1.0 / p.traffic_rate)
+            if clock > p.traffic_duration:
                 break
-            if p.pattern == "transpose":
+            if p.traffic_pattern == "transpose":
                 destination = NodeId(src.y, src.x)
             elif biased and rng.random() < p.hotspot_fraction:
-                destination = p.hotspot
+                destination = p.hotspot_node
             else:
                 destination = others[int(rng.integers(0, len(others)))]
             bandwidth = p.bandwidth_values[int(np.searchsorted(cdf, rng.random(), side="right"))]
-            if p.hold_dist == "geometric":
-                hold = int(rng.geometric(1.0 / p.hold_mean))
+            if p.hold_time_dist == "geometric":
+                hold = int(rng.geometric(1.0 / p.hold_time_mean))
             else:
-                hold = max(1, round(p.hold_mean))
+                hold = max(1, round(p.hold_time_mean))
             flows.append(FlowSpec(FlowId(src, sequence), destination, bandwidth, math.ceil(clock), hold))
             sequence += 1
     flows.sort(key=lambda f: f.arrival_time)
@@ -323,9 +325,9 @@ def test_stream_matches_direct_numpy_calls(seed, rate, hold_mean, pattern, hold_
     # numpy sampler of its distribution, mean holds on both sides of 3 and
     # beyond 2**57 included
     mesh = Mesh(4, 4)
-    p = params(rate=rate, duration=150, pattern=pattern, hotspot=hotspot, hotspot_fraction=0.4,
-               bandwidth_values=(1.0, 2.0, 3.0), bandwidth_weights=(0.5, 0.3, 0.2), hold_dist=hold_dist,
-               hold_mean=hold_mean)
+    p = params(traffic_rate=rate, traffic_duration=150, traffic_pattern=pattern, hotspot_node=hotspot,
+               hotspot_fraction=0.4, bandwidth_values=(1.0, 2.0, 3.0), bandwidth_weights=(0.5, 0.3, 0.2),
+               hold_time_dist=hold_dist, hold_time_mean=hold_mean)
     flows = generate_traffic(mesh, p, make_rng(seed))
     assert flows == reference_traffic(mesh, p, seed)
     assert all(type(f) is FlowSpec and type(f.flow) is FlowId for f in flows)
@@ -354,6 +356,6 @@ def test_zero_geometric_hold_raises_flowspec_error():
     # generate_traffic refuses it with FlowSpec's message
     with pytest.raises(ValueError) as refused:
         FlowSpec(FlowId(NodeId(0, 0), 0), NodeId(1, 0), 1.0, 10, 0)
-    p = params(rate=0.1, hold_dist="geometric", hold_mean=40.0)
+    p = params(traffic_rate=0.1, hold_time_dist="geometric", hold_time_mean=40.0)
     with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
         generate_traffic(Mesh(4, 4), p, ZeroHoldStream())
