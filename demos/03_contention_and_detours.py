@@ -19,7 +19,7 @@ for node in (NodeId(1, 0), NodeId(2, 0)):
         raise RuntimeError(f"background load does not fit on {node}->EAST")
 
 # the exhaustive check runs on the pre-setup network, before the flow claims any wires
-feasible = enumerate_feasible(sim.network, src, dst, 2.0, sim.mesh.hop_limit(src, dst))
+feasible = enumerate_feasible(sim.network, src, dst, 2.0, sim.mesh.hop_limit(src, dst, cfg.hop_limit_metric))
 sim.run()
 
 record = sim.records[flow.flow]
@@ -30,5 +30,5 @@ print(f"path length {record.path_length} vs manhattan {sim.mesh.manhattan(src, d
       f"{record.path_length / sim.mesh.manhattan(src, dst):.2f})")
 
 print(f"\nexhaustive check against the pre-setup network: {len(feasible)} feasible routes, "
-      f"shortest {feasible.min_length()} hops")
+      f"shortest {min(p.length for p in feasible)} hops")
 print(f"established circuit is one of them: {forward_path in feasible}")

@@ -26,11 +26,10 @@ from .errors import (
     InvalidPortError,
     InvariantViolationError,
     OracleSizeError,
-    PortListOverflowError,
     ProtocolCorruptionError,
 )
 from .metrics import FLOWS_HEADER, SUMMARY_HEADER, FlowRow, MetricsReport, RunStats, Summary, write_report
-from .oracle import FeasibleSet, ScenarioOutcome, enumerate_feasible, single_flow_scenario, soundness_violation
+from .oracle import ScenarioOutcome, enumerate_feasible, single_flow_scenario, soundness_violation
 from .protocol import (
     BackwardBee,
     ControlKind,

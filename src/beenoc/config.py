@@ -58,25 +58,32 @@ def _parse_floats(value: str) -> tuple[float, ...]:
     return tuple(float(p) for p in value.split(","))
 
 
-# The parser of each key's value, by its RunConfig field type, in field order.
-_TYPE_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "str | None": lambda value: None if value == "none" else value,  # as echo_lines prints None
-    "bool": _parse_bool,
-    "tuple[int, int]": _parse_node,
-    "tuple[float, ...]": _parse_floats,
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int subclass
+
+
+# By RunConfig field type: the parser of a config-file value, and the rule,
+# with its message, on a value a config built in code holds.
+_FIELD_TYPES = {
+    "int": (int, lambda v: type(v) is int, "must be an integer"),
+    "float": (float, _is_number, "must be a number"),
+    "str": (str, lambda v: type(v) is str, "must be a string"),
+    # None is written as echo_lines prints it
+    "str | None": (lambda value: None if value == "none" else value, lambda v: v is None or type(v) is str,
+                   "must be a string or None"),
+    "bool": (_parse_bool, lambda v: type(v) is bool, "must be a bool"),
+    "tuple[int, int]": (_parse_node, lambda v: isinstance(v, tuple) and len(v) == 2 and all(type(x) is int for x in v),
+                        "must be a pair of integers"),
+    "tuple[float, ...]": (_parse_floats, lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
+                          "must be a tuple of numbers"),
 }
-_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig) if f.name != "applied_defaults"}
+_KEY_TYPES = {f.name: _FIELD_TYPES[f.type] for f in fields(RunConfig) if f.name != "applied_defaults"}
 _REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 # Every float-valued key, scalar or tuple; all must be finite.
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "tuple[float, ...]"))
-# Every integer key; a float or bool in a config built in code is refused.
-_INT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type == "int")
 
-_TRAFFIC_KEYS = {
+_TRAFFIC_KEYS = (
     "traffic_rate",
     "traffic_duration",
     "traffic_pattern",
@@ -86,7 +93,7 @@ _TRAFFIC_KEYS = {
     "bandwidth_weights",
     "hold_time_dist",
     "hold_time_mean",
-}
+)
 
 
 def fail(key: str, why: str) -> NoReturn:
@@ -94,13 +101,27 @@ def fail(key: str, why: str) -> NoReturn:
     raise ConfigError(f"key '{key}': {why}")
 
 
+def _check_types(cfg: RunConfig, keys) -> None:
+    """Refuse a value of the wrong type for its field, naming the key."""
+    for key in keys:
+        _, holds, why = _KEY_TYPES[key]
+        if not holds(getattr(cfg, key)):
+            fail(key, why)
+
+
 def check_traffic(mesh: Mesh, cfg: RunConfig) -> None:
     """Every rule on the traffic keys, raising ConfigError that names the
     key; `validate_config` and `traffic.generate_traffic` both run it."""
+    if mesh.width != cfg.mesh_width:
+        fail("mesh_width", f"config mesh width {cfg.mesh_width} does not match the mesh's {mesh.width}")
+    if mesh.height != cfg.mesh_height:
+        fail("mesh_height", f"config mesh height {cfg.mesh_height} does not match the mesh's {mesh.height}")
+    duration = cfg.traffic_duration
+    if _is_number(duration) and not math.isfinite(duration):  # its type rule refuses it too, less plainly
+        fail("traffic_duration", "traffic duration must be finite")
+    _check_types(cfg, _TRAFFIC_KEYS)
     if not 0 <= cfg.traffic_rate < math.inf:
         fail("traffic_rate", "traffic rate must be finite and not negative")
-    if not math.isfinite(cfg.traffic_duration):  # the arrival loop would never pass it
-        fail("traffic_duration", "traffic duration must be finite")
     if cfg.traffic_pattern not in ("uniform", "hotspot", "transpose"):
         fail("traffic_pattern", f"unknown traffic pattern {cfg.traffic_pattern!r}")
     if cfg.traffic_pattern == "transpose" and mesh.width != mesh.height:
@@ -131,16 +152,11 @@ def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
     """Range- and cross-checks; raises ConfigError naming the offending key.
     The traffic keys' own rules are `check_traffic`'s."""
 
+    _check_types(cfg, _KEY_TYPES)
     for key in _FLOAT_KEYS:
         value = getattr(cfg, key)
         if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
             fail(key, "must be finite")
-    for key in _INT_KEYS:
-        if type(getattr(cfg, key)) is not int:  # bool is an int subclass
-            fail(key, "must be an integer")
-    hotspot = cfg.hotspot_node
-    if not (isinstance(hotspot, tuple) and len(hotspot) == 2 and all(type(v) is int for v in hotspot)):
-        fail("hotspot_node", "must be a pair of integers")
 
     if cfg.mesh_width < 2:
         fail("mesh_width", "all mesh dimensions must be >= 2")
@@ -168,7 +184,7 @@ def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
         fail("traffic_duration", "must be >= 1 cycle")
     check_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), cfg)
     if explicit is not None and cfg.workload_file is not None:
-        clash = sorted(_TRAFFIC_KEYS & explicit)
+        clash = sorted(explicit.intersection(_TRAFFIC_KEYS))
         if clash:
             fail(clash[0], "conflicts with workload_file (pick one workload source)")
 
@@ -190,7 +206,7 @@ def parse_config(text: str) -> RunConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _PARSERS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key '{key}' (first set on line {entries[key][1]})")
@@ -205,11 +221,11 @@ def parse_config(text: str) -> RunConfig:
     kwargs = {}
     for key, (value, lineno) in entries.items():
         try:
-            kwargs[key] = _PARSERS[key](value)
+            kwargs[key] = _KEY_TYPES[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key '{key}': {exc}") from None
 
-    applied = tuple(k for k in _PARSERS if k not in entries)
+    applied = tuple(k for k in _KEY_TYPES if k not in entries)
     cfg = RunConfig(**kwargs, applied_defaults=applied)
     validate_config(cfg, explicit=set(entries))
     return cfg

@@ -514,7 +514,7 @@ class Simulator:
             denom = wires * self.clock
             util_mean[port] = (self._util_acc[port] / denom) if denom else 0.0
         trace = tuple(self._trace) if self._trace is not None else None
-        return metrics.build_report(self.config, tuple(rows), stats, util_peak, util_mean, trace)
+        return metrics.build_report(tuple(rows), stats, util_peak, util_mean, trace)
 
 
 # The handlers of every queued wave of forward copies and of every arrival, read as globals.

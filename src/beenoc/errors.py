@@ -31,9 +31,5 @@ class InvalidPathError(BeenocError):
     """A port-list walk stepped off the mesh."""
 
 
-class PortListOverflowError(BeenocError):
-    """Appending to a port list would exceed its configured maximum length."""
-
-
 class DegenerateFlowError(BeenocError):
     """Source equals destination: local delivery needs no circuit."""

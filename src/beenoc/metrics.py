@@ -12,7 +12,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .config import RunConfig
 from .topology import NON_LOCAL_PORTS, PortDir
 
 
@@ -81,10 +80,9 @@ SUMMARY_HEADER = ",".join(f.name for f in fields(Summary))
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Everything a finished run reports: resolved config, per-flow rows,
-    aggregates, and the event trace when tracing was on."""
+    """Everything a finished run reports: per-flow rows, aggregates, and the
+    event trace when tracing was on."""
 
-    config: RunConfig
     flows: tuple[FlowRow, ...]
     summary: Summary
     stats: RunStats
@@ -136,7 +134,6 @@ def build_summary(
 
 
 def build_report(
-    config: RunConfig,
     flows: tuple[FlowRow, ...],
     stats: RunStats,
     util_peak: dict[PortDir, float],
@@ -144,7 +141,6 @@ def build_report(
     trace: tuple[str, ...] | None,
 ) -> MetricsReport:
     return MetricsReport(
-        config=config,
         flows=flows,
         summary=build_summary(flows, stats, util_peak, util_mean),
         stats=stats,

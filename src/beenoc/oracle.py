@@ -21,33 +21,16 @@ from .protocol import FlowId, PortList
 from .topology import Mesh, Network, NodeId
 
 
-@dataclass(frozen=True, slots=True)
-class FeasibleSet:
-    """All simple src->dst paths within the bound that meet the bandwidth
-    constraint on every link, in lexicographic port-code order."""
-
-    paths: tuple[PortList, ...]
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __contains__(self, path: PortList) -> bool:
-        return path in self.paths
-
-    def min_length(self) -> int | None:
-        return min((p.length for p in self.paths), default=None)
-
-
 def enumerate_feasible(
     net: Network,
     src: NodeId,
     dst: NodeId,
     required_bandwidth: float,
     bound: int,
-) -> FeasibleSet:
-    """Exhaustive feasibility check over simple paths of length <= bound,
-    admitting each link with Network.fitting_links on the network's current
-    state.
+) -> tuple[PortList, ...]:
+    """Every simple src->dst path of length <= bound whose links all admit
+    the demand under Network.fitting_links on the network's current state,
+    in lexicographic port-code order.
 
     Tractability guard: accepts meshes up to 5x5, or any mesh when the bound
     is at most 12; anything larger is refused. A bound that is not a
@@ -82,7 +65,7 @@ def enumerate_feasible(
                 visited.discard(nxt)
 
     explore(start, PortList())
-    return FeasibleSet(tuple(paths))
+    return tuple(paths)
 
 
 # -- randomized single-flow soundness scenarios ----------------------------
@@ -149,7 +132,7 @@ def single_flow_scenario(
         path_length=record.path_length,
         forward_path=forward_path,
         feasible_count=len(feasible),
-        min_feasible_length=feasible.min_length(),
+        min_feasible_length=min((p.length for p in feasible), default=None),
         path_in_feasible=(forward_path in feasible) if established else None,
         manhattan=mesh.manhattan(src, dst),
     )

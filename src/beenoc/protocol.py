@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .errors import InvalidPathError, InvalidPortError, PortListOverflowError
+from .errors import InvalidPathError, InvalidPortError
 from .topology import NON_LOCAL_PORTS, Mesh, NodeId, PortDir
 
 
@@ -49,12 +49,9 @@ class PortList:
         if self.length < 0 or self.bits < 0 or self.bits >> (2 * self.length):
             raise ValueError(f"port list bits {self.bits:#x} do not fit {self.length} entries")
 
-    def push(self, port: PortDir, limit: int | None = None) -> "PortList":
-        """New list with `port` appended; raises when a length limit is hit."""
-        length = self.length
-        if limit is not None and length >= limit:
-            raise PortListOverflowError(f"port list already holds {length} entries (limit {limit})")
-        return PortList((self.bits << 2) | encode_port(port), length + 1)
+    def push(self, port: PortDir) -> "PortList":
+        """New list with `port` appended."""
+        return PortList((self.bits << 2) | encode_port(port), self.length + 1)
 
     def entry(self, index: int) -> PortDir:
         if not 0 <= index < self.length:
@@ -146,9 +143,9 @@ class ForwardBee(NamedTuple):
     required_bandwidth: float
     ports: PortList
 
-    def advanced(self, port: PortDir, limit: int | None = None) -> "ForwardBee":
+    def advanced(self, port: PortDir) -> "ForwardBee":
         """Copy of this bee one hop further through `port`."""
-        return ForwardBee(self.flow, self.destination, self.required_bandwidth, self.ports.push(port, limit))
+        return ForwardBee(self.flow, self.destination, self.required_bandwidth, self.ports.push(port))
 
 
 class BackwardBee(NamedTuple):

@@ -113,12 +113,9 @@ class Mesh:
     def manhattan(self, a: NodeId, b: NodeId) -> int:
         return abs(a.x - b.x) + abs(a.y - b.y)
 
-    def hop_limit(self, src: NodeId, dst: NodeId, metric: str = "euclidean") -> int:
-        """Forward-bee hop budget: twice the src-dst distance, rounded up.
-
-        The default metric is euclidean; hop counts are integral so the
-        budget is the ceiling. `manhattan` is available as an alternative.
-        """
+    def hop_limit(self, src: NodeId, dst: NodeId, metric: str) -> int:
+        """Forward-bee hop budget: twice the src-dst distance under `metric`
+        ("euclidean" or "manhattan"), rounded up, as hop counts are integral."""
         if src == dst:
             raise DegenerateFlowError(f"flow {src} -> {dst} needs no circuit")
         return hop_budget(abs(dst.x - src.x), abs(dst.y - src.y), metric)

@@ -32,7 +32,7 @@ def traffic_params_from_config(cfg: RunConfig) -> RunConfig:
 
 def generate_traffic(mesh: Mesh, cfg: RunConfig, rng: np.random.Generator) -> list[FlowSpec]:
     """Deterministic flow list sorted by arrival time, from the config's
-    traffic keys (its mesh keys are not read). A rate of zero yields an empty
+    traffic keys; `mesh` must be the config's. A rate of zero yields an empty
     list; `check_traffic` refuses bad values before any draw."""
     check_traffic(mesh, cfg)
     if cfg.traffic_rate == 0:

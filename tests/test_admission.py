@@ -29,7 +29,7 @@ def test_fractional_wire_bandwidth_exact_fit_establishes():
     src, dst = NodeId(0, 0), NodeId(3, 3)
     spec = FlowSpec(FlowId(src, 0), dst, 0.33, arrival_time=0, hold_time=10)
     sim = Simulator(cfg, [spec])
-    feasible = enumerate_feasible(sim.network, src, dst, 0.33, sim.mesh.hop_limit(src, dst))
+    feasible = enumerate_feasible(sim.network, src, dst, 0.33, sim.mesh.hop_limit(src, dst, cfg.hop_limit_metric))
     sim.run()
     record = sim.records[spec.flow]
     assert record.forward_deliveries > 0

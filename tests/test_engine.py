@@ -486,7 +486,20 @@ class TestRandomizedRun:
 
 
 class TestConfigChecked:
-    @pytest.mark.parametrize("key,value", [("t_hop", 0), ("t_hop", -1), ("backward_bee_count", 0)])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("t_hop", 0),
+            ("t_hop", -1),
+            ("backward_bee_count", 0),
+            # a wrong type in a config built in code: never a TypeError or a silent misreading
+            ("trace", "off"),
+            ("bandwidth_values", [1.0, 2.0]),
+            ("bandwidth_values", "1.0"),
+            ("workload_file", 5),
+            ("wire_bandwidth", True),
+        ],
+    )
     def test_simulator_refuses_invalid_config(self, key, value):
         with pytest.raises(ConfigError, match=f"key '{key}'"):
             Simulator(base_config(**{key: value}), [one_flow()])

@@ -32,8 +32,8 @@ class TestEnumerateFeasible:
     def test_two_by_two_has_exactly_two_paths(self):
         mesh = Mesh(2, 2)
         feasible = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(1, 1), 1.0, 4)
-        assert [list(p) for p in feasible.paths] == [[E, N], [N, E]]
-        assert feasible.min_length() == 2
+        assert [list(p) for p in feasible] == [[E, N], [N, E]]
+        assert min(p.length for p in feasible) == 2
 
     def test_degenerate_endpoints(self):
         mesh = Mesh(2, 2)
@@ -79,10 +79,10 @@ class TestEnumerateFeasible:
     def test_paths_respect_bound_and_walk(self):
         mesh = Mesh(3, 3)
         src, dst = NodeId(0, 0), NodeId(2, 1)
-        bound = mesh.hop_limit(src, dst)
+        bound = mesh.hop_limit(src, dst, "euclidean")
         feasible = enumerate_feasible(idle_network(mesh), src, dst, 1.0, bound)
         assert len(feasible) > 0
-        for path in feasible.paths:
+        for path in feasible:
             assert path.length <= bound
             nodes = walk(path, src, mesh)
             assert nodes[-1] == dst
@@ -92,8 +92,8 @@ class TestEnumerateFeasible:
         mesh = Mesh(3, 3)
         first = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(2, 2), 1.0, 6)
         second = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(2, 2), 1.0, 6)
-        assert first.paths == second.paths
-        codes = [tuple(encode_port(p.entry(i)) for i in range(p.length)) for p in first.paths]
+        assert first == second
+        codes = [tuple(encode_port(p.entry(i)) for i in range(p.length)) for p in first]
         assert codes == sorted(codes)
 
 
@@ -143,7 +143,7 @@ def test_enumerate_feasible_matches_a_bitmask_search(query):
     feasible = enumerate_feasible(net, src, dst, float(wires), bound)
     expected = bitmask_paths(net, net.mesh.handle(src), net.mesh.handle(dst), wires, bound)
     assert len(set(expected)) == len(expected)
-    assert sorted(tuple(path) for path in feasible.paths) == sorted(expected)
+    assert sorted(tuple(path) for path in feasible) == sorted(expected)
 
 
 class TestScenarios:

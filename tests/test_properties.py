@@ -28,7 +28,6 @@ from beenoc import (
     NON_LOCAL_PORTS,
     FlowId,
     FlowSpec,
-    ForwardBee,
     Mesh,
     PortDir,
     PortList,
@@ -187,28 +186,29 @@ def frozen_single_flows(draw, sizes=(2, 3, 4, 5, 6)):
 
 
 def reference_arrivals(net, spec, hop_limit):
-    """Forward bees reaching the destination, in the order a breadth-first
-    flood delivers them: every copy carries its port list, a node other than
-    the destination floods only the first copy it sees, and a copy goes on
-    every fitting link but its arrival port until it has used the budget."""
-    queue = deque([(spec.source, ForwardBee(spec.flow, spec.destination, spec.required_bandwidth, PortList()), PortDir.LOCAL)])
+    """Port lists of the forward copies reaching the destination, in the
+    order a breadth-first flood delivers them: every copy carries its port
+    list, a node other than the destination floods only the first copy it
+    sees, and a copy goes on every fitting link but its arrival port until it
+    has used the budget."""
+    queue = deque([(spec.source, PortList(), PortDir.LOCAL)])
     seen = set()
     arrivals = []
     wires = net.wires_for(spec.required_bandwidth)
     while queue:
-        node, bee, arrival = queue.popleft()
+        node, ports, arrival = queue.popleft()
         if node == spec.destination:
-            arrivals.append(bee)
+            arrivals.append(ports)
             continue
         if node in seen:
             continue
         seen.add(node)
-        if bee.ports.length >= hop_limit:
+        if ports.length >= hop_limit:
             continue
         for port in NON_LOCAL_PORTS:
             far = net.mesh.neighbor(node, port)
             if port is not arrival and far is not None and net.free_wires(net.mesh.handle(node), port) >= wires:
-                queue.append((far, bee.advanced(port, hop_limit), port.opposite()))
+                queue.append((far, ports.push(port), port.opposite()))
     return arrivals
 
 
@@ -230,8 +230,8 @@ def run_capturing_destination_bees(cfg, spec, loads):
     by the backward bee's rule, and the report."""
     sim = loaded_simulator(cfg, spec, loads)
     net = sim.network
-    bees = reference_arrivals(net, spec, sim.records[spec.flow].hop_limit)
-    expected = [(bee.flow, bee.ports.reverse_complement(), bee.ports) for bee in bees]
+    arrivals = reference_arrivals(net, spec, sim.records[spec.flow].hop_limit)
+    expected = [(spec.flow, ports.reverse_complement(), ports) for ports in arrivals]
     captured = []
     convert = router.handle_forward_bee
 
@@ -309,4 +309,5 @@ def test_idle_single_flow_is_established_iff_feasible_at_minimum_length(run):
     assert (forward_path is not None) == bool(feasible)
     if forward_path is not None:
         assert forward_path in feasible
-        assert forward_path.length == feasible.min_length() == sim.mesh.manhattan(spec.source, spec.destination)
+        shortest = min(p.length for p in feasible)
+        assert forward_path.length == shortest == sim.mesh.manhattan(spec.source, spec.destination)

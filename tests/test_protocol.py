@@ -14,7 +14,6 @@ from beenoc import (
     NodeId,
     PortDir,
     PortList,
-    PortListOverflowError,
     decode_port,
     encode_port,
     serialize_forward_bee,
@@ -80,11 +79,6 @@ class TestPortListPush:
             lst = lst.push(port)
             assert list(lst) == history
 
-    def test_overflow(self):
-        lst = PortList().push(PortDir.EAST, limit=2).push(PortDir.EAST, limit=2)
-        with pytest.raises(PortListOverflowError):
-            lst.push(PortDir.EAST, limit=2)
-
     def test_local_port_rejected(self):
         with pytest.raises(InvalidPortError):
             PortList().push(PortDir.LOCAL)
@@ -126,11 +120,9 @@ class TestForwardBeeAdvanced:
         for _ in range(40):
             port = rng.choice(NON_LOCAL_PORTS)
             history.append(port)
-            bee = bee.advanced(port, limit=40)
+            bee = bee.advanced(port)
             assert list(bee.ports) == history
             assert bee[:3] == seed_bee()[:3]
-        with pytest.raises(PortListOverflowError):
-            bee.advanced(PortDir.EAST, limit=40)
 
     @pytest.mark.parametrize(
         "packet,field",

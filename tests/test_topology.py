@@ -100,21 +100,21 @@ class TestHopLimit:
         ],
     )
     def test_euclidean(self, src, dst, expected):
-        assert Mesh(8, 8).hop_limit(src, dst) == expected
+        assert Mesh(8, 8).hop_limit(src, dst, "euclidean") == expected
 
     def test_manhattan_metric(self):
         assert Mesh(8, 8).hop_limit(NodeId(0, 0), NodeId(1, 1), metric="manhattan") == 4
 
     def test_degenerate(self):
         with pytest.raises(DegenerateFlowError):
-            Mesh(4, 4).hop_limit(NodeId(2, 2), NodeId(2, 2))
+            Mesh(4, 4).hop_limit(NodeId(2, 2), NodeId(2, 2), "euclidean")
 
     def test_at_least_manhattan(self):
         mesh = Mesh(6, 6)
         for src in mesh.nodes():
             for dst in mesh.nodes():
                 if src != dst:
-                    assert mesh.hop_limit(src, dst) >= mesh.manhattan(src, dst)
+                    assert mesh.hop_limit(src, dst, "euclidean") >= mesh.manhattan(src, dst)
 
 
 class TestResidualBandwidth:

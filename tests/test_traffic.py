@@ -60,11 +60,13 @@ class TestGenerateTraffic:
             ({"traffic_duration": float("inf")}, "traffic duration"),
             ({"traffic_rate": 0.0, "bandwidth_weights": (-1.0,)}, "bandwidth weights"),
             ({"hotspot_node": (9, 9)}, "outside the mesh"),
+            ({"mesh_width": 5}, "key 'mesh_width'"),
+            ({"mesh_height": 3}, "key 'mesh_height'"),
         ],
         ids=["unknown-hold", "geometric-mean-below-1", "zero-mean", "infinite-mean", "fraction-above-1",
              "negative-fraction", "hotspot-off-mesh-all", "hotspot-off-mesh-half", "negative-bandwidth",
              "zero-bandwidth", "infinite-bandwidth", "nan-bandwidth", "nan-duration", "infinite-duration",
-             "negative-weight-at-rate-zero", "hotspot-off-mesh-uniform"],
+             "negative-weight-at-rate-zero", "hotspot-off-mesh-uniform", "other-mesh-width", "other-mesh-height"],
     )
     def test_bad_params_rejected_before_any_draw(self, overrides, message):
         rng = make_rng(1)
@@ -93,11 +95,16 @@ class TestGenerateTraffic:
             ("hold_time_dist", {"hold_time_dist": "poisson"}),
             ("hold_time_mean", {"hold_time_mean": 0.5}),
             ("hold_time_mean", {"hold_time_mean": float("inf")}),
+            ("bandwidth_values", {"bandwidth_values": [1.0, 2.0]}),
+            ("bandwidth_values", {"bandwidth_values": "1.0"}),
+            ("hotspot_node", {"hotspot_node": (1, 2, 3)}),
+            ("hotspot_node", {"hotspot_node": (1.5, 0)}),
         ],
         ids=["negative-rate", "unknown-pattern", "transpose-not-square", "hotspot-x-off-mesh",
              "hotspot-y-off-mesh", "fraction-above-1", "negative-fraction", "no-bandwidths", "zero-bandwidth",
              "infinite-bandwidth", "weights-too-many", "negative-weight", "nan-weight", "all-zero-weights",
-             "unknown-hold", "mean-below-1", "infinite-mean"],
+             "unknown-hold", "mean-below-1", "infinite-mean", "bandwidths-in-a-list", "bandwidths-in-a-string",
+             "hotspot-triple", "hotspot-fractional"],
     )
     def test_config_and_generator_refuse_alike(self, key, overrides):
         cfg = RunConfig(**{"mesh_width": 4, "mesh_height": 4, "seed": 1, **overrides})
@@ -157,7 +164,7 @@ class TestPatterns:
 
     def test_transpose_needs_square_mesh(self):
         with pytest.raises(ConfigError):
-            generate_traffic(Mesh(4, 3), params(traffic_pattern="transpose"), make_rng(1))
+            generate_traffic(Mesh(4, 3), params(mesh_height=3, traffic_pattern="transpose"), make_rng(1))
 
     def test_hotspot_bias(self):
         hotspot = NodeId(2, 2)
@@ -203,8 +210,8 @@ def test_bandwidth_draw_is_generator_choice(weights, seed):
     # the same seed gives the same bandwidth sequence as drawing each one
     # with Generator.choice, zero weights included
     mesh = Mesh(3, 3)
-    p = params(traffic_rate=0.05, traffic_duration=200, bandwidth_values=tuple(range(1, len(weights) + 1)),
-               bandwidth_weights=tuple(weights))
+    p = params(mesh_width=3, mesh_height=3, traffic_rate=0.05, traffic_duration=200,
+               bandwidth_values=tuple(range(1, len(weights) + 1)), bandwidth_weights=tuple(weights))
     flows = generate_traffic(mesh, p, make_rng(seed))
     flows.sort(key=lambda f: (f.source.y, f.source.x, f.flow.sequence))
     assert [f.required_bandwidth for f in flows] == choice_bandwidths(mesh, p, seed)
@@ -250,6 +257,8 @@ def stream_digest(flows) -> str:
 def test_traffic_stream_digest(pattern, hold_dist, hold_mean):
     hotspot = NodeId(1, 2)
     p = params(
+        mesh_width=5,
+        mesh_height=5,
         traffic_rate=0.03,
         traffic_duration=400,
         traffic_pattern=pattern,
