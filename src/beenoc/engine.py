@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import metrics, router
-from .config import RunConfig, validate_config
+from .config import RunConfig, _is_number, validate_config
 from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
 from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir, hop_budget
@@ -77,7 +77,7 @@ class FlowSpec(_FlowSpecFields):
     def __new__(cls, flow: FlowId, destination: NodeId, required_bandwidth: float, arrival_time: int, hold_time: int):
         if flow.source == destination:
             raise DegenerateFlowError(f"flow {flow}: source equals destination")
-        if not 0 < required_bandwidth < math.inf:
+        if not (_is_number(required_bandwidth) and 0 < required_bandwidth < math.inf):
             raise ValueError(f"flow {flow}: required_bandwidth must be positive and finite")
         for name, (x, y) in (("source", flow.source), ("destination", destination)):
             if type(x) is not int or type(y) is not int:  # bool is an int subclass
@@ -92,6 +92,9 @@ class FlowSpec(_FlowSpecFields):
             raise ValueError(f"flow {flow}: hold_time must be an integer")
         if hold_time < 1:
             raise ValueError(f"flow {flow}: hold_time must be >= 1")
+        # Ids, not plain tuples, so that output files print the nodes as "x,y"
+        if type(flow.source) is not NodeId or type(destination) is not NodeId:
+            flow, destination = FlowId(NodeId(*flow.source), flow.sequence), NodeId(*destination)
         return tuple.__new__(cls, (flow, destination, required_bandwidth, arrival_time, hold_time))
 
     @classmethod
@@ -148,16 +151,13 @@ class CalendarQueue:
     simulator queues (handler, node, payload, arrival_port) tuples; a flow's
     arrival, completion and setup timeout carry its `FlowRecord` and no port,
     and a wave is (wave step, FlowRecord, [(node, arrival_port), ...], None).
-    bucket() caches the last bucket it handed out, so a run of appends to one
-    cycle skips the dict; pop_cycle clears the cache.
     """
 
-    __slots__ = ("_buckets", "_cycles", "_hot_time", "_hot_bucket")
+    __slots__ = ("_buckets", "_cycles")
 
     def __init__(self) -> None:
         self._buckets: dict[int, list] = {}
         self._cycles: list[int] = []
-        self._hot_time = self._hot_bucket = None
 
     def __bool__(self) -> bool:
         return bool(self._cycles)
@@ -169,13 +169,10 @@ class CalendarQueue:
         """The list of events pending at `time`; appending to it pushes. A new
         cycle is scheduled at once, so ask only when an event will be appended:
         an empty bucket would still move the clock when it comes out."""
-        if time == self._hot_time:
-            return self._hot_bucket
         bucket = self._buckets.get(time)
         if bucket is None:
             bucket = self._buckets[time] = []
             heapq.heappush(self._cycles, time)
-        self._hot_time, self._hot_bucket = time, bucket
         return bucket
 
     def next_time(self) -> int:
@@ -189,7 +186,6 @@ class CalendarQueue:
         out next.
         """
         time = heapq.heappop(self._cycles)
-        self._hot_time = self._hot_bucket = None
         return time, self._buckets.pop(time)
 
 
@@ -272,7 +268,6 @@ class Simulator:
 
     def run(self) -> metrics.MetricsReport:
         initial_held = self.network.total_held()
-        self.network.drain_dirty()
         queue = self.queue
         max_cycles = self.config.max_cycles
         truncated = False
@@ -430,7 +425,6 @@ class Simulator:
             if (release := router.release_for_backward_bee(bee, index, self.clock + self._t_hop)) is not None:
                 self.transit(node, arrival_port, release)
             return
-        net.drain_dirty()
         # Only a reservation raises a direction's peak; this one was on the arrival port's link.
         held = net.held_by_class[arrival_port]
         if held > self._peak_held[arrival_port]:
@@ -446,8 +440,7 @@ class Simulator:
     def _on_control(self, node: int, pkt: ControlPacket, _port: PortDir) -> None:
         self._control_deliveries += 1
         port = router.handle_control(node, pkt, (self.clock - pkt.start) // self._t_hop, self.network)
-        if port is not None:  # it freed a link; at the end of its route it writes none
-            self.network.drain_dirty()
+        if port is not None:  # None at the end of its route
             self.transit(node, port, pkt)
 
     def _on_flow_complete(self, source: int, rec: FlowRecord, _port: None) -> None:
@@ -455,7 +448,6 @@ class Simulator:
         teardown = ControlPacket(ControlKind.TEARDOWN, rec.winner, rec.circuit, self.clock)
         # The source frees its own hop, at route index 0; the packet then walks and frees the circuit.
         if (port := router.handle_control(source, teardown, 0, self.network)) is not None:
-            self.network.drain_dirty()
             self.transit(source, port, teardown)
 
     def _on_setup_timeout(self, _source: int, rec: FlowRecord, _port: None) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from beenoc import Mesh, RunConfig, Simulator, write_report
+from beenoc import FlowId, FlowSpec, Mesh, NodeId, RunConfig, Simulator, write_report
 from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
 
 from test_golden import GOLDEN
@@ -45,3 +45,32 @@ def test_layer_tracer_runs_the_churn_golden(trace, tmp_path):
     write_report(simulator(RunConfig(**GOLDEN["churn4x4"][0]))[0].run(), tmp_path / "plain")
     wrapped, plain = ((tmp_path / d / "flows.csv").read_bytes() for d in ("wrapped", "plain"))
     assert wrapped == plain
+
+
+def test_setup_latency_splits_at_the_winners_emission():
+    # Setup latency is discovery, until the destination emits the winning
+    # bee, plus reservation, the winner's path_length hops: a backward bee
+    # never waits. Each link write is checked once, inside the writer.
+    cfg = RunConfig(**GOLDEN["churn4x4"][0])
+    tracer = load_tracing().LayerTracer()
+    report = tracer.run(*simulator(cfg))
+    established = [row for row in report.flows if row.ever_established]
+    assert established
+    assert sorted(tracer.reservation_cycles) == sorted(row.path_length * cfg.t_hop for row in established)
+    assert sorted(tracer.discovery_cycles) == sorted(
+        row.setup_latency - row.path_length * cfg.t_hop for row in established
+    )
+    checks = tracer.calls["topology.drain_dirty"][0]
+    assert checks == tracer.reserve_ok + tracer.calls["topology.release"][0] > 0
+
+
+@pytest.mark.parametrize("t_hop", [1, 2])
+def test_idle_mesh_setup_is_twice_the_manhattan_distance(t_hop):
+    # criterion 6: on an idle mesh discovery and reservation each take manhattan * t_hop
+    cfg = RunConfig(mesh_width=4, mesh_height=4, seed=1, t_hop=t_hop)
+    flows = [FlowSpec(FlowId(NodeId(0, 3), 0), NodeId(3, 1), 1.0, 0, 20)]
+    tracer = load_tracing().LayerTracer()
+    (row,) = tracer.run(Simulator(cfg, flows), flows).flows
+    assert row.manhattan == row.path_length == 5
+    assert row.setup_latency == 2 * row.manhattan * t_hop
+    assert tracer.discovery_cycles == tracer.reservation_cycles == [row.manhattan * t_hop]

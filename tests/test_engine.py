@@ -26,6 +26,7 @@ from beenoc import (
     Simulator,
     parse_workload,
     run_simulation,
+    write_report,
 )
 from beenoc import router
 from beenoc.engine import CalendarQueue
@@ -83,8 +84,10 @@ class TestFlowSpec:
             (dict(seq=1.5), "sequence must be an integer"),
             (dict(seq=True), "sequence must be an integer"),
             (dict(seq="a"), "sequence must be an integer"),
+            (dict(bandwidth=True), "required_bandwidth must be positive"),
+            (dict(bandwidth="1.0"), "required_bandwidth must be positive"),
         ],
-        ids=[f"kw{i}" for i in range(15)],
+        ids=[f"kw{i}" for i in range(17)],
     )
     def test_bad_fields(self, kw, message):
         with pytest.raises(ValueError, match=message):
@@ -100,6 +103,17 @@ class TestFlowSpec:
         spec = one_flow()
         with pytest.raises(AttributeError):
             spec.hold_time = 5
+
+    def test_plain_tuples_write_the_same_files(self, tmp_path):
+        # A spec built from plain tuples holds ids, so trace.tsv prints its flow as "0,0:0"
+        ids = [one_flow(), one_flow(src=(3, 0), dst=(0, 2), arrival=3)]
+        plain = [FlowSpec(FlowId(tuple(s.source), 0), tuple(s.destination), *s[2:]) for s in ids]
+        assert plain == ids and type(plain[1].destination) is NodeId
+        for name, workload in (("ids", ids), ("plain", plain)):
+            write_report(Simulator(base_config(trace=True), workload).run(), tmp_path / name)
+        for file in ("flows.csv", "summary.csv", "trace.tsv"):
+            assert (tmp_path / "plain" / file).read_bytes() == (tmp_path / "ids" / file).read_bytes(), file
+        assert "\t0,0:0\t" in (tmp_path / "ids" / "trace.tsv").read_text()
 
 
 class TestIdleSingleFlow:
@@ -419,18 +433,24 @@ class TestUtilisationPeak:
         report = self.background_sim([]).run()
         assert self.summary_fields(report)["util_peak_east"] == "0.000000"
 
+    def test_corrupted_background_load_raises_before_run(self):
+        sim = Simulator(base_config(), [one_flow()])
+        sim.network.wire_count = 9  # corrupt: 8 free wires no longer make up a link's pool
+        with pytest.raises(InvariantViolationError, match="link 1,2->EAST holds 4 wires but counts 4 free of 9"):
+            sim.network.reserve(sim.mesh.handle(NodeId(1, 2)), PortDir.EAST, ("background", 0), 4)
+
     def test_peaks_match_sampling_after_every_event(self):
         sim = Simulator(*contended_run(3))
         net = sim.network
         peaks = [0.0] * 4
-        drain = net.drain_dirty
+        check = net.drain_dirty
 
-        def drain_and_sample():  # the engine drains after every event that writes links
-            drain()
+        def check_and_sample(index):  # reserve() and release() check the link they wrote last
+            check(index)
             for port in range(4):
                 peaks[port] = max(peaks[port], net.held_by_class[port] / net.wires_by_class[port])
 
-        net.drain_dirty = drain_and_sample
+        net.drain_dirty = check_and_sample
         summary = sim.run().summary
         assert min(peaks) > 0
         assert [summary.util_peak_south, summary.util_peak_west, summary.util_peak_east, summary.util_peak_north] == peaks

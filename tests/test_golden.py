@@ -144,32 +144,31 @@ def test_routes_are_reversed_at_most_once_per_control_packet(monkeypatch):
 
 
 def test_each_link_write_is_drained_once():
-    # A handler checks the link it wrote right after writing it, and only
-    # then: a backward bee that reserves nothing and a control packet at the
-    # end of its route do not drain. Writes are successful reservations and
-    # releases; run() first checks the load placed before it, here none.
+    # reserve() and release() end by checking the link they wrote, once,
+    # and nothing else checks: not run(), not a refused reservation. Writes
+    # are successful reservations and releases.
     cfg = RunConfig(**GOLDEN["churn4x4"][0])
     mesh = Mesh(cfg.mesh_width, cfg.mesh_height)
     sim = Simulator(cfg, generate_traffic(mesh, cfg, make_rng(cfg.seed)))
-    net, calls = sim.network, []
+    net, calls, refused = sim.network, [], []
     reserve, release, drain_dirty = net.reserve, net.release, net.drain_dirty
 
-    def reserving(*args):
-        if ok := reserve(*args):
-            calls.append("write")
+    def reserving(node, port, *args):
+        calls.append(("write", 4 * node + port))
+        if not (ok := reserve(node, port, *args)):
+            refused.append(calls.pop())
         return ok
 
-    def releasing(*args):
-        calls.append("write")
-        return release(*args)
+    def releasing(node, port, *args):
+        calls.append(("write", 4 * node + port))
+        return release(node, port, *args)
 
-    def draining():
-        calls.append("drain")
-        drain_dirty()
+    def checking(index):
+        calls.append(("check", index))
+        drain_dirty(index)
 
-    net.reserve, net.release, net.drain_dirty = reserving, releasing, draining
+    net.reserve, net.release, net.drain_dirty = reserving, releasing, checking
     report = sim.run()
-    writes = calls.count("write")
-    assert report.summary.failed > 0 and report.summary.torn_down > 0 and writes > 0
-    assert calls.count("drain") == writes + 1
-    assert calls == ["drain"] + ["write", "drain"] * writes
+    slots = [slot for _, slot in calls[::2]]
+    assert report.summary.failed > 0 and report.summary.torn_down > 0 and slots and refused
+    assert calls == [call for slot in slots for call in (("write", slot), ("check", slot))]

@@ -195,24 +195,25 @@ class TestNetworkReservations:
         assert net.total_held() == 0
 
     def test_drain_dirty_checks_touched_links(self):
+        # reserve() and release() check the link they write as their last
+        # step; nothing else checks, so an untouched corrupted link is silent.
         net = Network(Mesh(3, 3), 9, 1.0)
-        net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 9)
-        net.drain_dirty()
+        assert net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 9)
         net.wire_count = 8  # corrupt: the link now holds past its 8-wire bound
-        net.drain_dirty()  # the corrupted link was not touched since the last drain
-        net.release(at(net, 0, 0), PortDir.EAST, ("ghost", 0))
+        assert net.holders(at(net, 0, 0), PortDir.EAST) == {("f", 0): 9}
+        assert not net.reserve(at(net, 0, 0), PortDir.EAST, ("g", 0), 1)  # refused: it writes and checks nothing
         with pytest.raises(InvariantViolationError, match="link 0,0->EAST holds 9 of 8 wires"):
-            net.drain_dirty()
+            net.release(at(net, 0, 0), PortDir.EAST, ("ghost", 0))
 
     def test_drain_dirty_checks_free_count(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        net.reserve(at(net, 1, 1), PortDir.NORTH, ("f", 0), 3)
-        net.drain_dirty()
+        assert net.reserve(at(net, 1, 1), PortDir.NORTH, ("f", 0), 3)
         net.wire_count = 9  # corrupt: 3 held plus 5 free no longer make up the pool
-        net.drain_dirty()
-        net.release(at(net, 1, 1), PortDir.NORTH, ("ghost", 0))
+        assert net.free_wires(at(net, 1, 1), PortDir.NORTH) == 5
         with pytest.raises(InvariantViolationError, match="link 1,1->NORTH holds 3 wires but counts 5 free of 9"):
-            net.drain_dirty()
+            net.release(at(net, 1, 1), PortDir.NORTH, ("ghost", 0))
+        with pytest.raises(InvariantViolationError, match="link 0,0->EAST holds 1 wires but counts 7 free of 9"):
+            net.reserve(at(net, 0, 0), PortDir.EAST, ("g", 0), 1)
 
     def test_release_absent_returns_zero(self):
         net = Network(Mesh(3, 3), 8, 1.0)
@@ -375,6 +376,5 @@ def test_networks_of_one_shape_share_no_link_state():
     assert a.release(at(a, 1, 0), PortDir.EAST, ("f", 0)) == 3
     assert a.reserve(at(a, 0, 0), PortDir.NORTH, ("g", 0), 4)
     Network(Mesh(3, 2), 7, 1.0)  # the same shape at another wire count
-    a.drain_dirty()
     assert state(b) == before
     assert a.free_wires(at(a, 1, 1), PortDir.SOUTH) == 3 and a.holders(at(a, 0, 0), PortDir.NORTH) == {("g", 0): 4}
