@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, echo_lines, parse_config, validate_config
+from .config import RunConfig, check_workload_source, echo_lines, parse_config
 from .engine import run_simulation
 from .errors import BeenocError, ConfigError, InvariantViolationError, OracleSizeError
 from .metrics import write_report
@@ -40,9 +40,8 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         changes["trace"] = True
     if not changes:
         return cfg
-    defaults = tuple(k for k in cfg.applied_defaults if k not in changes)
-    cfg = replace(cfg, applied_defaults=defaults, **changes)
-    validate_config(cfg, {f.name for f in fields(cfg)} - {"applied_defaults", *defaults})  # keys set or overridden
+    cfg = replace(cfg, applied_defaults=tuple(k for k in cfg.applied_defaults if k not in changes), **changes)
+    check_workload_source(cfg)
     return cfg
 
 

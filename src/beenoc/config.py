@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 from typing import NoReturn
 
 from .errors import ConfigError
-from .topology import Mesh, NodeId
+from .topology import NodeId
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated simulation parameters. `applied_defaults` lists every key
-    that was not set explicitly, so no default is ever silent."""
+    """Simulation parameters, valid once built (`validate_config` runs here). `applied_defaults`
+    lists every key that was not set explicitly, so no default is ever silent."""
 
     mesh_width: int
     mesh_height: int
@@ -37,6 +37,9 @@ class RunConfig:
     hold_time_dist: str = "fixed"
     hold_time_mean: float = 100.0
     applied_defaults: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
 
 def _parse_bool(value: str) -> bool:
@@ -82,6 +85,7 @@ _REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING
 
 # Every float-valued key, scalar or tuple; all must be finite.
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "tuple[float, ...]"))
+_FLOAT_MAX = sys.float_info.max
 
 _TRAFFIC_KEYS = (
     "traffic_rate",
@@ -101,61 +105,16 @@ def fail(key: str, why: str) -> NoReturn:
     raise ConfigError(f"key '{key}': {why}")
 
 
-def _check_types(cfg: RunConfig, keys) -> None:
-    """Refuse a value of the wrong type for its field, naming the key."""
-    for key in keys:
-        _, holds, why = _KEY_TYPES[key]
+def validate_config(cfg: RunConfig) -> None:
+    """Every rule on a config, raising ConfigError that names the key: one pass over the
+    types, one over the float keys, then the value rules. `RunConfig` runs it when built."""
+    for key, (_, holds, why) in _KEY_TYPES.items():
         if not holds(getattr(cfg, key)):
             fail(key, why)
-
-
-def check_traffic(mesh: Mesh, cfg: RunConfig) -> None:
-    """Every rule on the traffic keys, raising ConfigError that names the
-    key; `validate_config` and `traffic.generate_traffic` both run it."""
-    if mesh.width != cfg.mesh_width:
-        fail("mesh_width", f"config mesh width {cfg.mesh_width} does not match the mesh's {mesh.width}")
-    if mesh.height != cfg.mesh_height:
-        fail("mesh_height", f"config mesh height {cfg.mesh_height} does not match the mesh's {mesh.height}")
-    duration = cfg.traffic_duration
-    if _is_number(duration) and not math.isfinite(duration):  # its type rule refuses it too, less plainly
-        fail("traffic_duration", "traffic duration must be finite")
-    _check_types(cfg, _TRAFFIC_KEYS)
-    if not 0 <= cfg.traffic_rate < math.inf:
-        fail("traffic_rate", "traffic rate must be finite and not negative")
-    if cfg.traffic_pattern not in ("uniform", "hotspot", "transpose"):
-        fail("traffic_pattern", f"unknown traffic pattern {cfg.traffic_pattern!r}")
-    if cfg.traffic_pattern == "transpose" and mesh.width != mesh.height:
-        fail("traffic_pattern", "transpose traffic needs a square mesh")
-    hotspot = NodeId(*cfg.hotspot_node)
-    if not mesh.contains(hotspot):
-        fail("hotspot_node", f"hotspot {hotspot} is outside the mesh")
-    if not 0.0 <= cfg.hotspot_fraction <= 1.0:
-        fail("hotspot_fraction", "hotspot fraction must be in [0, 1]")
-    values, weights = cfg.bandwidth_values, cfg.bandwidth_weights
-    if not values:
-        fail("bandwidth_values", "bandwidth value set must not be empty")
-    if not all(0 < v < math.inf for v in values):
-        fail("bandwidth_values", "bandwidth values must be positive and finite")
-    if len(weights) != len(values):
-        fail("bandwidth_weights", "bandwidth weights and values must have the same length")
-    if not all(0 <= w < math.inf for w in weights):
-        fail("bandwidth_weights", "bandwidth weights must be finite and not negative")
-    if not any(weights):
-        fail("bandwidth_weights", "bandwidth weights must not all be zero")
-    if cfg.hold_time_dist not in ("fixed", "geometric"):
-        fail("hold_time_dist", f"unknown hold-time distribution {cfg.hold_time_dist!r}")
-    if not 1 <= cfg.hold_time_mean < math.inf:
-        fail("hold_time_mean", "mean hold time must be finite and at least 1 cycle")
-
-
-def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
-    """Range- and cross-checks; raises ConfigError naming the offending key.
-    The traffic keys' own rules are `check_traffic`'s."""
-
-    _check_types(cfg, _KEY_TYPES)
     for key in _FLOAT_KEYS:
         value = getattr(cfg, key)
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+        # false for nan, an infinity and an int beyond float range (math.isfinite raises on it)
+        if not all(abs(v) <= _FLOAT_MAX for v in (value if isinstance(value, tuple) else (value,))):
             fail(key, "must be finite")
 
     if cfg.mesh_width < 2:
@@ -182,11 +141,37 @@ def validate_config(cfg: RunConfig, explicit: set | None = None) -> None:
         fail("traffic_rate", "must be positive (see workload_file for explicit workloads)")
     if cfg.traffic_duration < 1:
         fail("traffic_duration", "must be >= 1 cycle")
-    check_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), cfg)
-    if explicit is not None and cfg.workload_file is not None:
-        clash = sorted(explicit.intersection(_TRAFFIC_KEYS))
-        if clash:
-            fail(clash[0], "conflicts with workload_file (pick one workload source)")
+    if cfg.traffic_pattern not in ("uniform", "hotspot", "transpose"):
+        fail("traffic_pattern", f"unknown traffic pattern {cfg.traffic_pattern!r}")
+    if cfg.traffic_pattern == "transpose" and cfg.mesh_width != cfg.mesh_height:
+        fail("traffic_pattern", "transpose traffic needs a square mesh")
+    hotspot = NodeId(*cfg.hotspot_node)
+    if not (0 <= hotspot.x < cfg.mesh_width and 0 <= hotspot.y < cfg.mesh_height):
+        fail("hotspot_node", f"hotspot {hotspot} is outside the mesh")
+    if not 0.0 <= cfg.hotspot_fraction <= 1.0:
+        fail("hotspot_fraction", "hotspot fraction must be in [0, 1]")
+    values, weights = cfg.bandwidth_values, cfg.bandwidth_weights
+    if not values:
+        fail("bandwidth_values", "bandwidth value set must not be empty")
+    if not all(v > 0 for v in values):
+        fail("bandwidth_values", "bandwidth values must be positive and finite")
+    if len(weights) != len(values):
+        fail("bandwidth_weights", "bandwidth weights and values must have the same length")
+    if not all(w >= 0 for w in weights):
+        fail("bandwidth_weights", "bandwidth weights must be finite and not negative")
+    if not any(weights):
+        fail("bandwidth_weights", "bandwidth weights must not all be zero")
+    if cfg.hold_time_dist not in ("fixed", "geometric"):
+        fail("hold_time_dist", f"unknown hold-time distribution {cfg.hold_time_dist!r}")
+    if cfg.hold_time_mean < 1:
+        fail("hold_time_mean", "mean hold time must be finite and at least 1 cycle")
+
+
+def check_workload_source(cfg: RunConfig) -> None:
+    """Refuse a `workload_file` beside a traffic key that is set (not in `applied_defaults`)."""
+    clash = [key for key in _TRAFFIC_KEYS if key not in cfg.applied_defaults]
+    if cfg.workload_file is not None and clash:
+        fail(min(clash), "conflicts with workload_file (pick one workload source)")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -227,7 +212,7 @@ def parse_config(text: str) -> RunConfig:
 
     applied = tuple(k for k in _KEY_TYPES if k not in entries)
     cfg = RunConfig(**kwargs, applied_defaults=applied)
-    validate_config(cfg, explicit=set(entries))
+    check_workload_source(cfg)
     return cfg
 
 

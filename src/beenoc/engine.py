@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import metrics, router
-from .config import RunConfig, _is_number, validate_config
+from .config import RunConfig, _is_number
 from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
 from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir, hop_budget
@@ -75,12 +75,15 @@ class FlowSpec(_FlowSpecFields):
     __slots__ = ()
 
     def __new__(cls, flow: FlowId, destination: NodeId, required_bandwidth: float, arrival_time: int, hold_time: int):
+        if type(flow) is not FlowId:
+            raise ValueError(f"flow {flow}: flow id must be a FlowId")
         if flow.source == destination:
             raise DegenerateFlowError(f"flow {flow}: source equals destination")
         if not (_is_number(required_bandwidth) and 0 < required_bandwidth < math.inf):
             raise ValueError(f"flow {flow}: required_bandwidth must be positive and finite")
-        for name, (x, y) in (("source", flow.source), ("destination", destination)):
-            if type(x) is not int or type(y) is not int:  # bool is an int subclass
+        for name, node in (("source", flow.source), ("destination", destination)):
+            # the shape first, then each coordinate; bool is an int subclass
+            if not (isinstance(node, tuple) and len(node) == 2 and type(node[0]) is int and type(node[1]) is int):
                 raise ValueError(f"flow {flow}: {name} coordinates must be integers")
         if type(flow.sequence) is not int:
             raise ValueError(f"flow {flow}: sequence must be an integer")
@@ -195,11 +198,11 @@ class Simulator:
     The network may be pre-loaded with background reservations (through
     `network.reserve`) before run() to model frozen contention; the end-of-run
     conservation check accounts for wires held before the first event.
-    `records` maps each flow to its lifecycle record.
+    `records` maps each flow to its lifecycle record. The config is not
+    checked again: a `RunConfig` is valid once built.
     """
 
     def __init__(self, config: RunConfig, workload: Sequence[FlowSpec]):
-        validate_config(config)
         self.config = config
         self.mesh = Mesh(config.mesh_width, config.mesh_height)
         self.network = Network(self.mesh, config.wire_count, config.wire_bandwidth)

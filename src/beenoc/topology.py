@@ -227,11 +227,13 @@ class Network:
         """Wires needed to carry `bandwidth`: ceil(bandwidth / wire_bandwidth).
 
         A tiny slack absorbs binary-float artifacts in the quotient so that
-        e.g. 0.3 / 0.15 still needs exactly 2 wires.
+        e.g. 0.3 / 0.15 still needs exactly 2 wires. A demand above
+        `wire_count` wires fits no link, so it is capped at `wire_count + 1`,
+        which also holds a quotient that overflows to infinity.
         """
         if not 0.0 < bandwidth < math.inf:
             raise ValueError("bandwidth must be positive and finite")
-        return max(1, math.ceil(bandwidth / self.wire_bandwidth - 1e-9))
+        return max(1, math.ceil(min(bandwidth / self.wire_bandwidth - 1e-9, self.wire_count + 1)))
 
     def fitting_links(self, node: int, wires: int) -> list[tuple[PortDir, int]]:
         """(port, far end) of each link leaving `node`, in port-code order,

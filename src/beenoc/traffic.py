@@ -13,7 +13,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .config import RunConfig, check_traffic
+from .config import RunConfig, fail
 from .engine import FlowSpec
 from .protocol import FlowId
 from .topology import Mesh, NodeId
@@ -32,11 +32,12 @@ def traffic_params_from_config(cfg: RunConfig) -> RunConfig:
 
 def generate_traffic(mesh: Mesh, cfg: RunConfig, rng: np.random.Generator) -> list[FlowSpec]:
     """Deterministic flow list sorted by arrival time, from the config's
-    traffic keys; `mesh` must be the config's. A rate of zero yields an empty
-    list; `check_traffic` refuses bad values before any draw."""
-    check_traffic(mesh, cfg)
-    if cfg.traffic_rate == 0:
-        return []
+    traffic keys; `mesh` must be the config's. A `RunConfig` is valid once
+    built, so no traffic key needs checking here."""
+    if mesh.width != cfg.mesh_width:
+        fail("mesh_width", f"config mesh width {cfg.mesh_width} does not match the mesh's {mesh.width}")
+    if mesh.height != cfg.mesh_height:
+        fail("mesh_height", f"config mesh height {cfg.mesh_height} does not match the mesh's {mesh.height}")
     weights = np.asarray(cfg.bandwidth_weights, dtype=float)
     # What Generator.choice(n, p=weights) searches; bisect_right is its draw.
     cdf = (weights / weights.sum()).cumsum()

@@ -93,6 +93,20 @@ class TestFlowSpec:
         with pytest.raises(ValueError, match=message):
             one_flow(**kw)
 
+    @pytest.mark.parametrize(
+        "flow,destination,message",
+        [
+            (((0, 0), 0), (2, 2), re.escape("flow ((0, 0), 0): flow id must be a FlowId")),
+            (FlowId((0, 0, 1), 0), (2, 2), re.escape("flow (0, 0, 1):0: source coordinates must be integers")),
+            (FlowId((0, 0), 0), (2, 2, 1), re.escape("flow (0, 0):0: destination coordinates must be integers")),
+        ],
+        ids=["plain-tuple-id", "three-coordinate-source", "three-coordinate-destination"],
+    )
+    def test_malformed_id_or_node_is_a_value_error(self, flow, destination, message):
+        # the shape is checked before any field is read
+        with pytest.raises(ValueError, match=message):
+            FlowSpec(flow, destination, 1.0, 0, 5)
+
     def test_replace_is_validated(self):
         spec = one_flow()
         assert spec._replace(hold_time=7).hold_time == 7
@@ -114,6 +128,23 @@ class TestFlowSpec:
         for file in ("flows.csv", "summary.csv", "trace.tsv"):
             assert (tmp_path / "plain" / file).read_bytes() == (tmp_path / "ids" / file).read_bytes(), file
         assert "\t0,0:0\t" in (tmp_path / "ids" / "trace.tsv").read_text()
+
+
+class TestUnholdableDemand:
+    # A demand whose wire quotient overflows to infinity fits no link: every such flow fails.
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(wire_bandwidth=5e-324), dict(bandwidth_values=(1e308,), wire_bandwidth=0.5)],
+        ids=["subnormal-wire", "huge-demand"],
+    )
+    def test_generated_flows_all_fail(self, overrides):
+        report = run_simulation(base_config(traffic_rate=0.01, traffic_duration=200, **overrides))
+        assert report.summary.offered > 0
+        assert {row.phase for row in report.flows} == {"Failed"}
+
+    def test_explicit_flow_fails(self):
+        report = Simulator(base_config(wire_bandwidth=0.5), [one_flow(bandwidth=1.7e308)]).run()
+        assert [row.phase for row in report.flows] == ["Failed"]
 
 
 class TestIdleSingleFlow:

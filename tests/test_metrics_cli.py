@@ -10,14 +10,19 @@ from beenoc import (
     ConfigError,
     FlowId,
     FlowSpec,
+    Mesh,
     NodeId,
     RunConfig,
     Simulator,
     echo_lines,
+    generate_traffic,
+    make_rng,
     parse_config,
+    run_simulation,
     validate_config,
     write_report,
 )
+from beenoc import config as config_module
 from beenoc.cli import cli_main
 from beenoc.config import _format_value
 from beenoc.errors import InvariantViolationError
@@ -104,9 +109,8 @@ class TestParseConfig:
         # library callers build RunConfig directly and never go through parse_config
         overrides = dict(bandwidth_values=(1.0, 2.0), bandwidth_weights=(1.0, 1.0))
         overrides[key] = (1.0, bad) if key.startswith("bandwidth_") else bad
-        cfg = RunConfig(mesh_width=4, mesh_height=4, seed=1, **overrides)
         with pytest.raises(ConfigError, match=f"key '{key}': must be finite"):
-            validate_config(cfg)
+            RunConfig(mesh_width=4, mesh_height=4, seed=1, **overrides)
 
     @pytest.mark.parametrize(
         "key,bad,message",
@@ -130,6 +134,20 @@ class TestParseConfig:
         fields[key] = bad
         with pytest.raises(ConfigError, match=f"key '{key}': {message}"):
             validate_config(RunConfig(**fields))
+
+    def test_validated_once_when_built_and_never_again(self, tmp_path, monkeypatch):
+        calls = []
+        real = config_module.validate_config
+        monkeypatch.setattr(config_module, "validate_config", lambda cfg: calls.append(cfg) or real(cfg))
+        cfg = parse_config(MINIMAL + "traffic_rate = 0.01\ntraffic_duration = 100\n")
+        assert len(calls) == 1
+        Simulator(cfg, generate_traffic(Mesh(4, 4), cfg, make_rng(cfg.seed)))
+        run_simulation(cfg)
+        assert len(calls) == 1
+        path = write_config(tmp_path, MINIMAL + "traffic_rate = 0.01\ntraffic_duration = 100\n")
+        calls.clear()
+        assert cli_main(["run", "--config", path, "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 2  # the parse, then the seed override's dataclasses.replace
 
     def test_duplicate_key_names_line(self):
         with pytest.raises(ConfigError, match="line 4: duplicate key 'seed'"):
@@ -278,6 +296,27 @@ def multi_pass_summary_fields(flows):
     )
 
 
+_scalars = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.text(max_size=6), st.none(),
+    st.sampled_from([2**64, 10**400, -(10**400), 5e-324, 1.7e308]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    key=st.sampled_from([k for k in config_module._KEY_TYPES if k not in ("mesh_width", "mesh_height")]),
+    value=st.one_of(_scalars, st.lists(_scalars, max_size=3).map(tuple)),
+)
+def test_a_config_either_is_refused_or_is_valid(key, value):
+    # one key at a time on a 4x4 base, so no draw builds a large link table
+    try:
+        cfg = RunConfig(**{"mesh_width": 4, "mesh_height": 4, "seed": 0, key: value})
+    except ConfigError:
+        return
+    validate_config(cfg)
+    Simulator(cfg, [])
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.one_of(st.just(()), flow_rows, failed_rows))
 def test_summary_matches_the_multi_pass_formulas(flows):
@@ -372,6 +411,16 @@ class TestCli:
         cfg = write_config(tmp_path, MINIMAL)
         assert cli_main(["run", "--config", cfg, "--workload", str(workload), "--out", str(tmp_path / "o")]) == 2
         assert "workload line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra", ["wire_bandwidth = 5e-324\n", "wire_bandwidth = 0.5\nbandwidth_values = 1e308\n"],
+        ids=["subnormal-wire", "huge-demand"],
+    )
+    def test_run_unholdable_demand_exit_0(self, tmp_path, extra):
+        cfg = write_config(tmp_path, MINIMAL + "traffic_rate = 0.01\ntraffic_duration = 100\n" + extra)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert ",Failed," in (out / "flows.csv").read_text()
 
     def test_verify_good_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL)

@@ -235,6 +235,13 @@ class TestNetworkReservations:
         net_q = Network(Mesh(2, 2), 8, 0.15)
         assert net_q.wires_for(0.3) == 2
 
+    def test_wires_for_caps_a_demand_no_link_holds(self):
+        # the quotient overflows to infinity; any demand above wire_count wires fits no link
+        net = Network(Mesh(2, 2), 8, 0.5)
+        assert net.wires_for(1e308) == 9 and type(net.wires_for(1e308)) is int
+        assert net.wires_for(4.5) == 9 and net.wires_for(4.0) == 8
+        assert Network(Mesh(2, 2), 8, 5e-324).wires_for(1.0) == 9
+
     @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("inf"), float("nan")])
     def test_wires_for_refuses_unholdable_bandwidth(self, bandwidth):
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):

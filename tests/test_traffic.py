@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beenoc import ConfigError, FlowId, FlowSpec, Mesh, NodeId, RunConfig, validate_config
+from beenoc import ConfigError, FlowId, FlowSpec, Mesh, NodeId, RunConfig
 from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
 
 
@@ -18,8 +18,9 @@ def params(**overrides):
 
 
 class TestGenerateTraffic:
-    def test_rate_zero_gives_empty_list(self):
-        assert generate_traffic(Mesh(4, 4), params(traffic_rate=0.0), make_rng(1)) == []
+    def test_rate_zero_refused_when_built(self):
+        with pytest.raises(ConfigError, match="key 'traffic_rate'"):
+            params(traffic_rate=0.0)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
@@ -30,14 +31,16 @@ class TestGenerateTraffic:
             generate_traffic(Mesh(4, 4), params(bandwidth_values=()), make_rng(1))
 
     @pytest.mark.parametrize(
-        "weights",
-        [(1.0,), (1.0, 0.5, 0.5), (1.0, -0.5), (-1.0, 2.0), (1.0, float("nan")), (0.0, 0.0)],
+        "weights,message",
+        [((1.0,), "bandwidth weights"), ((1.0, 0.5, 0.5), "bandwidth weights"), ((1.0, -0.5), "bandwidth weights"),
+         ((-1.0, 2.0), "bandwidth weights"), ((1.0, float("nan")), "key 'bandwidth_weights': must be finite"),
+         ((0.0, 0.0), "bandwidth weights")],
         ids=["too-few", "too-many", "negative", "negative-first", "nan", "all-zero"],
     )
-    def test_bad_bandwidth_weights_rejected_before_any_draw(self, weights):
+    def test_bad_bandwidth_weights_rejected_before_any_draw(self, weights, message):
         rng = make_rng(1)
         state = rng.bit_generator.state
-        with pytest.raises(ConfigError, match="bandwidth weights"):
+        with pytest.raises(ConfigError, match=message):
             generate_traffic(Mesh(4, 4), params(bandwidth_values=(1.0, 2.0), bandwidth_weights=weights), rng)
         assert rng.bit_generator.state == state
 
@@ -47,18 +50,19 @@ class TestGenerateTraffic:
             ({"hold_time_dist": "poisson"}, "hold-time distribution"),
             ({"hold_time_dist": "geometric", "hold_time_mean": 0.5}, "mean hold time"),
             ({"hold_time_mean": 0.0}, "mean hold time"),
-            ({"hold_time_mean": float("inf")}, "mean hold time"),
+            ({"hold_time_mean": float("inf")}, "key 'hold_time_mean': must be finite"),
             ({"hotspot_fraction": 1.5}, "hotspot fraction"),
             ({"hotspot_fraction": -0.1}, "hotspot fraction"),
             ({"traffic_pattern": "hotspot", "hotspot_node": (4, 0), "hotspot_fraction": 1.0}, "outside the mesh"),
             ({"traffic_pattern": "hotspot", "hotspot_node": (0, 7), "hotspot_fraction": 0.5}, "outside the mesh"),
             ({"bandwidth_values": (1.0, -2.0), "bandwidth_weights": (0.5, 0.5)}, "bandwidth values"),
             ({"bandwidth_values": (0.0,)}, "bandwidth values"),
-            ({"bandwidth_values": (float("inf"),)}, "bandwidth values"),
-            ({"bandwidth_values": (2.0, float("nan")), "bandwidth_weights": (0.5, 0.5)}, "bandwidth values"),
-            ({"traffic_duration": float("nan")}, "traffic duration"),
-            ({"traffic_duration": float("inf")}, "traffic duration"),
-            ({"traffic_rate": 0.0, "bandwidth_weights": (-1.0,)}, "bandwidth weights"),
+            ({"bandwidth_values": (float("inf"),)}, "key 'bandwidth_values': must be finite"),
+            ({"bandwidth_values": (2.0, float("nan")), "bandwidth_weights": (0.5, 0.5)},
+             "key 'bandwidth_values': must be finite"),
+            ({"traffic_duration": float("nan")}, "key 'traffic_duration': must be an integer"),
+            ({"traffic_duration": float("inf")}, "key 'traffic_duration': must be an integer"),
+            ({"traffic_rate": 0.0, "bandwidth_weights": (-1.0,)}, "key 'traffic_rate': must be positive"),
             ({"hotspot_node": (9, 9)}, "outside the mesh"),
             ({"mesh_width": 5}, "key 'mesh_width'"),
             ({"mesh_height": 3}, "key 'mesh_height'"),
@@ -107,14 +111,9 @@ class TestGenerateTraffic:
              "hotspot-triple", "hotspot-fractional"],
     )
     def test_config_and_generator_refuse_alike(self, key, overrides):
-        cfg = RunConfig(**{"mesh_width": 4, "mesh_height": 4, "seed": 1, **overrides})
+        # the config refuses the value when built, so generate_traffic never gets it
         with pytest.raises(ConfigError, match=f"key '{key}'"):
-            validate_config(cfg)
-        rng = make_rng(1)
-        state = rng.bit_generator.state
-        with pytest.raises(ConfigError, match=f"key '{key}'"):
-            generate_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), cfg, rng)
-        assert rng.bit_generator.state == state
+            RunConfig(**{"mesh_width": 4, "mesh_height": 4, "seed": 1, **overrides})
 
     @pytest.mark.parametrize("rate,duration", [(0.005, 1000), (0.02, 300)])
     def test_config_defaults_are_the_param_defaults(self, rate, duration):
