@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, check_workload_source, echo_lines, parse_config
+from .config import RunConfig, echo_lines, parse_config
 from .engine import run_simulation
 from .errors import BeenocError, ConfigError, InvariantViolationError, OracleSizeError
 from .metrics import write_report
@@ -38,11 +38,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         changes["workload_file"] = args.workload
     if getattr(args, "trace", False):
         changes["trace"] = True
-    if not changes:
-        return cfg
-    cfg = replace(cfg, applied_defaults=tuple(k for k in cfg.applied_defaults if k not in changes), **changes)
-    check_workload_source(cfg)
-    return cfg
+    return replace(cfg, **changes) if changes else cfg
 
 
 def _cmd_run(args) -> int:

@@ -12,8 +12,7 @@ from .topology import NodeId
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Simulation parameters, valid once built (`validate_config` runs here). `applied_defaults`
-    lists every key that was not set explicitly, so no default is ever silent."""
+    """Simulation parameters and nothing else, valid once built (`validate_config` runs here)."""
 
     mesh_width: int
     mesh_height: int
@@ -36,7 +35,6 @@ class RunConfig:
     bandwidth_weights: tuple[float, ...] = (1.0,)
     hold_time_dist: str = "fixed"
     hold_time_mean: float = 100.0
-    applied_defaults: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         validate_config(self)
@@ -80,10 +78,10 @@ _FIELD_TYPES = {
     "tuple[float, ...]": (_parse_floats, lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
                           "must be a tuple of numbers"),
 }
-_KEY_TYPES = {f.name: _FIELD_TYPES[f.type] for f in fields(RunConfig) if f.name != "applied_defaults"}
+_KEY_TYPES = {f.name: _FIELD_TYPES[f.type] for f in fields(RunConfig)}
 _REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
-# Every float-valued key, scalar or tuple; all must be finite.
+# Every float-valued key, scalar or tuple; all must be finite, and an int a float holds exactly.
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "tuple[float, ...]"))
 _FLOAT_MAX = sys.float_info.max
 
@@ -107,15 +105,19 @@ def fail(key: str, why: str) -> NoReturn:
 
 def validate_config(cfg: RunConfig) -> None:
     """Every rule on a config, raising ConfigError that names the key: one pass over the
-    types, one over the float keys, then the value rules. `RunConfig` runs it when built."""
+    types, one over the float keys, then the value rules, the last of which is that a
+    `workload_file` excludes any traffic key off its default. `RunConfig` runs it when built."""
     for key, (_, holds, why) in _KEY_TYPES.items():
         if not holds(getattr(cfg, key)):
             fail(key, why)
     for key in _FLOAT_KEYS:
         value = getattr(cfg, key)
+        values = value if isinstance(value, tuple) else (value,)
         # false for nan, an infinity and an int beyond float range (math.isfinite raises on it)
-        if not all(abs(v) <= _FLOAT_MAX for v in (value if isinstance(value, tuple) else (value,))):
+        if not all(abs(v) <= _FLOAT_MAX for v in values):
             fail(key, "must be finite")
+        if not all(float(v) == v for v in values):  # else the echoed value parses back as another number
+            fail(key, "an int for a float key must be one a float holds exactly")
 
     if cfg.mesh_width < 2:
         fail("mesh_width", "all mesh dimensions must be >= 2")
@@ -161,17 +163,16 @@ def validate_config(cfg: RunConfig) -> None:
         fail("bandwidth_weights", "bandwidth weights must be finite and not negative")
     if not any(weights):
         fail("bandwidth_weights", "bandwidth weights must not all be zero")
+    if not sum(weights) <= _FLOAT_MAX:  # so the weights can be normalised
+        fail("bandwidth_weights", "bandwidth weights must have a finite sum")
     if cfg.hold_time_dist not in ("fixed", "geometric"):
         fail("hold_time_dist", f"unknown hold-time distribution {cfg.hold_time_dist!r}")
     if cfg.hold_time_mean < 1:
         fail("hold_time_mean", "mean hold time must be finite and at least 1 cycle")
-
-
-def check_workload_source(cfg: RunConfig) -> None:
-    """Refuse a `workload_file` beside a traffic key that is set (not in `applied_defaults`)."""
-    clash = [key for key in _TRAFFIC_KEYS if key not in cfg.applied_defaults]
-    if cfg.workload_file is not None and clash:
-        fail(min(clash), "conflicts with workload_file (pick one workload source)")
+    if cfg.workload_file is not None:  # a dataclass field's default is its class attribute
+        clash = [key for key in _TRAFFIC_KEYS if getattr(cfg, key) != getattr(RunConfig, key)]
+        if clash:
+            fail(min(clash), "conflicts with workload_file (pick one workload source)")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -210,10 +211,7 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: key '{key}': {exc}") from None
 
-    applied = tuple(k for k in _KEY_TYPES if k not in entries)
-    cfg = RunConfig(**kwargs, applied_defaults=applied)
-    check_workload_source(cfg)
-    return cfg
+    return RunConfig(**kwargs)
 
 
 def _format_value(value) -> str:
@@ -228,12 +226,10 @@ def _format_value(value) -> str:
 
 def echo_lines(cfg: RunConfig) -> list[str]:
     """Resolved configuration, one `key = value` line per parameter, with
-    every applied default marked."""
-    defaulted = set(cfg.applied_defaults)
+    `(default)` marked on each value that equals its key's default."""
     lines = []
     for f in fields(cfg):
-        if f.name == "applied_defaults":
-            continue
-        suffix = "  (default)" if f.name in defaulted else ""
-        lines.append(f"{f.name} = {_format_value(getattr(cfg, f.name))}{suffix}")
+        value = getattr(cfg, f.name)
+        suffix = "  (default)" if value == f.default else ""
+        lines.append(f"{f.name} = {_format_value(value)}{suffix}")
     return lines

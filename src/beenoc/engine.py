@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import metrics, router
-from .config import RunConfig, _is_number
+from .config import _FLOAT_MAX, RunConfig, _is_number
 from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
 from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir, hop_budget
@@ -79,7 +79,7 @@ class FlowSpec(_FlowSpecFields):
             raise ValueError(f"flow {flow}: flow id must be a FlowId")
         if flow.source == destination:
             raise DegenerateFlowError(f"flow {flow}: source equals destination")
-        if not (_is_number(required_bandwidth) and 0 < required_bandwidth < math.inf):
+        if not (_is_number(required_bandwidth) and 0 < required_bandwidth <= _FLOAT_MAX):
             raise ValueError(f"flow {flow}: required_bandwidth must be positive and finite")
         for name, node in (("source", flow.source), ("destination", destination)):
             # the shape first, then each coordinate; bool is an int subclass

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple
@@ -182,7 +183,7 @@ class Network:
             raise ValueError("wire_count must be an integer")
         if wire_count < 1:
             raise ValueError("wire_count must be >= 1")
-        if not 0.0 < wire_bandwidth < math.inf:
+        if not 0.0 < wire_bandwidth <= sys.float_info.max:
             raise ValueError("wire_bandwidth must be positive and finite")
         self.mesh = mesh
         self.wire_count = wire_count
@@ -231,7 +232,7 @@ class Network:
         `wire_count` wires fits no link, so it is capped at `wire_count + 1`,
         which also holds a quotient that overflows to infinity.
         """
-        if not 0.0 < bandwidth < math.inf:
+        if not 0.0 < bandwidth <= sys.float_info.max:
             raise ValueError("bandwidth must be positive and finite")
         return max(1, math.ceil(min(bandwidth / self.wire_bandwidth - 1e-9, self.wire_count + 1)))
 

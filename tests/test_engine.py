@@ -86,8 +86,9 @@ class TestFlowSpec:
             (dict(seq="a"), "sequence must be an integer"),
             (dict(bandwidth=True), "required_bandwidth must be positive"),
             (dict(bandwidth="1.0"), "required_bandwidth must be positive"),
+            (dict(bandwidth=10**400), "required_bandwidth must be positive and finite"),  # beyond float range
         ],
-        ids=[f"kw{i}" for i in range(17)],
+        ids=[f"kw{i}" for i in range(18)],
     )
     def test_bad_fields(self, kw, message):
         with pytest.raises(ValueError, match=message):

@@ -3,7 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beenoc import (
@@ -45,25 +45,27 @@ class TestParseConfig:
         assert cfg.mesh_width == 4 and cfg.seed == 7
         assert cfg.wire_count == 8
         assert cfg.backward_bee_count == 3
-        assert "wire_count" in cfg.applied_defaults
-        assert "seed" not in cfg.applied_defaults
+        assert cfg.traffic_rate == 0.005 and cfg.workload_file is None
+
+    def test_a_parsed_config_equals_the_one_built_in_code(self):
+        assert parse_config(MINIMAL) == RunConfig(mesh_width=4, mesh_height=4, seed=7)
 
     def test_defaults_are_echoed(self):
-        cfg = parse_config(MINIMAL + "t_hop = 2\n")
+        cfg = parse_config(MINIMAL + "t_hop = 2\nwire_count = 8\n")
         lines = echo_lines(cfg)
         joined = "\n".join(lines)
         assert "t_hop = 2" in joined and "t_hop = 2  (default)" not in joined
-        assert "wire_count = 8  (default)" in joined
-        # every defaulted parameter shows up marked
-        for key in cfg.applied_defaults:
-            assert any(line.startswith(f"{key} = ") and line.endswith("(default)") for line in lines)
+        assert "seed = 7" in lines
+        # a value equal to its default is marked, whether or not the file sets it
+        assert "wire_count = 8  (default)" in lines and "backward_bee_count = 3  (default)" in lines
+        assert sum(line.endswith("  (default)") for line in lines) == len(lines) - 4
 
     def test_echo_parses_back_to_the_same_config(self):
         cfg = parse_config(MINIMAL + "t_hop = 2\nbandwidth_values = 1.0,2.5\nbandwidth_weights = 0.5,0.5\n")
         assert cfg.workload_file is None
         echoed = "\n".join(line.removesuffix("  (default)") for line in echo_lines(cfg))
         assert "workload_file = none" in echoed.splitlines()
-        assert parse_config(echoed) == dataclasses.replace(cfg, applied_defaults=())
+        assert parse_config(echoed) == cfg
 
     def test_comments_and_blanks_ok(self):
         cfg = parse_config("# header\n\n" + MINIMAL)
@@ -86,6 +88,7 @@ class TestParseConfig:
             ("wire_bandwidth = nan\n", "key 'wire_bandwidth': must be finite"),
             ("hold_time_mean = nan\n", "key 'hold_time_mean': must be finite"),
             ("bandwidth_values = 1,2\nbandwidth_weights = 1,nan\n", "key 'bandwidth_weights': must be finite"),
+            ("bandwidth_values = 1,2\nbandwidth_weights = 1e308,1e308\n", "key 'bandwidth_weights': .* finite sum"),
         ],
     )
     def test_bad_values(self, extra, fragment):
@@ -135,6 +138,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"key '{key}': {message}"):
             validate_config(RunConfig(**fields))
 
+    def test_code_built_int_a_float_does_not_hold_rejected(self):
+        with pytest.raises(ConfigError, match="key 'traffic_rate': an int for a float key must be one a float holds"):
+            RunConfig(mesh_width=4, mesh_height=4, seed=1, traffic_rate=2**64 + 1)
+        with pytest.raises(ConfigError, match="key 'bandwidth_values': an int for a float key"):
+            RunConfig(mesh_width=4, mesh_height=4, seed=1, bandwidth_values=(1, 2**53 + 1), bandwidth_weights=(1, 1))
+        assert RunConfig(mesh_width=4, mesh_height=4, seed=1, traffic_rate=2**64).traffic_rate == 2**64
+
     def test_validated_once_when_built_and_never_again(self, tmp_path, monkeypatch):
         calls = []
         real = config_module.validate_config
@@ -164,6 +174,17 @@ class TestParseConfig:
     def test_workload_conflicts_with_traffic_keys(self):
         with pytest.raises(ConfigError, match="conflicts with workload_file"):
             parse_config(MINIMAL + "workload_file = flows.txt\ntraffic_rate = 0.1\n")
+
+    def test_code_built_workload_conflicts_with_a_traffic_key_off_its_default(self):
+        with pytest.raises(ConfigError, match="key 'traffic_rate': conflicts with workload_file"):
+            RunConfig(mesh_width=4, mesh_height=4, seed=1, workload_file="w.txt", traffic_rate=0.1)
+        with pytest.raises(ConfigError, match="key 'hold_time_mean': conflicts with workload_file"):
+            dataclasses.replace(RunConfig(mesh_width=4, mesh_height=4, seed=1, hold_time_mean=50.0), workload_file="w.txt")
+
+    def test_workload_beside_a_traffic_key_at_its_default(self):
+        # the key changes nothing about the run, so it is no conflict
+        cfg = parse_config(MINIMAL + "workload_file = flows.txt\ntraffic_rate = 0.005\n")
+        assert cfg == RunConfig(mesh_width=4, mesh_height=4, seed=7, workload_file="flows.txt")
 
     def test_transpose_needs_square(self):
         with pytest.raises(ConfigError, match="square"):
@@ -206,7 +227,6 @@ class TestWriteReport:
         assert documented == {
             f.name: "required" if f.default is dataclasses.MISSING else _format_value(f.default)
             for f in dataclasses.fields(RunConfig)
-            if f.name != "applied_defaults"
         }
 
     def test_empty_run_headers_only(self, tmp_path):
@@ -315,6 +335,23 @@ def test_a_config_either_is_refused_or_is_valid(key, value):
         return
     validate_config(cfg)
     Simulator(cfg, [])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    workload=st.sampled_from([None, "flows.txt"]),
+    key=st.sampled_from([k for k in config_module._KEY_TYPES if k not in ("mesh_width", "mesh_height", "workload_file")]),
+    value=st.one_of(_scalars, st.lists(_scalars, max_size=3).map(tuple)),
+)
+@example(workload=None, key="traffic_rate", value=2**64 + 1)  # echoes as an int, parses back as a float
+@example(workload=None, key="bandwidth_values", value=(1, 2**53 + 1))
+def test_a_config_echoes_to_text_that_parses_back_equal(workload, key, value):
+    try:
+        cfg = RunConfig(**{"mesh_width": 4, "mesh_height": 4, "seed": 0, "workload_file": workload, key: value})
+    except ConfigError:
+        return
+    echoed = "\n".join(line.removesuffix("  (default)") for line in echo_lines(cfg))
+    assert parse_config(echoed) == cfg
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -426,6 +463,15 @@ class TestCli:
         cfg = write_config(tmp_path, MINIMAL)
         assert cli_main(["verify", "--config", cfg]) == 0
         assert "configuration ok" in capsys.readouterr().out
+
+    def test_verify_echo_of_a_workload_config_verifies_again(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL + "workload_file = flows.txt\n")
+        assert cli_main(["verify", "--config", cfg]) == 0
+        echoed = capsys.readouterr().out.splitlines()[1:]
+        again = tmp_path / "echoed.cfg"
+        again.write_text("\n".join(line.strip().removesuffix("  (default)") for line in echoed), encoding="ascii")
+        assert cli_main(["verify", "--config", str(again)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == echoed
 
     def test_verify_bad_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MINIMAL + "bogus = 3\n")
