@@ -7,7 +7,7 @@ and reservation. Takes about 16 s on a 2-vCPU VM.
 
 import dataclasses
 
-from beenoc import Mesh, RunConfig, run_simulation
+from beenoc import Mesh, RunConfig, Simulator
 from beenoc.traffic import generate_traffic, make_rng
 
 base = RunConfig(
@@ -30,7 +30,7 @@ for rate in (0.002, 0.004, 0.006, 0.008, 0.010):
         for k in (1, 3):
             cfg = dataclasses.replace(base, traffic_rate=rate, seed=seed, backward_bee_count=k)
             workload = generate_traffic(Mesh(6, 6), cfg, make_rng(seed))
-            report = run_simulation(cfg, workload)
+            report = Simulator(cfg, workload).run()
             ratios[k].append(report.summary.success_ratio)
             flows_seen += len(workload)
     mean1 = sum(ratios[1]) / len(seeds)

@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, echo_lines, parse_config
+from .config import RunConfig, echo_lines, parse_config, read_text
 from .engine import run_simulation
 from .errors import BeenocError, ConfigError, InvariantViolationError, OracleSizeError
 from .metrics import write_report
@@ -27,7 +27,7 @@ ORACLE_CHECK_SCENARIOS = 40
 
 
 def _load_config(path: str) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    return parse_config(read_text(path))
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import MISSING, dataclass, fields
-from typing import NoReturn
+from pathlib import Path
+from typing import Iterator, NoReturn
 
 from .errors import ConfigError
 from .topology import NodeId
@@ -84,6 +85,9 @@ _REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING
 # Every float-valued key, scalar or tuple; all must be finite, and an int a float holds exactly.
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "tuple[float, ...]"))
 _FLOAT_MAX = sys.float_info.max
+# Generated traffic may expect at most this many flows (traffic_rate * traffic_duration * nodes):
+# a run holds every flow, at about 600 B each.
+_MAX_OFFERED_FLOWS = 10**6
 
 _TRAFFIC_KEYS = (
     "traffic_rate",
@@ -143,6 +147,10 @@ def validate_config(cfg: RunConfig) -> None:
         fail("traffic_rate", "must be positive (see workload_file for explicit workloads)")
     if cfg.traffic_duration < 1:
         fail("traffic_duration", "must be >= 1 cycle")
+    rate_num, rate_den = cfg.traffic_rate.as_integer_ratio()  # exact: the product of ints cannot overflow
+    nodes = cfg.mesh_width * cfg.mesh_height
+    if cfg.workload_file is None and rate_num * cfg.traffic_duration * nodes > _MAX_OFFERED_FLOWS * rate_den:
+        fail("traffic_rate", f"traffic_rate * traffic_duration * nodes expects over {_MAX_OFFERED_FLOWS} flows")
     if cfg.traffic_pattern not in ("uniform", "hotspot", "transpose"):
         fail("traffic_pattern", f"unknown traffic pattern {cfg.traffic_pattern!r}")
     if cfg.traffic_pattern == "transpose" and cfg.mesh_width != cfg.mesh_height:
@@ -170,9 +178,30 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.hold_time_mean < 1:
         fail("hold_time_mean", "mean hold time must be finite and at least 1 cycle")
     if cfg.workload_file is not None:  # a dataclass field's default is its class attribute
+        path = cfg.workload_file
+        if path == "none" or path != path.strip() or path.splitlines() != [path]:  # else the echo misreads it
+            fail("workload_file", f"{path!r} is not a path one config line holds (a file named none is ./none)")
         clash = [key for key in _TRAFFIC_KEYS if getattr(cfg, key) != getattr(RunConfig, key)]
         if clash:
             fail(min(clash), "conflicts with workload_file (pick one workload source)")
+
+
+def read_text(path) -> str:
+    """The text of a config or workload file, which is UTF-8; one that does not
+    decode raises ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"file '{path}' is not UTF-8 text ({exc.reason} at offset {exc.start})") from None
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each (line number, stripped line) of a config or workload text that is
+    neither blank nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
 
 
 def parse_config(text: str) -> RunConfig:
@@ -183,10 +212,7 @@ def parse_config(text: str) -> RunConfig:
     rejected with the offending key and line number.
     """
     entries: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")

@@ -36,11 +36,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from . import metrics, router
-from .config import _FLOAT_MAX, RunConfig, _is_number
+from .config import _FLOAT_MAX, RunConfig, _is_number, content_lines, read_text
 from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
 from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir, hop_budget
@@ -164,9 +163,6 @@ class CalendarQueue:
 
     def __bool__(self) -> bool:
         return bool(self._cycles)
-
-    def push(self, time: int, item) -> None:
-        self.bucket(time).append(item)
 
     def bucket(self, time: int) -> list:
         """The list of events pending at `time`; appending to it pushes. A new
@@ -325,7 +321,7 @@ class Simulator:
     # -- event handlers ---------------------------------------------------
 
     def _on_flow_arrival(self, source: int, rec: FlowRecord, _port: None) -> None:
-        self.queue.push(self.clock + self._timeout_for(rec.hop_limit), (Simulator._on_setup_timeout, source, rec, None))
+        self.queue.bucket(self.clock + self._timeout_for(rec.hop_limit)).append((Simulator._on_setup_timeout, source, rec, None))
         rec.tree = [None] * self.mesh.node_count
         rec.tree[source] = _LOCAL
         self._on_wave(rec, [(source, _LOCAL)], None)
@@ -438,7 +434,7 @@ class Simulator:
         self._set_phase(rec, _ESTABLISHED)  # accepted at the source
         rec.setup_latency = self.clock - rec.spec.arrival_time
         rec.circuit, rec.winner = bee.path, bee.owner
-        self.queue.push(self.clock + rec.spec.hold_time, (Simulator._on_flow_complete, rec.source, rec, None))
+        self.queue.bucket(self.clock + rec.spec.hold_time).append((Simulator._on_flow_complete, rec.source, rec, None))
 
     def _on_control(self, node: int, pkt: ControlPacket, _port: PortDir) -> None:
         self._control_deliveries += 1
@@ -536,10 +532,7 @@ def parse_workload(text: str, mesh: Mesh) -> list[FlowSpec]:
     Blank lines and '#' comments are allowed."""
     flows: list[FlowSpec] = []
     counters: dict[NodeId, int] = defaultdict(int)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(text):
         parts = [p.strip() for p in stripped.split(",")]
         if len(parts) != 7:
             raise ConfigError(f"workload line {lineno}: expected 7 comma-separated fields, got {len(parts)}")
@@ -564,18 +557,17 @@ def parse_workload(text: str, mesh: Mesh) -> list[FlowSpec]:
 
 
 def load_workload(path, mesh: Mesh) -> list[FlowSpec]:
-    return parse_workload(Path(path).read_text(encoding="ascii"), mesh)
+    return parse_workload(read_text(path), mesh)
 
 
-def run_simulation(config: RunConfig, workload: Sequence[FlowSpec] | None = None) -> metrics.MetricsReport:
-    """Build the workload (explicit file or generated traffic), run one
-    simulation, and return its report. Deterministic in (config, seed)."""
+def run_simulation(config: RunConfig) -> metrics.MetricsReport:
+    """Build the configured workload (explicit file or generated traffic), run
+    one simulation, and return its report. Deterministic in (config, seed)."""
     mesh = Mesh(config.mesh_width, config.mesh_height)
-    if workload is None:
-        if config.workload_file is not None:
-            workload = load_workload(config.workload_file, mesh)
-        else:
-            from .traffic import generate_traffic, make_rng
+    if config.workload_file is not None:
+        workload = load_workload(config.workload_file, mesh)
+    else:
+        from .traffic import generate_traffic, make_rng
 
-            workload = generate_traffic(mesh, config, make_rng(config.seed))
+        workload = generate_traffic(mesh, config, make_rng(config.seed))
     return Simulator(config, workload).run()

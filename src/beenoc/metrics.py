@@ -98,12 +98,13 @@ def nearest_rank_percentile(values: list, fraction: float) -> float | None:
     return float(ordered[max(rank, 1) - 1])
 
 
-def build_summary(
+def build_report(
     flows: tuple[FlowRow, ...],
     stats: RunStats,
     util_peak: dict[PortDir, float],
     util_mean: dict[PortDir, float],
-) -> Summary:
+    trace: tuple[str, ...] | None,
+) -> MetricsReport:
     offered = len(flows)
     failed = torn_down = 0
     latencies, stretches = [], []  # in row order: the float sums depend on it
@@ -115,7 +116,7 @@ def build_summary(
         torn_down += phase == "TornDown"
     established = len(latencies)
     total_deliveries = stats.forward_deliveries + stats.backward_deliveries + stats.control_deliveries
-    return Summary(
+    summary = Summary(
         offered=offered,
         established=established,
         failed=failed,
@@ -131,21 +132,7 @@ def build_summary(
         **{f"util_peak_{port.name.lower()}": util_peak[port] for port in NON_LOCAL_PORTS},
         **{f"util_mean_{port.name.lower()}": util_mean[port] for port in NON_LOCAL_PORTS},
     )
-
-
-def build_report(
-    flows: tuple[FlowRow, ...],
-    stats: RunStats,
-    util_peak: dict[PortDir, float],
-    util_mean: dict[PortDir, float],
-    trace: tuple[str, ...] | None,
-) -> MetricsReport:
-    return MetricsReport(
-        flows=flows,
-        summary=build_summary(flows, stats, util_peak, util_mean),
-        stats=stats,
-        trace=trace,
-    )
+    return MetricsReport(flows=flows, summary=summary, stats=stats, trace=trace)
 
 
 def _fmt(value) -> str:
@@ -181,19 +168,3 @@ def write_report(report: MetricsReport, destination) -> None:
     if report.trace is not None:
         body = "\n".join(report.trace) + ("\n" if report.trace else "")
         (out / "trace.tsv").write_text(body, encoding="ascii", newline="\n")
-
-
-__all__ = [
-    "FLOWS_HEADER",
-    "SUMMARY_HEADER",
-    "FlowRow",
-    "RunStats",
-    "Summary",
-    "MetricsReport",
-    "build_summary",
-    "build_report",
-    "flow_row_line",
-    "summary_line",
-    "write_report",
-    "nearest_rank_percentile",
-]

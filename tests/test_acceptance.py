@@ -134,7 +134,7 @@ def test_criterion_4_conservation():
         cfg = conservation_config(seed)
         workload = generate_traffic(Mesh(4, 4), cfg, make_rng(seed))
         assert len(workload) >= 200, f"seed {seed}: workload only {len(workload)} flows"
-        report = run_simulation(cfg, workload)
+        report = Simulator(cfg, workload).run()
         assert report.stats.drained
         assert report.stats.final_wires_held == 0, f"seed {seed} leaked wires"
         worst_cap = max(worst_cap, report.stats.max_forward_deliveries_per_flow)
@@ -210,7 +210,7 @@ def test_criterion_7_triple_backward_bee_success_ratio():
         for k in (1, 3):
             cfg = dataclasses.replace(base, seed=seed, backward_bee_count=k)
             workload = generate_traffic(Mesh(6, 6), cfg, make_rng(seed))
-            report = run_simulation(cfg, workload)
+            report = Simulator(cfg, workload).run()
             ratios[k].append(report.summary.success_ratio)
     mean_k1 = sum(ratios[1]) / 30
     mean_k3 = sum(ratios[3]) / 30

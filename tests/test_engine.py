@@ -412,7 +412,7 @@ class TestCalendarQueue:
 
         def push(time):
             item = next(seq)
-            queue.push(time, item)
+            queue.bucket(time).append(item)
             heapq.heappush(reference, (time, item))
 
         def drain(during):
@@ -435,11 +435,11 @@ class TestCalendarQueue:
 
     def test_push_after_its_cycle_was_popped_opens_a_fresh_bucket(self):
         queue = CalendarQueue()
-        queue.push(3, "a")
-        assert queue.bucket(3) == ["a"]  # handed out again: now the cached bucket
+        queue.bucket(3).append("a")
+        assert queue.bucket(3) == ["a"]  # the pending bucket, handed out again
         time, popped = queue.pop_cycle()
         assert (time, popped) == (3, ["a"]) and not queue
-        queue.push(3, "b")
+        queue.bucket(3).append("b")
         assert popped == ["a"]
         assert queue.pop_cycle() == (3, ["b"]) and not queue
 
@@ -516,7 +516,7 @@ class TestSetupTimeout:
 class TestRandomizedRun:
     def run_once(self, seed):
         cfg, workload = contended_run(seed)
-        return run_simulation(cfg, workload), workload
+        return Simulator(cfg, workload).run(), workload
 
     def test_drains_and_conserves(self):
         report, workload = self.run_once(3)

@@ -31,7 +31,7 @@ from beenoc.metrics import (
     SUMMARY_HEADER,
     FlowRow,
     RunStats,
-    build_summary,
+    build_report,
     flow_row_line,
     nearest_rank_percentile,
 )
@@ -143,7 +143,17 @@ class TestParseConfig:
             RunConfig(mesh_width=4, mesh_height=4, seed=1, traffic_rate=2**64 + 1)
         with pytest.raises(ConfigError, match="key 'bandwidth_values': an int for a float key"):
             RunConfig(mesh_width=4, mesh_height=4, seed=1, bandwidth_values=(1, 2**53 + 1), bandwidth_weights=(1, 1))
-        assert RunConfig(mesh_width=4, mesh_height=4, seed=1, traffic_rate=2**64).traffic_rate == 2**64
+        assert RunConfig(mesh_width=4, mesh_height=4, seed=1, hold_time_mean=2**64).hold_time_mean == 2**64
+
+    def test_offered_load_beyond_the_flow_bound_rejected(self):
+        # generate_traffic would draw about 2e300 arrivals per node and never end
+        with pytest.raises(ConfigError, match="key 'traffic_rate': .* expects over 1000000 flows"):
+            RunConfig(mesh_width=4, mesh_height=4, seed=1, traffic_rate=1e300, traffic_duration=2)
+        with pytest.raises(ConfigError, match="key 'traffic_rate'"):  # compared exactly, not in floats
+            RunConfig(mesh_width=4, mesh_height=4, seed=1, traffic_rate=5e-324, traffic_duration=10**400)
+        assert RunConfig(mesh_width=4, mesh_height=4, seed=1, traffic_rate=1.0, traffic_duration=62_500)
+        with pytest.raises(ConfigError, match="key 'traffic_rate'"):
+            RunConfig(mesh_width=4, mesh_height=4, seed=1, traffic_rate=1.0, traffic_duration=62_501)
 
     def test_validated_once_when_built_and_never_again(self, tmp_path, monkeypatch):
         calls = []
@@ -340,11 +350,15 @@ def test_a_config_either_is_refused_or_is_valid(key, value):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(
     workload=st.sampled_from([None, "flows.txt"]),
-    key=st.sampled_from([k for k in config_module._KEY_TYPES if k not in ("mesh_width", "mesh_height", "workload_file")]),
+    key=st.sampled_from([k for k in config_module._KEY_TYPES if k not in ("mesh_width", "mesh_height")]),
     value=st.one_of(_scalars, st.lists(_scalars, max_size=3).map(tuple)),
 )
 @example(workload=None, key="traffic_rate", value=2**64 + 1)  # echoes as an int, parses back as a float
 @example(workload=None, key="bandwidth_values", value=(1, 2**53 + 1))
+@example(workload=None, key="workload_file", value="none")  # echoes as the unset value
+@example(workload=None, key="workload_file", value=" x")
+@example(workload=None, key="workload_file", value="")
+@example(workload=None, key="workload_file", value="a\x1cb")  # a line break to str.splitlines
 def test_a_config_echoes_to_text_that_parses_back_equal(workload, key, value):
     try:
         cfg = RunConfig(**{"mesh_width": 4, "mesh_height": 4, "seed": 0, "workload_file": workload, key: value})
@@ -359,7 +373,7 @@ def test_a_config_echoes_to_text_that_parses_back_equal(workload, key, value):
 def test_summary_matches_the_multi_pass_formulas(flows):
     stats = RunStats(7, 5, 3, 2, 1, 0, True, 100)
     peaks = {port: 0.25 * port for port in range(4)}
-    summary = build_summary(flows, stats, peaks, peaks)
+    summary = build_report(flows, stats, peaks, peaks, None).summary
     got = (
         summary.established, summary.failed, summary.torn_down, summary.success_ratio,
         summary.mean_setup_latency, summary.p95_setup_latency, summary.mean_path_stretch,
@@ -426,7 +440,7 @@ class TestCli:
 
     def test_run_workload_override(self, tmp_path):
         workload = tmp_path / "wl.txt"
-        workload.write_text("0,0,3,3,2.0,0,30\n", encoding="ascii")
+        workload.write_text("# flows from the café\n0,0,3,3,2.0,0,30\n", encoding="utf-8")
         cfg = write_config(tmp_path, MINIMAL)
         out = tmp_path / "out"
         assert cli_main(["run", "--config", cfg, "--workload", str(workload), "--out", str(out)]) == 0
@@ -441,6 +455,28 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--workload", str(workload), "--out", str(out)]) == 2
         assert "key 'traffic_rate': conflicts with workload_file" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_workload_named_none_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MINIMAL)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--workload", "none", "--out", str(out)]) == 2
+        assert "key 'workload_file': 'none' is not a path one config line holds (a file named none is ./none)" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_run_undecodable_workload_exit_2(self, tmp_path, capsys):
+        workload = tmp_path / "wl.txt"
+        workload.write_bytes(b"# caf\xe9\n0,0,3,3,2.0,0,30\n")  # Latin-1
+        cfg = write_config(tmp_path, MINIMAL)
+        assert cli_main(["run", "--config", cfg, "--workload", str(workload), "--out", str(tmp_path / "o")]) == 2
+        assert f"file '{workload}' is not UTF-8 text" in capsys.readouterr().err
+
+    def test_verify_undecodable_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(MINIMAL.encode() + b"# \xff\n")
+        assert cli_main(["verify", "--config", str(path)]) == 2
+        assert f"file '{path}' is not UTF-8 text (invalid start byte at offset 42)" in capsys.readouterr().err
 
     def test_run_non_finite_workload_bandwidth_exit_2(self, tmp_path, capsys):
         workload = tmp_path / "wl.txt"
