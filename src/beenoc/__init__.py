@@ -14,7 +14,6 @@ from .engine import (
     FlowRecord,
     FlowSpec,
     Simulator,
-    load_workload,
     parse_workload,
     run_simulation,
 )

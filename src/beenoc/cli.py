@@ -34,9 +34,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     changes = {}
     if args.seed is not None:
         changes["seed"] = args.seed
-    if getattr(args, "workload", None) is not None:
+    if args.workload is not None:
         changes["workload_file"] = args.workload
-    if getattr(args, "trace", False):
+    if args.trace:
         changes["trace"] = True
     return replace(cfg, **changes) if changes else cfg
 
@@ -136,3 +136,7 @@ def cli_main(argv=None) -> int:
 
 def main() -> None:
     sys.exit(cli_main())
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterator, NoReturn
 
 from .errors import ConfigError
-from .topology import NodeId
+from .topology import NodeId, is_number
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,7 @@ class RunConfig:
     backward_bee_count: int = 3
     max_cycles: int = 1_000_000
     trace: bool = False
+    # The fields after workload_file are the traffic keys, which it excludes off their defaults.
     workload_file: str | None = None
     traffic_rate: float = 0.005
     traffic_duration: int = 1000
@@ -60,15 +61,11 @@ def _parse_floats(value: str) -> tuple[float, ...]:
     return tuple(float(p) for p in value.split(","))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int subclass
-
-
 # By RunConfig field type: the parser of a config-file value, and the rule,
 # with its message, on a value a config built in code holds.
 _FIELD_TYPES = {
     "int": (int, lambda v: type(v) is int, "must be an integer"),
-    "float": (float, _is_number, "must be a number"),
+    "float": (float, is_number, "must be a number"),
     "str": (str, lambda v: type(v) is str, "must be a string"),
     # None is written as echo_lines prints it
     "str | None": (lambda value: None if value == "none" else value, lambda v: v is None or type(v) is str,
@@ -76,11 +73,12 @@ _FIELD_TYPES = {
     "bool": (_parse_bool, lambda v: type(v) is bool, "must be a bool"),
     "tuple[int, int]": (_parse_node, lambda v: isinstance(v, tuple) and len(v) == 2 and all(type(x) is int for x in v),
                         "must be a pair of integers"),
-    "tuple[float, ...]": (_parse_floats, lambda v: isinstance(v, tuple) and all(map(_is_number, v)),
+    "tuple[float, ...]": (_parse_floats, lambda v: isinstance(v, tuple) and all(map(is_number, v)),
                           "must be a tuple of numbers"),
 }
 _KEY_TYPES = {f.name: _FIELD_TYPES[f.type] for f in fields(RunConfig)}
 _REQUIRED_KEYS = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
+_TRAFFIC_KEYS = tuple(_KEY_TYPES)[list(_KEY_TYPES).index("workload_file") + 1:]
 
 # Every float-valued key, scalar or tuple; all must be finite, and an int a float holds exactly.
 _FLOAT_KEYS = tuple(f.name for f in fields(RunConfig) if f.type in ("float", "tuple[float, ...]"))
@@ -88,18 +86,6 @@ _FLOAT_MAX = sys.float_info.max
 # Generated traffic may expect at most this many flows (traffic_rate * traffic_duration * nodes):
 # a run holds every flow, at about 600 B each.
 _MAX_OFFERED_FLOWS = 10**6
-
-_TRAFFIC_KEYS = (
-    "traffic_rate",
-    "traffic_duration",
-    "traffic_pattern",
-    "hotspot_node",
-    "hotspot_fraction",
-    "bandwidth_values",
-    "bandwidth_weights",
-    "hold_time_dist",
-    "hold_time_mean",
-)
 
 
 def fail(key: str, why: str) -> NoReturn:

@@ -39,10 +39,10 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from . import metrics, router
-from .config import _FLOAT_MAX, RunConfig, _is_number, content_lines, read_text
+from .config import RunConfig, content_lines, read_text
 from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
-from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir, hop_budget
+from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir, hop_budget, is_bandwidth
 
 
 class FlowPhase(Enum):
@@ -78,7 +78,7 @@ class FlowSpec(_FlowSpecFields):
             raise ValueError(f"flow {flow}: flow id must be a FlowId")
         if flow.source == destination:
             raise DegenerateFlowError(f"flow {flow}: source equals destination")
-        if not (_is_number(required_bandwidth) and 0 < required_bandwidth <= _FLOAT_MAX):
+        if not is_bandwidth(required_bandwidth):
             raise ValueError(f"flow {flow}: required_bandwidth must be positive and finite")
         for name, node in (("source", flow.source), ("destination", destination)):
             # the shape first, then each coordinate; bool is an int subclass
@@ -220,10 +220,10 @@ class Simulator:
         self._control_deliveries = 0
         self._util_acc = [0, 0, 0, 0]
         self._peak_held = [0, 0, 0, 0]  # most wires held at once per direction
-        # Memos, since a run offers few distinct bandwidths and hop limits:
-        # the wires a demand takes, and the setup timeout by hop_limit.
+        # Memos, since a run offers few distinct bandwidths and hop limits: the wires
+        # a demand takes, and the cycles from arrival to setup timeout by hop_limit.
         self._wires_for = functools.cache(self.network.wires_for)
-        self._timeout_for = functools.cache(lambda limit: math.ceil(config.setup_timeout_factor * limit * config.t_hop))
+        self.setup_timeout = functools.cache(lambda limit: math.ceil(config.setup_timeout_factor * limit * config.t_hop))
         self._admit(workload)
 
     # -- construction -----------------------------------------------------
@@ -321,7 +321,7 @@ class Simulator:
     # -- event handlers ---------------------------------------------------
 
     def _on_flow_arrival(self, source: int, rec: FlowRecord, _port: None) -> None:
-        self.queue.bucket(self.clock + self._timeout_for(rec.hop_limit)).append((Simulator._on_setup_timeout, source, rec, None))
+        self.queue.bucket(self.clock + self.setup_timeout(rec.hop_limit)).append((Simulator._on_setup_timeout, source, rec, None))
         rec.tree = [None] * self.mesh.node_count
         rec.tree[source] = _LOCAL
         self._on_wave(rec, [(source, _LOCAL)], None)
@@ -556,16 +556,12 @@ def parse_workload(text: str, mesh: Mesh) -> list[FlowSpec]:
     return flows
 
 
-def load_workload(path, mesh: Mesh) -> list[FlowSpec]:
-    return parse_workload(read_text(path), mesh)
-
-
 def run_simulation(config: RunConfig) -> metrics.MetricsReport:
     """Build the configured workload (explicit file or generated traffic), run
     one simulation, and return its report. Deterministic in (config, seed)."""
     mesh = Mesh(config.mesh_width, config.mesh_height)
     if config.workload_file is not None:
-        workload = load_workload(config.workload_file, mesh)
+        workload = parse_workload(read_text(config.workload_file), mesh)
     else:
         from .traffic import generate_traffic, make_rng
 

@@ -138,8 +138,6 @@ def build_report(
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        raise TypeError("no boolean CSV columns")
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)

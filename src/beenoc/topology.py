@@ -122,6 +122,15 @@ class Mesh:
         return hop_budget(abs(dst.x - src.x), abs(dst.y - src.y), metric)
 
 
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int subclass
+
+
+def is_bandwidth(value) -> bool:
+    """The one rule on a demand's and a wire's bandwidth: a number in (0, float max]."""
+    return is_number(value) and 0 < value <= sys.float_info.max
+
+
 @functools.cache
 def hop_budget(adx: int, ady: int, metric: str) -> int:
     """Mesh.hop_limit of two nodes |dx| and |dy| apart. Cached: a shape has
@@ -183,7 +192,7 @@ class Network:
             raise ValueError("wire_count must be an integer")
         if wire_count < 1:
             raise ValueError("wire_count must be >= 1")
-        if not 0.0 < wire_bandwidth <= sys.float_info.max:
+        if not is_bandwidth(wire_bandwidth):
             raise ValueError("wire_bandwidth must be positive and finite")
         self.mesh = mesh
         self.wire_count = wire_count
@@ -232,7 +241,7 @@ class Network:
         `wire_count` wires fits no link, so it is capped at `wire_count + 1`,
         which also holds a quotient that overflows to infinity.
         """
-        if not 0.0 < bandwidth <= sys.float_info.max:
+        if not is_bandwidth(bandwidth):
             raise ValueError("bandwidth must be positive and finite")
         return max(1, math.ceil(min(bandwidth / self.wire_bandwidth - 1e-9, self.wire_count + 1)))
 

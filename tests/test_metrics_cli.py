@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +40,19 @@ from beenoc.metrics import (
 )
 
 MINIMAL = "mesh_width = 4\nmesh_height = 4\nseed = 7\n"
+ROOT = Path(__file__).resolve().parent.parent
+
+# A valid value off its default for every RunConfig field but the required
+# keys and workload_file, and, written out, the traffic keys a workload file excludes.
+OFF_DEFAULT = {
+    "wire_count": 4, "wire_bandwidth": 2.0, "t_hop": 2, "setup_timeout_factor": 2.0,
+    "hop_limit_metric": "manhattan", "backward_bee_count": 2, "max_cycles": 500, "trace": True,
+    "traffic_rate": 0.01, "traffic_duration": 500, "traffic_pattern": "hotspot", "hotspot_node": (1, 1),
+    "hotspot_fraction": 0.5, "bandwidth_values": (2.0,), "bandwidth_weights": (2.0,),
+    "hold_time_dist": "geometric", "hold_time_mean": 50.0,
+}
+TRAFFIC_KEYS = ("traffic_rate", "traffic_duration", "traffic_pattern", "hotspot_node", "hotspot_fraction",
+                "bandwidth_values", "bandwidth_weights", "hold_time_dist", "hold_time_mean")
 
 
 class TestParseConfig:
@@ -190,6 +206,18 @@ class TestParseConfig:
             RunConfig(mesh_width=4, mesh_height=4, seed=1, workload_file="w.txt", traffic_rate=0.1)
         with pytest.raises(ConfigError, match="key 'hold_time_mean': conflicts with workload_file"):
             dataclasses.replace(RunConfig(mesh_width=4, mesh_height=4, seed=1, hold_time_mean=50.0), workload_file="w.txt")
+
+    @pytest.mark.parametrize("key", sorted(OFF_DEFAULT))
+    def test_workload_conflicts_with_exactly_the_traffic_keys(self, key):
+        optional = {f.name for f in dataclasses.fields(RunConfig)} - {"mesh_width", "mesh_height", "seed"}
+        assert set(OFF_DEFAULT) == optional - {"workload_file"}
+        assert OFF_DEFAULT[key] != getattr(RunConfig, key)
+        kwargs = dict(mesh_width=4, mesh_height=4, seed=1, workload_file="w.txt", **{key: OFF_DEFAULT[key]})
+        if key in TRAFFIC_KEYS:
+            with pytest.raises(ConfigError, match=f"key '{key}': conflicts with workload_file"):
+                RunConfig(**kwargs)
+        else:
+            assert getattr(RunConfig(**kwargs), key) == OFF_DEFAULT[key]
 
     def test_workload_beside_a_traffic_key_at_its_default(self):
         # the key changes nothing about the run, so it is no conflict
@@ -536,7 +564,27 @@ class TestCli:
         assert cli_main(["oracle-check", "--config", cfg]) == 0
         assert "oracle-check passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra,established", [("max_cycles = 3\n", 3), ("setup_timeout_factor = 0.2\n", 0)],
+                             ids=["max-cycles-3", "timeout-factor-0.2"])
+    def test_oracle_check_passes_when_a_setup_cannot_finish_in_time(self, tmp_path, capsys, extra, established):
+        # an idle setup that the timeout or max_cycles ends before it can finish is no violation
+        cfg = write_config(tmp_path, MINIMAL + extra)
+        assert cli_main(["oracle-check", "--config", cfg]) == 0
+        assert f"40 scenarios sound ({established} established)" in capsys.readouterr().out
+
     def test_oracle_check_refuses_large_mesh(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "mesh_width = 6\nmesh_height = 6\nseed = 5\n")
         assert cli_main(["oracle-check", "--config", cfg]) == 2
         assert "no larger than 5x5" in capsys.readouterr().err
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    # python -m beenoc.cli runs the CLI, so an undecodable config exits 2
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(MINIMAL.encode() + b"# \xff\n")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-m", "beenoc.cli", "verify", "--config", str(bad)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert "is not UTF-8 text" in result.stderr

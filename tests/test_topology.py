@@ -145,9 +145,11 @@ class TestNetworkReservations:
             (4, float("inf"), "wire_bandwidth must be positive and finite"),
             (4, float("nan"), "wire_bandwidth must be positive and finite"),
             (4, 10**400, "wire_bandwidth must be positive and finite"),
+            (4, True, "wire_bandwidth must be positive and finite"),
+            (4, "1", "wire_bandwidth must be positive and finite"),
         ],
         ids=["zero-wires", "fractional-wires", "bool-wires", "zero-bandwidth", "negative-bandwidth",
-             "infinite-bandwidth", "nan-bandwidth", "beyond-float-bandwidth"],
+             "infinite-bandwidth", "nan-bandwidth", "beyond-float-bandwidth", "bool-bandwidth", "string-bandwidth"],
     )
     def test_unholdable_wire_parameters_rejected(self, wire_count, wire_bandwidth, message):
         with pytest.raises(ValueError, match=message):
@@ -243,8 +245,8 @@ class TestNetworkReservations:
         assert net.wires_for(4.5) == 9 and net.wires_for(4.0) == 8
         assert Network(Mesh(2, 2), 8, 5e-324).wires_for(1.0) == 9
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("inf"), float("nan"), 10**400],
-                             ids=["0.0", "-1.0", "inf", "nan", "beyond-float"])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("inf"), float("nan"), 10**400, True, "1"],
+                             ids=["0.0", "-1.0", "inf", "nan", "beyond-float", "bool", "string"])
     def test_wires_for_refuses_unholdable_bandwidth(self, bandwidth):
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
             Network(Mesh(2, 2), 8, 1.0).wires_for(bandwidth)
