@@ -5,7 +5,7 @@ the flooding discovery can only find longer ways around; the established
 circuit is still feasible but stretched beyond the manhattan distance.
 """
 
-from beenoc import FlowId, FlowSpec, NodeId, PortDir, RunConfig, Simulator, enumerate_feasible, walk
+from beenoc import FlowId, FlowSpec, NodeId, PortDir, RunConfig, Simulator, circuit_fits, shortest_feasible_length, walk
 
 cfg = RunConfig(mesh_width=4, mesh_height=4, seed=3, wire_count=4)
 src, dst = NodeId(0, 0), NodeId(3, 0)
@@ -18,17 +18,19 @@ for node in (NodeId(1, 0), NodeId(2, 0)):
     if not sim.network.reserve(sim.mesh.handle(node), PortDir.EAST, ("background", node.x), wires):
         raise RuntimeError(f"background load does not fit on {node}->EAST")
 
-# the exhaustive check runs on the pre-setup network, before the flow claims any wires
-feasible = enumerate_feasible(sim.network, src, dst, 2.0, sim.mesh.hop_limit(src, dst, cfg.hop_limit_metric))
+# the oracle reads the pre-setup network, before the flow claims any wires
+record = sim.records[flow.flow]
+free = list(sim.network.free_by_slot)
+shortest = shortest_feasible_length(sim.network, src, dst, 2.0, record.hop_limit)
 sim.run()
 
-record = sim.records[flow.flow]
 print(f"{src} -> {dst} with the bottom row congested: {record.phase.value}")
 forward_path = record.circuit
 print(f"circuit: {' -> '.join(str(n) for n in walk(forward_path, src, sim.mesh))}")
 print(f"path length {record.path_length} vs manhattan {sim.mesh.manhattan(src, dst)} (stretch "
       f"{record.path_length / sim.mesh.manhattan(src, dst):.2f})")
 
-print(f"\nexhaustive check against the pre-setup network: {len(feasible)} feasible routes, "
-      f"shortest {min(p.length for p in feasible)} hops")
-print(f"established circuit is one of them: {forward_path in feasible}")
+print(f"\noracle on the pre-setup network: shortest feasible path {shortest} hops "
+      f"(hop budget {record.hop_limit})")
+fits = circuit_fits(sim.network, free, src, dst, 2.0, record.hop_limit, forward_path)
+print(f"established circuit fits the pre-setup network: {fits}")

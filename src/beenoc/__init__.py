@@ -4,7 +4,7 @@
 Flooding forward bees discover paths recorded as 2-bit port codes, up to
 three backward bees race to reserve wires along the discovered routes, the
 earliest one back at the source wins the circuit, and everything else is
-released. The package also ships a brute-force feasibility oracle, a
+released. The package also ships a feasibility oracle for any mesh size, a
 reproducible traffic generator, and a metrics pipeline.
 """
 
@@ -24,11 +24,10 @@ from .errors import (
     InvalidPathError,
     InvalidPortError,
     InvariantViolationError,
-    OracleSizeError,
     ProtocolCorruptionError,
 )
 from .metrics import FLOWS_HEADER, SUMMARY_HEADER, FlowRow, MetricsReport, RunStats, Summary, write_report
-from .oracle import ScenarioOutcome, enumerate_feasible, single_flow_scenario, soundness_violation
+from .oracle import ScenarioOutcome, circuit_fits, shortest_feasible_length, single_flow_scenario, soundness_violation
 from .protocol import (
     BackwardBee,
     ControlKind,

@@ -11,10 +11,6 @@ class ConfigError(BeenocError):
     """Invalid run configuration, workload file, or CLI usage."""
 
 
-class OracleSizeError(ConfigError):
-    """Exhaustive path enumeration refused: scenario exceeds the tractability guard."""
-
-
 class InvariantViolationError(BeenocError):
     """A runtime invariant was broken (wire over-subscription, event-cap breach, ...)."""
 

@@ -1,11 +1,12 @@
-"""Brute-force feasibility ground truth for small meshes.
+"""Feasibility ground truth: a breadth-first search and a circuit check.
 
-Exhaustively enumerates the simple paths between two nodes that stay within
-a hop budget and whose every directed link fits the demand under the
-network's own admission rule, evaluated on the network as it stands (before
-the run starts). Used to validate protocol soundness and idle-network
-optimality; the live protocol races against time, so equivalence claims are
-restricted to single-flow or frozen-background scenarios.
+A path is feasible for a demand when it is simple, within the flow's hop
+budget, and each of its links fits the demand under Network.fitting_links,
+the flood's admission rule, on the network before the run. One contract
+holds on idle and loaded meshes of any size: a single flow is established
+exactly when a shortest feasible path sets up in time, and then on a
+shortest feasible path. The live protocol races against time, so the
+contract is claimed only for single-flow or frozen-background scenarios.
 """
 
 from __future__ import annotations
@@ -16,85 +17,81 @@ import numpy as np
 
 from .config import RunConfig
 from .engine import FlowSpec, Simulator
-from .errors import DegenerateFlowError, InvariantViolationError, OracleSizeError
+from .errors import DegenerateFlowError
 from .protocol import FlowId, PortList
 from .topology import Mesh, Network, NodeId
 
 
-def enumerate_feasible(
-    net: Network,
-    src: NodeId,
-    dst: NodeId,
-    required_bandwidth: float,
-    bound: int,
-) -> tuple[PortList, ...]:
-    """Every simple src->dst path of length <= bound whose links all admit
-    the demand under Network.fitting_links on the network's current state,
-    in lexicographic port-code order.
-
-    Tractability guard: accepts meshes up to 5x5, or any mesh when the bound
-    is at most 12; anything larger is refused. A bound that is not a
-    non-negative int raises ValueError.
-    """
+def _wires(net: Network, src: NodeId, dst: NodeId, bandwidth: float, bound: int) -> int:
+    """The demand's wires, after checking the inputs both oracle functions take."""
     if src == dst:
-        raise DegenerateFlowError("feasibility enumeration needs distinct endpoints")
+        raise DegenerateFlowError("feasibility needs distinct endpoints")
     if type(bound) is not int or bound < 0:  # bool is an int subclass
         raise ValueError(f"hop bound must be a non-negative integer, got {bound!r}")
-    mesh = net.mesh
-    small_mesh = mesh.width <= 5 and mesh.height <= 5
-    if not small_mesh and bound > 12:
-        raise OracleSizeError(
-            f"refusing exhaustive enumeration: mesh {mesh.width}x{mesh.height} exceeds 5x5 "
-            f"and bound {bound} exceeds 12"
-        )
-    paths: list[PortList] = []
-    wires = net.wires_for(required_bandwidth)
-    start, goal = mesh.handle(src), mesh.handle(dst)
-    visited = {start}
+    return net.wires_for(bandwidth)
 
-    def explore(current: int, path: PortList) -> None:
-        if current == goal:
-            paths.append(path)
-            return
-        if path.length == bound:
-            return
-        for port, nxt in net.fitting_links(current, wires):  # code order makes the output lexicographic
-            if nxt not in visited:
-                visited.add(nxt)
-                explore(nxt, path.push(port))
-                visited.discard(nxt)
 
-    explore(start, PortList())
-    return tuple(paths)
+def shortest_feasible_length(net: Network, src: NodeId, dst: NodeId, bandwidth: float, bound: int) -> int | None:
+    """Hops on a shortest src->dst path of at most `bound` hops whose links all
+    fit `bandwidth` on the network's current state, or None if there is none.
+
+    A level-by-level breadth-first search over Network.fitting_links; a
+    shortest walk never revisits a node, so the path it measures is simple.
+    """
+    wires = _wires(net, src, dst, bandwidth, bound)
+    goal = net.mesh.handle(dst)
+    frontier = [net.mesh.handle(src)]
+    seen = set(frontier)
+    for length in range(1, bound + 1):
+        reached = []
+        for node in frontier:
+            for _, far in net.fitting_links(node, wires):
+                if far == goal:
+                    return length
+                if far not in seen:
+                    seen.add(far)
+                    reached.append(far)
+        frontier = reached
+    return None
+
+
+def circuit_fits(net: Network, free: list[int], src: NodeId, dst: NodeId, bandwidth: float, bound: int,
+                 circuit: PortList) -> bool:
+    """Whether `circuit` is a simple src->dst path of at most `bound` hops each
+    of whose links had the demand's wires free in `free`, a copy of
+    `net.free_by_slot` taken before the run: a run cut by max_cycles may
+    still hold wires when it returns."""
+    wires = _wires(net, src, dst, bandwidth, bound)
+    node = net.mesh.handle(src)
+    visited = {node}
+    for port in circuit:
+        slot = 4 * node + port
+        node = net.far_by_slot[slot]
+        if node < 0 or free[slot] < wires or node in visited:
+            return False
+        visited.add(node)
+    return circuit.length <= bound and node == net.mesh.handle(dst)
 
 
 # -- randomized single-flow soundness scenarios ----------------------------
 
 @dataclass(frozen=True, slots=True)
 class ScenarioOutcome:
-    """Result of one single-flow run compared against the exhaustive check."""
+    """Result of one single-flow run compared against the oracle."""
 
     source: NodeId
     destination: NodeId
     required_bandwidth: float
-    idle: bool
     established: bool
     path_length: int | None
-    forward_path: PortList | None
-    feasible_count: int
     min_feasible_length: int | None
-    # An idle setup along a shortest feasible path (2 * length * t_hop cycles) beats the setup
+    # A setup along a shortest feasible path (2 * length * t_hop cycles) beats the setup
     # timeout (queued at arrival, it wins a tie) and max_cycles; False if none is feasible.
     shortest_in_time: bool
-    path_in_feasible: bool | None
-    manhattan: int
+    circuit_fits: bool | None  # circuit_fits on the established circuit; None if none
 
 
-def single_flow_scenario(
-    cfg: RunConfig,
-    rng: np.random.Generator,
-    saturate: bool,
-) -> ScenarioOutcome:
+def single_flow_scenario(cfg: RunConfig, rng: np.random.Generator, saturate: bool) -> ScenarioOutcome:
     """Run one randomized single-flow setup race against the oracle.
 
     With `saturate` a random subset of directed links is pre-loaded with
@@ -108,56 +105,48 @@ def single_flow_scenario(
         dst = nodes[int(rng.integers(0, len(nodes)))]
     # Between one wire's worth and slightly more than a full link, so idle
     # scenarios mix feasible and infeasible demands.
-    wires_wanted = int(rng.integers(1, cfg.wire_count + 2))
-    bandwidth = wires_wanted * cfg.wire_bandwidth
+    bandwidth = int(rng.integers(1, cfg.wire_count + 2)) * cfg.wire_bandwidth
     flow = FlowId(src, 0)
     spec = FlowSpec(flow, dst, bandwidth, arrival_time=0, hold_time=5)
     sim = Simulator(cfg, [spec])
+    net = sim.network
     if saturate:
-        for index, (node, port) in enumerate(sim.network.links):
+        for index, (node, port) in enumerate(net.links):
             if rng.random() < 0.35:
                 held = int(rng.integers(1, cfg.wire_count + 1))
                 background = (FlowId(NodeId(0, 0), -(index + 1)), 0)
-                if not sim.network.reserve(node, port, background, held):
-                    where = f"{mesh.node_at(node)}->{port.name}"
-                    raise InvariantViolationError(f"background load of {held} wires refused on {where}")
-    hop_limit = mesh.hop_limit(src, dst, cfg.hop_limit_metric)
-    feasible = enumerate_feasible(sim.network, src, dst, bandwidth, hop_limit)
-    shortest = min((p.length for p in feasible), default=None)
+                net.reserve(node, port, background, held)  # fits: an idle link has wire_count free
+    record = sim.records[flow]
+    hop_limit, free = record.hop_limit, list(net.free_by_slot)
+    shortest = shortest_feasible_length(net, src, dst, bandwidth, hop_limit)
     in_time = shortest is not None and 2 * shortest * cfg.t_hop < min(sim.setup_timeout(hop_limit), cfg.max_cycles + 1)
     sim.run()
-    record = sim.records[flow]
-    forward_path = record.circuit
-    established = forward_path is not None
+    circuit = record.circuit
     return ScenarioOutcome(
         source=src,
         destination=dst,
         required_bandwidth=bandwidth,
-        idle=not saturate,
-        established=established,
+        established=circuit is not None,
         path_length=record.path_length,
-        forward_path=forward_path,
-        feasible_count=len(feasible),
         min_feasible_length=shortest,
         shortest_in_time=in_time,
-        path_in_feasible=(forward_path in feasible) if established else None,
-        manhattan=mesh.manhattan(src, dst),
+        circuit_fits=None if circuit is None else circuit_fits(net, free, src, dst, bandwidth, hop_limit, circuit),
     )
 
 
 def soundness_violation(outcome: ScenarioOutcome) -> str | None:
     """Explain how `outcome` breaks the oracle contract, or None if sound.
 
-    Every established circuit must be a member of the pre-setup feasible
-    set; on an idle mesh an established path must be a shortest member, and
-    a setup must not fail when a shortest feasible path is set up in time.
+    A flow is established exactly when a shortest feasible path sets up in
+    time, and then its circuit fits the network before the run and is a
+    shortest feasible path.
     """
-    if outcome.established:
-        if not outcome.path_in_feasible:
-            return "established circuit is not in the feasible set"
-        if outcome.idle and outcome.path_length != outcome.min_feasible_length:
-            return "established path is longer than the shortest feasible path on an idle mesh"
-    else:
-        if outcome.idle and outcome.shortest_in_time:
-            return "setup failed on an idle mesh although a feasible path sets up in time"
+    if outcome.established != outcome.shortest_in_time:
+        if outcome.established:
+            return "established although no feasible path sets up in time"
+        return "setup failed although a shortest feasible path sets up in time"
+    if outcome.established and not outcome.circuit_fits:
+        return "established circuit does not fit the network before the run"
+    if outcome.established and outcome.path_length != outcome.min_feasible_length:
+        return "established path is longer than the shortest feasible path"
     return None

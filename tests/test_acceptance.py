@@ -143,8 +143,10 @@ def test_criterion_4_conservation():
 
 
 def test_criterion_5_oracle_soundness():
-    # Exact: established circuits are members of the pre-setup feasible set;
-    # idle-mesh failures coincide with empty feasible sets.
+    # Exact: one contract on saturated and idle meshes. A flow is established
+    # exactly when a shortest feasible path sets up in time, and then on a
+    # shortest path that fits the pre-setup network; idle-mesh failures
+    # coincide with no feasible path.
     cfg = RunConfig(mesh_width=4, mesh_height=4, seed=0, wire_count=4)
     rng = make_rng(2024)
     membership_checked = 0
@@ -161,11 +163,11 @@ def test_criterion_5_oracle_soundness():
         violation = soundness_violation(outcome)
         assert violation is None, f"idle scenario {index}: {violation}"
         if not outcome.established:
-            assert outcome.feasible_count == 0
+            assert outcome.min_feasible_length is None
             idle_failed_coincide += 1
     print(
         f"PASS criterion 5: 100 saturated + 40 idle scenarios sound "
-        f"({membership_checked} circuits member-checked, {idle_failed_coincide} idle failures empty)"
+        f"({membership_checked} circuits checked, {idle_failed_coincide} idle failures with no feasible path)"
     )
 
 

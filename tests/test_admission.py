@@ -14,9 +14,11 @@ from beenoc import (
     Network,
     NodeId,
     PortDir,
+    PortList,
     RunConfig,
     Simulator,
-    enumerate_feasible,
+    circuit_fits,
+    shortest_feasible_length,
 )
 
 from flood_step import flood, flood_sim
@@ -29,13 +31,13 @@ def test_fractional_wire_bandwidth_exact_fit_establishes():
     src, dst = NodeId(0, 0), NodeId(3, 3)
     spec = FlowSpec(FlowId(src, 0), dst, 0.33, arrival_time=0, hold_time=10)
     sim = Simulator(cfg, [spec])
-    feasible = enumerate_feasible(sim.network, src, dst, 0.33, sim.mesh.hop_limit(src, dst, cfg.hop_limit_metric))
-    sim.run()
     record = sim.records[spec.flow]
+    free = list(sim.network.free_by_slot)
+    assert shortest_feasible_length(sim.network, src, dst, 0.33, record.hop_limit) == 6
+    sim.run()
     assert record.forward_deliveries > 0
     assert record.circuit is not None
-    assert len(feasible) > 0
-    assert record.circuit in feasible
+    assert circuit_fits(sim.network, free, src, dst, 0.33, record.hop_limit, record.circuit)
 
 
 def test_flood_reserve_and_oracle_agree_on_two_decimal_grid():
@@ -58,7 +60,10 @@ def test_flood_reserve_and_oracle_agree_on_two_decimal_grid():
                 )
                 net = sim.network
                 flooded = bool(flood(sim, src, PortDir.LOCAL, 0))
-                feasible = len(enumerate_feasible(net, src, dst, demand, 2)) > 0
+                feasible = shortest_feasible_length(net, src, dst, demand, 2) is not None
+                if feasible:
+                    east_north = PortList.from_ports([PortDir.EAST, PortDir.NORTH])
+                    assert circuit_fits(net, net.free_by_slot, src, dst, demand, 2, east_north)
                 reserved = net.reserve(net.mesh.handle(src), PortDir.EAST, ("f", 0), net.wires_for(demand))
                 expected = wires >= needed
                 assert (flooded, feasible, reserved) == (expected,) * 3, (wire_bandwidth, demand, wires)

@@ -23,5 +23,5 @@ def test_demo_exits_cleanly(name, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     if name == "03_contention_and_detours":
-        assert "2 feasible routes, shortest 5 hops" in result.stdout
-        assert "established circuit is one of them: True" in result.stdout
+        assert "shortest feasible path 5 hops (hop budget 6)" in result.stdout
+        assert "established circuit fits the pre-setup network: True" in result.stdout

@@ -572,10 +572,10 @@ class TestCli:
         assert cli_main(["oracle-check", "--config", cfg]) == 0
         assert f"40 scenarios sound ({established} established)" in capsys.readouterr().out
 
-    def test_oracle_check_refuses_large_mesh(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "mesh_width = 6\nmesh_height = 6\nseed = 5\n")
-        assert cli_main(["oracle-check", "--config", cfg]) == 2
-        assert "no larger than 5x5" in capsys.readouterr().err
+    def test_oracle_check_passes_on_a_16x16_mesh(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "mesh_width = 16\nmesh_height = 16\nseed = 7\n")
+        assert cli_main(["oracle-check", "--config", cfg]) == 0
+        assert "40 scenarios sound (33 established)" in capsys.readouterr().out
 
 
 def test_cli_module_runs_as_a_script(tmp_path):

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,13 +12,13 @@ from beenoc import (
     Mesh,
     Network,
     NodeId,
-    OracleSizeError,
     PortDir,
     PortList,
     RunConfig,
-    encode_port,
-    enumerate_feasible,
+    ScenarioOutcome,
+    circuit_fits,
     single_flow_scenario,
+    shortest_feasible_length,
     soundness_violation,
     walk,
 )
@@ -28,80 +31,115 @@ def idle_network(mesh, wire_count=8, wire_bandwidth=1.0):
     return Network(mesh, wire_count, wire_bandwidth)
 
 
+def two_by_two_with(held_by_port):
+    """A 2x2 network of four wires whose links out of (0,0) hold the given wires."""
+    mesh = Mesh(2, 2)
+    net = Network(mesh, 4, 1.0)
+    for port, held in held_by_port.items():
+        assert net.reserve(mesh.handle(NodeId(0, 0)), port, ("bg", port), held)
+    return net
+
+
+def fitting_port_lists(net, src, dst, bandwidth, bound):
+    """Every port list of 1 to `bound` entries that circuit_fits accepts on the
+    network as it stands, by brute force over all 4 ** length lists."""
+    free = list(net.free_by_slot)
+    return [
+        ports
+        for length in range(1, bound + 1)
+        for ports in itertools.product(NON_LOCAL_PORTS, repeat=length)
+        if circuit_fits(net, free, src, dst, bandwidth, bound, PortList.from_ports(ports))
+    ]
+
+
 class TestEnumerateFeasible:
+    """The feasible paths of a flow, as shortest_feasible_length and circuit_fits see them."""
+
     def test_two_by_two_has_exactly_two_paths(self):
-        mesh = Mesh(2, 2)
-        feasible = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(1, 1), 1.0, 4)
-        assert [list(p) for p in feasible] == [[E, N], [N, E]]
-        assert min(p.length for p in feasible) == 2
+        net = idle_network(Mesh(2, 2))
+        assert fitting_port_lists(net, NodeId(0, 0), NodeId(1, 1), 1.0, 3) == [(E, N), (N, E)]
+        assert shortest_feasible_length(net, NodeId(0, 0), NodeId(1, 1), 1.0, 4) == 2
 
     def test_degenerate_endpoints(self):
-        mesh = Mesh(2, 2)
+        net = idle_network(Mesh(2, 2))
         with pytest.raises(DegenerateFlowError):
-            enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(0, 0), 1.0, 4)
+            shortest_feasible_length(net, NodeId(0, 0), NodeId(0, 0), 1.0, 4)
+        with pytest.raises(DegenerateFlowError):
+            circuit_fits(net, net.free_by_slot, NodeId(0, 0), NodeId(0, 0), 1.0, 4, PortList())
 
     def test_saturated_source_cut_empty(self):
-        mesh = Mesh(2, 2)
-        net = Network(mesh, 4, 1.0)
-        net.reserve(mesh.handle(NodeId(0, 0)), E, ("bg", 0), 4)
-        net.reserve(mesh.handle(NodeId(0, 0)), N, ("bg", 1), 4)
-        feasible = enumerate_feasible(net, NodeId(0, 0), NodeId(1, 1), 1.0, 4)
-        assert len(feasible) == 0
+        net = two_by_two_with({E: 4, N: 4})
+        assert shortest_feasible_length(net, NodeId(0, 0), NodeId(1, 1), 1.0, 4) is None
+        assert fitting_port_lists(net, NodeId(0, 0), NodeId(1, 1), 1.0, 3) == []
 
     def test_residual_equal_to_demand_passes(self):
-        mesh = Mesh(2, 2)
-        net = Network(mesh, 4, 1.0)
-        net.reserve(mesh.handle(NodeId(0, 0)), E, ("bg", 0), 3)
-        feasible = enumerate_feasible(net, NodeId(0, 0), NodeId(1, 1), 1.0, 4)
-        assert PortList.from_ports([E, N]) in feasible
+        net = two_by_two_with({E: 3, N: 4})
+        assert shortest_feasible_length(net, NodeId(0, 0), NodeId(1, 1), 1.0, 4) == 2
+        assert fitting_port_lists(net, NodeId(0, 0), NodeId(1, 1), 1.0, 3) == [(E, N)]
+        assert shortest_feasible_length(net, NodeId(0, 0), NodeId(1, 1), 2.0, 4) is None
 
-    def test_size_guard(self):
-        mesh = Mesh(6, 6)
-        with pytest.raises(OracleSizeError):
-            enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(5, 5), 1.0, 13)
-        # small bound keeps a big mesh tractable, small mesh allows big bounds
-        enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(1, 1), 1.0, 3)
-        small = Mesh(5, 5)
-        enumerate_feasible(idle_network(small), NodeId(0, 0), NodeId(4, 4), 1.0, 14)
+    def test_detour_beyond_manhattan(self):
+        # (0,0)->E is full, so (1,0) is three hops away: north, east, south
+        net = two_by_two_with({E: 4})
+        assert shortest_feasible_length(net, NodeId(0, 0), NodeId(1, 0), 1.0, 3) == 3
+        assert shortest_feasible_length(net, NodeId(0, 0), NodeId(1, 0), 1.0, 2) is None
 
     @pytest.mark.parametrize("bound", [-1, 2.5, 4.0, True, None])
     def test_bad_bound_refused(self, bound):
+        net = idle_network(Mesh(3, 3))
         with pytest.raises(ValueError, match="hop bound must be a non-negative integer"):
-            enumerate_feasible(idle_network(Mesh(3, 3)), NodeId(0, 0), NodeId(2, 2), 1.0, bound)
+            shortest_feasible_length(net, NodeId(0, 0), NodeId(2, 2), 1.0, bound)
+        with pytest.raises(ValueError, match="hop bound must be a non-negative integer"):
+            circuit_fits(net, net.free_by_slot, NodeId(0, 0), NodeId(2, 2), 1.0, bound, PortList())
 
     def test_zero_bound_finds_nothing(self):
-        assert len(enumerate_feasible(idle_network(Mesh(3, 3)), NodeId(0, 0), NodeId(2, 2), 1.0, 0)) == 0
+        assert shortest_feasible_length(idle_network(Mesh(3, 3)), NodeId(0, 0), NodeId(2, 2), 1.0, 0) is None
 
     def test_non_finite_bandwidth_refused(self):
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
-            enumerate_feasible(idle_network(Mesh(3, 3)), NodeId(0, 0), NodeId(2, 2), float("inf"), 4)
+            shortest_feasible_length(idle_network(Mesh(3, 3)), NodeId(0, 0), NodeId(2, 2), float("inf"), 4)
 
     def test_paths_respect_bound_and_walk(self):
+        # circuit_fits accepts a port list exactly when it walks, without
+        # revisiting a node, from the source to the destination within the bound
         mesh = Mesh(3, 3)
         src, dst = NodeId(0, 0), NodeId(2, 1)
         bound = mesh.hop_limit(src, dst, "euclidean")
-        feasible = enumerate_feasible(idle_network(mesh), src, dst, 1.0, bound)
-        assert len(feasible) > 0
-        for path in feasible:
-            assert path.length <= bound
-            nodes = walk(path, src, mesh)
-            assert nodes[-1] == dst
-            assert len(set(nodes)) == len(nodes)  # simple
+        accepted = fitting_port_lists(idle_network(mesh), src, dst, 1.0, bound)
+        walked = []
+        for length in range(1, bound + 1):
+            for ports in itertools.product(NON_LOCAL_PORTS, repeat=length):
+                try:
+                    nodes = walk(PortList.from_ports(ports), src, mesh)
+                except InvalidPathError:
+                    continue
+                if nodes[-1] == dst and len(set(nodes)) == len(nodes):
+                    walked.append(ports)
+        assert len(accepted) > 0
+        assert accepted == walked
+        assert min(map(len, accepted)) == shortest_feasible_length(idle_network(mesh), src, dst, 1.0, bound) == 3
 
-    def test_deterministic_lexicographic_order(self):
-        mesh = Mesh(3, 3)
-        first = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(2, 2), 1.0, 6)
-        second = enumerate_feasible(idle_network(mesh), NodeId(0, 0), NodeId(2, 2), 1.0, 6)
-        assert first == second
-        codes = [tuple(encode_port(p.entry(i)) for i in range(p.length)) for p in first]
-        assert codes == sorted(codes)
+    def test_any_mesh_size(self):
+        mesh = Mesh(16, 16)
+        src, dst = NodeId(0, 0), NodeId(15, 15)
+        bound = mesh.hop_limit(src, dst, "euclidean")
+        assert shortest_feasible_length(idle_network(mesh), src, dst, 1.0, bound) == 30
+
+    def test_circuit_judged_on_the_given_free_counts(self):
+        net = two_by_two_with({E: 3})
+        src, dst = NodeId(0, 0), NodeId(1, 1)
+        path = PortList.from_ports([E, N])
+        assert circuit_fits(net, net.free_by_slot, src, dst, 1.0, 2, path)
+        assert not circuit_fits(net, net.free_by_slot, src, dst, 2.0, 2, path)  # one wire free on (0,0)->E
+        assert not circuit_fits(net, net.free_by_slot, src, dst, 1.0, 1, path)  # over the bound
+        assert not circuit_fits(net, [0] * len(net.free_by_slot), src, dst, 1.0, 2, path)
 
 
 def bitmask_paths(net, start, goal, wires, bound):
     """Every simple path start -> goal of at most `bound` hops whose links
     each have `wires` free wires, as port tuples: a depth-first search over a
     visited-node bitmask that reads the network only through free_wires and
-    far_end, independently of enumerate_feasible."""
+    far_end, independently of the oracle."""
     paths = []
 
     def explore(node, visited, ports):
@@ -138,35 +176,64 @@ def loaded_feasibility_queries(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(loaded_feasibility_queries())
-def test_enumerate_feasible_matches_a_bitmask_search(query):
+def test_oracle_matches_a_bitmask_search(query):
     net, src, dst, wires, bound = query
-    feasible = enumerate_feasible(net, src, dst, float(wires), bound)
     expected = bitmask_paths(net, net.mesh.handle(src), net.mesh.handle(dst), wires, bound)
     assert len(set(expected)) == len(expected)
-    assert sorted(tuple(path) for path in feasible) == sorted(expected)
+    shortest = shortest_feasible_length(net, src, dst, float(wires), bound)
+    assert shortest == min((len(path) for path in expected), default=None)
+    free = list(net.free_by_slot)
+    for path in expected:
+        assert circuit_fits(net, free, src, dst, float(wires), bound, PortList.from_ports(path))
+        # out and back along the first link, then the path: not simple, though
+        # every link fits and the bound allows the two extra hops
+        looped = PortList.from_ports([path[0], path[0].opposite(), *path])
+        roomy = [net.wire_count] * len(free)
+        assert circuit_fits(net, roomy, src, dst, float(wires), bound, PortList.from_ports(path))
+        assert not circuit_fits(net, roomy, src, dst, float(wires), bound + 2, looped)
+        # the same path once its first link has one wire too few
+        blocked = list(free)
+        blocked[4 * net.mesh.handle(src) + path[0]] = wires - 1
+        assert not circuit_fits(net, blocked, src, dst, float(wires), bound, PortList.from_ports(path))
 
 
 class TestScenarios:
+    def test_each_breach_of_the_contract_is_named(self):
+        ok = ScenarioOutcome(NodeId(0, 0), NodeId(1, 1), 1.0, True, 2, 2, True, True)
+        assert soundness_violation(ok) is None
+        assert soundness_violation(dataclasses.replace(ok, established=False, path_length=None, circuit_fits=None)) == (
+            "setup failed although a shortest feasible path sets up in time")
+        assert soundness_violation(dataclasses.replace(ok, shortest_in_time=False)) == (
+            "established although no feasible path sets up in time")
+        assert soundness_violation(dataclasses.replace(ok, circuit_fits=False)) == (
+            "established circuit does not fit the network before the run")
+        assert soundness_violation(dataclasses.replace(ok, path_length=3)) == (
+            "established path is longer than the shortest feasible path")
+        failed = ScenarioOutcome(NodeId(0, 0), NodeId(1, 1), 1.0, False, None, None, False, None)
+        assert soundness_violation(failed) is None
+
     def test_idle_scenarios_sound(self):
         cfg = RunConfig(mesh_width=4, mesh_height=4, seed=0, wire_count=4)
         rng = make_rng(17)
+        mesh = Mesh(4, 4)
         established = 0
         for _ in range(25):
             outcome = single_flow_scenario(cfg, rng, saturate=False)
             assert soundness_violation(outcome) is None
             if outcome.established:
                 established += 1
-                assert outcome.path_length == outcome.manhattan
+                assert outcome.path_length == mesh.manhattan(outcome.source, outcome.destination)
         assert established > 0
 
     def test_saturated_scenarios_sound(self):
         cfg = RunConfig(mesh_width=4, mesh_height=4, seed=0, wire_count=4)
         rng = make_rng(19)
-        checked_membership = 0
+        checked = 0
         for _ in range(25):
             outcome = single_flow_scenario(cfg, rng, saturate=True)
             assert soundness_violation(outcome) is None
             if outcome.established:
-                checked_membership += 1
-                assert outcome.path_in_feasible
-        assert checked_membership > 0
+                checked += 1
+                assert outcome.circuit_fits
+                assert outcome.path_length == outcome.min_feasible_length
+        assert checked > 0

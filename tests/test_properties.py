@@ -9,10 +9,9 @@ traffic as well as on a few flows drawn one by one. The forward bees the
 engine hands its destination, rebuilt from the flow's first-copy tree, must
 be those a plain breadth-first flood finds, each copy carrying its own port
 list and each node keeping the set of flows it has seen. Against the
-exhaustive oracle, evaluated before the run: a single flow's established
-circuit must be feasible under frozen background load, and on an idle mesh
-a single flow must be established exactly when a feasible path exists, on
-one of minimum length.
+oracle, evaluated before the run, on an idle mesh or under frozen
+background load: a single flow must be established exactly when a shortest
+feasible path sets up in time, and then on a shortest feasible path.
 """
 
 import dataclasses
@@ -33,9 +32,10 @@ from beenoc import (
     PortList,
     RunConfig,
     Simulator,
+    circuit_fits,
     generate_traffic,
-    enumerate_feasible,
     make_rng,
+    shortest_feasible_length,
     validate_config,
     walk,
     write_report,
@@ -257,26 +257,34 @@ def test_destination_bees_match_a_reference_flood(run):
 
 
 def run_against_the_oracle(sim, spec):
-    """The feasible set of the simulator's one flow on its network as it
-    stands, and the forward path of the circuit the run establishes
-    (`FlowRecord.circuit`), or None."""
+    """The shortest feasible length of the simulator's one flow on its
+    network as it stands, whether that path sets up before the flow's setup
+    timeout (which wins a tie), the circuit the run establishes
+    (`FlowRecord.circuit`) or None, and whether circuit_fits accepts it
+    against the network before the run (None without a circuit). The
+    configs keep the default max_cycles, far beyond any setup."""
     rec = sim.records[spec.flow]
-    feasible = enumerate_feasible(sim.network, spec.source, spec.destination, spec.required_bandwidth, rec.hop_limit)
+    args = (spec.source, spec.destination, spec.required_bandwidth, rec.hop_limit)
+    free = list(sim.network.free_by_slot)
+    shortest = shortest_feasible_length(sim.network, *args)
+    in_time = shortest is not None and 2 * shortest * sim.config.t_hop < sim.setup_timeout(rec.hop_limit)
     sim.run()
-    if rec.circuit is None:
-        return feasible, None
-    forward_path = rec.circuit
-    assert walk(forward_path, spec.source, sim.mesh)[-1] == spec.destination
-    return feasible, forward_path
+    fits = None if rec.circuit is None else circuit_fits(sim.network, free, *args, rec.circuit)
+    return shortest, in_time, rec.circuit, fits
 
 
-# Up to 5x5, where the oracle enumerates at any hop bound.
+def assert_the_oracle_contract(shortest, in_time, circuit, fits):
+    assert (circuit is not None) == in_time
+    if circuit is not None:
+        assert fits
+        assert circuit.length == shortest
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(frozen_single_flows(sizes=(2, 3, 4, 5)))
+@given(frozen_single_flows(sizes=(2, 3, 4, 5, 6, 8)))
 def test_established_circuit_is_feasible_under_frozen_load(run):
     cfg, spec, loads = run
-    feasible, forward_path = run_against_the_oracle(loaded_simulator(cfg, spec, loads), spec)
-    assert forward_path is None or forward_path in feasible
+    assert_the_oracle_contract(*run_against_the_oracle(loaded_simulator(cfg, spec, loads), spec))
 
 
 @st.composite
@@ -305,9 +313,8 @@ def idle_single_flows(draw):
 def test_idle_single_flow_is_established_iff_feasible_at_minimum_length(run):
     cfg, spec = run
     sim = Simulator(cfg, [spec])
-    feasible, forward_path = run_against_the_oracle(sim, spec)
-    assert (forward_path is not None) == bool(feasible)
-    if forward_path is not None:
-        assert forward_path in feasible
-        shortest = min(p.length for p in feasible)
-        assert forward_path.length == shortest == sim.mesh.manhattan(spec.source, spec.destination)
+    shortest, in_time, circuit, fits = run_against_the_oracle(sim, spec)
+    assert_the_oracle_contract(shortest, in_time, circuit, fits)
+    # idle: every feasible setup is in time, and a shortest path is a manhattan one
+    assert in_time == (shortest is not None)
+    assert shortest in (None, sim.mesh.manhattan(spec.source, spec.destination))

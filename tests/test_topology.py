@@ -218,6 +218,15 @@ class TestNetworkReservations:
         with pytest.raises(InvariantViolationError, match="link 0,0->EAST holds 1 wires but counts 7 free of 9"):
             net.reserve(at(net, 0, 0), PortDir.EAST, ("g", 0), 1)
 
+    def test_drain_dirty_checks_held_wires_when_the_pool_adds_up(self):
+        # 8 held plus -1 free still make up a pool of 7, yet 8 is more than it holds
+        net = Network(Mesh(3, 3), 8, 1.0)
+        assert net.reserve(at(net, 1, 1), PortDir.EAST, ("f", 0), 8)
+        net.wire_count = 7
+        net.free_by_slot[4 * at(net, 1, 1) + PortDir.EAST] = -1
+        with pytest.raises(InvariantViolationError, match="link 1,1->EAST holds 8 of 7 wires"):
+            net.release(at(net, 1, 1), PortDir.EAST, ("ghost", 0))
+
     def test_release_absent_returns_zero(self):
         net = Network(Mesh(3, 3), 8, 1.0)
         assert net.release(at(net, 0, 0), PortDir.EAST, ("ghost", 0)) == 0
