@@ -1,14 +1,16 @@
 """Reproducible random workload generation.
 
-All draws come from one numpy PCG64 stream in a fixed order (nodes row-major;
-per flow: inter-arrival gap, destination, bandwidth, hold time), so the same
-seed always yields the same flow list on any platform.
+All draws come from one numpy PCG64 stream in a fixed order (nodes row-major; per flow:
+inter-arrival gap, destination, bandwidth, hold time), so the same seed always yields the
+same flow list on any platform. Destinations come from its raw words by Lemire's method.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from operator import attrgetter
 
 import numpy as np
@@ -22,6 +24,28 @@ from .topology import Mesh, NodeId
 def make_rng(seed: int) -> np.random.Generator:
     """The package-wide pseudorandom stream: PCG64 under the given seed."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+@contextmanager
+def bounded_draws(rng: np.random.Generator, high: int) -> Iterator[Callable[[int], int]]:
+    """Yields `draw(n)` = `int(rng.integers(0, n))` for 1 <= n <= high: Lemire's method on the low,
+    then the high half of each raw 64-bit word, the buffered half read on entry and stored on exit."""
+    state = rng.bit_generator.state
+    if high > 2**32 or "has_uint32" not in state:  # MT19937's 32-bit words have no buffer
+        raise ValueError(f"bounded draws take ranges to 2**32 of 64-bit words, not {high} of {state['bit_generator']}")
+    raw, buffered, upper = rng.bit_generator.random_raw, state["has_uint32"], state["uinteger"]
+    def draw(n: int) -> int:
+        nonlocal buffered, upper
+        while n > 1:  # numpy draws nothing for a one-value range
+            scaled = n * (upper if buffered else (word := raw()) & 0xFFFFFFFF)
+            buffered, upper = (0, upper) if buffered else (1, word >> 32)
+            if (leftover := scaled & 0xFFFFFFFF) >= n or leftover >= 2**32 % n:
+                return scaled >> 32  # else Lemire's method rejects the draw
+        return 0
+    try:
+        yield draw
+    finally:  # a spent buffer keeps its last half, as numpy leaves it
+        rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": buffered, "uinteger": upper}
 
 
 def traffic_params_from_config(cfg: RunConfig) -> RunConfig:
@@ -52,57 +76,58 @@ def generate_traffic(mesh: Mesh, cfg: RunConfig, rng: np.random.Generator) -> li
     fraction = cfg.hotspot_fraction
     geometric_p = 1.0 / cfg.hold_time_mean if cfg.hold_time_dist == "geometric" else None
     fixed_hold = max(1, round(cfg.hold_time_mean))
-    # Generator.exponential(gap) is gap * standard_exponential(), and below
-    # p = 1/3 Generator.geometric(p) is ceil(-standard_exponential() /
-    # log1p(-p)), so both are drawn here as numpy draws them, in fewer calls.
-    # From a mean of 2**57 up numpy may clamp that to the int64 maximum.
+    # numpy's own draws, in fewer calls: Generator.exponential(gap) is gap * standard_exponential();
+    # below p = 1/3, geometric(p) is ceil(-standard_exponential() / log1p(-p)), which numpy may
+    # clamp from a mean of 2**57 up; integers(0, n) is bounded_draws' draw(n). NEP 19 lets these
+    # Generator methods change between numpy releases, not bit generators: the digests check.
     inverted = geometric_p is not None and geometric_p < 1 / 3 and cfg.hold_time_mean < 2**57
     log_q = math.log1p(-geometric_p) if inverted else None
-    standard_exponential, integers, random = rng.standard_exponential, rng.integers, rng.random
+    standard_exponential, random = rng.standard_exponential, rng.random
     gap, duration = 1.0 / cfg.traffic_rate, cfg.traffic_duration
     new, ceil = tuple.__new__, math.ceil
     flows: list[FlowSpec] = []
     append = flows.append
-    for src_handle, src in enumerate(nodes):
-        # The source's destination rule: its mirror (transpose); the hotspot
-        # with probability `fraction`, else a node other than both (hotspot,
-        # from any source but the hotspot); else any node but the source.
-        mirror = hot = None
-        if pattern == "transpose":
-            if src.x == src.y:
-                continue  # transpose targets itself on the diagonal
-            mirror = NodeId(src.y, src.x)
-        elif pattern == "hotspot" and src_handle != hotspot:
-            hot = nodes[hotspot]
-            low, high = sorted((src_handle, hotspot))
-        sequence = 0
-        clock = 0.0
-        while True:
-            clock += gap * standard_exponential()
-            if clock > duration:
-                break
-            if mirror is not None:
-                destination = mirror
-            elif hot is None:
-                idx = int(integers(0, last))
-                destination = nodes[idx + (idx >= src_handle)]
-            elif random() < fraction:
-                destination = hot
-            else:
-                idx = int(integers(0, last - 1))
-                idx += idx >= low
-                destination = nodes[idx + (idx >= high)]
-            bandwidth = bandwidths[bisect_right(bandwidth_cdf, random())]
-            # Built without FlowSpec's checks, which hold by construction
-            # but for an inverted geometric hold: a zero draw gives 0.
-            flow = new(FlowId, (src, sequence))
-            if log_q is not None:
-                hold = ceil(-standard_exponential() / log_q)
-                if hold < 1:
-                    raise ValueError(f"flow {flow}: hold_time must be >= 1")
-            else:
-                hold = fixed_hold if geometric_p is None else int(rng.geometric(geometric_p))
-            append(new(FlowSpec, (flow, destination, bandwidth, ceil(clock), hold)))
-            sequence += 1
+    with bounded_draws(rng, last) as draw:
+        for src_handle, src in enumerate(nodes):
+            # The source's destination rule: its mirror (transpose); the hotspot
+            # with probability `fraction`, else a node other than both (hotspot,
+            # from any source but the hotspot); else any node but the source.
+            mirror = hot = None
+            if pattern == "transpose":
+                if src.x == src.y:
+                    continue  # transpose targets itself on the diagonal
+                mirror = NodeId(src.y, src.x)
+            elif pattern == "hotspot" and src_handle != hotspot:
+                hot = nodes[hotspot]
+                low, high = sorted((src_handle, hotspot))
+            sequence = 0
+            clock = 0.0
+            while True:
+                clock += gap * standard_exponential()
+                if clock > duration:
+                    break
+                if mirror is not None:
+                    destination = mirror
+                elif hot is None:
+                    idx = draw(last)
+                    destination = nodes[idx + (idx >= src_handle)]
+                elif random() < fraction:
+                    destination = hot
+                else:
+                    idx = draw(last - 1)
+                    idx += idx >= low
+                    destination = nodes[idx + (idx >= high)]
+                bandwidth = bandwidths[bisect_right(bandwidth_cdf, random())]
+                # Built without FlowSpec's checks, which hold by construction
+                # but for an inverted geometric hold: a zero draw gives 0.
+                flow = new(FlowId, (src, sequence))
+                if log_q is not None:
+                    hold = ceil(-standard_exponential() / log_q)
+                    if hold < 1:
+                        raise ValueError(f"flow {flow}: hold_time must be >= 1")
+                else:
+                    hold = fixed_hold if geometric_p is None else int(rng.geometric(geometric_p))
+                append(new(FlowSpec, (flow, destination, bandwidth, ceil(clock), hold)))
+                sequence += 1
     flows.sort(key=attrgetter("arrival_time"))
     return flows

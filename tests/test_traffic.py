@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beenoc import ConfigError, FlowId, FlowSpec, Mesh, NodeId, RunConfig
-from beenoc.traffic import generate_traffic, make_rng, traffic_params_from_config
+from beenoc.traffic import bounded_draws, generate_traffic, make_rng, traffic_params_from_config
 
 
 def params(**overrides):
@@ -275,11 +275,10 @@ def test_traffic_stream_digest(pattern, hold_dist, hold_mean):
     assert stream_digest(flows) == STREAM_CASES[pattern, hold_dist, hold_mean]
 
 
-def reference_traffic(mesh, p, seed):
-    """The flow list drawn with Generator.exponential, integers, random and
-    geometric, each called as the distribution it samples, and built with
-    the validating FlowSpec constructor."""
-    rng = make_rng(seed)
+def reference_traffic(mesh, p, rng):
+    """The flow list drawn from `rng` with Generator.exponential, integers,
+    random and geometric, each called as the distribution it samples, and
+    built with the validating FlowSpec constructor."""
     nodes = [NodeId(x, y) for y in range(mesh.height) for x in range(mesh.width)]
     weights = np.asarray(p.bandwidth_weights, dtype=float)
     cdf = (weights / weights.sum()).cumsum()
@@ -326,37 +325,90 @@ hold_means = st.one_of(
     hold_means,
     st.sampled_from(("uniform", "hotspot", "transpose")),
     st.sampled_from(("fixed", "geometric")),
-    st.sampled_from((NodeId(0, 0), NodeId(2, 1), NodeId(3, 3))),
+    st.integers(2, 6),
+    st.integers(2, 6),
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    st.booleans(),
 )
-def test_stream_matches_direct_numpy_calls(seed, rate, hold_mean, pattern, hold_dist, hotspot):
-    # the same flows, FlowSpec for FlowSpec, as drawing each value with the
-    # numpy sampler of its distribution, mean holds on both sides of 3 and
-    # beyond 2**57 included
-    mesh = Mesh(4, 4)
-    p = params(traffic_rate=rate, traffic_duration=150, traffic_pattern=pattern, hotspot_node=hotspot,
+def test_stream_matches_direct_numpy_calls(seed, rate, hold_mean, pattern, hold_dist, width, height, hotspot,
+                                           buffered):
+    # the same flows, FlowSpec for FlowSpec, and the same end state as
+    # drawing each value with the numpy sampler of its distribution: mean
+    # holds on both sides of 3 and beyond 2**57, meshes from 2x2 (whose
+    # hotspot draw has the smallest range, 2) to 6x6, and a stream that
+    # starts with a buffered 32-bit half
+    height = width if pattern == "transpose" else height
+    mesh = Mesh(width, height)
+    p = params(mesh_width=width, mesh_height=height, traffic_rate=rate, traffic_duration=150,
+               traffic_pattern=pattern, hotspot_node=NodeId(hotspot[0] % width, hotspot[1] % height),
                hotspot_fraction=0.4, bandwidth_values=(1.0, 2.0, 3.0), bandwidth_weights=(0.5, 0.3, 0.2),
                hold_time_dist=hold_dist, hold_time_mean=hold_mean)
-    flows = generate_traffic(mesh, p, make_rng(seed))
-    assert flows == reference_traffic(mesh, p, seed)
+    ours, numpys = make_rng(seed), make_rng(seed)
+    if buffered:  # both start with a buffered 32-bit half
+        ours.integers(0, 7)
+        numpys.integers(0, 7)
+    flows = generate_traffic(mesh, p, ours)
+    assert flows == reference_traffic(mesh, p, numpys)
+    assert ours.bit_generator.state == numpys.bit_generator.state
     assert all(type(f) is FlowSpec and type(f.flow) is FlowId for f in flows)
 
 
-class ZeroHoldStream:
-    """A stand-in generator whose standard exponentials alternate 1.0 and
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 255, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32])
+def test_bounded_draws_are_generator_integers(n, buffered):
+    # draw(n) gives int(Generator.integers(0, n)) and leaves the same state,
+    # uniform draws between (they take whole words and leave the buffered
+    # half alone); only the large n run Lemire's rejection loop
+    ours, numpys = make_rng(n), make_rng(n)
+    if buffered:  # both start with a buffered 32-bit half
+        ours.integers(0, 7)
+        numpys.integers(0, 7)
+    values, expected = [], []
+    with bounded_draws(ours, n) as draw:
+        for i in range(5000):
+            values.append(draw(n))
+            if i % 3 == 0:
+                ours.random()
+    for i in range(5000):
+        expected.append(int(numpys.integers(0, n)))
+        if i % 3 == 0:
+            numpys.random()
+    assert values == expected
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
+def test_bounded_draws_refuse_what_numpy_draws_otherwise_and_store_the_buffer_on_error():
+    # numpy draws a range beyond 2**32 by 64-bit Lemire and MT19937's 32-bit
+    # words with no buffered half, so bounded_draws refuses both; an error
+    # inside the block still stores the buffer
+    rng = make_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"to 2\*\*32 of 64-bit words, not 4294967297 of PCG64$"):
+        with bounded_draws(rng, 2**32 + 1):
+            pass
+    assert rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="not 15 of MT19937$"):
+        with bounded_draws(np.random.Generator(np.random.MT19937(3)), 15):
+            pass
+    reference = make_rng(3)
+    with pytest.raises(KeyError):
+        with bounded_draws(rng, 15) as draw:
+            assert draw(15) == int(reference.integers(0, 15))
+            raise KeyError("interrupted")
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class ZeroHoldStream(np.random.Generator):
+    """A PCG64 generator whose standard exponentials alternate 1.0 and
     0.0: a flow's gap, then its inverted geometric hold."""
 
     def __init__(self):
+        super().__init__(np.random.PCG64(0))
         self.next_exponential = 1.0
 
     def standard_exponential(self):
         value, self.next_exponential = self.next_exponential, 1.0 - self.next_exponential
         return value
-
-    def integers(self, low, high):
-        return low
-
-    def random(self):
-        return 0.0
 
 
 def test_zero_geometric_hold_raises_flowspec_error():
