@@ -135,6 +135,16 @@ class FlowRecord:
         return None if self.circuit is None else self.circuit.length
 
 
+def _setup_timeout(config: RunConfig, hop_limit: int) -> int:
+    """Cycles from a flow's arrival to its setup timeout, at most
+    max_cycles + 1, since a later deadline never fires either."""
+    try:
+        cycles = math.ceil(config.setup_timeout_factor * hop_limit * config.t_hop)
+    except OverflowError:  # an infinite product, or a t_hop beyond float range
+        return config.max_cycles + 1
+    return min(cycles, config.max_cycles + 1)
+
+
 # Read once per event. Reading a member off its Enum class costs about ten
 # times a module-global lookup.
 _SETTLED = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
@@ -223,7 +233,7 @@ class Simulator:
         # Memos, since a run offers few distinct bandwidths and hop limits: the wires
         # a demand takes, and the cycles from arrival to setup timeout by hop_limit.
         self._wires_for = functools.cache(self.network.wires_for)
-        self.setup_timeout = functools.cache(lambda limit: math.ceil(config.setup_timeout_factor * limit * config.t_hop))
+        self.setup_timeout = functools.cache(functools.partial(_setup_timeout, config))
         self._admit(workload)
 
     # -- construction -----------------------------------------------------
@@ -298,13 +308,10 @@ class Simulator:
             for rec in self.records.values():
                 if rec.phase is FlowPhase.SETTING_UP:
                     self._set_phase(rec, FlowPhase.FAILED)
+        # A drained run has torn every circuit down, so it holds only the background load.
         final_held = self.network.total_held() - initial_held
-        established = (rec for rec in self.records.values() if rec.phase is FlowPhase.ESTABLISHED)
-        expected = sum(rec.path_length * rec.wires for rec in established)
-        if not truncated and final_held != expected:
-            raise InvariantViolationError(
-                f"conservation: {final_held} wires still held after drain, expected {expected}"
-            )
+        if not truncated and final_held != 0:
+            raise InvariantViolationError(f"conservation: {final_held} wires still held after drain")
         return self._build_report(final_held, drained=not truncated)
 
     def _advance_clock(self, time: int) -> None:

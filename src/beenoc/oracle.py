@@ -11,6 +11,7 @@ contract is claimed only for single-flow or frozen-background scenarios.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,11 @@ def single_flow_scenario(cfg: RunConfig, rng: np.random.Generator, saturate: boo
     while dst == src:
         dst = nodes[int(rng.integers(0, len(nodes)))]
     # Between one wire's worth and slightly more than a full link, so idle
-    # scenarios mix feasible and infeasible demands.
-    bandwidth = int(rng.integers(1, cfg.wire_count + 2)) * cfg.wire_bandwidth
+    # scenarios mix feasible and infeasible demands. numpy draws below 2**63,
+    # so a larger pool is drawn from as if it had 2**63 - 2 wires, and a
+    # demand beyond float range is the largest float.
+    wires = min(cfg.wire_count, 2**63 - 2)
+    bandwidth = min(int(rng.integers(1, wires + 2)) * cfg.wire_bandwidth, sys.float_info.max)
     flow = FlowId(src, 0)
     spec = FlowSpec(flow, dst, bandwidth, arrival_time=0, hold_time=5)
     sim = Simulator(cfg, [spec])
@@ -113,13 +117,13 @@ def single_flow_scenario(cfg: RunConfig, rng: np.random.Generator, saturate: boo
     if saturate:
         for index, (node, port) in enumerate(net.links):
             if rng.random() < 0.35:
-                held = int(rng.integers(1, cfg.wire_count + 1))
+                held = int(rng.integers(1, wires + 1))
                 background = (FlowId(NodeId(0, 0), -(index + 1)), 0)
                 net.reserve(node, port, background, held)  # fits: an idle link has wire_count free
     record = sim.records[flow]
     hop_limit, free = record.hop_limit, list(net.free_by_slot)
     shortest = shortest_feasible_length(net, src, dst, bandwidth, hop_limit)
-    in_time = shortest is not None and 2 * shortest * cfg.t_hop < min(sim.setup_timeout(hop_limit), cfg.max_cycles + 1)
+    in_time = shortest is not None and 2 * shortest * cfg.t_hop < sim.setup_timeout(hop_limit)
     sim.run()
     circuit = record.circuit
     return ScenarioOutcome(

@@ -58,12 +58,6 @@ class PortList:
             raise IndexError(f"entry {index} out of range for length {self.length}")
         return NON_LOCAL_PORTS[(self.bits >> (2 * (self.length - 1 - index))) & 0b11]
 
-    def prefix(self, count: int) -> "PortList":
-        """The first `count` entries."""
-        if not 0 <= count <= self.length:
-            raise IndexError(f"prefix {count} out of range for length {self.length}")
-        return PortList(self.bits >> (2 * (self.length - count)), count)
-
     def reverse_complement(self) -> "PortList":
         """Reverse the entries (2-bit granularity), then complement both bits
         of each entry. Following the result from a path's endpoint retraces
@@ -91,12 +85,6 @@ class PortList:
         for port in ports:
             lst = lst.push(port)
         return lst
-
-    @classmethod
-    def from_bitstring(cls, text: str) -> "PortList":
-        if len(text) % 2 != 0:
-            raise InvalidPortError("bit string length must be even")
-        return cls(int(text, 2) if text else 0, len(text) // 2)
 
     def __iter__(self) -> Iterator[PortDir]:
         for i in range(self.length):

@@ -10,12 +10,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple
 
-from .errors import (
-    DegenerateFlowError,
-    InvalidPathError,
-    InvalidPortError,
-    InvariantViolationError,
-)
+from .errors import InvalidPathError, InvalidPortError, InvariantViolationError
 
 
 class PortDir(IntEnum):
@@ -114,13 +109,6 @@ class Mesh:
     def manhattan(self, a: NodeId, b: NodeId) -> int:
         return abs(a.x - b.x) + abs(a.y - b.y)
 
-    def hop_limit(self, src: NodeId, dst: NodeId, metric: str) -> int:
-        """Forward-bee hop budget: twice the src-dst distance under `metric`
-        ("euclidean" or "manhattan"), rounded up, as hop counts are integral."""
-        if src == dst:
-            raise DegenerateFlowError(f"flow {src} -> {dst} needs no circuit")
-        return hop_budget(abs(dst.x - src.x), abs(dst.y - src.y), metric)
-
 
 def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)  # bool is an int subclass
@@ -133,8 +121,9 @@ def is_bandwidth(value) -> bool:
 
 @functools.cache
 def hop_budget(adx: int, ady: int, metric: str) -> int:
-    """Mesh.hop_limit of two nodes |dx| and |dy| apart. Cached: a shape has
-    at most width x height offsets."""
+    """Forward-bee hop budget of two nodes |dx| and |dy| apart: twice their
+    distance under `metric` ("euclidean" or "manhattan"), rounded up, as hop
+    counts are integral. Cached: a shape has at most width x height offsets."""
     if metric == "euclidean":
         return math.ceil(2.0 * math.sqrt(adx * adx + ady * ady))
     if metric == "manhattan":

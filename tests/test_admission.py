@@ -20,6 +20,7 @@ from beenoc import (
     circuit_fits,
     shortest_feasible_length,
 )
+from beenoc.topology import hop_budget
 
 from flood_step import flood, flood_sim
 
@@ -110,7 +111,8 @@ def test_admission_memo_matches_direct_calls(metric, width, height):
         timeouts.update((rec.spec.flow, time) for handler, _, rec, _ in events if handler is Simulator._on_setup_timeout)
     for spec in specs:
         rec = sim.records[spec.flow]
-        hop_limit = mesh.hop_limit(spec.source, spec.destination, metric)
+        (sx, sy), (tx, ty) = spec.source, spec.destination
+        hop_limit = hop_budget.__wrapped__(abs(tx - sx), abs(ty - sy), metric)  # uncached
         assert rec.hop_limit == hop_limit
         assert (rec.source, rec.destination) == (mesh.handle(spec.source), mesh.handle(spec.destination))
         assert rec.flood_until == hop_limit * cfg.t_hop

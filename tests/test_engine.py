@@ -19,6 +19,7 @@ from beenoc import (
     FlowSpec,
     InvariantViolationError,
     Mesh,
+    Network,
     NodeId,
     PortDir,
     PortList,
@@ -651,6 +652,28 @@ class TestMaxCycles:
         report = Simulator(cfg, [one_flow()]).run()
         assert report.flows[0].phase == "Failed"
         assert not report.stats.drained
+
+
+class TestConservation:
+    """A drained run must hold no wires beyond the background load."""
+
+    def test_wires_held_after_drain_raise(self, monkeypatch):
+        # Releases and teardowns that free nothing leave the circuit and the
+        # losing bees' reservations held.
+        monkeypatch.setattr(Network, "release", lambda self, node, port, key: 0)
+        sim = Simulator(base_config(), [one_flow()])
+        with pytest.raises(InvariantViolationError, match="conservation") as info:
+            sim.run()
+        assert str(info.value) == f"conservation: {sim.network.total_held()} wires still held after drain"
+        assert sim.network.total_held() > 0
+        assert sim.records[one_flow().flow].phase is FlowPhase.TORN_DOWN
+
+    def test_a_run_cut_with_wires_held_does_not_raise(self):
+        # Setup takes 12 cycles and the hold 50, so at cycle 30 the circuit is held.
+        report = Simulator(base_config(max_cycles=30), [one_flow()]).run()
+        assert report.flows[0].phase == "Established"
+        assert not report.stats.drained
+        assert report.stats.final_wires_held == 12
 
 
 class TestElidedDuplicates:

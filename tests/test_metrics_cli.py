@@ -437,6 +437,34 @@ class TestFlowRowLine:
             row.phase = "TornDown"
 
 
+# Extreme values that a config may hold, each set over a 4x4 mesh at seed 7.
+EXTREMES = {
+    "timeout-factor-max": {"setup_timeout_factor": "1e308"},
+    "timeout-factor-subnormal": {"setup_timeout_factor": "5e-324"},
+    "t-hop-10**400": {"t_hop": 10**400},
+    "t-hop-2**62": {"t_hop": 2**62},
+    "wire-count-10**30": {"wire_count": 10**30},
+    "wire-count-2**62": {"wire_count": 2**62},
+    "wire-bandwidth-max": {"wire_bandwidth": "1e308"},
+    "wire-bandwidth-subnormal": {"wire_bandwidth": "5e-324"},
+    "max-cycles-1": {"max_cycles": 1},
+    "max-cycles-10**400": {"max_cycles": 10**400},
+    "fixed-hold-max": {"hold_time_mean": "1e308"},
+    "fixed-hold-1": {"hold_time_mean": 1},
+    "geometric-hold-max": {"hold_time_dist": "geometric", "hold_time_mean": "1e308"},
+    "geometric-hold-1": {"hold_time_dist": "geometric", "hold_time_mean": 1},
+    "rate-subnormal": {"traffic_rate": "5e-324"},
+    "seed-2**64-1": {"seed": 2**64 - 1},
+    "demand-max": {"bandwidth_values": "1e308"},
+    "demand-subnormal": {"bandwidth_values": "5e-324"},
+    "weight-subnormal": {"bandwidth_weights": "5e-324"},
+    "hotspot-fraction-0": {"hotspot_fraction": 0},
+    "hotspot-fraction-1": {"hotspot_fraction": 1},
+    "hotspot-pattern-fraction-0": {"traffic_pattern": "hotspot", "hotspot_fraction": 0},
+    "hotspot-pattern-fraction-1": {"traffic_pattern": "hotspot", "hotspot_fraction": 1},
+}
+
+
 def write_config(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text, encoding="ascii")
@@ -576,6 +604,14 @@ class TestCli:
         cfg = write_config(tmp_path, "mesh_width = 16\nmesh_height = 16\nseed = 7\n")
         assert cli_main(["oracle-check", "--config", cfg]) == 0
         assert "40 scenarios sound (33 established)" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("values", EXTREMES.values(), ids=EXTREMES.keys())
+    def test_run_and_oracle_check_finish_on_extreme_values(self, tmp_path, values):
+        values = {"mesh_width": 4, "mesh_height": 4, "seed": 7, **values}
+        cfg = write_config(tmp_path, "".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert cli_main(["oracle-check", "--config", cfg]) == 0
 
 
 def test_cli_module_runs_as_a_script(tmp_path):

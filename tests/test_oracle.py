@@ -22,6 +22,7 @@ from beenoc import (
     soundness_violation,
     walk,
 )
+from beenoc.topology import hop_budget
 from beenoc.traffic import make_rng
 
 S, W, E, N = PortDir.SOUTH, PortDir.WEST, PortDir.EAST, PortDir.NORTH
@@ -104,7 +105,7 @@ class TestEnumerateFeasible:
         # revisiting a node, from the source to the destination within the bound
         mesh = Mesh(3, 3)
         src, dst = NodeId(0, 0), NodeId(2, 1)
-        bound = mesh.hop_limit(src, dst, "euclidean")
+        bound = hop_budget(2, 1, "euclidean")
         accepted = fitting_port_lists(idle_network(mesh), src, dst, 1.0, bound)
         walked = []
         for length in range(1, bound + 1):
@@ -122,7 +123,7 @@ class TestEnumerateFeasible:
     def test_any_mesh_size(self):
         mesh = Mesh(16, 16)
         src, dst = NodeId(0, 0), NodeId(15, 15)
-        bound = mesh.hop_limit(src, dst, "euclidean")
+        bound = hop_budget(15, 15, "euclidean")
         assert shortest_feasible_length(idle_network(mesh), src, dst, 1.0, bound) == 30
 
     def test_circuit_judged_on_the_given_free_counts(self):

@@ -79,7 +79,8 @@ def release_aborted(mesh, net, node, arrival, bee, index):
     """Send and deliver the release of a bee aborted at `node`, at route
     index `index`; returns it."""
     release = release_for_backward_bee(bee, index, 0)
-    assert release.route == bee.path.reverse_complement().prefix(index - 1).reverse_complement()
+    reserved = list(bee.path.reverse_complement())[:index - 1]
+    assert release.route == PortList.from_ports(reserved).reverse_complement()
     deliver_control_chain(mesh, net, node, arrival, release, 0)
     return release
 
@@ -166,7 +167,7 @@ class TestForwardBee:
                 # the release of every reserved prefix retraces it, from the path
                 for index in range(2, len(path) + 1):
                     release = release_for_backward_bee(back, index, 0)
-                    assert release.route == route.prefix(index - 1).reverse_complement()
+                    assert release.route == PortList.from_ports(list(route)[:index - 1]).reverse_complement()
                     assert release.owner is back.owner
                 backward.append(back)
             else:

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beenoc import (
-    DegenerateFlowError,
     InvalidPathError,
     InvalidPortError,
     InvariantViolationError,
@@ -12,7 +11,7 @@ from beenoc import (
     NodeId,
     PortDir,
 )
-from beenoc.topology import NON_LOCAL_PORTS
+from beenoc.topology import NON_LOCAL_PORTS, hop_budget
 
 
 def at(net, x, y):
@@ -100,21 +99,17 @@ class TestHopLimit:
         ],
     )
     def test_euclidean(self, src, dst, expected):
-        assert Mesh(8, 8).hop_limit(src, dst, "euclidean") == expected
+        assert hop_budget(abs(dst.x - src.x), abs(dst.y - src.y), "euclidean") == expected
 
     def test_manhattan_metric(self):
-        assert Mesh(8, 8).hop_limit(NodeId(0, 0), NodeId(1, 1), metric="manhattan") == 4
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateFlowError):
-            Mesh(4, 4).hop_limit(NodeId(2, 2), NodeId(2, 2), "euclidean")
+        assert hop_budget(1, 1, metric="manhattan") == 4
 
     def test_at_least_manhattan(self):
         mesh = Mesh(6, 6)
         for src in mesh.nodes():
             for dst in mesh.nodes():
                 if src != dst:
-                    assert mesh.hop_limit(src, dst, "euclidean") >= mesh.manhattan(src, dst)
+                    assert hop_budget(abs(dst.x - src.x), abs(dst.y - src.y), "euclidean") >= mesh.manhattan(src, dst)
 
 
 class TestResidualBandwidth:
