@@ -9,14 +9,7 @@ reproducible traffic generator, and a metrics pipeline.
 """
 
 from .config import RunConfig, echo_lines, parse_config, validate_config
-from .engine import (
-    FlowPhase,
-    FlowRecord,
-    FlowSpec,
-    Simulator,
-    parse_workload,
-    run_simulation,
-)
+from .engine import FlowPhase, FlowRecord, Simulator, run_simulation
 from .errors import (
     BeenocError,
     ConfigError,
@@ -48,6 +41,6 @@ from .router import (
     release_for_backward_bee,
 )
 from .topology import NON_LOCAL_PORTS, Mesh, Network, NodeId, PortDir
-from .traffic import generate_traffic, make_rng
+from .traffic import FlowSpec, generate_traffic, make_rng, parse_workload
 
 __version__ = "0.1.0"

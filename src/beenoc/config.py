@@ -173,10 +173,11 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def read_text(path) -> str:
-    """The text of a config or workload file, which is UTF-8; one that does not
-    decode raises ConfigError naming it."""
+    """The text of a config or workload file, which is UTF-8, without one leading
+    byte-order mark; one that does not decode raises ConfigError naming it. Not
+    utf-8-sig, whose decode errors would give offsets 3 bytes short after a mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"file '{path}' is not UTF-8 text ({exc.reason} at offset {exc.start})") from None
 

@@ -33,16 +33,16 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import metrics, router
-from .config import RunConfig, content_lines, read_text
-from .errors import ConfigError, DegenerateFlowError, InvalidPathError, InvariantViolationError
+from .config import RunConfig, read_text
+from .errors import ConfigError, InvalidPathError, InvariantViolationError
 from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
-from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, NodeId, PortDir, hop_budget, is_bandwidth
+from .topology import NON_LOCAL_PORTS, OPPOSITE, Mesh, Network, PortDir, hop_budget
+from .traffic import FlowSpec, generate_traffic, make_rng, parse_workload
 
 
 class FlowPhase(Enum):
@@ -58,54 +58,6 @@ _LEGAL_TRANSITIONS = (
     (FlowPhase.ESTABLISHED, FlowPhase.TORN_DOWN),
     (FlowPhase.SETTING_UP, FlowPhase.FAILED),
 )
-
-
-class _FlowSpecFields(NamedTuple):
-    flow: FlowId
-    destination: NodeId
-    required_bandwidth: float
-    arrival_time: int
-    hold_time: int
-
-
-class FlowSpec(_FlowSpecFields):
-    """One offered traffic demand: an immutable tuple, validated when built."""
-
-    __slots__ = ()
-
-    def __new__(cls, flow: FlowId, destination: NodeId, required_bandwidth: float, arrival_time: int, hold_time: int):
-        if type(flow) is not FlowId:
-            raise ValueError(f"flow {flow}: flow id must be a FlowId")
-        if flow.source == destination:
-            raise DegenerateFlowError(f"flow {flow}: source equals destination")
-        if not is_bandwidth(required_bandwidth):
-            raise ValueError(f"flow {flow}: required_bandwidth must be positive and finite")
-        for name, node in (("source", flow.source), ("destination", destination)):
-            # the shape first, then each coordinate; bool is an int subclass
-            if not (isinstance(node, tuple) and len(node) == 2 and type(node[0]) is int and type(node[1]) is int):
-                raise ValueError(f"flow {flow}: {name} coordinates must be integers")
-        if type(flow.sequence) is not int:
-            raise ValueError(f"flow {flow}: sequence must be an integer")
-        if type(arrival_time) is not int:  # bool is an int subclass
-            raise ValueError(f"flow {flow}: arrival_time must be an integer")
-        if arrival_time < 0:
-            raise ValueError(f"flow {flow}: arrival_time must be >= 0")
-        if type(hold_time) is not int:
-            raise ValueError(f"flow {flow}: hold_time must be an integer")
-        if hold_time < 1:
-            raise ValueError(f"flow {flow}: hold_time must be >= 1")
-        # Ids, not plain tuples, so that output files print the nodes as "x,y"
-        if type(flow.source) is not NodeId or type(destination) is not NodeId:
-            flow, destination = FlowId(NodeId(*flow.source), flow.sequence), NodeId(*destination)
-        return tuple.__new__(cls, (flow, destination, required_bandwidth, arrival_time, hold_time))
-
-    @classmethod
-    def _make(cls, iterable) -> "FlowSpec":  # _replace builds through this: validate it too
-        return cls(*iterable)
-
-    @property
-    def source(self) -> NodeId:
-        return self.flow.source
 
 
 @dataclass(slots=True)
@@ -531,38 +483,6 @@ _LIFECYCLE_NAMES = {
 }
 
 
-# -- workload I/O ---------------------------------------------------------
-
-def parse_workload(text: str, mesh: Mesh) -> list[FlowSpec]:
-    """Parse the workload file format: one flow per line,
-    src_x,src_y,dst_x,dst_y,bandwidth,arrival_cycle,hold_cycles.
-    Blank lines and '#' comments are allowed."""
-    flows: list[FlowSpec] = []
-    counters: dict[NodeId, int] = defaultdict(int)
-    for lineno, stripped in content_lines(text):
-        parts = [p.strip() for p in stripped.split(",")]
-        if len(parts) != 7:
-            raise ConfigError(f"workload line {lineno}: expected 7 comma-separated fields, got {len(parts)}")
-        try:
-            src = NodeId(int(parts[0]), int(parts[1]))
-            dst = NodeId(int(parts[2]), int(parts[3]))
-            bandwidth = float(parts[4])
-            arrival = int(parts[5])
-            hold = int(parts[6])
-        except ValueError as exc:
-            raise ConfigError(f"workload line {lineno}: {exc}") from None
-        for node in (src, dst):
-            if not mesh.contains(node):
-                raise ConfigError(f"workload line {lineno}: node {node} is outside the mesh")
-        flow = FlowId(src, counters[src])
-        counters[src] += 1
-        try:
-            flows.append(FlowSpec(flow, dst, bandwidth, arrival, hold))
-        except (DegenerateFlowError, ValueError) as exc:
-            raise ConfigError(f"workload line {lineno}: {exc}") from None
-    return flows
-
-
 def run_simulation(config: RunConfig) -> metrics.MetricsReport:
     """Build the configured workload (explicit file or generated traffic), run
     one simulation, and return its report. Deterministic in (config, seed)."""
@@ -570,7 +490,5 @@ def run_simulation(config: RunConfig) -> metrics.MetricsReport:
     if config.workload_file is not None:
         workload = parse_workload(read_text(config.workload_file), mesh)
     else:
-        from .traffic import generate_traffic, make_rng
-
         workload = generate_traffic(mesh, config, make_rng(config.seed))
     return Simulator(config, workload).run()

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .engine import FlowSpec, Simulator
+from .engine import Simulator
 from .errors import DegenerateFlowError
 from .protocol import FlowId, PortList
 from .topology import Mesh, Network, NodeId
+from .traffic import FlowSpec
 
 
 def _wires(net: Network, src: NodeId, dst: NodeId, bandwidth: float, bound: int) -> int:

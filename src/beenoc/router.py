@@ -93,8 +93,8 @@ def handle_control(node: int, pkt: ControlPacket, index: int, net: Network) -> P
     """Process the delivery of a teardown/release at `node`, at route index
     `index`: free its owner's wires on the link the entry at `index` names,
     and return that port to send it on through, or None at the end of the
-    route. Releasing wires that are not held is a protocol warning, not an
-    error, so repeated teardowns are harmless.
+    route. No run releases wires that are not held; a packet built by hand
+    that does logs a protocol warning, not an error.
     """
     route = pkt.route
     length = route.length

@@ -1,24 +1,108 @@
-"""Reproducible random workload generation.
+"""Offered traffic: the demand type, the workload file and the generated stream.
 
-All draws come from one numpy PCG64 stream in a fixed order (nodes row-major; per flow:
-inter-arrival gap, destination, bandwidth, hold time), so the same seed always yields the
-same flow list on any platform. Destinations come from its raw words by Lemire's method.
+A `FlowSpec` is one offered flow, an immutable tuple validated when built. A
+workload is a list of them, read from a file by `parse_workload` or drawn by
+`generate_traffic` from the config's traffic keys and a seed. All draws come
+from one numpy PCG64 stream in a fixed order (nodes row-major; per flow:
+inter-arrival gap, destination, bandwidth, hold time), so the same seed always
+yields the same flow list on any platform. Destinations come from its raw
+words by Lemire's method.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import RunConfig, fail
-from .engine import FlowSpec
+from .config import RunConfig, content_lines, fail
+from .errors import ConfigError, DegenerateFlowError
 from .protocol import FlowId
-from .topology import Mesh, NodeId
+from .topology import Mesh, NodeId, is_bandwidth
+
+
+class _FlowSpecFields(NamedTuple):
+    flow: FlowId
+    destination: NodeId
+    required_bandwidth: float
+    arrival_time: int
+    hold_time: int
+
+
+class FlowSpec(_FlowSpecFields):
+    """One offered traffic demand: an immutable tuple, validated when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, flow: FlowId, destination: NodeId, required_bandwidth: float, arrival_time: int, hold_time: int):
+        if type(flow) is not FlowId:
+            raise ValueError(f"flow {flow}: flow id must be a FlowId")
+        if flow.source == destination:
+            raise DegenerateFlowError(f"flow {flow}: source equals destination")
+        if not is_bandwidth(required_bandwidth):
+            raise ValueError(f"flow {flow}: required_bandwidth must be positive and finite")
+        for name, node in (("source", flow.source), ("destination", destination)):
+            # the shape first, then each coordinate; bool is an int subclass
+            if not (isinstance(node, tuple) and len(node) == 2 and type(node[0]) is int and type(node[1]) is int):
+                raise ValueError(f"flow {flow}: {name} coordinates must be integers")
+        if type(flow.sequence) is not int:
+            raise ValueError(f"flow {flow}: sequence must be an integer")
+        if type(arrival_time) is not int:  # bool is an int subclass
+            raise ValueError(f"flow {flow}: arrival_time must be an integer")
+        if arrival_time < 0:
+            raise ValueError(f"flow {flow}: arrival_time must be >= 0")
+        if type(hold_time) is not int:
+            raise ValueError(f"flow {flow}: hold_time must be an integer")
+        if hold_time < 1:
+            raise ValueError(f"flow {flow}: hold_time must be >= 1")
+        # Ids, not plain tuples, so that output files print the nodes as "x,y"
+        if type(flow.source) is not NodeId or type(destination) is not NodeId:
+            flow, destination = FlowId(NodeId(*flow.source), flow.sequence), NodeId(*destination)
+        return tuple.__new__(cls, (flow, destination, required_bandwidth, arrival_time, hold_time))
+
+    @classmethod
+    def _make(cls, iterable) -> "FlowSpec":  # _replace builds through this: validate it too
+        return cls(*iterable)
+
+    @property
+    def source(self) -> NodeId:
+        return self.flow.source
+
+
+def parse_workload(text: str, mesh: Mesh) -> list[FlowSpec]:
+    """Parse the workload file format: one flow per line,
+    src_x,src_y,dst_x,dst_y,bandwidth,arrival_cycle,hold_cycles.
+    Blank lines and '#' comments are allowed."""
+    flows: list[FlowSpec] = []
+    counters: dict[NodeId, int] = defaultdict(int)
+    for lineno, stripped in content_lines(text):
+        parts = [p.strip() for p in stripped.split(",")]
+        if len(parts) != 7:
+            raise ConfigError(f"workload line {lineno}: expected 7 comma-separated fields, got {len(parts)}")
+        try:
+            src = NodeId(int(parts[0]), int(parts[1]))
+            dst = NodeId(int(parts[2]), int(parts[3]))
+            bandwidth = float(parts[4])
+            arrival = int(parts[5])
+            hold = int(parts[6])
+        except ValueError as exc:
+            raise ConfigError(f"workload line {lineno}: {exc}") from None
+        for node in (src, dst):
+            if not mesh.contains(node):
+                raise ConfigError(f"workload line {lineno}: node {node} is outside the mesh")
+        flow = FlowId(src, counters[src])
+        counters[src] += 1
+        try:
+            flows.append(FlowSpec(flow, dst, bandwidth, arrival, hold))
+        except (DegenerateFlowError, ValueError) as exc:
+            raise ConfigError(f"workload line {lineno}: {exc}") from None
+    return flows
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -118,13 +202,13 @@ def generate_traffic(mesh: Mesh, cfg: RunConfig, rng: np.random.Generator) -> li
                     idx += idx >= low
                     destination = nodes[idx + (idx >= high)]
                 bandwidth = bandwidths[bisect_right(bandwidth_cdf, random())]
-                # Built without FlowSpec's checks, which hold by construction
-                # but for an inverted geometric hold: a zero draw gives 0.
+                # Built without FlowSpec's checks, which hold by construction but
+                # for an inverted geometric hold: a zero draw gives 0, which they refuse.
                 flow = new(FlowId, (src, sequence))
                 if log_q is not None:
                     hold = ceil(-standard_exponential() / log_q)
                     if hold < 1:
-                        raise ValueError(f"flow {flow}: hold_time must be >= 1")
+                        FlowSpec(flow, destination, bandwidth, ceil(clock), hold)  # raises
                 else:
                     hold = fixed_hold if geometric_p is None else int(rng.geometric(geometric_p))
                 append(new(FlowSpec, (flow, destination, bandwidth, ceil(clock), hold)))

@@ -34,6 +34,7 @@ from beenoc.engine import CalendarQueue
 from beenoc.metrics import SUMMARY_HEADER, summary_line
 from beenoc.topology import OPPOSITE
 from beenoc.traffic import generate_traffic, make_rng
+from test_golden import GOLDEN
 
 
 def base_config(**overrides):
@@ -674,6 +675,26 @@ class TestConservation:
         assert report.flows[0].phase == "Established"
         assert not report.stats.drained
         assert report.stats.final_wires_held == 12
+
+    @pytest.mark.parametrize("name", [*sorted(GOLDEN), "contended"])
+    def test_every_release_frees_wires(self, name):
+        # A circuit is torn down once and a release retraces only what its bee
+        # reserved, so no run reaches the router's no-reservation warning.
+        if name == "contended":
+            cfg, workload = contended_run(3)
+        else:
+            cfg = RunConfig(**GOLDEN[name][0])
+            workload = generate_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), cfg, make_rng(cfg.seed))
+        sim = Simulator(cfg, workload)
+        release, freed = sim.network.release, []
+
+        def counted_release(node, port, key):
+            freed.append(release(node, port, key))
+            return freed[-1]
+
+        sim.network.release = counted_release
+        sim.run()
+        assert freed and min(freed) > 0
 
 
 class TestElidedDuplicates:

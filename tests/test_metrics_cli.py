@@ -534,6 +534,17 @@ class TestCli:
         assert cli_main(["verify", "--config", str(path)]) == 2
         assert f"file '{path}' is not UTF-8 text (invalid start byte at offset 42)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("marked", ["config", "workload"])
+    def test_file_starting_with_a_byte_order_mark_exit_0(self, tmp_path, marked):
+        # Some Windows tools write UTF-8 with the mark EF BB BF in front
+        files = {"config": MINIMAL, "workload": "0,0,3,3,2.0,0,30\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_bytes((b"\xef\xbb\xbf" if name == marked else b"") + text.encode())
+        config, workload, out = str(tmp_path / "config"), str(tmp_path / "workload"), tmp_path / "out"
+        assert cli_main(["verify", "--config", config]) == 0
+        assert cli_main(["run", "--config", config, "--workload", workload, "--out", str(out)]) == 0
+        assert (out / "flows.csv").read_text(encoding="utf-8").splitlines()[1] == "0,0,0,3,3,2.000000,TornDown,12,6,6"
+
     def test_run_non_finite_workload_bandwidth_exit_2(self, tmp_path, capsys):
         workload = tmp_path / "wl.txt"
         workload.write_text("0,0,3,3,nan,0,30\n", encoding="ascii")

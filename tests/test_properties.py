@@ -28,6 +28,7 @@ from beenoc import (
     FlowId,
     FlowSpec,
     Mesh,
+    Network,
     PortDir,
     PortList,
     RunConfig,
@@ -88,6 +89,10 @@ def test_random_configs_are_deterministic_and_settle(cfg):
     assert set(first) == {"flows.csv", "summary.csv", "trace.tsv"}
     assert first == second
 
+    # A flow sends at most one forward copy per directed link, below the
+    # engine's cap of four copies per node.
+    most = max((rec.forward_deliveries for rec in sim.records.values()), default=0)
+    assert most <= len(sim.network.links) < 4 * sim.mesh.node_count
     for rec in sim.records.values():
         assert rec.phase.value in ("TornDown", "Failed")
         if rec.circuit is None:
@@ -155,6 +160,9 @@ def test_untraced_run_reports_what_the_traced_run_does(run):
     del traced_files["trace.tsv"]
     assert plain_files == traced_files
     assert plain.stats == traced.stats
+    # One forward copy per directed link at most, also with walls and cuts
+    links = Network(Mesh(cfg.mesh_width, cfg.mesh_height), cfg.wire_count, cfg.wire_bandwidth).links
+    assert plain.stats.max_forward_deliveries_per_flow <= len(links)
 
 
 @st.composite

@@ -1,12 +1,16 @@
+import ast
+import graphlib
 import hashlib
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beenoc
 from beenoc import ConfigError, FlowId, FlowSpec, Mesh, NodeId, RunConfig
 from beenoc.traffic import bounded_draws, generate_traffic, make_rng, traffic_params_from_config
 
@@ -419,3 +423,29 @@ def test_zero_geometric_hold_raises_flowspec_error():
     p = params(traffic_rate=0.1, hold_time_dist="geometric", hold_time_mean=40.0)
     with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
         generate_traffic(Mesh(4, 4), p, ZeroHoldStream())
+
+
+def test_package_imports_form_layers():
+    # Each module imports at its top only, and the package's relative imports,
+    # wherever written, form no cycle: the workload layer needs nothing from the engine.
+    nested, graph = [], {}
+    for path in sorted(Path(beenoc.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in ast.walk(func)):
+                    nested.append(f"{path.stem}.{func.name}")
+        graph[path.stem] = {
+            target
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for target in ([node.module] if node.module else [alias.name for alias in node.names])
+        }
+    cycle = None
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        cycle = exc.args[1]
+    assert (nested, cycle) == ([], None)
