@@ -33,13 +33,6 @@ from .protocol import (
     serialize_forward_bee,
     walk,
 )
-from .router import (
-    BackwardOutcome,
-    handle_backward_bee,
-    handle_control,
-    handle_forward_bee,
-    release_for_backward_bee,
-)
 from .topology import NON_LOCAL_PORTS, Mesh, Network, NodeId, PortDir
 from .traffic import FlowSpec, generate_traffic, make_rng, parse_workload
 

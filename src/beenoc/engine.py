@@ -102,6 +102,7 @@ def _setup_timeout(config: RunConfig, hop_limit: int) -> int:
 _SETTLED = (FlowPhase.FAILED, FlowPhase.TORN_DOWN)
 _ESTABLISHED = FlowPhase.ESTABLISHED
 _LOCAL = PortDir.LOCAL
+_RELEASE = ControlKind.RELEASE
 _FORWARDED = router.BackwardOutcome.FORWARDED
 _ABORTED = router.BackwardOutcome.ABORTED
 
@@ -374,14 +375,17 @@ class Simulator:
         rec = self.records[bee.owner[0]]
         index = (self.clock - bee.start) // self._t_hop
         phase, net = rec.phase, self.network
-        if phase in _SETTLED:
-            outcome = _ABORTED  # the flow has settled: drop the bee and free its prefix
+        # A settled flow drops its bees, and once a sibling has won, a bee reaching the source lost the race.
+        if phase in _SETTLED or (phase is _ESTABLISHED and index == bee.path.length):
+            outcome = _ABORTED
         else:
-            won = phase is _ESTABLISHED  # at the source: a sibling was accepted first
-            outcome = router.handle_backward_bee(node, bee, index, arrival_port, net, rec.wires, won)
+            outcome = router.handle_backward_bee(node, bee, index, arrival_port, net, rec.wires)
         if outcome is _ABORTED:  # it reserved nothing here
-            if (release := router.release_for_backward_bee(bee, index, self.clock + self._t_hop)) is not None:
-                self.transit(node, arrival_port, release)
+            # The bee reserved the index - 1 links behind it: the last steps of its path, which a release retraces.
+            reserved = index - 1
+            if reserved > 0:
+                route = PortList(bee.path.bits & ((1 << 2 * reserved) - 1), reserved)
+                self.transit(node, arrival_port, ControlPacket(_RELEASE, bee.owner, route, self.clock + self._t_hop))
             return
         # Only a reservation raises a direction's peak; this one was on the arrival port's link.
         held = net.held_by_class[arrival_port]

@@ -6,13 +6,15 @@ backward bees, each carrying the path it read off the flow's tree. A bee
 retraces its path from the far end, reserving wires hop by hop on the links
 the data will use (each arrival claims the link back toward the node it came
 from), and the first to reach the source wins: its path is the circuit.
-Failed and losing bees free their wires with release packets, and a teardown
+Release packets free what failed and losing bees reserved, and a teardown
 from the source dismantles the circuit after data transfer.
 
 A node is its int handle. A bee's reservation lives only in `Network`, under
 its `owner` key (flow, bee_index), built once with the bee. The engine
 passes in a packet's route index, (clock - start) // t_hop, and sends the
-same packet on at the next hop.
+same packet on at the next hop. Only `handle_forward_bee` takes flow state;
+the engine alone decides, from its flow's phase, that a bee lost the race or
+outlived its flow, and builds every release.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import logging
 from enum import Enum
 
 from .errors import InvalidPathError, ProtocolCorruptionError
-from .protocol import BackwardBee, ControlKind, ControlPacket, FlowId, PortList
+from .protocol import BackwardBee, ControlPacket, FlowId, PortList
 from .topology import NON_LOCAL_PORTS, OPPOSITE, Network, PortDir
 
 logger = logging.getLogger(__name__)
@@ -32,7 +34,7 @@ class BackwardOutcome(Enum):
 
     FORWARDED = "forwarded"  # the engine sends the bee on through OPPOSITE[(path.bits >> 2 * index) & 0b11]
     ACCEPTED = "accepted"  # the circuit is established
-    ABORTED = "aborted"  # the engine sends release_for_backward_bee's packet
+    ABORTED = "aborted"  # its reservation failed; the engine releases its prefix
 
     @property
     def kind(self) -> str:
@@ -52,38 +54,20 @@ def handle_forward_bee(count: int, flow: FlowId, path: PortList, convert_cap: in
     return [(OPPOSITE[path.bits & 0b11], BackwardBee((flow, count), path, clock))]
 
 
-def release_for_backward_bee(bee: BackwardBee, index: int, start: int) -> ControlPacket | None:
-    """Release packet freeing the reserved prefix of a dead backward bee, or
-    None when it reserved nothing. Delivered at route index `index`, the bee
-    had reserved `index - 1` links behind it; the release, at its index 0 at
-    cycle `start`, retraces them: the last `index - 1` steps of its path."""
-    reserved = index - 1
-    if reserved <= 0:
-        return None
-    route = PortList(bee.path.bits & ((1 << 2 * reserved) - 1), reserved)
-    return ControlPacket(ControlKind.RELEASE, bee.owner, route, start)
-
-
 def handle_backward_bee(
-    node: int, bee: BackwardBee, index: int, arrival_port: PortDir, net: Network, wires: int, won: bool
+    node: int, bee: BackwardBee, index: int, arrival_port: PortDir, net: Network, wires: int
 ) -> BackwardOutcome:
-    """Process the delivery of `bee` at `node`, at route index `index`.
-
-    Every arrival first reserves `wires` wires, the flow's demand, on the
-    link back toward the node the bee came from (the link data will use when
-    flowing source to destination), held under (flow, bee_index). At the
-    source the first bee of its flow is accepted and the circuit is
-    established; a later sibling, arriving once its flow has `won`, aborts
-    and releases its whole reserved route. A failed reservation aborts the
-    bee, which releases its reserved prefix.
+    """Process the delivery of `bee` at `node`, at route index `index`: reserve
+    `wires` wires, the flow's demand, on the link back toward the node the bee
+    came from (the link data will use when flowing source to destination),
+    held under (flow, bee_index). A failed reservation aborts the bee; one
+    made at the source accepts it, and its path is the circuit.
     """
     length = bee.path.length
     if not 1 <= index <= length:
         raise ProtocolCorruptionError(
             f"backward bee of {bee.flow}: route index {index} outside 1..{length} (start {bee.start})"
         )
-    if index == length and won:  # lost the race; nothing was reserved at the source
-        return _ABORTED
     if not net.reserve(node, arrival_port, bee.owner, wires):
         return _ABORTED
     return _ACCEPTED if index == length else _FORWARDED

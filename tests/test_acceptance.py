@@ -18,12 +18,12 @@ from beenoc import (
     Simulator,
     decode_port,
     encode_port,
-    handle_forward_bee,
     run_simulation,
     walk,
     write_report,
 )
 from beenoc.oracle import single_flow_scenario, soundness_violation
+from beenoc.router import handle_forward_bee
 from beenoc.traffic import generate_traffic, make_rng
 
 from flood_step import flood, flood_sim

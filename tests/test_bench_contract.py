@@ -1,10 +1,12 @@
 """The benchmark's layer tracer still fits the package.
 
-`bench/tracing.py` wraps the router handlers and reads their arguments and
-results to split setup latency into discovery and reservation. It is
-imported here as it stands and run over the contended churn golden, so a
-router or engine signature it no longer fits fails the suite, not only the
-traced benchmark.
+`bench/tracing.py` wraps the router handlers from `beenoc.router` and reads
+their arguments and results to split setup latency into discovery and
+reservation. It is imported here as it stands and run over the contended
+churn golden, so a router or engine signature it no longer fits fails the
+suite, not only the traced benchmark. The engine decides a backward bee's
+race loss and its flow's settlement before it calls the router, so every
+router call for a backward bee makes one reservation.
 """
 
 import importlib.util
@@ -42,6 +44,7 @@ def test_layer_tracer_runs_the_churn_golden(trace, tmp_path):
     assert len(tracer.discovery_cycles) == len(tracer.reservation_cycles) > 0
     for name in ("router.forward", "router.backward", "router.control"):
         assert tracer.calls[name][0] > 0, name
+    assert tracer.calls["router.backward"][0] == tracer.calls["topology.reserve"][0]
     write_report(simulator(RunConfig(**GOLDEN["churn4x4"][0]))[0].run(), tmp_path / "plain")
     wrapped, plain = ((tmp_path / d / "flows.csv").read_bytes() for d in ("wrapped", "plain"))
     assert wrapped == plain

@@ -15,7 +15,9 @@ DEMOS = ["01_route_codec", "02_single_flow_walkthrough", "03_contention_and_deto
 
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_exits_cleanly(name, tmp_path):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    # src/ goes after an existing PYTHONPATH, so a copy of the package put
+    # there (tests/mutants.py does) is the one the subprocess imports
+    path = [os.environ.get("PYTHONPATH", ""), str(ROOT / "src")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{name}.py")],

@@ -498,14 +498,27 @@ class TestSetupTimeout:
         assert report.stats.control_deliveries == 0
 
     def test_timeout_invalidates_bee_mid_route(self):
-        # hop limit 6, timeout ceil(0.7 * 6) = 5: the backward bee has
-        # reserved one link when the timeout fires; its prefix must drain
-        cfg = base_config(mesh_width=4, mesh_height=2, setup_timeout_factor=0.7)
+        # hop limit 6, timeout ceil(0.7 * 6) = 5: the backward bee born at
+        # (3,0) at cycle 3 has reserved (2,0)'s east link when the timeout
+        # fires; at its next hop it is dropped, and its release frees
+        # exactly that prefix
+        cfg = base_config(mesh_width=4, mesh_height=2, setup_timeout_factor=0.7, trace=True)
         sim = Simulator(cfg, [one_flow(src=(0, 0), dst=(3, 0), bandwidth=1.0)])
+        released = []
+        release = sim.network.release
+        sim.network.release = lambda *args: released.append((sim.clock, *args)) or release(*args)
         report = sim.run()
         assert report.flows[0].phase == "Failed"
-        assert report.stats.backward_deliveries >= 2  # one reserve, one suppressed
-        assert report.stats.control_deliveries >= 1  # the release retrace
+        packets = [line.split("\t") for line in report.trace if line.split("\t")[4] not in ("-", "forward")]
+        assert [(cycle, node, pkt, hop) for cycle, _, node, _, pkt, _, hop in packets] == [
+            ("4", "2,0", "backward", "1"),
+            ("5", "1,0", "backward", "2"),  # after the timeout: it reserves nothing
+            ("6", "2,0", "release", "0"),
+            ("7", "3,0", "release", "1"),
+        ]
+        bee = (FlowId(NodeId(0, 0), 0), 0)
+        assert released == [(6, sim.mesh.handle(NodeId(2, 0)), PortDir.EAST, bee)]
+        assert report.stats.control_deliveries == 2
         assert report.stats.final_wires_held == 0
         assert report.stats.drained
 

@@ -629,7 +629,9 @@ def test_cli_module_runs_as_a_script(tmp_path):
     # python -m beenoc.cli runs the CLI, so an undecodable config exits 2
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(MINIMAL.encode() + b"# \xff\n")
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    # src/ goes after an existing PYTHONPATH, so a copy of the package put
+    # there (tests/mutants.py does) is the one the subprocess imports
+    path = [os.environ.get("PYTHONPATH", ""), str(ROOT / "src")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run([sys.executable, "-m", "beenoc.cli", "verify", "--config", str(bad)],
                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)

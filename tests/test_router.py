@@ -4,22 +4,19 @@ import pytest
 
 from beenoc import (
     BackwardBee,
-    BackwardOutcome,
     ControlKind,
     ControlPacket,
     FlowId,
+    FlowPhase,
     Mesh,
     Network,
     NodeId,
     PortDir,
     PortList,
     ProtocolCorruptionError,
-    handle_backward_bee,
-    handle_control,
-    handle_forward_bee,
-    release_for_backward_bee,
     walk,
 )
+from beenoc.router import BackwardOutcome, handle_backward_bee, handle_control, handle_forward_bee
 from beenoc.topology import OPPOSITE
 
 from flood_step import flood, flood_sim, tree_of
@@ -51,17 +48,17 @@ def leaving_port(bee, index):
     return port
 
 
-def deliver_backward_until_done(mesh, net, dest, bee, wires, won=False):
+def deliver_backward_until_done(mesh, net, dest, bee, wires):
     """Walk a backward bee of a flow demanding `wires` wires hop by hop from
-    its birth at `dest`, the flow having `won` its circuit or not, sending
-    the same bee on through its route entry at each forwarded hop; returns
-    the final delivery's (node, arrival port, route index, outcome)."""
+    its birth at `dest`, sending the same bee on through its route entry at
+    each forwarded hop; returns the final delivery's (node, route index,
+    outcome)."""
     node, index, outcome = dest, 0, BackwardOutcome.FORWARDED
     while outcome is BackwardOutcome.FORWARDED:
         port = leaving_port(bee, index)
-        node, arrival, index = mesh.neighbor(node, port), port.opposite(), index + 1
-        outcome = handle_backward_bee(mesh.handle(node), bee, index, arrival, net, wires, won)
-    return node, arrival, index, outcome
+        node, index = mesh.neighbor(node, port), index + 1
+        outcome = handle_backward_bee(mesh.handle(node), bee, index, port.opposite(), net, wires)
+    return node, index, outcome
 
 
 def deliver_control_chain(mesh, net, origin, port, pkt, index):
@@ -75,14 +72,27 @@ def deliver_control_chain(mesh, net, origin, port, pkt, index):
     assert index == pkt.route.length + 1
 
 
-def release_aborted(mesh, net, node, arrival, bee, index):
-    """Send and deliver the release of a bee aborted at `node`, at route
-    index `index`; returns it."""
-    release = release_for_backward_bee(bee, index, 0)
-    reserved = list(bee.path.reverse_complement())[:index - 1]
-    assert release.route == PortList.from_ports(reserved).reverse_complement()
-    deliver_control_chain(mesh, net, node, arrival, release, 0)
-    return release
+# The engine alone decides that a bee outlived its flow or lost the race, and
+# builds every release; those rules are tested through a simulator whose
+# flood never starts, with bees sent by hand from the destination.
+
+
+def send_bees(sim, *paths):
+    """Send one backward bee of the simulator's flow per forward path (a
+    list of ports) from its destination, all now and in order; returns them."""
+    (rec,) = sim.records.values()
+    bees = []
+    for bee_index, ports in enumerate(paths):
+        bee = BackwardBee((rec.spec.flow, bee_index), PortList.from_ports(ports), sim.clock)
+        sim.transit(rec.destination, leaving_port(bee, 0), bee)
+        bees.append(bee)
+    return bees
+
+
+def deliveries(report, kind):
+    """(cycle, node, route index) of each traced delivery of packets of `kind`."""
+    lines = (line.split("\t") for line in report.trace)
+    return [(int(cycle), node, int(hop)) for cycle, event, node, _, pkt, _, hop in lines if pkt == kind]
 
 
 # The flood rule is one engine step over a flow's first-copy tree; the
@@ -164,11 +174,6 @@ class TestForwardBee:
                 assert back.path is forward
                 assert port is route.entry(0) is leaving_port(back, 0)
                 assert back.start == 17  # at route index 0 at the cycle of its conversion
-                # the release of every reserved prefix retraces it, from the path
-                for index in range(2, len(path) + 1):
-                    release = release_for_backward_bee(back, index, 0)
-                    assert release.route == PortList.from_ports(list(route)[:index - 1]).reverse_complement()
-                    assert release.owner is back.owner
                 backward.append(back)
             else:
                 assert emissions == []
@@ -254,18 +259,20 @@ class TestBackwardBee:
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 0)
         bee = backward_bee(flow, 0, PortList.from_ports([E]))  # forward east -> route west
-        node, _, index, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), bee, net.wires_for(2.5))
+        node, index, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), bee, net.wires_for(2.5))
         assert node == NodeId(0, 0) and index == 1
         assert outcome.kind == "accepted"
         # the source holds the data-direction first hop: 3 wires of 8, under the bee's key
         assert net.free_wires(at(mesh, 0, 0), E) == 5
         assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 3}
-        # once the flow has won, a sibling reaching the source loses the race
-        sibling = backward_bee(flow, 1, PortList.from_ports([E]))
-        node, _, index, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), sibling, 3, won=True)
-        assert node == NodeId(0, 0) and outcome.kind == "aborted"
-        assert release_for_backward_bee(sibling, index, 0) is None
-        assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 3}
+        # in a run, a sibling reaching the source once its flow has won loses
+        # the race: it reserved nothing and sends no release
+        sim, rec = flood_sim(dst=(1, 0), bandwidth=2.5, wire_count=8, max_cycles=1)
+        send_bees(sim, [E], [E])
+        report = sim.run()
+        assert rec.phase is FlowPhase.ESTABLISHED and rec.winner == (flow, 0)
+        assert report.stats.backward_deliveries == 2 and report.stats.control_deliveries == 0
+        assert sim.network.holders(at(sim.mesh, 0, 0), E) == {(flow, 0): 3}
 
     def test_multi_hop_reserves_data_path(self):
         mesh, net = make_net()
@@ -273,65 +280,73 @@ class TestBackwardBee:
         forward = PortList.from_ports([E, N])
         bee = backward_bee(flow, 0, forward)
         # at the first hop the bee reserves and is sent on through route entry 1
-        assert handle_backward_bee(at(mesh, 1, 0), bee, 1, N, net, 1, False) is BackwardOutcome.FORWARDED
+        assert handle_backward_bee(at(mesh, 1, 0), bee, 1, N, net, 1) is BackwardOutcome.FORWARDED
         assert leaving_port(bee, 1) is W
-        assert handle_backward_bee(at(mesh, 0, 0), bee, 2, E, net, 1, False) is BackwardOutcome.ACCEPTED
+        assert handle_backward_bee(at(mesh, 0, 0), bee, 2, E, net, 1) is BackwardOutcome.ACCEPTED
         # exactly the links a source->destination walk would use
         assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 1}
         assert net.holders(at(mesh, 1, 0), N) == {(flow, 0): 1}
         assert net.total_held() == 2
 
     def test_reservation_failure_releases_prefix(self):
-        mesh, net = make_net(wire_count=4)
-        flow = FlowId(NodeId(0, 0), 2)
-        forward = PortList.from_ports([E, E])
-        net.reserve(at(mesh, 0, 0), E, ("bg", 0), 4)  # the final reservation will fail
-        bee = backward_bee(flow, 0, forward)
-        node, arrival, index, outcome = deliver_backward_until_done(mesh, net, NodeId(2, 0), bee, 2)
-        assert node == NodeId(0, 0)
-        assert outcome.kind == "aborted"
-        release = release_aborted(mesh, net, node, arrival, bee, index)
-        assert (release.kind, release.flow, release.bee_index, release.route.length) == (ControlKind.RELEASE, flow, 0, 1)
+        # 5x2, flow (0,0) -> (4,0) of 2 wires of 4; (1,0)'s east link has 3
+        # held, so the bee reserves (3,0) and (2,0) east and fails at (1,0)
+        sim, rec = flood_sim(dst=(4, 0), bandwidth=2.0, mesh_width=5, mesh_height=2, wire_count=4)
+        net = sim.network
+        assert net.reserve(at(sim.mesh, 1, 0), E, ("bg", 0), 3)
+        (bee,) = send_bees(sim, [E, E, E, E])
+        report = sim.run()
+        assert deliveries(report, "backward") == [(1, "3,0", 1), (2, "2,0", 2), (3, "1,0", 3)]
+        # the release retraces the two reserved links, from route index 0 one hop later
+        assert deliveries(report, "release") == [(4, "2,0", 0), (5, "3,0", 1), (6, "4,0", 2)]
+        assert report.stats.drained and report.stats.final_wires_held == 0
         # only the background reservation survives; no link holds the bee's key
-        assert net.total_held() == 4
-        assert net.holders(at(mesh, 1, 0), E) == {}
-        assert all((flow, 0) not in net.holders(*link) for link in net.links)
+        assert rec.phase is FlowPhase.SETTING_UP
+        assert net.total_held() == 3
+        assert all(bee.owner not in net.holders(*link) for link in net.links)
 
     def test_failure_with_empty_prefix_emits_nothing(self):
-        mesh, net = make_net(wire_count=4)
-        flow = FlowId(NodeId(0, 0), 3)
-        net.reserve(at(mesh, 1, 0), E, ("bg", 0), 4)
-        bee = backward_bee(flow, 0, PortList.from_ports([E, E]))
-        outcome = handle_backward_bee(at(mesh, 1, 0), bee, 1, E, net, 2, False)
-        assert outcome.kind == "aborted"
-        assert release_for_backward_bee(bee, 1, 0) is None
-        assert net.total_held() == 4
+        # the bee's first reservation, at route index 1, fails: no release is sent
+        sim, _ = flood_sim(dst=(2, 0), bandwidth=2.0, wire_count=4)
+        sim.network.reserve(at(sim.mesh, 1, 0), E, ("bg", 0), 4)
+        send_bees(sim, [E, E])
+        report = sim.run()
+        assert deliveries(report, "backward") == [(1, "1,0", 1)]
+        assert report.stats.control_deliveries == 0 and deliveries(report, "release") == []
+        assert sim.network.total_held() == 4
 
     def test_losing_sibling_releases_only_its_own_wires(self):
-        # two sibling bees whose routes share the 1,0 -> 2,0 data link; the
-        # loser's release must leave the winner's wires in place
-        mesh, net = make_net(width=4, height=2, wire_count=4)
-        flow = FlowId(NodeId(0, 0), 0)
-        bee1 = backward_bee(flow, 0, PortList.from_ports([E, E, E, N]))  # route S W W W
-        bee2 = backward_bee(flow, 1, PortList.from_ports([E, E, N, E]))  # route W S W W
-        _, _, _, first = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee1, 2)
-        assert first.kind == "accepted"
-        node, arrival, index, second = deliver_backward_until_done(mesh, net, NodeId(3, 1), bee2, 2, won=True)
-        assert second.kind == "aborted"
-        assert net.holders(at(mesh, 1, 0), E) == {(flow, 0): 2, (flow, 1): 2}  # both held pre-release
-        release_aborted(mesh, net, node, arrival, bee2, index)
+        # two sibling bees whose routes share the 1,0 -> 2,0 data link reach
+        # the source in one cycle; the second lost the race, and its release
+        # must leave the winner's wires in place
+        sim, rec = flood_sim(dst=(3, 1), bandwidth=2.0, mesh_width=4, mesh_height=2, wire_count=4, max_cycles=8)
+        net, mesh = sim.network, sim.mesh
+        flow = rec.spec.flow
+        send_bees(sim, [E, E, E, N], [E, E, N, E])  # routes S W W W and W S W W
+        report = sim.run()
+        assert rec.winner == (flow, 0) and rec.circuit == PortList.from_ports([E, E, E, N])
+        assert deliveries(report, "backward")[-2:] == [(4, "0,0", 4), (4, "0,0", 4)]
+        # the loser reserved three links, which its release frees, and
+        # nothing at the source
+        assert deliveries(report, "release") == [(5, "1,0", 0), (6, "2,0", 1), (7, "2,1", 2), (8, "3,1", 3)]
         assert net.holders(at(mesh, 1, 0), E) == {(flow, 0): 2}
         # the winner's four-link circuit is intact, nothing else is held
         assert net.total_held() == 8
         for spot, port in [((0, 0), E), ((1, 0), E), ((2, 0), E), ((3, 0), N)]:
             assert net.holders(at(mesh, *spot), port) == {(flow, 0): 2}
+        # run on, the winner's teardown frees the rest
+        sim, rec = flood_sim(dst=(3, 1), bandwidth=2.0, mesh_width=4, mesh_height=2, wire_count=4)
+        send_bees(sim, [E, E, E, N], [E, E, N, E])
+        report = sim.run()
+        assert rec.phase is FlowPhase.TORN_DOWN
+        assert report.stats.drained and sim.network.total_held() == 0
 
     def test_corrupt_index_rejected(self):
         mesh, net = make_net()
         bee = backward_bee(FlowId(NodeId(0, 0), 4), 0, PortList.from_ports([E]))  # route W
         for index in (0, 2, 5):
             with pytest.raises(ProtocolCorruptionError, match=rf"route index {index} outside 1\.\.1 \(start 0\)"):
-                handle_backward_bee(at(mesh, 0, 0), bee, index, E, net, 1, False)
+                handle_backward_bee(at(mesh, 0, 0), bee, index, E, net, 1)
         assert net.total_held() == 0
 
 
@@ -342,7 +357,7 @@ class TestControl:
         for port in forward:
             dest = mesh.neighbor(dest, port)
         bee = backward_bee(flow, 0, forward)
-        _, _, _, outcome = deliver_backward_until_done(mesh, net, dest, bee, wires)
+        _, _, outcome = deliver_backward_until_done(mesh, net, dest, bee, wires)
         assert outcome.kind == "accepted"
         return forward
 
