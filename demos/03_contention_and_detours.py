@@ -15,7 +15,7 @@ sim = Simulator(cfg, [flow])
 # soak up the direct row: (1,0)->E and (2,0)->E keep less than 2 units free
 for node in (NodeId(1, 0), NodeId(2, 0)):
     wires = sim.network.wires_for(3.0)
-    if not sim.network.reserve(sim.mesh.handle(node), PortDir.EAST, ("background", node.x), wires):
+    if not sim.network.reserve(sim.mesh.handle(node), PortDir.EAST, wires):
         raise RuntimeError(f"background load does not fit on {node}->EAST")
 
 # the oracle reads the pre-setup network, before the flow claims any wires

@@ -401,7 +401,8 @@ class Simulator:
 
     def _on_control(self, node: int, pkt: ControlPacket, _port: PortDir) -> None:
         self._control_deliveries += 1
-        port = router.handle_control(node, pkt, (self.clock - pkt.start) // self._t_hop, self.network)
+        wires = self.records[pkt.owner[0]].wires
+        port = router.handle_control(node, pkt, (self.clock - pkt.start) // self._t_hop, self.network, wires)
         if port is not None:  # None at the end of its route
             self.transit(node, port, pkt)
 
@@ -409,7 +410,7 @@ class Simulator:
         self._set_phase(rec, FlowPhase.TORN_DOWN)
         teardown = ControlPacket(ControlKind.TEARDOWN, rec.winner, rec.circuit, self.clock)
         # The source frees its own hop, at route index 0; the packet then walks and frees the circuit.
-        if (port := router.handle_control(source, teardown, 0, self.network)) is not None:
+        if (port := router.handle_control(source, teardown, 0, self.network, rec.wires)) is not None:
             self.transit(source, port, teardown)
 
     def _on_setup_timeout(self, _source: int, rec: FlowRecord, _port: None) -> None:

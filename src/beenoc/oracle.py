@@ -116,11 +116,10 @@ def single_flow_scenario(cfg: RunConfig, rng: np.random.Generator, saturate: boo
     sim = Simulator(cfg, [spec])
     net = sim.network
     if saturate:
-        for index, (node, port) in enumerate(net.links):
+        for node, port in net.links:
             if rng.random() < 0.35:
                 held = int(rng.integers(1, wires + 1))
-                background = (FlowId(NodeId(0, 0), -(index + 1)), 0)
-                net.reserve(node, port, background, held)  # fits: an idle link has wire_count free
+                net.reserve(node, port, held)  # fits: an idle link has wire_count free
     record = sim.records[flow]
     hop_limit, free = record.hop_limit, list(net.free_by_slot)
     shortest = shortest_feasible_length(net, src, dst, bandwidth, hop_limit)

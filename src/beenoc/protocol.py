@@ -143,16 +143,15 @@ class BackwardBee(NamedTuple):
     the bee's route is its reverse complement, read off in place. At cycle c
     the bee is at route index i = (c - start) // t_hop, `start` being its
     conversion, leaves through OPPOSITE[(path.bits >> 2 * i) & 0b11], and
-    has reserved the first i - 1 links of its route under `owner`, (flow,
-    bee_index), so sibling bees never confuse their reservations on shared
-    links.
+    has reserved its flow's wires on the first i - 1 links of its route.
+    `owner` is (flow, bee_index).
     """
 
     owner: tuple[FlowId, int]
     path: PortList
     start: int
 
-    flow = property(lambda self: self.owner[0])  # for messages; a hop uses `owner` whole
+    flow = property(lambda self: self.owner[0])  # for messages and the trace
     bee_index = property(lambda self: self.owner[1])
 
 
@@ -166,8 +165,8 @@ class ControlPacket(NamedTuple):
 
     A teardown travels the forward path from the source after data transfer;
     a release retraces the links a failed or losing backward bee reserved.
-    `owner`, the bee's (flow, bee_index), selects whose wires are freed. The
-    packet is at route index 0 at cycle `start`.
+    `owner` is that bee's (flow, bee_index); each hop frees the flow's wires.
+    The packet is at route index 0 at cycle `start`.
     """
 
     kind: ControlKind
@@ -175,7 +174,7 @@ class ControlPacket(NamedTuple):
     route: PortList
     start: int
 
-    flow = property(lambda self: self.owner[0])  # for messages; a hop uses `owner` whole
+    flow = property(lambda self: self.owner[0])  # for messages and the trace
     bee_index = property(lambda self: self.owner[1])
 
 

@@ -9,24 +9,24 @@ from), and the first to reach the source wins: its path is the circuit.
 Release packets free what failed and losing bees reserved, and a teardown
 from the source dismantles the circuit after data transfer.
 
-A node is its int handle. A bee's reservation lives only in `Network`, under
-its `owner` key (flow, bee_index), built once with the bee. The engine
-passes in a packet's route index, (clock - start) // t_hop, and sends the
-same packet on at the next hop. Only `handle_forward_bee` takes flow state;
-the engine alone decides, from its flow's phase, that a bee lost the race or
-outlived its flow, and builds every release.
+A node is its int handle. `Network` keeps only each link's free-wire count;
+who holds what follows from the route index: a bee at index i holds its
+flow's wires on the i - 1 links behind it, and a winner on every link of its
+circuit, so a release or teardown frees the flow's wires on each hop it
+walks. The engine passes in a packet's route index, (clock - start) //
+t_hop, and the flow's wires, and sends the same packet on at the next hop.
+Only `handle_forward_bee` takes flow state; the engine alone decides, from
+its flow's phase, that a bee lost the race or outlived its flow, and builds
+every release.
 """
 
 from __future__ import annotations
 
-import logging
 from enum import Enum
 
 from .errors import InvalidPathError, ProtocolCorruptionError
 from .protocol import BackwardBee, ControlPacket, FlowId, PortList
 from .topology import NON_LOCAL_PORTS, OPPOSITE, Network, PortDir
-
-logger = logging.getLogger(__name__)
 
 
 class BackwardOutcome(Enum):
@@ -59,26 +59,25 @@ def handle_backward_bee(
 ) -> BackwardOutcome:
     """Process the delivery of `bee` at `node`, at route index `index`: reserve
     `wires` wires, the flow's demand, on the link back toward the node the bee
-    came from (the link data will use when flowing source to destination),
-    held under (flow, bee_index). A failed reservation aborts the bee; one
-    made at the source accepts it, and its path is the circuit.
+    came from (the link data will use when flowing source to destination).
+    A failed reservation aborts the bee; one made at the source accepts it,
+    and its path is the circuit.
     """
     length = bee.path.length
     if not 1 <= index <= length:
         raise ProtocolCorruptionError(
             f"backward bee of {bee.flow}: route index {index} outside 1..{length} (start {bee.start})"
         )
-    if not net.reserve(node, arrival_port, bee.owner, wires):
+    if not net.reserve(node, arrival_port, wires):
         return _ABORTED
     return _ACCEPTED if index == length else _FORWARDED
 
 
-def handle_control(node: int, pkt: ControlPacket, index: int, net: Network) -> PortDir | None:
+def handle_control(node: int, pkt: ControlPacket, index: int, net: Network, wires: int) -> PortDir | None:
     """Process the delivery of a teardown/release at `node`, at route index
-    `index`: free its owner's wires on the link the entry at `index` names,
-    and return that port to send it on through, or None at the end of the
-    route. No run releases wires that are not held; a packet built by hand
-    that does logs a protocol warning, not an error.
+    `index`: free `wires` wires, the flow's demand, on the link the entry at
+    `index` names, and return that port to send it on through, or None at
+    the end of the route.
     """
     route = pkt.route
     length = route.length
@@ -90,18 +89,9 @@ def handle_control(node: int, pkt: ControlPacket, index: int, net: Network) -> P
         return None
     port = NON_LOCAL_PORTS[(route.bits >> 2 * (length - 1 - index)) & 0b11]  # route.entry(index), checked above
     try:
-        freed = net.release(node, port, pkt.owner)
+        net.release(node, port, wires)
     except InvalidPathError:
         raise ProtocolCorruptionError(
             f"control route of {pkt.flow} leaves the mesh at {net.mesh.node_at(node)}"
         ) from None
-    if freed == 0:
-        logger.warning(
-            "%s at %s found no reservation for %s bee %d on %s",
-            pkt.kind.value,
-            net.mesh.node_at(node),
-            pkt.flow,
-            pkt.bee_index,
-            port.name,
-        )
     return port

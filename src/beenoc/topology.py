@@ -8,6 +8,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InvalidPathError, InvalidPortError, InvariantViolationError
@@ -163,11 +164,12 @@ class Network:
     """Mesh plus the wire pool of every directed link, with reservation accounting.
 
     Each physical channel is two directed links, each with `wire_count`
-    wires. A link's state is a dict from each owner, a (flow, bee index) key,
-    to the wires it holds, plus its free-wire count; only reserve()/release()
-    write them, and each ends by checking the link it wrote. A link admits
-    bandwidth b when wires_for(b) wires are free: the flood, reservation
-    and the oracle all use this test.
+    wires. A link's state is its free-wire count; who holds the other wires
+    is the engine's to know (a bee at route index i holds its flow's wires on
+    the i - 1 links behind it, a winner on every link of its circuit). Only
+    reserve()/release() write a link, and each ends by checking the link it
+    wrote. A link admits bandwidth b when wires_for(b) wires are free: the
+    flood, reservation and the oracle all use this test.
 
     Nodes are int handles (Mesh.handle). The link leaving node n through a
     port is slot 4 * n + port code in flat per-link tables. Read-only views
@@ -188,7 +190,6 @@ class Network:
         self.wire_bandwidth = wire_bandwidth
         self.node_links, self.far_by_slot, links_by_class = _link_tables(mesh.width, mesh.height)
         self._node_count = len(self.node_links)
-        self._reservations: list[dict | None] = [None if far < 0 else {} for far in self.far_by_slot]
         self.free_by_slot = [0 if far < 0 else wire_count for far in self.far_by_slot]
         self.wires_by_class = [links * wire_count for links in links_by_class]
         self.held_by_class = [0, 0, 0, 0]
@@ -204,13 +205,9 @@ class Network:
         # The local port (value 4) would otherwise alias the next node's link.
         if 0 <= node < self._node_count and port < 4:
             index = 4 * node + port
-            if self._reservations[index] is not None:
+            if self.far_by_slot[index] >= 0:
                 return index
         raise InvalidPathError(f"no link leaving {self.mesh.node_at(node)} toward {port.name}")
-
-    def holders(self, node: int, port: PortDir) -> dict:
-        """A copy of the link's reservations: owner key -> wires held."""
-        return dict(self._reservations[self._index(node, port)])
 
     def far_end(self, node: int, port: PortDir) -> int:
         """The node the link leaving `node` through `port` leads to."""
@@ -223,16 +220,15 @@ class Network:
         return self.free_wires(node, port) * self.wire_bandwidth
 
     def wires_for(self, bandwidth: float) -> int:
-        """Wires needed to carry `bandwidth`: ceil(bandwidth / wire_bandwidth).
-
-        A tiny slack absorbs binary-float artifacts in the quotient so that
-        e.g. 0.3 / 0.15 still needs exactly 2 wires. A demand above
-        `wire_count` wires fits no link, so it is capped at `wire_count + 1`,
-        which also holds a quotient that overflows to infinity.
+        """Wires needed to carry `bandwidth`: the ceiling of bandwidth /
+        wire_bandwidth, each read as the decimal its repr() prints, in exact
+        rational arithmetic. So 0.3 / 0.15 needs exactly 2 wires, and any
+        excess, however small, takes another wire. A demand above
+        `wire_count` wires fits no link, so it is capped at `wire_count + 1`.
         """
         if not is_bandwidth(bandwidth):
             raise ValueError("bandwidth must be positive and finite")
-        return max(1, math.ceil(min(bandwidth / self.wire_bandwidth - 1e-9, self.wire_count + 1)))
+        return min(math.ceil(Fraction(repr(bandwidth)) / Fraction(repr(self.wire_bandwidth))), self.wire_count + 1)
 
     def fitting_links(self, node: int, wires: int) -> list[tuple[PortDir, int]]:
         """(port, far end) of each link leaving `node`, in port-code order,
@@ -242,32 +238,29 @@ class Network:
         free = self.free_by_slot
         return [(port, far) for port, slot, far in self.node_links[node] if free[slot] >= wires]
 
-    def reserve(self, node: int, port: PortDir, key, wires: int) -> bool:
-        """Try to reserve `wires` wires for `key` on the link leaving `node`
-        via `port`. Returns False (link unchanged) when they do not fit."""
+    def reserve(self, node: int, port: PortDir, wires: int) -> bool:
+        """Try to reserve `wires` wires on the link leaving `node` via `port`.
+        Returns False (link unchanged) when they do not fit."""
         index = 4 * node + port
-        if not (0 <= node < self._node_count and port < 4) or (reservations := self._reservations[index]) is None:
+        if not (0 <= node < self._node_count and port < 4) or self.far_by_slot[index] < 0:
             self._index(node, port)  # raises; its test is inlined above for the per-hop path
         if wires < 1:
             raise ValueError("a reservation needs at least one wire")
-        if self.free_by_slot[index] < wires:
+        free = self.free_by_slot
+        if free[index] < wires:
             return False
-        if key in reservations:
-            raise InvariantViolationError(
-                f"duplicate reservation by {key} on {self.mesh.node_at(node)}->{port.name}"
-            )
-        reservations[key] = wires
-        self.free_by_slot[index] -= wires
+        free[index] -= wires
         self.held_by_class[port] += wires
         self.drain_dirty(index)
         return True
 
-    def release(self, node: int, port: PortDir, key) -> int:
-        """Free `key`'s wires on the given link; returns the wires freed (0 if none)."""
+    def release(self, node: int, port: PortDir, wires: int) -> int:
+        """Free `wires` held wires on the given link; returns the wires freed."""
         index = 4 * node + port
-        if not (0 <= node < self._node_count and port < 4) or (reservations := self._reservations[index]) is None:
+        if not (0 <= node < self._node_count and port < 4) or self.far_by_slot[index] < 0:
             self._index(node, port)  # raises; its test is inlined above
-        wires = reservations.pop(key, 0)
+        if wires < 1:
+            raise ValueError("a release frees at least one wire")
         self.free_by_slot[index] += wires
         self.held_by_class[port] -= wires
         self.drain_dirty(index)
@@ -277,21 +270,17 @@ class Network:
         return sum(self.held_by_class)
 
     def drain_dirty(self, index: int) -> None:
-        """Check link `index`, which reserve() or release() has just written.
-
-        The link must hold between 0 and wire_count wires, summed from its
-        reservations, and that sum plus its free-wire count must be
-        wire_count. Only a write can break either, and both writers end with
-        this check, so every link holds it at all times. It keeps this name
-        because the benchmark's layer tracer looks the method up by it.
+        """Check link `index`, which reserve() or release() has just written:
+        its free-wire count must lie in 0..wire_count. Only a write can break
+        that, and both writers end with this check, so every link holds it at
+        all times; a release of wires the link does not hold shows once its
+        free count passes wire_count, or at the end-of-run conservation
+        check. It keeps this name because the benchmark's layer tracer looks
+        the method up by it.
         """
-        wire_count = self.wire_count
-        held = sum(self._reservations[index].values())
-        if 0 <= held <= wire_count and held + self.free_by_slot[index] == wire_count:
+        if 0 <= self.free_by_slot[index] <= self.wire_count:
             return
-        link = f"{self.mesh.node_at(index // 4)}->{PortDir(index % 4).name}"
-        if not 0 <= held <= wire_count:
-            raise InvariantViolationError(f"link {link} holds {held} of {wire_count} wires")
         raise InvariantViolationError(
-            f"link {link} holds {held} wires but counts {self.free_by_slot[index]} free of {wire_count}"
+            f"link {self.mesh.node_at(index // 4)}->{PortDir(index % 4).name} counts "
+            f"{self.free_by_slot[index]} free of {self.wire_count} wires"
         )

@@ -106,10 +106,22 @@ MUTANTS = (
         "if not 0 <= index <= length:",
     ),
     Mutant(
-        "link-check-fast-path",
+        "link-check-upper-bound",
         "topology.py",
-        "if 0 <= held <= wire_count and held + self.free_by_slot[index] == wire_count:",
-        "if 0 <= held and held + self.free_by_slot[index] == wire_count:",
+        "if 0 <= self.free_by_slot[index] <= self.wire_count:",
+        "if 0 <= self.free_by_slot[index]:",
+    ),
+    Mutant(
+        "release-wires",
+        "engine.py",
+        "port = router.handle_control(node, pkt, (self.clock - pkt.start) // self._t_hop, self.network, wires)",
+        "port = router.handle_control(node, pkt, (self.clock - pkt.start) // self._t_hop, self.network, 1)",
+    ),
+    Mutant(
+        "wire-slack",
+        "topology.py",
+        "math.ceil(Fraction(repr(bandwidth)) / Fraction(repr(self.wire_bandwidth)))",
+        'math.ceil(Fraction(repr(bandwidth)) / Fraction(repr(self.wire_bandwidth)) - Fraction("1e-9"))',
     ),
 )
 

@@ -65,7 +65,7 @@ def test_flood_reserve_and_oracle_agree_on_two_decimal_grid():
                 if feasible:
                     east_north = PortList.from_ports([PortDir.EAST, PortDir.NORTH])
                     assert circuit_fits(net, net.free_by_slot, src, dst, demand, 2, east_north)
-                reserved = net.reserve(net.mesh.handle(src), PortDir.EAST, ("f", 0), net.wires_for(demand))
+                reserved = net.reserve(net.mesh.handle(src), PortDir.EAST, net.wires_for(demand))
                 expected = wires >= needed
                 assert (flooded, feasible, reserved) == (expected,) * 3, (wire_bandwidth, demand, wires)
 

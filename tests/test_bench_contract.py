@@ -6,7 +6,8 @@ reservation. It is imported here as it stands and run over the contended
 churn golden, so a router or engine signature it no longer fits fails the
 suite, not only the traced benchmark. The engine decides a backward bee's
 race loss and its flow's settlement before it calls the router, so every
-router call for a backward bee makes one reservation.
+router call for a backward bee makes one reservation, and every control hop
+frees the flow's wires on one link, which `Network.release` returns.
 """
 
 import importlib.util
@@ -65,6 +66,13 @@ def test_setup_latency_splits_at_the_winners_emission():
     )
     checks = tracer.calls["topology.drain_dirty"][0]
     assert checks == tracer.reserve_ok + tracer.calls["topology.release"][0] > 0
+    # The tracer counts a release that returns 0 as empty. In a drained run
+    # every reservation is freed exactly once, by a release that returns the
+    # wires it freed.
+    assert report.stats.drained
+    assert tracer.release_empty == 0
+    assert tracer.calls["topology.release"][0] == tracer.reserve_ok
+    assert tracer.live_reservations_peak > 0
 
 
 @pytest.mark.parametrize("t_hop", [1, 2])

@@ -2,6 +2,7 @@ import dataclasses
 import heapq
 import itertools
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,52 @@ def contended_run(seed):
         hold_time_mean=80.0,
     )
     return cfg, generate_traffic(Mesh(4, 4), cfg, make_rng(seed))
+
+
+def run_with_ledger(sim):
+    """Run `sim`, keeping a ledger, owner key -> {slot: wires}, of what the
+    router's handlers reserve and free; returns the report.
+
+    `Network` keeps free counts only, so this is the per-owner check: no
+    owner reserves a link it already holds, every release or teardown hop
+    frees the flow's wires on a link its owner holds, and after every handler
+    each link counts its pool minus the background load minus the wires the
+    ledger puts on it. A drained run ends with an empty ledger.
+    """
+    net = sim.network
+    expected = list(net.free_by_slot)  # the pool minus the background load
+    ledger = {}
+    handle_backward_bee, handle_control = router.handle_backward_bee, router.handle_control
+
+    def reserving(node, bee, index, arrival_port, network, wires):
+        outcome = handle_backward_bee(node, bee, index, arrival_port, network, wires)
+        if outcome is not router.BackwardOutcome.ABORTED:
+            slot = 4 * node + arrival_port
+            held = ledger.setdefault(bee.owner, {})
+            assert slot not in held, f"bee {bee.owner} reserves link {slot} twice"
+            held[slot] = wires
+            expected[slot] -= wires
+        assert net.free_by_slot == expected
+        return outcome
+
+    def freeing(node, pkt, index, network, wires):
+        port = handle_control(node, pkt, index, network, wires)
+        if port is not None:
+            slot = 4 * node + port
+            held = ledger.get(pkt.owner, {})
+            assert held.pop(slot, None) == wires, f"{pkt.kind.value} of {pkt.owner} frees link {slot} it does not hold"
+            if not held:
+                del ledger[pkt.owner]
+            expected[slot] += wires
+        assert net.free_by_slot == expected
+        return port
+
+    with mock.patch.object(router, "handle_backward_bee", reserving), mock.patch.object(router, "handle_control", freeing):
+        report = sim.run()
+    assert sum(wires for held in ledger.values() for wires in held.values()) == report.stats.final_wires_held
+    if report.stats.drained:
+        assert ledger == {}
+    return report
 
 
 class TestFlowSpec:
@@ -382,7 +429,7 @@ class TestFloodScheduling:
         # the links into (2,2) are full, so the flood never meets it
         sim = Simulator(base_config(mesh_width=3, mesh_height=3, t_hop=1, trace=trace), [one_flow(dst=(2, 2))])
         for node, port in ((NodeId(1, 2), PortDir.EAST), (NodeId(2, 1), PortDir.NORTH)):
-            assert sim.network.reserve(sim.mesh.handle(node), port, ("background", 0), 8)
+            assert sim.network.reserve(sim.mesh.handle(node), port, 8)
         handlers = []
         while sim.queue:
             sim.clock, events = sim.queue.pop_cycle()
@@ -453,7 +500,7 @@ class TestUtilisationPeak:
     def background_sim(self, workload):
         sim = Simulator(base_config(), workload)
         # 4 of the 12 * 8 = 96 east-bound wires of a 4x4 mesh
-        assert sim.network.reserve(sim.mesh.handle(NodeId(1, 2)), PortDir.EAST, ("background", 0), 4)
+        assert sim.network.reserve(sim.mesh.handle(NodeId(1, 2)), PortDir.EAST, 4)
         return sim
 
     def test_background_load_with_no_backward_bee(self):
@@ -469,9 +516,9 @@ class TestUtilisationPeak:
 
     def test_corrupted_background_load_raises_before_run(self):
         sim = Simulator(base_config(), [one_flow()])
-        sim.network.wire_count = 9  # corrupt: 8 free wires no longer make up a link's pool
-        with pytest.raises(InvariantViolationError, match="link 1,2->EAST holds 4 wires but counts 4 free of 9"):
-            sim.network.reserve(sim.mesh.handle(NodeId(1, 2)), PortDir.EAST, ("background", 0), 4)
+        sim.network.wire_count = 3  # corrupt: a link's 8 free wires no longer fit its pool
+        with pytest.raises(InvariantViolationError, match="link 1,2->EAST counts 4 free of 3 wires"):
+            sim.network.reserve(sim.mesh.handle(NodeId(1, 2)), PortDir.EAST, 4)
 
     def test_peaks_match_sampling_after_every_event(self):
         sim = Simulator(*contended_run(3))
@@ -516,8 +563,7 @@ class TestSetupTimeout:
             ("6", "2,0", "release", "0"),
             ("7", "3,0", "release", "1"),
         ]
-        bee = (FlowId(NodeId(0, 0), 0), 0)
-        assert released == [(6, sim.mesh.handle(NodeId(2, 0)), PortDir.EAST, bee)]
+        assert released == [(6, sim.mesh.handle(NodeId(2, 0)), PortDir.EAST, 1)]
         assert report.stats.control_deliveries == 2
         assert report.stats.final_wires_held == 0
         assert report.stats.drained
@@ -691,23 +737,15 @@ class TestConservation:
 
     @pytest.mark.parametrize("name", [*sorted(GOLDEN), "contended"])
     def test_every_release_frees_wires(self, name):
-        # A circuit is torn down once and a release retraces only what its bee
-        # reserved, so no run reaches the router's no-reservation warning.
+        # A circuit is torn down once and a release retraces only what its
+        # bee reserved, so every control hop frees wires its owner holds.
         if name == "contended":
             cfg, workload = contended_run(3)
         else:
             cfg = RunConfig(**GOLDEN[name][0])
             workload = generate_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), cfg, make_rng(cfg.seed))
-        sim = Simulator(cfg, workload)
-        release, freed = sim.network.release, []
-
-        def counted_release(node, port, key):
-            freed.append(release(node, port, key))
-            return freed[-1]
-
-        sim.network.release = counted_release
-        sim.run()
-        assert freed and min(freed) > 0
+        report = run_with_ledger(Simulator(cfg, workload))
+        assert report.stats.control_deliveries > 0
 
 
 class TestElidedDuplicates:
@@ -724,7 +762,7 @@ class TestElidedDuplicates:
         for trace in (True, False):
             sim = Simulator(base_config(mesh_width=3, mesh_height=3, max_cycles=4, trace=trace), [a, b])
             for node, port in ((NodeId(1, 2), PortDir.EAST), (NodeId(2, 1), PortDir.NORTH)):
-                assert sim.network.reserve(sim.mesh.handle(node), port, ("background", 0), 8)
+                assert sim.network.reserve(sim.mesh.handle(node), port, 8)
             reports[trace] = sim.run()
         traced, plain = reports[True], reports[False]
         fields = [line.split("\t") for line in traced.trace]

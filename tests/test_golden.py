@@ -13,7 +13,7 @@ import hashlib
 
 import pytest
 
-from beenoc import ControlPacket, Mesh, PortList, RunConfig, Simulator, run_simulation, write_report
+from beenoc import Mesh, RunConfig, Simulator, run_simulation, write_report
 from beenoc.traffic import generate_traffic, make_rng
 
 GOLDEN = {
@@ -112,35 +112,6 @@ def test_untraced_outputs_match_golden(name, tmp_path):
     csvs = ("flows.csv", "summary.csv")
     assert _digests(tmp_path, csvs) == {f: digests[f] for f in csvs}
     assert not (tmp_path / "trace.tsv").exists()
-
-
-def test_routes_are_reversed_at_most_once_per_control_packet(monkeypatch):
-    # The destination reads each backward route off its tree in order, and
-    # a release or teardown takes its route from the bee's forward path, so
-    # the contended churn golden reverse-complements no more port lists
-    # than it sends control packets.
-    reversals = 0
-    reverse_complement = PortList.reverse_complement
-
-    def counting(ports):
-        nonlocal reversals
-        reversals += 1
-        return reverse_complement(ports)
-
-    sent = {}  # id -> every control packet sent, kept alive so that ids stay distinct
-    transit = Simulator.transit
-
-    def recording(sim, origin, port, packet):
-        if type(packet) is ControlPacket:
-            sent[id(packet)] = packet
-        transit(sim, origin, port, packet)
-
-    monkeypatch.setattr(PortList, "reverse_complement", counting)
-    monkeypatch.setattr(Simulator, "transit", recording)
-    report = run_simulation(RunConfig(**GOLDEN["churn4x4"][0]))
-    assert report.summary.torn_down > 0 and report.stats.control_deliveries > 0
-    assert {pkt.kind.value for pkt in sent.values()} == {"release", "teardown"}
-    assert reversals <= len(sent)
 
 
 def test_each_link_write_is_drained_once():

@@ -37,7 +37,7 @@ def two_by_two_with(held_by_port):
     mesh = Mesh(2, 2)
     net = Network(mesh, 4, 1.0)
     for port, held in held_by_port.items():
-        assert net.reserve(mesh.handle(NodeId(0, 0)), port, ("bg", port), held)
+        assert net.reserve(mesh.handle(NodeId(0, 0)), port, held)
     return net
 
 
@@ -170,7 +170,7 @@ def loaded_feasibility_queries(draw):
     net = Network(mesh, wire_count, 1.0)
     for node, port in net.links:  # about half the links stay idle
         if held := draw(st.one_of(st.just(0), st.integers(0, wire_count))):
-            assert net.reserve(node, port, ("bg", 0), held)
+            assert net.reserve(node, port, held)
     src, dst = draw(st.lists(st.sampled_from(list(mesh.nodes())), min_size=2, max_size=2, unique=True))
     return net, src, dst, draw(st.integers(1, wire_count)), draw(st.integers(1, mesh.node_count))
 

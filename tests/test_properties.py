@@ -43,6 +43,7 @@ from beenoc import (
 )
 from beenoc import router
 from beenoc.topology import OPPOSITE
+from test_engine import run_with_ledger
 
 
 configs = st.builds(
@@ -140,13 +141,18 @@ def walled_runs(draw):
     return cfg, workload, walled
 
 
-def run_walled(cfg, workload, walled):
+def walled_sim(cfg, workload, walled):
+    """A simulator of the flows whose links into the `walled` nodes are full."""
     sim = Simulator(cfg, workload)
     net = sim.network
     for node, port in net.links:
         if net.mesh.node_at(net.far_end(node, port)) in walled:
-            assert net.reserve(node, port, ("background", 0), cfg.wire_count)
-    report = sim.run()
+            assert net.reserve(node, port, cfg.wire_count)
+    return sim
+
+
+def run_walled(cfg, workload, walled):
+    report = walled_sim(cfg, workload, walled).run()
     return report, written(report)
 
 
@@ -163,6 +169,13 @@ def test_untraced_run_reports_what_the_traced_run_does(run):
     # One forward copy per directed link at most, also with walls and cuts
     links = Network(Mesh(cfg.mesh_width, cfg.mesh_height), cfg.wire_count, cfg.wire_bandwidth).links
     assert plain.stats.max_forward_deliveries_per_flow <= len(links)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(walled_runs())
+def test_every_control_hop_frees_what_its_owner_holds(run):
+    # the per-owner ledger of test_engine.run_with_ledger, over walls and cuts
+    run_with_ledger(walled_sim(*run))
 
 
 @st.composite
@@ -227,7 +240,7 @@ def loaded_simulator(cfg, spec, loads):
     net = sim.network
     for (node, port), wires in zip(net.links, loads):
         if wires:
-            assert net.reserve(node, port, ("background", 0), wires)
+            assert net.reserve(node, port, wires)
     return sim
 
 

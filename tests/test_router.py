@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 
 from beenoc import (
@@ -8,6 +6,7 @@ from beenoc import (
     ControlPacket,
     FlowId,
     FlowPhase,
+    InvariantViolationError,
     Mesh,
     Network,
     NodeId,
@@ -61,13 +60,14 @@ def deliver_backward_until_done(mesh, net, dest, bee, wires):
     return node, index, outcome
 
 
-def deliver_control_chain(mesh, net, origin, port, pkt, index):
-    """Deliver `pkt`, sent from `origin` through `port` to arrive at route
-    index `index`, hop by hop until its route runs out."""
+def deliver_control_chain(mesh, net, origin, port, pkt, index, wires):
+    """Deliver `pkt` of a flow demanding `wires` wires, sent from `origin`
+    through `port` to arrive at route index `index`, hop by hop until its
+    route runs out."""
     node = origin
     while port is not None:
         node = mesh.neighbor(node, port)
-        port = handle_control(mesh.handle(node), pkt, index, net)
+        port = handle_control(mesh.handle(node), pkt, index, net, wires)
         index += 1
     assert index == pkt.route.length + 1
 
@@ -137,7 +137,7 @@ class TestForwardBee:
 
     def test_broadcast_respects_residual(self):
         sim, rec = flood_sim(src=(0, 1), tree={NodeId(0, 1): LOCAL, NodeId(1, 1): W}, wire_count=4)
-        sim.network.reserve(at(sim.mesh, 1, 1), E, ("bg", 0), 4)  # saturate the east link
+        sim.network.reserve(at(sim.mesh, 1, 1), E, 4)  # saturate the east link
         links = flood(sim, NodeId(1, 1), W, 1)
         assert {port for port, _ in links} == {S, N}
 
@@ -245,7 +245,7 @@ class TestForwardBee:
         # center of a 3x3 whose north link is full for a 2-wire demand
         planted = {NodeId(0, 1): LOCAL, NodeId(1, 1): W}
         sim, rec = flood_sim(src=(0, 1), bandwidth=2.0, tree=planted, wire_count=4)
-        assert sim.network.reserve(at(sim.mesh, 1, 1), N, ("bg", 0), 3)
+        assert sim.network.reserve(at(sim.mesh, 1, 1), N, 3)
         links = flood(sim, NodeId(1, 1), W, 1)
         assert links == [(S, NodeId(1, 0)), (E, NodeId(2, 1))]
         assert flood(sim, NodeId(1, 1), S, 1) == []  # not the first copy
@@ -262,9 +262,9 @@ class TestBackwardBee:
         node, index, outcome = deliver_backward_until_done(mesh, net, NodeId(1, 0), bee, net.wires_for(2.5))
         assert node == NodeId(0, 0) and index == 1
         assert outcome.kind == "accepted"
-        # the source holds the data-direction first hop: 3 wires of 8, under the bee's key
+        # the source holds the data-direction first hop: 3 wires of 8, and nothing else
         assert net.free_wires(at(mesh, 0, 0), E) == 5
-        assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 3}
+        assert net.total_held() == 3
         # in a run, a sibling reaching the source once its flow has won loses
         # the race: it reserved nothing and sends no release
         sim, rec = flood_sim(dst=(1, 0), bandwidth=2.5, wire_count=8, max_cycles=1)
@@ -272,7 +272,7 @@ class TestBackwardBee:
         report = sim.run()
         assert rec.phase is FlowPhase.ESTABLISHED and rec.winner == (flow, 0)
         assert report.stats.backward_deliveries == 2 and report.stats.control_deliveries == 0
-        assert sim.network.holders(at(sim.mesh, 0, 0), E) == {(flow, 0): 3}
+        assert sim.network.free_wires(at(sim.mesh, 0, 0), E) == 5 and sim.network.total_held() == 3
 
     def test_multi_hop_reserves_data_path(self):
         mesh, net = make_net()
@@ -284,8 +284,8 @@ class TestBackwardBee:
         assert leaving_port(bee, 1) is W
         assert handle_backward_bee(at(mesh, 0, 0), bee, 2, E, net, 1) is BackwardOutcome.ACCEPTED
         # exactly the links a source->destination walk would use
-        assert net.holders(at(mesh, 0, 0), E) == {(flow, 0): 1}
-        assert net.holders(at(mesh, 1, 0), N) == {(flow, 0): 1}
+        assert net.free_wires(at(mesh, 0, 0), E) == 7
+        assert net.free_wires(at(mesh, 1, 0), N) == 7
         assert net.total_held() == 2
 
     def test_reservation_failure_releases_prefix(self):
@@ -293,22 +293,21 @@ class TestBackwardBee:
         # held, so the bee reserves (3,0) and (2,0) east and fails at (1,0)
         sim, rec = flood_sim(dst=(4, 0), bandwidth=2.0, mesh_width=5, mesh_height=2, wire_count=4)
         net = sim.network
-        assert net.reserve(at(sim.mesh, 1, 0), E, ("bg", 0), 3)
-        (bee,) = send_bees(sim, [E, E, E, E])
+        assert net.reserve(at(sim.mesh, 1, 0), E, 3)
+        send_bees(sim, [E, E, E, E])
         report = sim.run()
         assert deliveries(report, "backward") == [(1, "3,0", 1), (2, "2,0", 2), (3, "1,0", 3)]
         # the release retraces the two reserved links, from route index 0 one hop later
         assert deliveries(report, "release") == [(4, "2,0", 0), (5, "3,0", 1), (6, "4,0", 2)]
         assert report.stats.drained and report.stats.final_wires_held == 0
-        # only the background reservation survives; no link holds the bee's key
+        # only the background reservation survives
         assert rec.phase is FlowPhase.SETTING_UP
-        assert net.total_held() == 3
-        assert all(bee.owner not in net.holders(*link) for link in net.links)
+        assert net.total_held() == 3 and net.free_wires(at(sim.mesh, 1, 0), E) == 1
 
     def test_failure_with_empty_prefix_emits_nothing(self):
         # the bee's first reservation, at route index 1, fails: no release is sent
         sim, _ = flood_sim(dst=(2, 0), bandwidth=2.0, wire_count=4)
-        sim.network.reserve(at(sim.mesh, 1, 0), E, ("bg", 0), 4)
+        sim.network.reserve(at(sim.mesh, 1, 0), E, 4)
         send_bees(sim, [E, E])
         report = sim.run()
         assert deliveries(report, "backward") == [(1, "1,0", 1)]
@@ -329,11 +328,10 @@ class TestBackwardBee:
         # the loser reserved three links, which its release frees, and
         # nothing at the source
         assert deliveries(report, "release") == [(5, "1,0", 0), (6, "2,0", 1), (7, "2,1", 2), (8, "3,1", 3)]
-        assert net.holders(at(mesh, 1, 0), E) == {(flow, 0): 2}
         # the winner's four-link circuit is intact, nothing else is held
         assert net.total_held() == 8
         for spot, port in [((0, 0), E), ((1, 0), E), ((2, 0), E), ((3, 0), N)]:
-            assert net.holders(at(mesh, *spot), port) == {(flow, 0): 2}
+            assert net.free_wires(at(mesh, *spot), port) == 2
         # run on, the winner's teardown frees the rest
         sim, rec = flood_sim(dst=(3, 1), bandwidth=2.0, mesh_width=4, mesh_height=2, wire_count=4)
         send_bees(sim, [E, E, E, N], [E, E, N, E])
@@ -367,17 +365,17 @@ class TestControl:
         forward = self.build_circuit(mesh, net, flow, [E, E, N], wires=2)
         assert net.total_held() == 6
         teardown = ControlPacket(ControlKind.TEARDOWN, (flow, 0), forward, 0)
-        port = handle_control(at(mesh, 0, 0), teardown, 0, net)  # the source frees its own hop
+        port = handle_control(at(mesh, 0, 0), teardown, 0, net, 2)  # the source frees its own hop
         assert port is E and net.total_held() == 4
-        deliver_control_chain(mesh, net, NodeId(0, 0), port, teardown, 1)
+        deliver_control_chain(mesh, net, NodeId(0, 0), port, teardown, 1, 2)
         assert net.total_held() == 0
-        assert all(not net.holders(*link) for link in net.links)
+        assert all(net.free_wires(*link) == 8 for link in net.links)
 
     def test_zero_length_release_is_noop(self):
         mesh, net = make_net()
         pkt = ControlPacket(ControlKind.RELEASE, (FlowId(NodeId(0, 0), 1), 0), PortList(), 0)
         before = {link: net.free_wires(*link) for link in net.links}
-        assert handle_control(at(mesh, 1, 1), pkt, 0, net) is None
+        assert handle_control(at(mesh, 1, 1), pkt, 0, net, 1) is None
         assert {link: net.free_wires(*link) for link in net.links} == before
 
     def test_corrupt_index_rejected(self):
@@ -388,24 +386,24 @@ class TestControl:
             with pytest.raises(
                 ProtocolCorruptionError, match=rf"control packet of 0,0:5: route index {index} outside 0\.\.1 \(start 0\)"
             ):
-                handle_control(at(mesh, 0, 0), pkt, index, net)
+                handle_control(at(mesh, 0, 0), pkt, index, net, 1)
 
     def test_route_leaving_the_mesh_is_corruption(self):
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 3)
         pkt = ControlPacket(ControlKind.RELEASE, (flow, 0), PortList.from_ports([W]), 0)
         with pytest.raises(ProtocolCorruptionError, match="control route of 0,0:3 leaves the mesh at 0,0"):
-            handle_control(at(mesh, 0, 0), pkt, 0, net)
+            handle_control(at(mesh, 0, 0), pkt, 0, net, 1)
 
-    def test_double_teardown_warns_but_survives(self, caplog):
+    def test_double_teardown_is_caught(self):
+        # a second teardown frees wires no link holds: the source's link
+        # would count more free wires than its pool
         mesh, net = make_net()
         flow = FlowId(NodeId(0, 0), 2)
         forward = self.build_circuit(mesh, net, flow, [E, N])
-        for round_no in range(2):
-            teardown = ControlPacket(ControlKind.TEARDOWN, (flow, 0), forward, 0)
-            with caplog.at_level(logging.WARNING, logger="beenoc.router"):
-                port = handle_control(at(mesh, 0, 0), teardown, 0, net)
-                deliver_control_chain(mesh, net, NodeId(0, 0), port, teardown, 1)
-            if round_no == 1:
-                assert any("no reservation" in rec.message for rec in caplog.records)
+        teardown = ControlPacket(ControlKind.TEARDOWN, (flow, 0), forward, 0)
+        port = handle_control(at(mesh, 0, 0), teardown, 0, net, 1)
+        deliver_control_chain(mesh, net, NodeId(0, 0), port, teardown, 1, 1)
         assert net.total_held() == 0
+        with pytest.raises(InvariantViolationError, match="link 0,0->EAST counts 9 free of 8 wires"):
+            handle_control(at(mesh, 0, 0), ControlPacket(ControlKind.TEARDOWN, (flow, 0), forward, 0), 0, net, 1)

@@ -1,3 +1,6 @@
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +14,7 @@ from beenoc import (
     NodeId,
     PortDir,
 )
-from beenoc.topology import NON_LOCAL_PORTS, hop_budget
+from beenoc.topology import NON_LOCAL_PORTS, hop_budget, is_bandwidth
 
 
 def at(net, x, y):
@@ -115,7 +118,7 @@ class TestHopLimit:
 class TestResidualBandwidth:
     def test_partial(self):
         net = Network(Mesh(2, 2), 8, 1.0)
-        assert net.reserve(at(net, 0, 0), PortDir.EAST, ("f1", 0), 3)
+        assert net.reserve(at(net, 0, 0), PortDir.EAST, 3)
         assert net.residual(at(net, 0, 0), PortDir.EAST) == 5.0
 
     def test_empty(self):
@@ -124,7 +127,7 @@ class TestResidualBandwidth:
 
     def test_saturated(self):
         net = Network(Mesh(2, 2), 4, 0.5)
-        assert net.reserve(at(net, 0, 0), PortDir.EAST, ("f1", 0), net.wires_for(2.0))
+        assert net.reserve(at(net, 0, 0), PortDir.EAST, net.wires_for(2.0))
         assert net.residual(at(net, 0, 0), PortDir.EAST) == 0.0
 
 
@@ -155,13 +158,13 @@ class TestNetworkReservations:
         node, port = at(net, 1, 1), PortDir.EAST
         last = net.residual(node, port)
         for i in range(4):
-            assert net.reserve(node, port, ("f", i), 2)
+            assert net.reserve(node, port, 2)
             assert net.residual(node, port) <= last
             last = net.residual(node, port)
         assert last == 0.0
         for i in range(4):
             before = net.residual(node, port)
-            assert net.release(node, port, ("f", i)) == 2
+            assert net.release(node, port, 2) == 2
             assert net.residual(node, port) >= before
         assert net.residual(node, port) == 8.0
 
@@ -169,62 +172,62 @@ class TestNetworkReservations:
         # 8 wires, 6 already held: a 2.5-unit demand needs 3 wires and fails
         net = Network(Mesh(3, 3), 8, 1.0)
         node, port = at(net, 0, 0), PortDir.EAST
-        assert net.reserve(node, port, ("bg", 0), 6)
-        before = net.holders(node, port)
-        assert not net.reserve(node, port, ("f", 0), net.wires_for(2.5))
-        assert net.holders(node, port) == before
+        assert net.reserve(node, port, 6)
+        before = (list(net.free_by_slot), list(net.held_by_class))
+        assert not net.reserve(node, port, net.wires_for(2.5))
+        assert (list(net.free_by_slot), list(net.held_by_class)) == before
         assert net.residual(node, port) == 2.0
 
     def test_exact_fit_single_wire(self):
         net = Network(Mesh(3, 3), 8, 1.0)
-        assert net.reserve(at(net, 1, 1), PortDir.NORTH, ("f", 0), net.wires_for(1.0))
-        assert net.holders(at(net, 1, 1), PortDir.NORTH) == {("f", 0): 1}
-
-    def test_duplicate_key_rejected(self):
-        net = Network(Mesh(3, 3), 8, 1.0)
-        assert net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 1)
-        with pytest.raises(InvariantViolationError):
-            net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 1)
+        assert net.reserve(at(net, 1, 1), PortDir.NORTH, net.wires_for(1.0))
+        assert net.free_wires(at(net, 1, 1), PortDir.NORTH) == 7
+        assert net.held_by_class == [0, 0, 0, 1]
 
     def test_reservation_needs_a_wire(self):
         net = Network(Mesh(3, 3), 8, 1.0)
         with pytest.raises(ValueError):
-            net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 0)
+            net.reserve(at(net, 0, 0), PortDir.EAST, 0)
         assert net.total_held() == 0
+        # and so does a release, even of a link that holds wires
+        assert net.reserve(at(net, 0, 0), PortDir.EAST, 2)
+        with pytest.raises(ValueError):
+            net.release(at(net, 0, 0), PortDir.EAST, 0)
+        assert net.free_wires(at(net, 0, 0), PortDir.EAST) == 6 and net.total_held() == 2
 
     def test_drain_dirty_checks_touched_links(self):
         # reserve() and release() check the link they write as their last
         # step; nothing else checks, so an untouched corrupted link is silent.
-        net = Network(Mesh(3, 3), 9, 1.0)
-        assert net.reserve(at(net, 0, 0), PortDir.EAST, ("f", 0), 9)
-        net.wire_count = 8  # corrupt: the link now holds past its 8-wire bound
-        assert net.holders(at(net, 0, 0), PortDir.EAST) == {("f", 0): 9}
-        assert not net.reserve(at(net, 0, 0), PortDir.EAST, ("g", 0), 1)  # refused: it writes and checks nothing
-        with pytest.raises(InvariantViolationError, match="link 0,0->EAST holds 9 of 8 wires"):
-            net.release(at(net, 0, 0), PortDir.EAST, ("ghost", 0))
+        net = Network(Mesh(3, 3), 8, 1.0)
+        assert net.reserve(at(net, 0, 0), PortDir.EAST, 3)
+        net.wire_count = 4  # corrupt: every link now counts more free wires than it has
+        assert net.free_wires(at(net, 0, 1), PortDir.EAST) == 8
+        assert not net.reserve(at(net, 0, 0), PortDir.EAST, 6)  # refused: it writes and checks nothing
+        with pytest.raises(InvariantViolationError, match="link 0,0->EAST counts 6 free of 4 wires"):
+            net.release(at(net, 0, 0), PortDir.EAST, 1)
 
     def test_drain_dirty_checks_free_count(self):
+        # a release of more wires than the link holds passes wire_count
         net = Network(Mesh(3, 3), 8, 1.0)
-        assert net.reserve(at(net, 1, 1), PortDir.NORTH, ("f", 0), 3)
-        net.wire_count = 9  # corrupt: 3 held plus 5 free no longer make up the pool
-        assert net.free_wires(at(net, 1, 1), PortDir.NORTH) == 5
-        with pytest.raises(InvariantViolationError, match="link 1,1->NORTH holds 3 wires but counts 5 free of 9"):
-            net.release(at(net, 1, 1), PortDir.NORTH, ("ghost", 0))
-        with pytest.raises(InvariantViolationError, match="link 0,0->EAST holds 1 wires but counts 7 free of 9"):
-            net.reserve(at(net, 0, 0), PortDir.EAST, ("g", 0), 1)
+        assert net.reserve(at(net, 1, 1), PortDir.NORTH, 3)
+        with pytest.raises(InvariantViolationError, match="link 1,1->NORTH counts 9 free of 8 wires"):
+            net.release(at(net, 1, 1), PortDir.NORTH, 4)
 
     def test_drain_dirty_checks_held_wires_when_the_pool_adds_up(self):
-        # 8 held plus -1 free still make up a pool of 7, yet 8 is more than it holds
+        # held wires are wire_count minus the free count, so held and free
+        # always add up to the pool; more held than the pool has shows as a
+        # negative free count
         net = Network(Mesh(3, 3), 8, 1.0)
-        assert net.reserve(at(net, 1, 1), PortDir.EAST, ("f", 0), 8)
-        net.wire_count = 7
-        net.free_by_slot[4 * at(net, 1, 1) + PortDir.EAST] = -1
-        with pytest.raises(InvariantViolationError, match="link 1,1->EAST holds 8 of 7 wires"):
-            net.release(at(net, 1, 1), PortDir.EAST, ("ghost", 0))
+        assert net.reserve(at(net, 1, 1), PortDir.EAST, 8)
+        net.free_by_slot[4 * at(net, 1, 1) + PortDir.EAST] = -2  # corrupt: 10 held of 8
+        with pytest.raises(InvariantViolationError, match="link 1,1->EAST counts -1 free of 8 wires"):
+            net.release(at(net, 1, 1), PortDir.EAST, 1)
 
-    def test_release_absent_returns_zero(self):
+    def test_release_absent_raises(self):
+        # nothing is held on an idle link, so any release frees wires it does not hold
         net = Network(Mesh(3, 3), 8, 1.0)
-        assert net.release(at(net, 0, 0), PortDir.EAST, ("ghost", 0)) == 0
+        with pytest.raises(InvariantViolationError, match="link 0,0->EAST counts 9 free of 8 wires"):
+            net.release(at(net, 0, 0), PortDir.EAST, 1)
 
     def test_link_population(self):
         # 2 * (w-1) * h horizontal plus 2 * w * (h-1) vertical directed links
@@ -241,6 +244,10 @@ class TestNetworkReservations:
         # binary-float quotient artifacts must not add a phantom wire
         net_q = Network(Mesh(2, 2), 8, 0.15)
         assert net_q.wires_for(0.3) == 2
+        # the decimals the floats print are divided exactly, so any excess takes a wire
+        assert net_q.wires_for(0.1 + 0.2) == 3  # 0.30000000000000004
+        for bandwidth in (2.0000000001, 2.0000000009, 2.000000001):
+            assert net.wires_for(bandwidth) == 3
 
     def test_wires_for_caps_a_demand_no_link_holds(self):
         # the quotient overflows to infinity; any demand above wire_count wires fits no link
@@ -254,6 +261,29 @@ class TestNetworkReservations:
     def test_wires_for_refuses_unholdable_bandwidth(self, bandwidth):
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
             Network(Mesh(2, 2), 8, 1.0).wires_for(bandwidth)
+
+
+def exact(value) -> Fraction:
+    """The decimal `value` prints, as an exact rational."""
+    return Fraction(repr(value))
+
+
+# Every value is_bandwidth accepts: floats and ints in (0, float max].
+bandwidths = st.one_of(
+    st.floats(min_value=5e-324, max_value=sys.float_info.max),
+    st.integers(1, int(sys.float_info.max)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bandwidths, bandwidths, st.integers(1, 2**40))
+def test_wires_for_is_the_fewest_wires_that_carry_the_demand(bandwidth, wire_bandwidth, wire_count):
+    assert is_bandwidth(bandwidth) and is_bandwidth(wire_bandwidth)
+    wires = Network(Mesh(1, 1), wire_count, wire_bandwidth).wires_for(bandwidth)
+    assert type(wires) is int and 1 <= wires <= wire_count + 1
+    if wires <= wire_count:
+        assert wires * exact(wire_bandwidth) >= exact(bandwidth)
+    assert (wires - 1) * exact(wire_bandwidth) < exact(bandwidth)
 
 
 class TestLinkAddressing:
@@ -273,10 +303,9 @@ class TestLinkAddressing:
     QUERIES = {
         # the admission rule, as the flood and the oracle apply it
         "fits": lambda net, node, port: net.free_wires(node, port) >= 1,
-        "reserve": lambda net, node, port: net.reserve(node, port, ("f", 0), 1),
-        "release": lambda net, node, port: net.release(node, port, ("f", 0)),
+        "reserve": lambda net, node, port: net.reserve(node, port, 1),
+        "release": lambda net, node, port: net.release(node, port, 1),
         "free_wires": lambda net, node, port: net.free_wires(node, port),
-        "holders": lambda net, node, port: net.holders(node, port),
         "far_end": lambda net, node, port: net.far_end(node, port),
     }
 
@@ -298,7 +327,7 @@ class TestLinkAddressing:
         net = Network(Mesh(3, 3), 8, 1.0)
         assert [port for port, _ in net.fitting_links(at(net, 0, 0), 1)] == [PortDir.EAST, PortDir.NORTH]
         center = at(net, 1, 1)
-        assert net.reserve(center, PortDir.WEST, ("bg", 0), 6)
+        assert net.reserve(center, PortDir.WEST, 6)
         assert [port for port, _ in net.fitting_links(center, 2)] == list(NON_LOCAL_PORTS)
         assert [port for port, _ in net.fitting_links(center, 3)] == [PortDir.SOUTH, PortDir.EAST, PortDir.NORTH]
         assert net.fitting_links(center, 9) == []
@@ -322,7 +351,7 @@ def loaded_networks(draw):
     for node, port in net.links:
         held = draw(st.integers(0, net.wire_count))
         if held:
-            assert net.reserve(node, port, ("background", 0), held)
+            assert net.reserve(node, port, held)
     return net
 
 
@@ -382,14 +411,13 @@ def test_networks_of_one_shape_share_no_link_state():
     a, b = Network(Mesh(3, 2), 4, 1.0), Network(Mesh(3, 2), 4, 1.0)
 
     def state(net):
-        return (list(net.free_by_slot), [net.holders(node, port) for node, port in net.links],
-                list(net.wires_by_class), list(net.held_by_class))
+        return list(net.free_by_slot), list(net.wires_by_class), list(net.held_by_class)
 
     before = state(b)
-    assert a.reserve(at(a, 1, 0), PortDir.EAST, ("f", 0), 3)
-    assert a.reserve(at(a, 1, 1), PortDir.SOUTH, ("f", 1), 1)
-    assert a.release(at(a, 1, 0), PortDir.EAST, ("f", 0)) == 3
-    assert a.reserve(at(a, 0, 0), PortDir.NORTH, ("g", 0), 4)
+    assert a.reserve(at(a, 1, 0), PortDir.EAST, 3)
+    assert a.reserve(at(a, 1, 1), PortDir.SOUTH, 1)
+    assert a.release(at(a, 1, 0), PortDir.EAST, 3) == 3
+    assert a.reserve(at(a, 0, 0), PortDir.NORTH, 4)
     Network(Mesh(3, 2), 7, 1.0)  # the same shape at another wire count
     assert state(b) == before
-    assert a.free_wires(at(a, 1, 1), PortDir.SOUTH) == 3 and a.holders(at(a, 0, 0), PortDir.NORTH) == {("g", 0): 4}
+    assert a.free_wires(at(a, 1, 1), PortDir.SOUTH) == 3 and a.free_wires(at(a, 0, 0), PortDir.NORTH) == 0
