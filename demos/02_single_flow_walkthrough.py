@@ -8,6 +8,7 @@ circuit down.
 """
 
 from beenoc import FlowId, FlowSpec, NodeId, RunConfig, Simulator, write_report
+from beenoc.metrics import trace_line
 
 cfg = RunConfig(mesh_width=4, mesh_height=4, seed=1, wire_count=4, trace=True)
 src, dst = NodeId(0, 0), NodeId(3, 2)
@@ -23,8 +24,8 @@ print(f"outcome: {record.phase.value}, setup latency {record.setup_latency} cycl
 print(f"circuit (source's view): {record.circuit.bitstring()}\n")
 
 print("trace (cycle, event, node, flow, packet, port, hop):")
-for line in report.trace:
-    print("  " + line.replace("\t", "  "))
+for event in report.trace:
+    print("  " + trace_line(event).replace("\t", "  "))
 
 print(f"\n{report.stats.events_processed} events total; "
       f"{report.stats.forward_deliveries} forward, {report.stats.backward_deliveries} backward, "

@@ -5,7 +5,7 @@ in (time, scheduling order), one transit latency t_hop for every hop, and
 the flow lifecycle: SettingUp from arrival until the first backward bee
 reaches the source (Established) or the setup timeout fires (Failed), then
 TornDown when the hold time ends. Nodes are int handles (Mesh.handle) here,
-in the router and in the network; a NodeId is made only for output.
+in the router and in the network; a NodeId appears only in output.
 
 No packet is built per hop. A backward bee or control packet is queued as
 the same object at every hop of its route, at route index
@@ -25,7 +25,7 @@ duplicate: once a copy has been sent to a node, a later one bound there
 be sent, unless it would fall after max_cycles, and at the end of the run
 the clock moves on to the last counted delivery, so `RunStats` and both
 CSVs are those of the full schedule. Traced runs queue every copy, and
-trace.tsv lists each delivery.
+keep a `metrics.TraceEvent` of each processed event, deliveries included.
 """
 
 from __future__ import annotations
@@ -170,7 +170,8 @@ class Simulator:
         self.clock = 0
         self.queue = CalendarQueue()
         self.records: dict[FlowId, FlowRecord] = {}
-        self._trace: list[str] | None = [] if config.trace else None
+        self._trace: list[metrics.TraceEvent] | None = [] if config.trace else None
+        self._ran = False
         self._forward_cap = 4 * self.mesh.node_count
         self._t_hop = config.t_hop
         self._far_by_slot = self.network.far_by_slot
@@ -229,6 +230,9 @@ class Simulator:
     # -- main loop --------------------------------------------------------
 
     def run(self) -> metrics.MetricsReport:
+        if self._ran:  # its network and records are those the run left
+            raise InvariantViolationError("run() was already called: a Simulator runs once")
+        self._ran = True
         initial_held = self.network.total_held()
         queue = self.queue
         max_cycles = self.config.max_cycles
@@ -254,13 +258,12 @@ class Simulator:
                 if handler is not _WAVE:  # a wave counts and traces each of its copies
                     self._events_processed += 1
                     if self._trace is not None:
-                        self._trace.append(self._trace_line(ev))
+                        self._trace.append(self._trace_event(ev))
         if self._elided_until > self.clock:
             self._advance_clock(self._elided_until)
-        if truncated:
+        if truncated:  # the cut fails each flow still setting up, as its timeout would
             for rec in self.records.values():
-                if rec.phase is FlowPhase.SETTING_UP:
-                    self._set_phase(rec, FlowPhase.FAILED)
+                self._on_setup_timeout(rec.source, rec, None)
         # A drained run has torn every circuit down, so it holds only the background load.
         final_held = self.network.total_held() - initial_held
         if not truncated and final_held != 0:
@@ -346,7 +349,7 @@ class Simulator:
                         rec.converted += 1
                         self.transit(node, port, packet)
             if trace is not None:
-                trace.append(self._trace_line((_WAVE, node, rec, arrival_port)))
+                trace.append(self._trace_event((_WAVE, node, rec, arrival_port)))
         self._events_processed = base + counted
         rec.forward_deliveries += counted
 
@@ -429,17 +432,16 @@ class Simulator:
 
     # -- reporting --------------------------------------------------------
 
-    def _trace_line(self, ev: tuple) -> str:
+    def _trace_event(self, ev: tuple) -> metrics.TraceEvent:
         handler, node, payload, port = ev
-        node = self.mesh.node_at(node)
+        clock, node = self.clock, self.mesh.nodes()[node]
         if port is None:
-            return f"{self.clock}\t{_LIFECYCLE_NAMES[handler]}\t{node}\t{payload.spec.flow}\t-\t-\t-"
+            return metrics.TraceEvent(clock, _LIFECYCLE_NAMES[handler], node, payload.spec.flow, None, None, None)
         if type(payload) is FlowRecord:
-            flow, pkt, hop = payload.spec.flow, "forward", (self.clock - payload.spec.arrival_time) // self._t_hop
-        else:
-            pkt = "backward" if type(payload) is BackwardBee else payload.kind.value
-            flow, hop = payload.flow, (self.clock - payload.start) // self._t_hop
-        return f"{self.clock}\tdeliver\t{node}\t{flow}\t{pkt}\t{port.name.lower()}\t{hop}"
+            hop = (clock - payload.spec.arrival_time) // self._t_hop
+            return metrics.TraceEvent(clock, "forward", node, payload.spec.flow, None, port, hop)
+        kind = "backward" if type(payload) is BackwardBee else payload.kind.value
+        return metrics.TraceEvent(clock, kind, node, payload.flow, payload, port, (clock - payload.start) // self._t_hop)
 
     def _build_report(self, final_held: int, drained: bool) -> metrics.MetricsReport:
         rows = []

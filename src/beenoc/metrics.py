@@ -12,7 +12,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
-from .topology import NON_LOCAL_PORTS, PortDir
+from .protocol import BackwardBee, ControlPacket, FlowId
+from .topology import NON_LOCAL_PORTS, NodeId, PortDir
 
 
 class FlowRow(NamedTuple):
@@ -76,17 +77,31 @@ class Summary:
 # The headers are the field names, so each lines up with its values by construction.
 FLOWS_HEADER = ",".join(FlowRow._fields)
 SUMMARY_HEADER = ",".join(f.name for f in fields(Summary))
+_PORT_NAMES = tuple(port.name.lower() for port in NON_LOCAL_PORTS)  # trace.tsv's port column, by port code
+
+
+class TraceEvent(NamedTuple):
+    """One processed event of a traced run. Kind arrival, complete or timeout
+    has no packet, port or hop; a delivery's kind is its packet's kind."""
+
+    cycle: int
+    kind: str
+    node: NodeId  # from the mesh's shared nodes() table
+    flow: FlowId
+    packet: BackwardBee | ControlPacket | None  # the delivered object itself; None for a forward copy
+    port: PortDir | None  # the arrival port of a delivery
+    hop: int | None  # a forward copy's hop count, else the packet's route index
 
 
 @dataclass(frozen=True)
 class MetricsReport:
     """Everything a finished run reports: per-flow rows, aggregates, and the
-    event trace when tracing was on."""
+    `TraceEvent` of every processed event, in order, when tracing was on."""
 
     flows: tuple[FlowRow, ...]
     summary: Summary
     stats: RunStats
-    trace: tuple[str, ...] | None = None
+    trace: tuple[TraceEvent, ...] | None = None
 
 
 def nearest_rank_percentile(values: list, fraction: float) -> float | None:
@@ -103,7 +118,7 @@ def build_report(
     stats: RunStats,
     util_peak: dict[PortDir, float],
     util_mean: dict[PortDir, float],
-    trace: tuple[str, ...] | None,
+    trace: tuple[TraceEvent, ...] | None,
 ) -> MetricsReport:
     offered = len(flows)
     failed = torn_down = 0
@@ -154,9 +169,17 @@ def summary_line(summary: Summary) -> str:
     return ",".join(_fmt(getattr(summary, f.name)) for f in fields(Summary))
 
 
+def trace_line(event: TraceEvent) -> str:
+    """The trace.tsv line of `event`, without its newline."""
+    cycle, kind, node, flow, _, port, hop = event
+    if port is None:
+        return f"{cycle}\t{kind}\t{node}\t{flow}\t-\t-\t-"
+    return f"{cycle}\tdeliver\t{node}\t{flow}\t{kind}\t{_PORT_NAMES[port]}\t{hop}"
+
+
 def write_report(report: MetricsReport, destination) -> None:
     """Write flows.csv and summary.csv (plus trace.tsv when tracing) under
-    `destination`, creating the directory if needed."""
+    `destination`, creating the directory if needed; trace lines are streamed."""
     out = Path(destination)
     out.mkdir(parents=True, exist_ok=True)
     flows_lines = [FLOWS_HEADER] + [flow_row_line(r) for r in report.flows]
@@ -164,5 +187,5 @@ def write_report(report: MetricsReport, destination) -> None:
     summary_lines = [SUMMARY_HEADER, summary_line(report.summary)]
     (out / "summary.csv").write_text("\n".join(summary_lines) + "\n", encoding="ascii", newline="\n")
     if report.trace is not None:
-        body = "\n".join(report.trace) + ("\n" if report.trace else "")
-        (out / "trace.tsv").write_text(body, encoding="ascii", newline="\n")
+        with open(out / "trace.tsv", "w", encoding="ascii", newline="\n") as file:
+            file.writelines(f"{trace_line(event)}\n" for event in report.trace)

@@ -134,7 +134,7 @@ def bounded_draws(rng: np.random.Generator, high: int) -> Iterator[Callable[[int
 
 def traffic_params_from_config(cfg: RunConfig) -> RunConfig:
     """The config itself: `generate_traffic` reads its traffic keys. Kept for
-    `bench/run.py`, which still calls it, until ROADMAP item 1 revises it."""
+    `bench/run.py`'s call, which ROADMAP item 2 drops; item 3 deletes it."""
     return cfg
 
 

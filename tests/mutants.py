@@ -118,6 +118,12 @@ MUTANTS = (
         "port = router.handle_control(node, pkt, (self.clock - pkt.start) // self._t_hop, self.network, 1)",
     ),
     Mutant(
+        "trace-route-index",
+        "engine.py",
+        "payload, port, (clock - payload.start) // self._t_hop)",
+        "payload, port, (clock - payload.start) // self._t_hop + 1)",
+    ),
+    Mutant(
         "wire-slack",
         "topology.py",
         "math.ceil(Fraction(repr(bandwidth)) / Fraction(repr(self.wire_bandwidth)))",

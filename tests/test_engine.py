@@ -2,7 +2,6 @@ import dataclasses
 import heapq
 import itertools
 import re
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,6 @@ from beenoc import (
     FlowSpec,
     InvariantViolationError,
     Mesh,
-    Network,
     NodeId,
     PortDir,
     PortList,
@@ -30,9 +28,8 @@ from beenoc import (
     run_simulation,
     write_report,
 )
-from beenoc import router
 from beenoc.engine import CalendarQueue
-from beenoc.metrics import SUMMARY_HEADER, summary_line
+from beenoc.metrics import SUMMARY_HEADER, TraceEvent, summary_line, trace_line
 from beenoc.topology import OPPOSITE
 from beenoc.traffic import generate_traffic, make_rng
 from test_golden import GOLDEN
@@ -65,49 +62,77 @@ def contended_run(seed):
 
 
 def run_with_ledger(sim):
-    """Run `sim`, keeping a ledger, owner key -> {slot: wires}, of what the
-    router's handlers reserve and free; returns the report.
+    """Run the traced `sim` and replay its events against a ledger, owner key
+    -> {slot: wires}; returns the report and the most wires each direction
+    held after any event, background load included.
 
-    `Network` keeps free counts only, so this is the per-owner check: no
-    owner reserves a link it already holds, every release or teardown hop
-    frees the flow's wires on a link its owner holds, and after every handler
-    each link counts its pool minus the background load minus the wires the
-    ledger puts on it. A drained run ends with an empty ledger.
+    `Network` keeps free counts only, so this is the per-owner check. The
+    replay decides each backward delivery itself: the bee aborts when its
+    flow has settled (a timeout while it sets up, or its completion), or when
+    the flow is established and the bee is at the end of its path; otherwise
+    it reserves the flow's wires on the link behind it if the replayed count
+    has them. A release or teardown frees its route's entry at each index
+    short of the route's length, and a completion frees the circuit's first
+    link, which the source frees inside that event. No owner reserves a link
+    it already holds, every free is of wires its owner holds on that link, no
+    bee is delivered after it reserved at the source or aborted, the counts
+    stay within 0..wire_count after every event (the lower bound by the
+    reservation rule) and end equal to the network's, and a drained run ends
+    with an empty ledger.
     """
-    net = sim.network
-    expected = list(net.free_by_slot)  # the pool minus the background load
-    ledger = {}
-    handle_backward_bee, handle_control = router.handle_backward_bee, router.handle_control
+    net, at = sim.network, sim.mesh.handle
+    free = list(net.free_by_slot)  # the pool minus the background load
+    held = list(net.held_by_class)
+    peaks = list(held)
+    ledger, phase, winner, done = {}, {}, {}, set()
 
-    def reserving(node, bee, index, arrival_port, network, wires):
-        outcome = handle_backward_bee(node, bee, index, arrival_port, network, wires)
-        if outcome is not router.BackwardOutcome.ABORTED:
-            slot = 4 * node + arrival_port
-            held = ledger.setdefault(bee.owner, {})
-            assert slot not in held, f"bee {bee.owner} reserves link {slot} twice"
-            held[slot] = wires
-            expected[slot] -= wires
-        assert net.free_by_slot == expected
-        return outcome
+    def reserve(owner, slot, wires):
+        owned = ledger.setdefault(owner, {})
+        assert slot not in owned, f"bee {owner} reserves link {slot} twice"
+        owned[slot] = wires
+        free[slot] -= wires
+        held[slot & 3] += wires
+        peaks[slot & 3] = max(peaks[slot & 3], held[slot & 3])
 
-    def freeing(node, pkt, index, network, wires):
-        port = handle_control(node, pkt, index, network, wires)
-        if port is not None:
-            slot = 4 * node + port
-            held = ledger.get(pkt.owner, {})
-            assert held.pop(slot, None) == wires, f"{pkt.kind.value} of {pkt.owner} frees link {slot} it does not hold"
-            if not held:
-                del ledger[pkt.owner]
-            expected[slot] += wires
-        assert net.free_by_slot == expected
-        return port
+    def release(kind, owner, slot, wires):
+        owned = ledger.get(owner, {})
+        assert owned.pop(slot, None) == wires, f"{kind} of {owner} frees link {slot} it does not hold"
+        if not owned:
+            del ledger[owner]
+        free[slot] += wires
+        held[slot & 3] -= wires
+        assert free[slot] <= net.wire_count
 
-    with mock.patch.object(router, "handle_backward_bee", reserving), mock.patch.object(router, "handle_control", freeing):
-        report = sim.run()
-    assert sum(wires for held in ledger.values() for wires in held.values()) == report.stats.final_wires_held
+    report = sim.run()
+    assert report.trace is not None, "the ledger replays a traced run"
+    for _, kind, node, flow, packet, port, index in report.trace:
+        wires = sim.records[flow].wires
+        if kind == "arrival":
+            phase[flow] = "setting up"
+        elif kind == "timeout" and phase[flow] == "setting up":
+            phase[flow] = "settled"
+        elif kind == "complete":
+            phase[flow] = "settled"
+            bee = winner[flow]
+            release(kind, bee.owner, 4 * at(node) + bee.path.entry(0), wires)
+        elif kind == "backward":
+            assert packet.owner not in done, f"bee {packet.owner} delivered after it reserved at the source or aborted"
+            length = packet.path.length
+            slot = 4 * at(node) + port
+            if phase[flow] == "settled" or (phase[flow] == "established" and index == length) or free[slot] < wires:
+                done.add(packet.owner)
+                continue
+            reserve(packet.owner, slot, wires)
+            if index == length:
+                phase[flow], winner[flow] = "established", packet
+                done.add(packet.owner)
+        elif kind in ("release", "teardown") and index < packet.route.length:
+            release(kind, packet.owner, 4 * at(node) + packet.route.entry(index), wires)
+    assert free == net.free_by_slot
+    assert sum(wires for owned in ledger.values() for wires in owned.values()) == report.stats.final_wires_held
     if report.stats.drained:
         assert ledger == {}
-    return report
+    return report, peaks
 
 
 class TestFlowSpec:
@@ -347,10 +372,10 @@ class TestFloodScheduling:
         }
         assert {node: rec.tree[sim.mesh.handle(node)] for node in expected} == expected
 
-    def test_destination_bee_is_rebuilt_from_the_tree(self, monkeypatch):
+    def test_destination_bee_is_rebuilt_from_the_tree(self):
         # 3x2 mesh, flow (0,0) -> (2,0), t_hop 2: the copy (1,0) sends east
-        # reaches the destination after 2 hops, so its path is [E, E] and
-        # the route its backward bee takes is [W, W]
+        # reaches the destination after 2 hops, so its path is [E, E], and
+        # its backward bee takes the route [W, W], arriving at (1,0) from the east
         sim = Simulator(base_config(mesh_width=3, mesh_height=2, t_hop=2), [one_flow(src=(0, 0), dst=(2, 0))])
         _, (arrival,) = sim.queue.pop_cycle()
         deliver(sim, arrival)
@@ -359,16 +384,14 @@ class TestFloodScheduling:
         deliver(sim, (WAVE, rec, [east], None))
         sim.clock, events = sim.queue.pop_cycle()
         _, (to_destination, _) = only_wave(events)
-        arrivals = []
-        monkeypatch.setattr(
-            router, "handle_forward_bee", lambda count, *arrival: arrivals.append((count, *arrival)) or []
-        )
         deliver(sim, (WAVE, rec, [to_destination], None))
-        flow = FlowId(NodeId(0, 0), 0)
         path = PortList.from_ports([PortDir.EAST, PortDir.EAST])
         route = PortList.from_ports([PortDir.WEST, PortDir.WEST])
         assert route == path.reverse_complement()
-        assert arrivals == [(0, flow, path, sim.config.backward_bee_count, 4)]
+        time, ((handler, node, bee, port),) = sim.queue.pop_cycle()
+        assert (time, handler, sim.mesh.node_at(node), port) == (6, Simulator._on_backward, (1, 0), PortDir.EAST)
+        assert bee == BackwardBee((FlowId(NodeId(0, 0), 0), 0), path, 4)
+        assert rec.converted == 1
         # the tree path must be as long as the hops the clock allows
         sim.clock += 2
         with pytest.raises(InvariantViolationError, match="tree path of 2 hops after 3"):
@@ -521,19 +544,14 @@ class TestUtilisationPeak:
             sim.network.reserve(sim.mesh.handle(NodeId(1, 2)), PortDir.EAST, 4)
 
     def test_peaks_match_sampling_after_every_event(self):
-        sim = Simulator(*contended_run(3))
-        net = sim.network
-        peaks = [0.0] * 4
-        check = net.drain_dirty
-
-        def check_and_sample(index):  # reserve() and release() check the link they wrote last
-            check(index)
-            for port in range(4):
-                peaks[port] = max(peaks[port], net.held_by_class[port] / net.wires_by_class[port])
-
-        net.drain_dirty = check_and_sample
-        summary = sim.run().summary
+        # an event writes at most one link, so the replayed peaks after every
+        # event are those after every write
+        cfg, workload = contended_run(3)
+        sim = Simulator(dataclasses.replace(cfg, trace=True), workload)
+        report, held = run_with_ledger(sim)
+        peaks = [wires / sim.network.wires_by_class[port] for port, wires in enumerate(held)]
         assert min(peaks) > 0
+        summary = report.summary
         assert [summary.util_peak_south, summary.util_peak_west, summary.util_peak_east, summary.util_peak_north] == peaks
 
 
@@ -551,19 +569,18 @@ class TestSetupTimeout:
         # exactly that prefix
         cfg = base_config(mesh_width=4, mesh_height=2, setup_timeout_factor=0.7, trace=True)
         sim = Simulator(cfg, [one_flow(src=(0, 0), dst=(3, 0), bandwidth=1.0)])
-        released = []
-        release = sim.network.release
-        sim.network.release = lambda *args: released.append((sim.clock, *args)) or release(*args)
-        report = sim.run()
+        report, _ = run_with_ledger(sim)
         assert report.flows[0].phase == "Failed"
-        packets = [line.split("\t") for line in report.trace if line.split("\t")[4] not in ("-", "forward")]
-        assert [(cycle, node, pkt, hop) for cycle, _, node, _, pkt, _, hop in packets] == [
-            ("4", "2,0", "backward", "1"),
-            ("5", "1,0", "backward", "2"),  # after the timeout: it reserves nothing
-            ("6", "2,0", "release", "0"),
-            ("7", "3,0", "release", "1"),
+        packets = [event for event in report.trace if event.packet is not None]
+        assert [(event.cycle, event.node, event.kind, event.hop) for event in packets] == [
+            (4, (2, 0), "backward", 1),
+            (5, (1, 0), "backward", 2),  # after the timeout: it reserves nothing
+            (6, (2, 0), "release", 0),
+            (7, (3, 0), "release", 1),
         ]
-        assert released == [(6, sim.mesh.handle(NodeId(2, 0)), PortDir.EAST, 1)]
+        # the release, the bee's own, frees (2,0)'s east link at route index 0 and nothing more
+        bee, _, release, _ = (event.packet for event in packets)
+        assert release.owner is bee.owner and release.route == PortList.from_ports([PortDir.EAST])
         assert report.stats.control_deliveries == 2
         assert report.stats.final_wires_held == 0
         assert report.stats.drained
@@ -621,60 +638,44 @@ class TestConfigChecked:
 class TestTrace:
     def test_trace_lines_cover_events(self):
         cfg = base_config(trace=True)
-        report = Simulator(cfg, [one_flow()]).run()
+        sim = Simulator(cfg, [one_flow()])
+        report = sim.run()
         assert report.trace is not None
         assert len(report.trace) == report.stats.events_processed
-        for line in report.trace:
-            assert len(line.split("\t")) == 7
-        cycles = [int(line.split("\t")[0]) for line in report.trace]
+        cycles = [event.cycle for event in report.trace]
         assert cycles == sorted(cycles)
-        kinds = {line.split("\t")[1] for line in report.trace}
-        assert kinds == {"arrival", "deliver", "complete", "timeout"}
+        kinds = {event.kind for event in report.trace}
+        assert kinds == {"arrival", "forward", "backward", "release", "teardown", "complete", "timeout"}
+        nodes = sim.mesh.nodes()
+        for event in report.trace:
+            assert type(event) is TraceEvent and event.node is nodes[sim.mesh.handle(event.node)]
+            lifecycle = event.kind in ("arrival", "complete", "timeout")
+            assert (event.port is None, event.hop is None) == (lifecycle, lifecycle)
+            assert (event.packet is None) == (lifecycle or event.kind == "forward")
+            assert trace_line(event).count("\t") == 6
 
     def test_trace_off_by_default(self):
         report = Simulator(base_config(), [one_flow()]).run()
         assert report.trace is None
 
-    def test_each_bee_and_control_packet_is_one_object_on_its_route(self, monkeypatch):
+    def test_each_bee_and_control_packet_is_one_object_on_its_route(self):
         # A traced contended churn run: every backward bee and control packet
-        # is queued as the same object at each hop, and the trace's hop column
-        # is its route index there, as the route's next entry leads on. An
-        # established flow's circuit and teardown reuse its winner's path and
-        # owner key.
+        # is delivered as the same object at each hop, one t_hop apart, and
+        # its trace event's hop is its route index there, as the route's
+        # entries lead on from node to node. An established flow's circuit
+        # and teardown reuse its winner's path and owner key.
         cfg, workload = contended_run(3)
-        cfg = dataclasses.replace(cfg, trace=True)
-        sent = []  # (arrival cycle, node, packet) of every transit, in order
-        transit = Simulator.transit
-        accepted = {}  # flow -> its backward bee accepted at the source
-        handle_backward_bee = router.handle_backward_bee
-
-        def recording(sim, origin, port, packet):
-            transit(sim, origin, port, packet)
-            sent.append((sim.clock + sim.config.t_hop, sim.mesh.neighbor(sim.mesh.node_at(origin), port), packet))
-
-        def accepting(node, bee, *args):
-            outcome = handle_backward_bee(node, bee, *args)
-            if outcome is router.BackwardOutcome.ACCEPTED:
-                accepted[bee.flow] = bee
-            return outcome
-
-        monkeypatch.setattr(Simulator, "transit", recording)
-        monkeypatch.setattr(router, "handle_backward_bee", accepting)
-        sim = Simulator(cfg, workload)
+        sim = Simulator(dataclasses.replace(cfg, trace=True), workload)
         report = sim.run()
         assert report.stats.drained
-        delivered = [
-            line.split("\t")
-            for line in report.trace
-            if line.split("\t")[1] == "deliver" and line.split("\t")[4] != "forward"
-        ]
-        assert len(delivered) == len(sent) > 1000
+        delivered = [event for event in report.trace if event.packet is not None]
+        assert len(delivered) == report.stats.backward_deliveries + report.stats.control_deliveries > 1000
         objects, hops = {}, {}
-        for (cycle, node, pkt), (clock, _, at, flow, kind, _, hop) in zip(sent, delivered):
-            assert (str(cycle), str(node), str(pkt.flow)) == (clock, at, flow)
+        for cycle, kind, node, flow, pkt, port, hop in delivered:
+            assert flow == pkt.flow and cycle == pkt.start + hop * cfg.t_hop
             assert kind == ("backward" if type(pkt) is BackwardBee else pkt.kind.value)
             assert objects.setdefault((kind, pkt.flow, pkt.bee_index), pkt) is pkt
-            hops.setdefault(id(pkt), []).append((node, int(hop)))
+            hops.setdefault(id(pkt), []).append((node, port, hop))
         assert {kind for kind, _, _ in objects} == {"backward", "release", "teardown"}
         for pkt in objects.values():
             if type(pkt) is BackwardBee:
@@ -686,24 +687,26 @@ class TestTrace:
             route_hops = hops[id(pkt)]
             rec = sim.records[pkt.flow]
             first = 0 if type(pkt) is ControlPacket and pkt.kind is ControlKind.RELEASE else 1
-            assert [hop for _, hop in route_hops] == list(range(first, first + len(route_hops)))
+            assert [hop for _, _, hop in route_hops] == list(range(first, first + len(route_hops)))
             if first == 1:  # sent from the bee's destination, or from the teardown's source
                 origin = rec.spec.destination if type(pkt) is BackwardBee else rec.spec.source
-                assert route_hops[0][0] == sim.mesh.neighbor(origin, route.entry(0))
-            for (node, hop), (next_node, _) in zip(route_hops, route_hops[1:]):
-                assert next_node == sim.mesh.neighbor(node, route.entry(hop))
+                assert route_hops[0][:2] == (sim.mesh.neighbor(origin, route.entry(0)), route.entry(0).opposite())
+            for (node, _, hop), (next_node, port, _) in zip(route_hops, route_hops[1:]):
+                assert (next_node, port) == (sim.mesh.neighbor(node, route.entry(hop)), route.entry(hop).opposite())
             if type(pkt) is ControlPacket:
-                assert route_hops[-1][1] == route.length  # it is delivered at the end of its route
+                assert route_hops[-1][2] == route.length  # it is delivered at the end of its route
             else:
-                assert route_hops[-1][1] <= route.length
+                assert route_hops[-1][2] <= route.length
         established = [rec for rec in sim.records.values() if rec.circuit is not None]
-        assert len(established) > 10 and set(accepted) == {rec.spec.flow for rec in established}
+        assert len(established) > 10
+        assert {flow for kind, flow, _ in objects if kind == "teardown"} == {rec.spec.flow for rec in established}
         for rec in established:
-            bee = accepted[rec.spec.flow]
-            teardown = objects[("teardown", bee.flow, bee.bee_index)]
+            bee = objects[("backward", *rec.winner)]
+            teardown = objects[("teardown", *rec.winner)]
+            assert hops[id(bee)][-1][::2] == (rec.spec.source, bee.path.length)  # it reached the source
             assert rec.circuit is bee.path
             assert teardown.route is bee.path
-            assert teardown.owner is bee.owner
+            assert teardown.owner is bee.owner is rec.winner
 
 
 class TestMaxCycles:
@@ -713,6 +716,16 @@ class TestMaxCycles:
         assert report.flows[0].phase == "Failed"
         assert not report.stats.drained
 
+    def test_a_second_run_is_refused(self):
+        # Cut with wires held: a second run would take them for background
+        # load and report none held, while the network still holds them.
+        sim = Simulator(base_config(max_cycles=20), [one_flow()])
+        held = sim.run().stats.final_wires_held
+        assert held > 0 and sim.network.total_held() == held
+        with pytest.raises(InvariantViolationError, match="a Simulator runs once"):
+            sim.run()
+        assert sim.network.total_held() == held
+
 
 class TestConservation:
     """A drained run must hold no wires beyond the background load."""
@@ -720,8 +733,8 @@ class TestConservation:
     def test_wires_held_after_drain_raise(self, monkeypatch):
         # Releases and teardowns that free nothing leave the circuit and the
         # losing bees' reservations held.
-        monkeypatch.setattr(Network, "release", lambda self, node, port, key: 0)
         sim = Simulator(base_config(), [one_flow()])
+        monkeypatch.setattr(sim.network, "release", lambda node, port, wires: 0)
         with pytest.raises(InvariantViolationError, match="conservation") as info:
             sim.run()
         assert str(info.value) == f"conservation: {sim.network.total_held()} wires still held after drain"
@@ -744,7 +757,7 @@ class TestConservation:
         else:
             cfg = RunConfig(**GOLDEN[name][0])
             workload = generate_traffic(Mesh(cfg.mesh_width, cfg.mesh_height), cfg, make_rng(cfg.seed))
-        report = run_with_ledger(Simulator(cfg, workload))
+        report, _ = run_with_ledger(Simulator(dataclasses.replace(cfg, trace=True), workload))
         assert report.stats.control_deliveries > 0
 
 
@@ -765,10 +778,9 @@ class TestElidedDuplicates:
                 assert sim.network.reserve(sim.mesh.handle(node), port, 8)
             reports[trace] = sim.run()
         traced, plain = reports[True], reports[False]
-        fields = [line.split("\t") for line in traced.trace]
-        earlier = {(f[2], f[3]) for f in fields if int(f[0]) < 4 and f[4] == "forward"}
-        last = [f for f in fields if int(f[0]) == 4]
-        assert last and all(f[4] == "forward" and (f[2], f[3]) in earlier for f in last)
+        earlier = {(e.node, e.flow) for e in traced.trace if e.cycle < 4 and e.kind == "forward"}
+        last = [e for e in traced.trace if e.cycle == 4]
+        assert last and all(e.kind == "forward" and (e.node, e.flow) in earlier for e in last)
         assert plain.stats.final_cycle == traced.stats.final_cycle == 4
         assert plain.stats == traced.stats
         assert plain.summary == traced.summary
@@ -818,7 +830,7 @@ class TestBoundedState:
         peak = 0
 
         class Checked(Simulator):
-            def _trace_line(self, ev):  # called after every event of a traced run
+            def _trace_event(self, ev):  # called after every event of a traced run
                 nonlocal peak
                 payload = ev[2]
                 rec = payload if type(payload) is FlowRecord else self.records[payload.flow]
@@ -827,7 +839,7 @@ class TestBoundedState:
                 assert rec.converted <= cfg.backward_bee_count
                 (live.add if rec.tree is not None else live.discard)(rec.spec.flow)
                 peak = max(peak, len(live))
-                return super()._trace_line(ev)
+                return super()._trace_event(ev)
 
         sim = Checked(cfg, workload)
         report = sim.run()

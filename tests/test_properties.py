@@ -5,10 +5,11 @@ byte-identical, every flow must end settled, and every established circuit
 must be a real source-to-destination path within the flow's hop budget.
 An untraced run, which does not schedule duplicate forward-bee deliveries,
 must report what the traced run of the same config reports, on generated
-traffic as well as on a few flows drawn one by one. The forward bees the
-engine hands its destination, rebuilt from the flow's first-copy tree, must
-be those a plain breadth-first flood finds, each copy carrying its own port
-list and each node keeping the set of flows it has seen. Against the
+traffic as well as on a few flows drawn one by one. The copies a traced run
+delivers at its destination must be those a plain breadth-first flood finds,
+each copy carrying its own port list and each node keeping the set of flows
+it has seen, and its backward bees must carry the first of their paths,
+rebuilt from the flow's first-copy tree. Against the
 oracle, evaluated before the run, on an idle mesh or under frozen
 background load: a single flow must be established exactly when a shortest
 feasible path sets up in time, and then on a shortest feasible path.
@@ -18,7 +19,6 @@ import dataclasses
 import tempfile
 from collections import deque
 from pathlib import Path
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +41,6 @@ from beenoc import (
     walk,
     write_report,
 )
-from beenoc import router
 from beenoc.topology import OPPOSITE
 from test_engine import run_with_ledger
 
@@ -175,7 +174,7 @@ def test_untraced_run_reports_what_the_traced_run_does(run):
 @given(walled_runs())
 def test_every_control_hop_frees_what_its_owner_holds(run):
     # the per-owner ledger of test_engine.run_with_ledger, over walls and cuts
-    run_with_ledger(walled_sim(*run))
+    run_with_ledger(walled_sim(*run))  # the walled configs are traced
 
 
 @st.composite
@@ -244,37 +243,39 @@ def loaded_simulator(cfg, spec, loads):
     return sim
 
 
-def run_capturing_destination_bees(cfg, spec, loads):
+def run_against_a_reference_flood(cfg, spec, loads):
     """The reference flood's destination arrivals over the loaded network,
-    as (flow, route back, forward path), what the engine hands
-    `router.handle_forward_bee` in the same form, the route read off the path
-    by the backward bee's rule, and the report."""
+    the simulator after its run, and the report."""
     sim = loaded_simulator(cfg, spec, loads)
-    net = sim.network
-    arrivals = reference_arrivals(net, spec, sim.records[spec.flow].hop_limit)
-    expected = [(spec.flow, ports.reverse_complement(), ports) for ports in arrivals]
-    captured = []
-    convert = router.handle_forward_bee
-
-    def capture(count, flow, path, *args):
-        route = PortList.from_ports(OPPOSITE[(path.bits >> 2 * i) & 0b11] for i in range(path.length))
-        captured.append((flow, route, path))
-        return convert(count, flow, path, *args)
-
-    with mock.patch.object(router, "handle_forward_bee", capture):
-        report = sim.run()
-    return expected, captured, report
+    arrivals = reference_arrivals(sim.network, spec, sim.records[spec.flow].hop_limit)
+    return arrivals, sim, sim.run()
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(frozen_single_flows())
 def test_destination_bees_match_a_reference_flood(run):
+    # The traced run delivers a copy at the destination after each reference
+    # arrival's hop count, in order, and its backward bees carry the paths of
+    # the first arrivals, up to the conversion cap, with the route the bee's
+    # rule reads off each path. The untraced run, which elides duplicates,
+    # sets up the same circuit, won by the same bee, with the same counts.
     cfg, spec, loads = run
-    for trace in (True, False):
-        expected, captured, report = run_capturing_destination_bees(dataclasses.replace(cfg, trace=trace), spec, loads)
-        assert captured == expected
-        # a bee that reaches the destination retraces links that still fit
-        assert report.flows[0].ever_established == bool(expected)
+    arrivals, sim, report = run_against_a_reference_flood(dataclasses.replace(cfg, trace=True), spec, loads)
+    at_destination = [event.hop for event in report.trace if event.kind == "forward" and event.node == spec.destination]
+    assert at_destination == [ports.length for ports in arrivals]
+    bees = {event.packet.bee_index: event.packet for event in report.trace if event.kind == "backward"}
+    assert [bees[index].path for index in sorted(bees)] == arrivals[: cfg.backward_bee_count]
+    for bee in bees.values():
+        assert bee.owner == (spec.flow, bee.bee_index)
+        route = PortList.from_ports(OPPOSITE[(bee.path.bits >> 2 * i) & 0b11] for i in range(bee.path.length))
+        assert route == bee.path.reverse_complement()
+    # a bee that reaches the destination retraces links that still fit
+    assert report.flows[0].ever_established == bool(arrivals)
+    rec = sim.records[spec.flow]
+    _, plain_sim, plain = run_against_a_reference_flood(dataclasses.replace(cfg, trace=False), spec, loads)
+    plain_rec = plain_sim.records[spec.flow]
+    assert (plain_rec.circuit, plain_rec.winner) == (rec.circuit, rec.winner)
+    assert plain.stats == report.stats
 
 
 def run_against_the_oracle(sim, spec):

@@ -91,8 +91,7 @@ def send_bees(sim, *paths):
 
 def deliveries(report, kind):
     """(cycle, node, route index) of each traced delivery of packets of `kind`."""
-    lines = (line.split("\t") for line in report.trace)
-    return [(int(cycle), node, int(hop)) for cycle, event, node, _, pkt, _, hop in lines if pkt == kind]
+    return [(event.cycle, str(event.node), event.hop) for event in report.trace if event.kind == kind]
 
 
 # The flood rule is one engine step over a flow's first-copy tree; the

@@ -449,3 +449,61 @@ def test_package_imports_form_layers():
     except graphlib.CycleError as exc:
         cycle = exc.args[1]
     assert (nested, cycle) == ([], None)
+
+
+# Tests that patch a package name on purpose: the one that counts validate_config
+# calls, and the one that makes run_simulation raise to reach the CLI's error path.
+PATCHING_TESTS = ("test_validated_once_when_built_and_never_again", "test_invariant_violation_exit_3")
+
+
+def package_patches(tests: Path) -> list[str]:
+    """file:line of each place outside PATCHING_TESTS where a test under
+    `tests` sets an attribute of a beenoc module or class: an assignment to
+    or deletion of one, setattr, monkeypatch.setattr or mock.patch.object on
+    one, or a patch of a "beenoc..." name."""
+    found = []
+    for path in sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        package = set()  # names bound to beenoc modules and to what they export
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "beenoc":
+                package.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                package.update(
+                    alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name.split(".")[0] == "beenoc"
+                )
+        exempt = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name in PATCHING_TESTS
+            for node in ast.walk(func)
+        }
+
+        def of_package(expr) -> bool:
+            while isinstance(expr, ast.Attribute):
+                expr = expr.value
+            if isinstance(expr, ast.Constant):
+                return isinstance(expr.value, str) and expr.value.split(".")[0] == "beenoc"
+            return isinstance(expr, ast.Name) and expr.id in package
+
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                elements = [t for target in targets for t in (target.elts if isinstance(target, ast.Tuple) else [target])]
+                hit = any(isinstance(t, ast.Attribute) and of_package(t.value) for t in elements)
+            elif isinstance(node, ast.Call) and node.args:
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                hit = name in ("setattr", "object", "patch", "delattr") and of_package(node.args[0])
+            else:
+                hit = False
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_test_patches_a_package_module_or_class():
+    # Tests observe a run through its report, its trace events and public
+    # objects, and may patch an instance, but not the package's names.
+    assert package_patches(Path(__file__).parent) == []
